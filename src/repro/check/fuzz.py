@@ -215,21 +215,15 @@ def _pump(kernel: Kernel, mc: MemoryController,
 
 def run_case(case: FuzzCase, registry=None,
              oracle_data: bool = True,
-             readiness_index: bool = True,
-             event_wheel: bool = True,
-             stall_ledger=None,
-             on_command=None) -> CaseResult:
+             reference: bool = False,
+             probes: Sequence[object] = ()) -> CaseResult:
     """Execute one case with checker + oracles attached (collect mode).
 
-    ``readiness_index`` toggles the controller's incremental FR-FCFS
-    readiness index against the full-recompute reference scheduler,
-    ``event_wheel`` toggles memoized event-wheel wake-ups against the
-    plain polling reference, ``stall_ledger`` (an
-    :class:`~repro.obs.stalls.StallLedger`) captures the controller's
-    wait attribution, and ``on_command`` (``(cycle, command, request)``)
-    observes the issued command stream -- together they let the
-    equivalence tests replay one fuzzed trace through both scheduler
-    variants and diff streams, cycles and ledgers.
+    ``reference`` runs the controller's reference scheduler (see
+    :class:`~repro.dram.controller.ControllerConfig`) and ``probes`` are
+    attached to the controller ahead of the checker -- together they let
+    the equivalence tests replay one fuzzed trace through both scheduler
+    modes and diff command streams, cycles and stall ledgers.
     """
     # non-stride schemes reject a gather factor; the case's factor only
     # shapes the generated trace for them
@@ -247,15 +241,11 @@ def run_case(case: FuzzCase, registry=None,
     kernel = Kernel()
     mc = MemoryController(
         kernel, corrupted, geometry,
-        ControllerConfig(refresh_enabled=case.refresh,
-                         readiness_index=readiness_index,
-                         event_wheel=event_wheel),
+        ControllerConfig(refresh_enabled=case.refresh, reference=reference),
         salp=scheme.salp_mode,
     )
-    if on_command is not None:
-        mc.observer = on_command
-    if stall_ledger is not None:
-        mc.stall_ledger = stall_ledger
+    for probe in probes:
+        mc.attach(probe)
     checker = TimingProtocolChecker(
         truth, geometry, registry=registry, strict=False,
         salp=scheme.salp_mode,

@@ -1,10 +1,11 @@
 """JEDEC-style timing-protocol checker.
 
-A :class:`TimingProtocolChecker` observes every command the controller
-issues (via the controller's ``checker`` hook and the channel's
-data-burst observer) and replays it against an independent shadow state
-machine built from nothing but :class:`~repro.dram.timing.TimingParams`
-and :class:`~repro.dram.geometry.Geometry`.  Any command that arrives
+A :class:`TimingProtocolChecker` is a controller probe (see
+:meth:`~repro.dram.controller.MemoryController.attach`): it observes every
+command the controller issues and every data burst, and replays them
+against an independent shadow state machine built from nothing but
+:class:`~repro.dram.timing.TimingParams` and
+:class:`~repro.dram.geometry.Geometry`.  Any command that arrives
 earlier than the timing rules allow raises (or records) a structured
 :class:`ProtocolViolation` carrying the offending rule and a window of
 the most recent commands.
@@ -191,12 +192,10 @@ class TimingProtocolChecker:
     # ------------------------------------------------------------ attaching
 
     def attach(self, controller) -> "TimingProtocolChecker":
-        """Install this checker on a live controller (command hook plus
-        the channel's data-burst observer)."""
+        """Attach this checker as a probe on a live controller (which also
+        lets it cross-check its shadow state against the real banks)."""
         self._controller = controller
-        controller.checker = self
-        controller.channel.observer = self.on_data_burst
-        return self
+        return controller.attach(self)
 
     # ------------------------------------------------------------ reporting
 
@@ -701,7 +700,7 @@ class TimingProtocolChecker:
     def on_data_burst(self, now: int, cmd: Command, rank: int,
                       subrank: Optional[int], data_start: int,
                       data_end: int) -> None:
-        """Channel-side hook: cross-validate the data window the channel
+        """Data-burst probe: cross-validate the data window the channel
         actually booked against the one the checker computed from its own
         (trusted) timing table."""
         expected = self._pending_burst

@@ -24,10 +24,9 @@ Commands mirror the paper's artefacts:
 Every figure/table command also speaks JSON (``--json``) and can drop
 its payload into an artifacts directory (``--artifacts DIR``); ``query``
 additionally offers ``--stats`` (metrics registry dump), ``--profile``
-(phase-span flamegraph), ``--trace`` (command-level trace summary,
-exported as JSONL when combined with ``--artifacts``), ``--stalls``
-(cycle-accounting stall attribution) and ``--timeline`` (timeline
-recording; Chrome trace-event export with ``--artifacts``).  Sweep
+(phase-span flamegraph), ``--stalls`` (cycle-accounting stall
+attribution) and ``--timeline`` (command-level timeline report; Chrome
+trace-event and JSONL command-log export with ``--artifacts``).  Sweep
 commands accept ``--timeline`` to record every simulated point.
 """
 
@@ -313,7 +312,7 @@ def _cmd_query(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True) if args.json
               else out)
         return 0
-    observe = Observation(trace=args.trace, timeline=args.timeline,
+    observe = Observation(timeline=args.timeline,
                           artifacts_dir=args.artifacts)
     result = run_query(args.scheme, query, tables,
                        gather_factor=args.gather, observe=observe,
@@ -345,9 +344,6 @@ def _cmd_query(args) -> int:
     if args.profile:
         print()
         print(observe.profiler.render())
-    if args.trace and not args.json:
-        print()
-        print(observe.tracer.report(result.cycles))
     if args.stalls and not args.json:
         from .obs import render_stall_report
 
@@ -650,9 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full metrics registry after the run")
     p.add_argument("--profile", action="store_true",
                    help="print the phase-span profile after the run")
-    p.add_argument("--trace", action="store_true",
-                   help="attach a command tracer (report + JSONL export "
-                        "with --artifacts)")
     p.add_argument("--check", action="store_true",
                    help="attach the repro.check protocol checker and "
                         "plan oracle (a violation aborts the run)")
@@ -664,8 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the cycle-accounting stall attribution "
                         "(per-core busy / stall-reason breakdown)")
     p.add_argument("--timeline", action="store_true",
-                   help="attach the timeline recorder (per-bank report; "
-                        "Chrome trace-event export with --artifacts)")
+                   help="attach the timeline recorder (command and per-bank "
+                        "report; Chrome trace-event and JSONL export with "
+                        "--artifacts)")
     _add_size_args(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_query)

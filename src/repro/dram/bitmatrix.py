@@ -12,9 +12,6 @@ The scalar loops in :mod:`repro.dram.datapath` and
 :mod:`repro.dram.iobuffer` (the ``*_scalar`` functions) remain the
 reference oracle; the hypothesis round-trip tests assert bit-for-bit
 equality between the two implementations.
-
-Without numpy this module still imports (``HAVE_NUMPY`` is False) and the
-callers fall back to the scalar paths.
 """
 
 from __future__ import annotations
@@ -22,12 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence
 
-try:  # numpy is an accelerator, never a requirement
-    import numpy as np
-except ImportError:  # pragma: no cover - the image ships numpy
-    np = None
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 #: per-chip block geometry (mirrors :mod:`repro.dram.iobuffer`)
 LANES = 4

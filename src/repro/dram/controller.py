@@ -18,7 +18,7 @@ row-friendly (Qs) queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..kernel import Kernel
 from ..obs.stalls import (
@@ -74,24 +74,19 @@ class ControllerConfig:
     #: "open" (Table 2 default) keeps rows open for FR-FCFS row hits;
     #: "closed" auto-precharges after every column command (RDA/WRA).
     page_policy: str = "open"
-    #: cache each queued request's (command, earliest, reason) readiness
-    #: entry and invalidate it with bank/rank version counters instead of
-    #: re-deriving it for every request on every wakeup.  False selects
-    #: the old-style full recompute; command streams are identical either
-    #: way (enforced by the scheduler-equivalence test).
-    readiness_index: bool = True
-    #: event-wheel scheduling: after issuing a command the controller
-    #: dry-runs the next cycle's scheduler scan while the readiness index
-    #: is hot and stashes the decision, so the wake-up one cycle later
-    #: replays it in O(1) instead of re-scanning (any intervening submit
-    #: invalidates the stash).  The wake-up *event stream* is identical
-    #: to polling's by construction -- every scheduling decision happens
-    #: at the same kernel instant -- which is what makes command streams,
-    #: cycle counts and stall ledgers exactly equal in both modes
-    #: (enforced by the event-wheel equivalence suite).  False disables
-    #: the dry-run, keeping the plain re-scan as the behavioral
-    #: reference oracle.
-    event_wheel: bool = True
+    #: select the behavioral reference scheduler.  The default (fast)
+    #: mode caches each queued request's (command, earliest, reason)
+    #: readiness entry behind bank/rank/subarray version counters, and
+    #: after an issue dry-runs the next cycle's scan while that index is
+    #: hot, so the wake-up one cycle later replays the decision in O(1)
+    #: (the event wheel; any intervening submit invalidates the stash).
+    #: ``reference=True`` re-derives every request's next command on
+    #: every wake-up and memoizes nothing.  The wake-up *event stream* is
+    #: identical in both modes by construction -- every scheduling
+    #: decision happens at the same kernel instant -- so command streams,
+    #: cycle counts and stall ledgers match exactly (enforced by the
+    #: fast-vs-reference batteries).
+    reference: bool = False
 
 
 #: how a readiness entry's earliest time combines with the shared-bus
@@ -153,27 +148,13 @@ class MemoryController:
         #: banks), "salp1", "salp2" or "masa"
         self.salp = salp
         self.channel = ChannelState(timing, self.geometry, salp=salp)
-        #: optional command observer: called as (cycle, command, request)
-        #: on every issued command (request is None for REF).  Used by
-        #: repro.sim.trace and the obs ring buffer; keep it None for
-        #: full-speed runs.
-        self.observer = None
-        #: optional repro.check.TimingProtocolChecker (or any object with
-        #: its ``on_command`` signature).  Unlike ``observer`` it also sees
-        #: refresh-path precharges, REF with the rank spelled out, and the
-        #: closed-page auto-precharge (flagged ``implicit`` because it
-        #: rides on the CAS instead of occupying the command bus).
-        self.checker = None
-        #: optional obs.metrics.Histogram observing completed-read latency
-        #: in cycles (one observe per RD command when attached)
-        self.latency_hist = None
-        #: optional obs.timeline.TimelineRecorder; sees the same command
-        #: stream as ``checker`` (refresh-path PREs, REF with the rank
-        #: spelled out, implicit closed-page precharges)
-        self.timeline = None
-        #: optional obs.stalls.StallLedger; every scheduling wait is
-        #: annotated with the timing constraint that caused it
-        self.stall_ledger = None
+        #: probes subscribed via :meth:`attach`, and per probe method the
+        #: tuple of bound methods its event sites loop over (empty when
+        #: nobody listens, so unobserved runs pay one empty loop per site)
+        self._probes: List[object] = []
+        self._on_command: Tuple[Callable, ...] = ()
+        self._on_wait: Tuple[Callable, ...] = ()
+        self._on_read_latency: Tuple[Callable, ...] = ()
         #: optional obs.metrics.MetricsRegistry for controller-side
         #: counters (queue_full_rejects)
         self.metrics = None
@@ -203,7 +184,7 @@ class MemoryController:
         self._peeked: Optional[tuple] = None
         self._queue_epoch: int = 0
         #: wake-ups that replayed a memoized dry-run decision instead of
-        #: re-running the FR-FCFS scan (event-wheel mode only)
+        #: re-running the FR-FCFS scan (never in reference mode)
         self.peek_hits: int = 0
         self._last_cas_group: Optional[Tuple[int, int]] = None
         # per-wakeup memo of earliest_cas_for_bus results, valid for one
@@ -254,6 +235,46 @@ class MemoryController:
     def idle(self) -> bool:
         return not self.read_queue and not self.write_queue
 
+    # --------------------------------------------------------------- probes
+
+    def attach(self, probe):
+        """Subscribe ``probe`` to this controller's event stream; returns
+        it.  A probe defines any subset of:
+
+        * ``on_command(cycle, command, request, *, rank=None, bank=None,
+          subarray=None, implicit=False)`` -- every command: REF and the
+          refresh-path PREs arrive with ``request`` None and their
+          rank/bank spelled out, a SALP PRE names its ``subarray``, and
+          the closed-page auto-precharge is flagged ``implicit`` (it rides
+          on its CAS, stamped with the cycle the row closes);
+        * ``on_data_burst(now, cmd, rank, subrank, data_start, data_end)``
+          -- every CAS data burst (delivered by the channel);
+        * ``on_wait(start, end, reason)`` -- every scheduling wait, tagged
+          with the stall-taxonomy reason that bound it;
+        * ``on_read_latency(cycles)`` -- every completed read.
+
+        Probes observe; they must not mutate simulation state.  Each
+        event reaches the probes in attach order.
+        """
+        self._probes.append(probe)
+        self._bind_probes()
+        return probe
+
+    def detach(self, probe) -> None:
+        """Unsubscribe ``probe`` (a no-op if it is not attached)."""
+        self._probes = [p for p in self._probes if p is not probe]
+        self._bind_probes()
+
+    def _bind_probes(self) -> None:
+        def methods(name: str) -> Tuple[Callable, ...]:
+            found = (getattr(probe, name, None) for probe in self._probes)
+            return tuple(method for method in found if method is not None)
+
+        self._on_command = methods("on_command")
+        self._on_wait = methods("on_wait")
+        self._on_read_latency = methods("on_read_latency")
+        self.channel.burst_probes = methods("on_data_burst")
+
     # ------------------------------------------------------ scheduling core
 
     def _schedule_wakeup(self, when: int) -> None:
@@ -286,12 +307,12 @@ class MemoryController:
         now = self.kernel.now
         next_time = self._try_issue(now)
         if (next_time is not None and next_time == now + 1
-                and self.config.event_wheel):
+                and not self.config.reference):
             # Event wheel: dry-run the next cycle's scheduler scan while
             # the readiness index is hot, so the wake-up at ``now + 1``
             # can replay the decision in O(1) unless a submit lands in
             # between.  The wake-up itself is still scheduled below,
-            # exactly as in polling mode.
+            # exactly as in reference mode.
             self._peek_wake(now + 1)
         if next_time is not None:
             self._schedule_wakeup(next_time)
@@ -353,8 +374,8 @@ class MemoryController:
         return now + 1 if (self.read_queue or self.write_queue) else None
 
     def _note_wait(self, start: int, end: int, reason: str) -> None:
-        if self.stall_ledger is not None:
-            self.stall_ledger.note(start, end, reason)
+        for probe in self._on_wait:
+            probe(start, end, reason)
 
     def _peek_wake(self, now: int) -> None:
         """Dry-run the scheduler scan the wake-up at ``now`` will perform.
@@ -447,15 +468,15 @@ class MemoryController:
         """FR-FCFS: first ready row-hit column command, else oldest ready
         command; if nothing is ready now, the soonest candidate.
 
-        With the readiness index (the default) each queued request's
-        (command, earliest, reason) triple is cached on the request and
+        Outside reference mode each queued request's (command, earliest,
+        reason) triple is cached on the request (the readiness index) and
         re-derived only when the bank/rank state it reads has moved (the
         version counters); the shared-bus terms, which move on every
         issue, are applied at lookup time via a per-epoch memo.  The
         ``future`` minimum keeps wakeup scheduling exact: the controller
         still sleeps to the soonest candidate, never past it.
         """
-        if not self.config.readiness_index:
+        if self.config.reference:
             return self._frfcfs_choose_recompute(now, queue)
         ready_cas: Optional[Tuple[Request, Command, int, str]] = None
         ready_other: Optional[Tuple[Request, Command, int, str]] = None
@@ -789,19 +810,13 @@ class MemoryController:
         bank = request._bank
         pre_sub = None
         if command is Command.PRE and self.salp != "none":
-            # resolved before the hooks: the checker needs the PRE's
+            # resolved before the probes: the checker needs the PRE's
             # subarray operand (a real SALP PRE names its subarray)
             pre_sub = self._pre_target(request, bank)
         self.channel.occupy_command_bus(now)
-        if self.observer is not None:
-            self.observer(now, command, request)
-        if self.checker is not None:
-            self.checker.on_command(
-                now, command, request,
-                subarray=None if pre_sub is None else pre_sub.sub_id,
-            )
-        if self.timeline is not None:
-            self.timeline.on_command(now, command, request)
+        subarray = None if pre_sub is None else pre_sub.sub_id
+        for probe in self._on_command:
+            probe(now, command, request, subarray=subarray)
 
         if command is Command.MRS:
             rank.issue_mode_switch(now, request.io_mode)
@@ -845,14 +860,9 @@ class MemoryController:
             salp = self.salp != "none"
             pre_at = request._sub.next_pre if salp \
                 else bank.earliest(Command.PRE)
-            if self.checker is not None:
-                self.checker.on_command(
-                    pre_at, Command.PRE, request, implicit=True,
-                    subarray=request._sub.sub_id if salp else None,
-                )
-            if self.timeline is not None:
-                self.timeline.on_command(pre_at, Command.PRE, request,
-                                         implicit=True)
+            for probe in self._on_command:
+                probe(pre_at, Command.PRE, request, implicit=True,
+                      subarray=request._sub.sub_id if salp else None)
             bank.issue_pre(pre_at, request._sub if salp else None)
             self.stats.precharges += 1
         self._account_cas(request, command)
@@ -869,8 +879,8 @@ class MemoryController:
         if request.is_read:
             self.stats.read_latency_total += complete_at - request.arrival
             self.stats.read_count_for_latency += 1
-            if self.latency_hist is not None:
-                self.latency_hist.observe(complete_at - request.arrival)
+            for probe in self._on_read_latency:
+                probe(complete_at - request.arrival)
         if request.on_complete is not None:
             callback = request.on_complete
             self.kernel.schedule_at(
@@ -911,48 +921,19 @@ class MemoryController:
                 ready = sub.next_pre
                 if ready <= now:
                     self.channel.occupy_command_bus(now)
-                    if self.checker is not None:
-                        self.checker.on_command(
-                            now, Command.PRE, None,
-                            rank=rank_id, bank=bank_id,
-                            subarray=sub.sub_id if self.salp != "none"
-                            else None,
-                        )
-                    if self.timeline is not None:
-                        self.timeline.on_command(now, Command.PRE, None,
-                                                 rank=rank_id, bank=bank_id)
+                    subarray = sub.sub_id if self.salp != "none" else None
+                    for probe in self._on_command:
+                        probe(now, Command.PRE, None, rank=rank_id,
+                              bank=bank_id, subarray=subarray)
                     bank.issue_pre(now, sub)
                     self.stats.precharges += 1
                     return now + 1
                 soonest = min(soonest, ready)
             return soonest
         self.channel.occupy_command_bus(now)
-        if self.observer is not None:
-            self.observer(now, Command.REF, None)
-        if self.checker is not None:
-            self.checker.on_command(now, Command.REF, None, rank=rank_id)
-        if self.timeline is not None:
-            self.timeline.on_command(now, Command.REF, None, rank=rank_id)
+        for probe in self._on_command:
+            probe(now, Command.REF, None, rank=rank_id)
         rank.issue_refresh(now)
         self.stats.refreshes += 1
         self._next_refresh[rank_id] += self.timing.tREFI
         return now + 1
-
-    def _refresh_step_wake(self, now: int, rank_id: int) -> Optional[int]:
-        """Side-effect-free mirror of :meth:`_issue_refresh_step`: the time
-        that step would return *without issuing anything*, or ``now`` when
-        it would issue a command (PRE or REF) this cycle."""
-        rank = self.channel.ranks[rank_id]
-        if rank.busy_until > now:
-            return rank.busy_until
-        if not rank.all_banks_precharged():
-            soonest = FOREVER
-            for bank in rank.banks:
-                sub = bank.pre_candidate(now)
-                if sub is None:
-                    continue
-                if sub.next_pre <= now:
-                    return now
-                soonest = min(soonest, sub.next_pre)
-            return soonest
-        return now

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .bitmatrix import HAVE_NUMPY, pack_blocks, unpack_blocks
+from .bitmatrix import pack_blocks, unpack_blocks
 
 BLOCK_BITS = 32
 LANES = 4
@@ -115,13 +115,11 @@ def pack_line_default(line: bytes) -> List[int]:
 
     Line bit ``64k + 4i + l`` becomes chip ``i``, lane ``l``, bit ``k``.
     """
-    if HAVE_NUMPY:
-        if len(line) != LINE_BYTES:
-            raise ValueError(
-                f"a cacheline is {LINE_BYTES} bytes, got {len(line)}"
-            )
-        return pack_blocks(line, "default", DATA_CHIPS)
-    return pack_line_default_scalar(line)
+    if len(line) != LINE_BYTES:
+        raise ValueError(
+            f"a cacheline is {LINE_BYTES} bytes, got {len(line)}"
+        )
+    return pack_blocks(line, "default", DATA_CHIPS)
 
 
 def unpack_line_default_scalar(blocks: Sequence[int]) -> bytes:
@@ -142,9 +140,7 @@ def unpack_line_default(blocks: Sequence[int]) -> bytes:
     """Inverse of :func:`pack_line_default`."""
     if len(blocks) != DATA_CHIPS:
         raise ValueError(f"need {DATA_CHIPS} blocks, got {len(blocks)}")
-    if HAVE_NUMPY:
-        return unpack_blocks(blocks, "default", DATA_CHIPS)
-    return unpack_line_default_scalar(blocks)
+    return unpack_blocks(blocks, "default", DATA_CHIPS)
 
 
 def pack_line_transposed_scalar(line: bytes) -> List[int]:
@@ -169,13 +165,11 @@ def pack_line_transposed(line: bytes) -> List[int]:
     bit ``k`` is sector bit ``16k + i``.  One lane is one SSC-variant symbol,
     so a strided (lane-wise) transfer still moves whole codewords.
     """
-    if HAVE_NUMPY:
-        if len(line) != LINE_BYTES:
-            raise ValueError(
-                f"a cacheline is {LINE_BYTES} bytes, got {len(line)}"
-            )
-        return pack_blocks(line, "transposed", DATA_CHIPS)
-    return pack_line_transposed_scalar(line)
+    if len(line) != LINE_BYTES:
+        raise ValueError(
+            f"a cacheline is {LINE_BYTES} bytes, got {len(line)}"
+        )
+    return pack_blocks(line, "transposed", DATA_CHIPS)
 
 
 def unpack_line_transposed_scalar(blocks: Sequence[int]) -> bytes:
@@ -196,9 +190,7 @@ def unpack_line_transposed(blocks: Sequence[int]) -> bytes:
     """Inverse of :func:`pack_line_transposed`."""
     if len(blocks) != DATA_CHIPS:
         raise ValueError(f"need {DATA_CHIPS} blocks, got {len(blocks)}")
-    if HAVE_NUMPY:
-        return unpack_blocks(blocks, "transposed", DATA_CHIPS)
-    return unpack_line_transposed_scalar(blocks)
+    return unpack_blocks(blocks, "transposed", DATA_CHIPS)
 
 
 # --------------------------------------------------------------------------

@@ -7,18 +7,22 @@ One :class:`Observation` bundles everything a run can record:
   single source the power model and harnesses read from,
 * a :class:`~repro.obs.spans.SpanProfiler` tagging the run's phases,
 * an always-on ring buffer of the last issued DRAM commands (stall
-  forensics), optionally upgraded to a full
-  :class:`~repro.sim.trace.CommandTracer`,
+  forensics),
 * an always-on :class:`~repro.obs.stalls.StallAttributor` accounting
   every core cycle to busy / a stall-taxonomy reason,
 * an optional :class:`~repro.obs.timeline.TimelineRecorder` capturing
-  the full command/row/bus/refresh timeline for Perfetto export,
-* an optional artifacts directory where the run manifest (and trace /
-  timeline exports) are written as JSON / JSONL.
+  the full command/row/bus/refresh timeline for Perfetto export and
+  command-level analysis,
+* an optional artifacts directory where the run manifest (and timeline
+  exports) are written as JSON / JSONL.
 
-``run_query(..., observe=Observation(...))`` threads the bundle through
-the stack; calling ``run_query`` with no observation still gets default
-metrics, spans and the stall ring.
+The observation is itself a memory-controller probe (see
+:meth:`~repro.dram.controller.MemoryController.attach`): its probe
+methods *are* the ring append, the stall ledger's ``note`` and the
+read-latency histogram's ``observe``, so the default run adds no
+wrapper call per event.  ``run_query(..., observe=Observation(...))``
+threads the bundle through the stack; calling ``run_query`` with no
+observation still gets default metrics, spans and the stall ring.
 """
 
 from __future__ import annotations
@@ -81,25 +85,24 @@ __all__ = [
 ]
 
 
+#: Read-latency histogram buckets (memory-controller cycles).
+_LATENCY_BUCKETS = (24, 32, 48, 64, 96, 128, 192, 256, 512, 1024)
+
+
 class Observation:
-    """Instrumentation bundle for one ``run_query`` invocation."""
+    """Instrumentation bundle for one ``run_query`` invocation, attached
+    to the run's memory controller as a probe."""
 
     def __init__(
         self,
-        trace: bool = False,
-        keep_trace_events: bool = True,
         artifacts_dir: "Optional[str | Path]" = None,
         ring_size: int = RECENT_EVENTS,
         timeline: bool = False,
     ) -> None:
         self.registry = MetricsRegistry()
         self.profiler = SpanProfiler()
-        #: request a full CommandTracer (the runner attaches it)
-        self.trace = trace
-        self.keep_trace_events = keep_trace_events
-        self.tracer = None  # set by the runner when trace=True
-        #: request a TimelineRecorder (the runner attaches it); off by
-        #: default so the controller's guarded hooks stay no-ops
+        #: request a TimelineRecorder (the runner attaches it as a second
+        #: probe); off by default
         self.timeline = timeline
         self.timeline_recorder = None  # set by the runner when timeline=True
         #: always-on cycle accounting: controller waits + per-core
@@ -112,23 +115,29 @@ class Observation:
         )
         #: manifest path once artifacts were written
         self.manifest_path: Optional[Path] = None
+        # probe methods bound straight to their sinks (no wrapper call)
+        self.on_wait = self.stalls.ledger.note
+        self.on_read_latency = self.registry.histogram(
+            "dram.read_latency_cycles", _LATENCY_BUCKETS
+        ).observe
 
-    # The hot-path command observer: one tuple append per issued DRAM
-    # command (commands are orders of magnitude rarer than kernel events).
-    def observe_command(self, cycle, command, request) -> None:
+    # Probe method: one tuple append per DRAM command (commands are
+    # orders of magnitude rarer than kernel events).
+    def on_command(self, cycle, command, request, *, rank=None, bank=None,
+                   subarray=None, implicit=False) -> None:
         if request is not None:
             self.ring.append((
                 cycle, command.value, request.addr.rank,
                 request.addr.bank, request.addr.row,
             ))
         else:
-            self.ring.append((cycle, command.value, -1, -1, -1))
+            self.ring.append((
+                cycle, command.value,
+                -1 if rank is None else rank,
+                -1 if bank is None else bank,
+                -1,
+            ))
 
     def recent_events(self, n: int = RECENT_EVENTS) -> List[Tuple]:
-        """Last-``n`` commands, preferring the full tracer when attached."""
-        if self.tracer is not None and self.tracer.events:
-            return [
-                (e.cycle, e.command, e.rank, e.bank, e.row)
-                for e in self.tracer.events[-n:]
-            ]
+        """Last-``n`` commands from the ring."""
         return list(self.ring)[-n:]

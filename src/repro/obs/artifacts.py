@@ -2,7 +2,7 @@
 
 Every simulation can leave a paper trail: a JSON *run manifest* (scheme,
 query, system configuration, git revision, wall-clock, all metrics, the
-span tree) plus an optional JSONL command trace.  Artifacts land in a
+span tree) plus the optional timeline exports.  Artifacts land in a
 directory chosen by the caller (``--artifacts DIR`` on the CLI) so that
 benchmark sweeps and future regression tooling can diff runs instead of
 scraping ASCII tables.
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.results import RunResult
-    from ..sim.trace import CommandTracer
     from .timeline import TimelineRecorder
 
 #: bump when the manifest layout changes incompatibly.
@@ -145,25 +144,16 @@ class ArtifactWriter:
         return path
 
     def write_run(self, result: "RunResult",
-                  tracer: "Optional[CommandTracer]" = None,
                   timeline: "Optional[TimelineRecorder]" = None,
                   extra: Optional[Mapping] = None) -> Path:
-        """Write the run manifest (and the trace / timeline exports,
-        when they were recorded)."""
+        """Write the run manifest (and the timeline exports, when one was
+        recorded)."""
         stem = f"run-{_slug(result.scheme)}-{_slug(result.query)}"
         path = self.write_json(f"{stem}.json", build_run_manifest(
             result, extra=extra
         ))
-        if tracer is not None and tracer.events:
-            self.write_trace(tracer, f"{stem}.trace.jsonl")
         if timeline is not None:
             self.write_timeline(timeline, stem)
-        return path
-
-    def write_trace(self, tracer: "CommandTracer", name: str) -> Path:
-        path = self.directory / name
-        tracer.export_jsonl(path)
-        self.written.append(path)
         return path
 
     def write_timeline(self, timeline: "TimelineRecorder",

@@ -1,14 +1,14 @@
 """Cycle-level timeline recording and Chrome trace-event export.
 
-A :class:`TimelineRecorder` attaches to one memory controller (plus its
-channel) and turns the run into *lanes* a human can scrub through in
-Perfetto / ``chrome://tracing``:
+A :class:`TimelineRecorder` is a memory-controller probe (see
+:meth:`~repro.dram.controller.MemoryController.attach`) that turns the
+run into *lanes* a human can scrub through in Perfetto /
+``chrome://tracing``:
 
-* every issued command as a timestamped instant event on its bank lane
-  (rank / bank / sub-rank spelled out),
+* every command as a timestamped instant event on its bank lane (rank /
+  bank / sub-rank / gather factor spelled out),
 * bank **row-open lifetimes** as spans (ACT -> PRE, including the
-  refresh-path and closed-page implicit precharges the plain command
-  observer never sees),
+  refresh-path and closed-page implicit precharges),
 * **data-bus occupancy** spans per pin group (full-width vs sub-rank
   lanes),
 * **refresh blackouts** (REF -> +tRFC) and **mode-switch windows**
@@ -17,17 +17,18 @@ Perfetto / ``chrome://tracing``:
 * per-core busy / stall spans contributed by the runner from the
   :mod:`repro.obs.stalls` logs.
 
-Recording is strictly opt-in: the controller's ``timeline`` hook is
-``None`` by default and every call site is guarded, so full-speed runs
-pay nothing.  Exports: :meth:`to_chrome_trace` (the Chrome trace-event
-JSON Perfetto loads), :meth:`export_jsonl` (one event object per line,
-next to the :class:`~repro.sim.trace.CommandTracer` output) and
-:meth:`report` (terminal per-bank utilization / row-hit-rate tables).
+Recording is strictly opt-in: an unattached recorder costs the
+controller nothing.  Exports: :meth:`to_chrome_trace` (the Chrome
+trace-event JSON Perfetto loads), :meth:`export_jsonl` (one command
+object per line) and :meth:`report` (terminal command counts, hottest
+banks, CAS-gap mode, per-bank utilization / row-hit-rate tables and bus
+lane occupancy).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -42,13 +43,17 @@ _PID_RANKS = 4
 
 
 class TimelineRecorder:
-    """Records one run's command-level timeline (opt-in, guarded hooks)."""
+    """Records one run's command-level timeline; attach it with
+    ``controller.attach(TimelineRecorder(controller))``."""
 
     def __init__(self, controller) -> None:
         self.controller = controller
         self.timing = controller.timing
-        #: instant command events: (cycle, cmd, rank, bank, row, subrank)
-        self.events: List[Tuple[int, str, int, int, int, Optional[int]]] = []
+        #: instant command events:
+        #: (cycle, cmd, rank, bank, row, subrank, gather)
+        self.events: List[
+            Tuple[int, str, int, int, int, Optional[int], int]
+        ] = []
         #: closed row-open spans: (rank, bank, start, end, kind, row)
         self.row_spans: List[Tuple[int, int, int, int, str, int]] = []
         self._open_rows: Dict[Tuple[int, int], Tuple[int, str, int]] = {}
@@ -64,44 +69,29 @@ class TimelineRecorder:
         self.core_spans: List[Tuple[int, int, int, str]] = []
         self.end_cycle: int = 0
         self._last_depths: Tuple[int, int] = (-1, -1)
-        self._chained_channel_observer = None
-
-    # ----------------------------------------------------------- attaching
-
-    def attach(self) -> "TimelineRecorder":
-        """Install on the controller and chain the channel observer."""
-        self.controller.timeline = self
-        channel = self.controller.channel
-        self._chained_channel_observer = channel.observer
-        channel.observer = self._observe_burst
-        return self
-
-    def detach(self) -> None:
-        if self.controller.timeline is self:
-            self.controller.timeline = None
-        channel = self.controller.channel
-        if channel.observer == self._observe_burst:
-            channel.observer = self._chained_channel_observer
 
     # ------------------------------------------------------------ recording
 
-    def on_command(self, cycle, command, request, implicit: bool = False,
-                   rank: Optional[int] = None,
-                   bank: Optional[int] = None) -> None:
-        """Controller hook; mirrors the protocol checker's signature so
-        refresh-path precharges and implicit (auto-)precharges are seen."""
+    def on_command(self, cycle, command, request, *,
+                   rank: Optional[int] = None, bank: Optional[int] = None,
+                   subarray: Optional[int] = None,
+                   implicit: bool = False) -> None:
+        """Probe method: record one command (refresh-path and implicit
+        closed-page precharges included)."""
         if request is not None:
             rank = request.addr.rank
             bank = request.addr.bank
             row = request.addr.row
             subrank = request.subrank
+            gather = request.gather
         else:
             rank = -1 if rank is None else rank
             bank = -1 if bank is None else bank
             row = -1
             subrank = None
+            gather = 0
         name = command.value
-        self.events.append((cycle, name, rank, bank, row, subrank))
+        self.events.append((cycle, name, rank, bank, row, subrank, gather))
         if cycle > self.end_cycle:
             self.end_cycle = cycle
 
@@ -131,12 +121,9 @@ class TimelineRecorder:
             self._last_depths = depths
             self.queue_samples.append((cycle, depths[0], depths[1]))
 
-    def _observe_burst(self, now, cmd, rank, subrank, data_start,
-                       data_end) -> None:
-        if self._chained_channel_observer is not None:
-            self._chained_channel_observer(
-                now, cmd, rank, subrank, data_start, data_end
-            )
+    def on_data_burst(self, now, cmd, rank, subrank, data_start,
+                      data_end) -> None:
+        """Probe method: record one data-bus burst on its pin-group lane."""
         lane = "bus" if subrank is None else f"bus/sub{subrank}"
         self.bus_spans.append((lane, data_start, data_end, cmd.value, rank))
         if data_end > self.end_cycle:
@@ -209,14 +196,58 @@ class TimelineRecorder:
             busy[lane] = busy.get(lane, 0) + (end - start)
         return busy
 
+    def command_counts(self) -> Counter:
+        """Recorded commands per command name."""
+        return Counter(event[1] for event in self.events)
+
+    def hottest_banks(self, top: int = 4) -> List[Tuple[Tuple[int, int], int]]:
+        """The ``top`` banks by command count (who is conflict-bound)."""
+        banks = Counter(
+            (rank, bank) for _c, _n, rank, bank, *_rest in self.events
+            if bank >= 0
+        )
+        return banks.most_common(top)
+
+    def cas_gap_histogram(self) -> Dict[int, int]:
+        """Distribution of cycles between consecutive column commands
+        (capped at 32); a spike at tBL means bus-bound, larger modes are
+        bubbles."""
+        gaps: Counter = Counter()
+        last = None
+        for cycle, name, *_rest in self.events:
+            if name in ("RD", "WR"):
+                if last is not None:
+                    gaps[min(cycle - last, 32)] += 1
+                last = cycle
+        return dict(sorted(gaps.items()))
+
     def report(self) -> str:
-        """Terminal tables: per-bank utilization + row hit rates, bus
-        lane occupancy, refresh/mode-switch counts."""
+        """Terminal tables: command counts, hottest banks, the CAS-gap
+        mode, per-bank utilization + row hit rates, bus lane occupancy,
+        refresh/mode-switch counts."""
         total = max(1, self.end_cycle)
         lines = [
             f"timeline: {len(self.events)} commands over "
             f"{self.end_cycle} cycles "
             f"({self.timing.ns(self.end_cycle) / 1000:.1f} us)",
+            "commands: " + ", ".join(
+                f"{name}={count}"
+                for name, count in sorted(self.command_counts().items())
+            ),
+        ]
+        hot = self.hottest_banks()
+        if hot:
+            lines.append("hottest banks: " + ", ".join(
+                f"rank{r}/bank{b}: {n}" for (r, b), n in hot
+            ))
+        gaps = self.cas_gap_histogram()
+        if gaps:
+            mode_gap = max(gaps, key=gaps.get)
+            lines.append(
+                f"CAS gaps: mode={mode_gap} cycles "
+                f"({gaps[mode_gap] / sum(gaps.values()):.0%} of intervals)"
+            )
+        lines += [
             "",
             "bank        acts   open%  hits  misses  confl  hit-rate",
         ]
@@ -301,7 +332,7 @@ class TimelineRecorder:
             span(_PID_BANKS, bank_tid(rank, bank),
                  f"{kind} {row_index} open", start, end,
                  rank=rank, bank=bank, row=row_index, kind=kind)
-        for cycle, cmd, rank, bank, row, subrank in self.events:
+        for cycle, cmd, rank, bank, row, subrank, _gather in self.events:
             event: Dict[str, object] = {
                 "ph": "i", "s": "t", "cat": "cmd", "name": cmd,
                 "ts": us(cycle),
@@ -351,14 +382,16 @@ class TimelineRecorder:
         }
 
     def export_jsonl(self, path: "str | Path") -> Path:
-        """One command event object per line (the CommandTracer format
-        plus the sub-rank lane)."""
+        """One command object per line: cycle, command, rank, bank, row,
+        sub-rank lane and gather factor (0 for REF and refresh-path
+        PREs)."""
         path = Path(path)
         with open(path, "w") as fh:
-            for cycle, cmd, rank, bank, row, subrank in self.events:
+            for cycle, cmd, rank, bank, row, subrank, gather in self.events:
                 fh.write(json.dumps({
                     "cycle": cycle, "command": cmd, "rank": rank,
                     "bank": bank, "row": row, "subrank": subrank,
+                    "gather": gather,
                 }, sort_keys=True))
                 fh.write("\n")
         return path

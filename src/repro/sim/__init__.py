@@ -6,7 +6,6 @@ from ..obs import Observation, SimulationStallError, StallReport
 from .results import RunResult
 from .runner import allocate_placements, run_ideal, run_query
 from .system import MemorySystem, SystemStats
-from .trace import CommandTracer, TraceEvent
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -22,6 +21,4 @@ __all__ = [
     "run_query",
     "MemorySystem",
     "SystemStats",
-    "CommandTracer",
-    "TraceEvent",
 ]

@@ -61,9 +61,6 @@ _REGION_STRIDE = 1 << 33
 #: Safety valve for runaway simulations.
 _MAX_EVENTS = 200_000_000
 
-#: Read-latency histogram buckets (memory-controller cycles).
-_LATENCY_BUCKETS = (24, 32, 48, 64, 96, 128, 192, 256, 512, 1024)
-
 #: Fraction of the event budget beyond which a run counts as near-runaway.
 _EVENT_WARN_FRACTION = 0.5
 
@@ -97,27 +94,16 @@ def allocate_placements(
 def _attach_observers(
     system: MemorySystem, obs: Observation, cores: List[Core]
 ) -> None:
-    """Wire the observation into the controller's hot path."""
+    """Attach the observation (and its timeline) as controller probes."""
     controller = system.controller
-    controller.observer = obs.observe_command
-    controller.latency_hist = obs.registry.histogram(
-        "dram.read_latency_cycles", _LATENCY_BUCKETS
-    )
+    controller.attach(obs)
     controller.metrics = obs.registry
-    controller.stall_ledger = obs.stalls.ledger
     for core in cores:
         core.stall_log = obs.stalls.core_log(core.core_id)
-    if obs.trace:
-        from .trace import CommandTracer
-
-        # chains obs.observe_command, so the stall ring stays fed
-        obs.tracer = CommandTracer(
-            controller, keep_events=obs.keep_trace_events
-        )
     if obs.timeline:
         from ..obs.timeline import TimelineRecorder
 
-        obs.timeline_recorder = TimelineRecorder(controller).attach()
+        obs.timeline_recorder = controller.attach(TimelineRecorder(controller))
 
 
 def _stall(
@@ -444,7 +430,7 @@ def run_workload(
     if obs.artifacts_dir is not None:
         writer = ArtifactWriter(obs.artifacts_dir)
         obs.manifest_path = writer.write_run(
-            result, tracer=obs.tracer, timeline=obs.timeline_recorder
+            result, timeline=obs.timeline_recorder
         )
     return result
 

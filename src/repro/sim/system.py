@@ -74,9 +74,9 @@ class MemorySystem:
         self._mshr: Dict[int, _MSHREntry] = {}
         self._pending_writebacks: Deque[int] = deque()
         self._writeback_poll_scheduled = False
-        # Writeback-poll futility gate (event-wheel mode).  The poll
+        # Writeback-poll futility gate (off in reference mode).  The poll
         # *event chain* is identical in both scheduling modes -- polls
-        # fire at exactly the cycles and heap positions polling mode
+        # fire at exactly the cycles and heap positions reference mode
         # uses, which is what keeps the two modes cycle-exact -- but a
         # poll that provably cannot succeed re-arms in O(1) instead of
         # re-lowering the blocked writeback.  The proof obligation: a
@@ -92,7 +92,7 @@ class MemorySystem:
         self.wb_polls_futile = 0
         self.outstanding_writes = 0
         self._done_callbacks: List[Callable[[], None]] = []
-        if self.config.controller.event_wheel:
+        if not self.config.controller.reference:
             self.controller.slot_listener = self._on_slot_freed
 
     # ------------------------------------------------------------ utilities
@@ -314,7 +314,7 @@ class MemorySystem:
         self.wb_polls += 1
         self._writeback_poll_scheduled = False
         if (
-            self.config.controller.event_wheel
+            not self.config.controller.reference
             and self._pending_writebacks
             and self._wb_slot_epoch == self._wb_armed_epoch
         ):

@@ -126,14 +126,15 @@ class TestJsonOutput:
             [
                 "query", "SELECT SUM(f9) FROM Ta WHERE f10 > 7500",
                 "--ta", "128", "--tb", "128",
-                "--artifacts", str(tmp_path), "--trace",
+                "--artifacts", str(tmp_path), "--timeline",
             ]
         )
         assert code == 0
-        manifests = list(tmp_path.glob("run-*.json"))
-        assert manifests, "query manifest not written"
-        traces = list(tmp_path.glob("run-*.trace.jsonl"))
-        assert traces, "trace JSONL not written"
+        assert (tmp_path / "run-SAM-en-cli.json").exists(), \
+            "query manifest not written"
+        traces = list(tmp_path.glob("run-*.timeline.jsonl"))
+        assert traces, "command JSONL not written"
+        assert "commands: " in capsys.readouterr().out
 
     def test_query_stats_and_profile(self, capsys):
         code = main(

@@ -3,7 +3,8 @@ paths the wheel's equivalence argument leans on.
 
 The event wheel's contract is that it never changes *behavior*, only the
 cost of re-deriving scheduler decisions: the controller's wake-up event
-stream is identical to the polling reference by construction, so command
+stream is identical to the plain polling of the reference scheduler
+(``ControllerConfig(reference=True)``) by construction, so command
 streams, cycle counts and stall ledgers match exactly.  The fuzzed
 battery in ``test_vectorized.py`` replays controller-level traces under
 both modes; this file locks down the rest -- full-system equivalence
@@ -28,18 +29,14 @@ from repro.workloads import make_tables
 from .test_dram_controller import read
 
 
-def _config(event_wheel, **ctrl):
-    return dataclasses.replace(
-        SystemConfig(),
-        controller=ControllerConfig(event_wheel=event_wheel, **ctrl),
-    )
-
-
-def _run(scheme, query_name, event_wheel, tables, **ctrl):
+def _run(scheme, query_name, tables, reference=False, **ctrl):
     obs = Observation()
+    config = dataclasses.replace(
+        SystemConfig(),
+        controller=ControllerConfig(reference=reference, **ctrl),
+    )
     result = run_query(
-        scheme, by_name()[query_name], tables,
-        config=_config(event_wheel, **ctrl), observe=obs,
+        scheme, by_name()[query_name], tables, config=config, observe=obs,
     )
     return result, obs
 
@@ -113,8 +110,8 @@ def test_wheel_matches_polling_full_system(scheme, query, tables):
     backpressure retries and blocked writebacks are actually exercised:
     cycles, command counts and the controller stall ledger must be
     identical in both scheduling modes."""
-    wheel, wobs = _run(scheme, query, True, tables, **_BACKPRESSURE)
-    poll, pobs = _run(scheme, query, False, tables, **_BACKPRESSURE)
+    wheel, wobs = _run(scheme, query, tables, **_BACKPRESSURE)
+    poll, pobs = _run(scheme, query, tables, reference=True, **_BACKPRESSURE)
     assert wheel.cycles == poll.cycles
     assert wheel.memory_stats == poll.memory_stats
     assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
@@ -127,8 +124,8 @@ def test_wheel_matches_polling_full_system(scheme, query, tables):
 
 def test_wheel_matches_polling_default_config(tables):
     """Same exactness at the default (paper) configuration."""
-    wheel, wobs = _run("SAM-en", "Qs1", True, tables)
-    poll, pobs = _run("SAM-en", "Qs1", False, tables)
+    wheel, wobs = _run("SAM-en", "Qs1", tables)
+    poll, pobs = _run("SAM-en", "Qs1", tables, reference=True)
     assert wheel.cycles == poll.cycles
     assert wheel.memory_stats == poll.memory_stats
     assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
@@ -139,8 +136,8 @@ def test_wheel_matches_polling_default_config(tables):
 def test_peek_hits_only_in_wheel_mode(tables):
     """The dry-run memo must actually be exercised in wheel mode and
     never in the polling reference."""
-    wheel, _ = _run("SAM-en", "Q3", True, tables)
-    poll, _ = _run("SAM-en", "Q3", False, tables)
+    wheel, _ = _run("SAM-en", "Q3", tables)
+    poll, _ = _run("SAM-en", "Q3", tables, reference=True)
     assert wheel.metrics["dram.peek_hits"] > 0
     assert poll.metrics["dram.peek_hits"] == 0
 
@@ -150,7 +147,7 @@ def test_peek_hits_only_in_wheel_mode(tables):
 def test_no_writeback_polls_when_queue_never_blocks(tables):
     """Writeback polling is demand-driven in both modes: a run whose
     writebacks are always admitted immediately schedules zero polls."""
-    wheel, _ = _run("SAM-en", "Q3", True, tables)
+    wheel, _ = _run("SAM-en", "Q3", tables)
     assert wheel.metrics["sys.wb_polls"] == 0
 
 
@@ -164,8 +161,8 @@ def test_blocked_writebacks_drain_identically(tables):
         write_low_watermark=1,
     )
     for query in ("Q11", "Q12"):
-        wheel, wobs = _run("baseline", query, True, tables, **ctrl)
-        poll, pobs = _run("baseline", query, False, tables, **ctrl)
+        wheel, wobs = _run("baseline", query, tables, **ctrl)
+        poll, pobs = _run("baseline", query, tables, reference=True, **ctrl)
         assert wheel.cycles == poll.cycles
         assert wheel.memory_stats == poll.memory_stats
         assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
@@ -241,7 +238,7 @@ def test_idle_gap_workload_events_scale_with_commands():
 def test_event_efficiency_gauges_published(tables):
     """The wakeup-efficiency gauges land in the metrics registry (and
     therefore in run manifests and ``repro bench`` payloads)."""
-    result, _ = _run("SAM-en", "Qs1", True, tables)
+    result, _ = _run("SAM-en", "Qs1", tables)
     m = result.metrics
     assert m["kernel.events"] == m["sim.events"] > 0
     assert m["sim.events_per_cycle"] == pytest.approx(

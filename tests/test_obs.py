@@ -226,7 +226,7 @@ class TestArtifacts:
 class TestRunArtifacts:
     @pytest.fixture(scope="class")
     def run(self):
-        obs = Observation(trace=True)
+        obs = Observation(timeline=True)
         result = run_query("SAM-en", _small_query(), make_tables(128, 128),
                            observe=obs)
         return obs, result
@@ -274,11 +274,13 @@ class TestRunArtifacts:
 
     def test_trace_jsonl_export(self, run, tmp_path):
         obs, _result = run
-        path = obs.tracer.export_jsonl(tmp_path / "t.jsonl")
+        recorder = obs.timeline_recorder
+        path = recorder.export_jsonl(tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()
-        assert len(lines) == len(obs.tracer.events)
+        assert len(lines) == len(recorder.events)
         event = json.loads(lines[0])
-        assert {"cycle", "command", "rank", "bank", "row"} <= set(event)
+        assert {"cycle", "command", "rank", "bank", "row", "gather"} \
+            <= set(event)
 
     def test_metrics_on_result(self, run):
         _obs, result = run
@@ -302,11 +304,51 @@ class TestRunArtifacts:
 
     def test_tracer_chains_ring(self, run):
         obs, _result = run
-        # the full tracer was attached on top of the stall ring; both see
-        # the same command stream
-        assert obs.tracer is not None
-        assert len(obs.ring) > 0
-        assert obs.recent_events(5)[-1][0] == obs.tracer.events[-1].cycle
+        # the timeline and the stall ring are two probes on one command
+        # stream: the ring holds exactly the timeline's newest commands
+        recorder = obs.timeline_recorder
+        assert recorder is not None
+        tail = recorder.events[-len(obs.ring):]
+        assert obs.ring and list(obs.ring) == [e[:5] for e in tail]
+
+
+# ----------------------------------------------------------- probe stream
+
+
+class TestProbeStream:
+    """The ring is a controller probe: it sees every precharge, including
+    the closed-page auto-precharges and the refresh-path PREs."""
+
+    @staticmethod
+    def _precharges(obs):
+        return [event for event in obs.ring if event[1] == "PRE"]
+
+    def test_ring_sees_closed_page_precharges(self):
+        from repro.dram import ControllerConfig
+        from repro.sim.config import SystemConfig
+
+        closed = ControllerConfig(page_policy="closed")
+        obs = Observation(ring_size=10**6)
+        result = run_query("baseline", _small_query(), make_tables(512, 128),
+                           config=SystemConfig(controller=closed),
+                           observe=obs)
+        assert result.memory_stats.precharges == 512
+        assert len(self._precharges(obs)) == 512
+
+    def test_ring_sees_refresh_precharges_with_their_bank(self):
+        obs = Observation(ring_size=10**6)
+        result = run_query(
+            "baseline", parse("SELECT * FROM Tb WHERE f3 > 2500", name="t"),
+            make_tables(512, 4096, seed=1), observe=obs,
+        )
+        stats = result.memory_stats
+        assert stats.refreshes > 0
+        precharges = self._precharges(obs)
+        assert len(precharges) == stats.precharges
+        refresh_path = [pre for pre in precharges if pre[4] == -1]
+        assert refresh_path, "no refresh-path precharge in the run"
+        assert all(rank >= 0 and bank >= 0
+                   for _c, _n, rank, bank, _row in refresh_path)
 
 
 # ------------------------------------------------------------ diagnostics

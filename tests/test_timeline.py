@@ -6,11 +6,21 @@ import json
 
 import pytest
 
+from repro.check import TimingProtocolChecker
+from repro.dram import (
+    DDR4_2400,
+    AddressMapper,
+    ControllerConfig,
+    MemoryController,
+    Request,
+    RequestType,
+)
 from repro.exp.cache import point_digest
 from repro.exp.spec import SweepPoint, standard_tables
 from repro.workloads import make_tables
 from repro.imdb.queries import by_name
 from repro.imdb.sql import parse
+from repro.kernel import Kernel
 from repro.obs import Observation
 from repro.obs.artifacts import ArtifactWriter
 from repro.obs.timeline import (
@@ -23,6 +33,21 @@ from repro.sim.runner import run_query
 
 def _query(sql="SELECT SUM(f9) FROM Ta WHERE f10 > 7500"):
     return parse(sql, name="t")
+
+
+def _controller():
+    kernel = Kernel()
+    return kernel, MemoryController(
+        kernel, DDR4_2400, config=ControllerConfig(refresh_enabled=False)
+    )
+
+
+def _read_stream(mc, kernel):
+    """Three row-hit reads to one bank: ACT + 3 RD, three bursts."""
+    am = AddressMapper(mc.geometry)
+    for addr in (0, 64, 128):
+        mc.submit(Request(addr=am.decode(addr), type=RequestType.READ))
+    kernel.run()
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +117,22 @@ class TestRecording:
         assert "bank" in text
 
     def test_detach_restores_observer_chain(self):
-        obs = Observation(timeline=True)
-        run_query("baseline", _query(), make_tables(128, 128),
-                  observe=obs)
-        rec = obs.timeline_recorder
-        before = len(rec.events)
-        rec.detach()
-        assert len(rec.events) == before
+        # detaching one probe leaves the others subscribed
+        kernel, mc = _controller()
+        rec = mc.attach(TimelineRecorder(mc))
+        obs = mc.attach(Observation())
+        mc.detach(rec)
+        _read_stream(mc, kernel)
+        assert rec.events == [] and rec.bus_spans == []
+        assert [e[1] for e in obs.ring] == ["ACT", "RD", "RD", "RD"]
+
+    def test_checker_attached_after_timeline_keeps_bus_spans(self):
+        kernel, mc = _controller()
+        rec = mc.attach(TimelineRecorder(mc))
+        checker = TimingProtocolChecker(mc.timing, mc.geometry).attach(mc)
+        _read_stream(mc, kernel)
+        assert len(rec.bus_spans) == 3
+        assert checker.commands_seen == 4 and not checker.violations
 
 
 # ------------------------------------------------------------ chrome trace

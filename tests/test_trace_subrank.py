@@ -1,4 +1,5 @@
-"""Tests for command tracing and the sub-ranked (AGMS/DGMS) scheme."""
+"""Tests for command-level timeline analysis and the sub-ranked
+(AGMS/DGMS) scheme."""
 
 import pytest
 
@@ -15,66 +16,81 @@ from repro.dram import (
 )
 from repro.dram.commands import Command
 from repro.kernel import Kernel
+from repro.obs.timeline import TimelineRecorder
 from repro.sim import MemorySystem, SystemConfig
-from repro.sim.trace import CommandTracer
+
+
+def _submit_reads(mc, addrs):
+    am = AddressMapper(mc.geometry)
+    for a in addrs:
+        mc.submit(Request(addr=am.decode(a), type=RequestType.READ))
 
 
 class TestTracer:
+    """The command-level analyses a memory-system study needs when a
+    number looks off, read off a :class:`TimelineRecorder` probe."""
+
     def run_traced(self, addrs):
         kernel = Kernel()
         mc = MemoryController(kernel, DDR4_2400)
-        tracer = CommandTracer(mc)
-        am = AddressMapper(mc.geometry)
-        for a in addrs:
-            mc.submit(Request(addr=am.decode(a), type=RequestType.READ))
+        recorder = mc.attach(TimelineRecorder(mc))
+        _submit_reads(mc, addrs)
         kernel.run()
-        return kernel, mc, tracer
+        return kernel, mc, recorder
 
     def test_records_commands(self):
-        kernel, mc, tracer = self.run_traced([0, 64, 128])
-        assert tracer.command_counts["ACT"] == 1
-        assert tracer.command_counts["RD"] == 3
-        assert len(tracer.events) == 4
+        kernel, mc, recorder = self.run_traced([0, 64, 128])
+        assert recorder.command_counts()["ACT"] == 1
+        assert recorder.command_counts()["RD"] == 3
+        assert len(recorder.events) == 4
 
     def test_bus_utilization(self):
-        kernel, mc, tracer = self.run_traced(
+        kernel, mc, recorder = self.run_traced(
             [b * 8192 for b in range(16)]
         )
-        util = tracer.bus_utilization(kernel.now)
+        util = recorder.bus_busy_cycles()["bus"] / kernel.now
         assert 0.3 < util <= 1.0
+        assert recorder.bus_busy_cycles()["bus"] == \
+            mc.channel.data_busy_cycles
 
     def test_hottest_banks(self):
-        kernel, mc, tracer = self.run_traced([0, 64, 8192])
-        hot = dict(tracer.hottest_banks())
+        kernel, mc, recorder = self.run_traced([0, 64, 8192])
+        hot = dict(recorder.hottest_banks())
         assert hot[(0, 0)] >= 2
 
     def test_cas_gap_histogram(self):
-        kernel, mc, tracer = self.run_traced([i * 64 for i in range(8)])
-        gaps = tracer.cas_gap_histogram()
+        kernel, mc, recorder = self.run_traced([i * 64 for i in range(8)])
+        gaps = recorder.cas_gap_histogram()
         # same-bank stream: consecutive CAS at tCCD_L
         assert max(gaps, key=gaps.get) == DDR4_2400.tCCD_L
 
     def test_report(self):
-        kernel, mc, tracer = self.run_traced([0, 64])
-        text = tracer.report(kernel.now)
-        assert "utilization" in text and "RD=2" in text
+        kernel, mc, recorder = self.run_traced([0, 64])
+        text = recorder.report()
+        assert "busy" in text and "RD=2" in text
+        assert "hottest banks: rank0/bank0: 3" in text
+        assert f"CAS gaps: mode={DDR4_2400.tCCD_L} cycles" in text
 
     def test_detach(self):
         kernel = Kernel()
         mc = MemoryController(kernel, DDR4_2400)
-        tracer = CommandTracer(mc)
-        tracer.detach()
-        assert mc.observer is None
+        recorder = mc.attach(TimelineRecorder(mc))
+        mc.detach(recorder)
+        _submit_reads(mc, [0, 64])
+        kernel.run()
+        assert recorder.events == [] and recorder.bus_spans == []
 
     def test_events_optional(self):
-        kernel = Kernel()
-        mc = MemoryController(kernel, DDR4_2400)
-        tracer = CommandTracer(mc, keep_events=False)
-        am = AddressMapper(mc.geometry)
-        mc.submit(Request(addr=am.decode(0), type=RequestType.READ))
-        kernel.run()
-        assert tracer.events == []
-        assert tracer.command_counts["RD"] == 1
+        # recording is observation only: the same stream simulates to the
+        # same cycle and command statistics with or without the probe
+        kernel, mc, recorder = self.run_traced([0, 64, 8192])
+        bare_kernel = Kernel()
+        bare = MemoryController(bare_kernel, DDR4_2400)
+        _submit_reads(bare, [0, 64, 8192])
+        bare_kernel.run()
+        assert recorder.events
+        assert bare_kernel.now == kernel.now
+        assert bare.stats == mc.stats
 
 
 class TestSubRank:

@@ -3,12 +3,13 @@
 The PR-7 hot-path overhaul keeps every original per-bit/per-symbol loop as
 a ``*_scalar`` reference implementation.  These properties assert the
 table-driven / numpy paths are indistinguishable from them across layouts,
-chip counts and random payloads -- and that the incremental FR-FCFS
-readiness index issues the exact command stream of the full-recompute
-scheduler on fuzzed traces.
+chip counts and random payloads -- and that the fast FR-FCFS scheduler
+(readiness index + event-wheel replay) behaves exactly like the
+reference scheduler on fuzzed traces.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -18,6 +19,7 @@ import repro.dram.commands as dram_commands
 from repro.check.fuzz import SALP_SCHEMES, generate_case, run_case
 from repro.dram import datapath as dp
 from repro.dram import iobuffer as io
+from repro.dram.controller import MemoryController
 from repro.ecc.chipkill import ChipAlignedSSC, SSCCodec, SSCDSDCodec
 from repro.ecc.rs import ReedSolomon
 
@@ -206,68 +208,93 @@ def test_chip_aligned_batches_match_scalar(layout, data):
 
 # ------------------------------------------------- scheduler equivalence
 
-def _command_stream(case, readiness_index=True, event_wheel=True):
-    """One fuzz case replayed under the given scheduler variant.
+def _command_stream(case, reference=False):
+    """One fuzz case replayed under the fast or the reference scheduler.
 
     Returns ``(command_log, final_cycle, ledger_entries)`` so the
-    equivalence tests can diff the full observable behavior: the issued
-    command stream, the cycle the trace drained at, and the controller's
-    stall attribution."""
+    equivalence tests can diff the full observable behavior: every
+    command with its operands, the cycle the trace drained at, and the
+    controller's stall attribution."""
     from repro.obs.stalls import StallLedger
 
     # req_ids must line up between the two replays
     dram_commands._request_ids = itertools.count()
     log = []
 
-    def observe(now, command, request):
+    def on_command(now, command, request, **operands):
         log.append((
             now, command.value,
             None if request is None else request.req_id,
+            tuple(sorted(operands.items())),
         ))
 
     ledger = StallLedger()
-    result = run_case(case, oracle_data=False,
-                      readiness_index=readiness_index,
-                      event_wheel=event_wheel,
-                      stall_ledger=ledger, on_command=observe)
+    probe = SimpleNamespace(on_command=on_command, on_wait=ledger.note)
+    result = run_case(case, oracle_data=False, reference=reference,
+                      probes=(probe,))
     assert not result.failed, result.summary()
     return log, result.cycles, [tuple(e) for e in ledger.entries]
 
 
+def _decision(choice, now):
+    """What one FR-FCFS scan decides: the request and command, plus --
+    when nothing can issue at ``now`` -- until when and why it waits (a
+    ready candidate's own gate time and reason are never read)."""
+    if choice is None:
+        return None
+    request, command, earliest, reason = choice
+    if earliest <= now:
+        return (request.req_id, command)
+    return (request.req_id, command, earliest, reason)
+
+
+def _scan_in_lockstep(case, monkeypatch):
+    """Replay ``case`` in fast mode, re-running the full-recompute scan
+    next to every readiness-index scan and asserting both decide alike."""
+    indexed = MemoryController._frfcfs_choose
+    scans = []
+
+    def lockstep(self, now, queue):
+        choice = indexed(self, now, queue)
+        recomputed = self._frfcfs_choose_recompute(now, queue)
+        assert _decision(choice, now) == _decision(recomputed, now), now
+        scans.append(now)
+        return choice
+
+    monkeypatch.setattr(MemoryController, "_frfcfs_choose", lockstep)
+    result = run_case(case, oracle_data=False)
+    assert not result.failed, result.summary()
+    return scans
+
+
 @pytest.mark.parametrize("index", range(12))
-def test_readiness_index_matches_full_recompute(index):
-    """The incremental readiness index must issue the exact command
-    stream (cycle, command, request) of the full-recompute scheduler."""
+def test_readiness_index_matches_full_recompute(index, monkeypatch):
+    """Every scan of the incremental readiness index must make the
+    decision the full recompute makes at the same instant."""
     case = generate_case(seed=20260808, index=index)
-    fast, _, _ = _command_stream(case, readiness_index=True)
-    slow, _, _ = _command_stream(case, readiness_index=False)
-    assert fast == slow
-    assert fast  # a silent empty stream would vacuously pass
+    assert _scan_in_lockstep(case, monkeypatch)
 
 
 @pytest.mark.parametrize("index", range(12))
-def test_readiness_index_matches_recompute_under_salp(index):
-    """Same equivalence over the subarray-aware schemes: the per-subarray
-    version keys and the SA_SEL path must invalidate exactly like the
-    full recompute."""
+def test_readiness_index_matches_recompute_under_salp(index, monkeypatch):
+    """Same lockstep check over the subarray-aware schemes: the
+    per-subarray version keys and the SA_SEL path must invalidate exactly
+    like the full recompute."""
     case = generate_case(seed=20260808, index=index, schemes=SALP_SCHEMES)
-    fast, _, _ = _command_stream(case, readiness_index=True)
-    slow, _, _ = _command_stream(case, readiness_index=False)
-    assert fast == slow
-    assert fast
+    assert _scan_in_lockstep(case, monkeypatch)
 
 
 @pytest.mark.parametrize("index", range(12))
 def test_event_wheel_matches_polling(index):
-    """Event-wheel wake-ups must be *exact*: identical command stream,
-    final cycle count, and stall ledger as the per-cycle polling
-    reference, on the same fuzzed traces the readiness battery replays
-    (refresh-heavy cases included -- generate_case mixes them in)."""
+    """The fast scheduler (readiness index + event-wheel replay) must be
+    *exact*: identical command stream, final cycle count, and stall
+    ledger as the reference scheduler (full recompute, plain polling),
+    refresh-heavy cases included -- generate_case mixes them in."""
     case = generate_case(seed=20260808, index=index)
-    wheel = _command_stream(case, event_wheel=True)
-    poll = _command_stream(case, event_wheel=False)
-    assert wheel == poll
-    assert wheel[0]
+    fast = _command_stream(case)
+    reference = _command_stream(case, reference=True)
+    assert fast == reference
+    assert fast[0]  # a silent empty stream would vacuously pass
 
 
 @pytest.mark.parametrize("index", range(12))
@@ -276,10 +303,10 @@ def test_event_wheel_matches_polling_under_salp(index):
     memoization must agree with SA_SEL designation and per-subarray
     readiness churn."""
     case = generate_case(seed=20260808, index=index, schemes=SALP_SCHEMES)
-    wheel = _command_stream(case, event_wheel=True)
-    poll = _command_stream(case, event_wheel=False)
-    assert wheel == poll
-    assert wheel[0]
+    fast = _command_stream(case)
+    reference = _command_stream(case, reference=True)
+    assert fast == reference
+    assert fast[0]
 
 
 @pytest.mark.parametrize("scheme", ("salp1", "masa"))

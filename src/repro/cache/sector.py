@@ -9,9 +9,9 @@ validate all sectors.  Sector count is configurable (4 x 16B under SSC,
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 
 def full_mask(sectors: int) -> int:
@@ -67,10 +67,10 @@ class SectorCache:
         self.sector_bytes = line_bytes // sectors
         self.ways = ways
         self.num_sets = size_bytes // (ways * line_bytes)
-        # each set: OrderedDict line_addr -> LineState, LRU first
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # set index -> OrderedDict line_addr -> LineState, LRU first; a
+        # set is created on first touch, since a run touches a fraction
+        # of an 8 MB LLC's sets
+        self._sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- helpers
@@ -163,7 +163,7 @@ class SectorCache:
         """Resident/dirty line counts (observability snapshots)."""
         lines = 0
         dirty = 0
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             lines += len(cache_set)
             for state in cache_set.values():
                 if state.dirty_mask:
@@ -175,12 +175,13 @@ class SectorCache:
         }
 
     def flush(self) -> List[Eviction]:
-        """Empty the cache, returning all dirty victims."""
+        """Empty the cache, returning all dirty victims in ascending set
+        index (LRU first within a set), the order writebacks drain in."""
         out = []
-        for cache_set in self._sets:
-            for line_addr, state in cache_set.items():
+        for index in sorted(self._sets):
+            for line_addr, state in self._sets[index].items():
                 if state.dirty_mask:
                     out.append(Eviction(line_addr, state.dirty_mask))
                     self.stats.writebacks += 1
-            cache_set.clear()
+        self._sets.clear()
         return out

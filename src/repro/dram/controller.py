@@ -77,9 +77,9 @@ class ControllerConfig:
     #: select the behavioral reference scheduler.  The default (fast)
     #: mode caches each queued request's (command, earliest, reason)
     #: readiness entry behind bank/rank/subarray version counters, and
-    #: after an issue dry-runs the next cycle's scan while that index is
-    #: hot, so the wake-up one cycle later replays the decision in O(1)
-    #: (the event wheel; any intervening submit invalidates the stash).
+    #: keeps the fold state of the last scan that found nothing ready
+    #: (the wait memo), so until the next command issues a wake-up
+    #: evaluates only the requests that arrived since that scan.
     #: ``reference=True`` re-derives every request's next command on
     #: every wake-up and memoizes nothing.  The wake-up *event stream* is
     #: identical in both modes by construction -- every scheduling
@@ -170,21 +170,12 @@ class MemoryController:
         self._draining_writes = False
         self._wakeup_at: Optional[int] = None
         self._wakeup_token = None
-        # Event-wheel dry-run state: the full scheduler decision
-        # `_peek_wake` derived for the next cycle's wake-up, reusable iff
-        # no submit moved the queues since (`_queue_epoch`).  The wake-up
-        # event itself is still scheduled -- the wheel never changes
-        # *when* the controller wakes relative to polling, only whether
-        # the wake-up replays a memoized decision in O(1) or re-runs the
-        # FR-FCFS scan.  Keeping the event stream identical to polling's
-        # is what makes command streams, cycle counts and stall ledgers
-        # match exactly: every scheduling decision happens at the same
-        # kernel instant, interleaved identically with core and
-        # completion events.
-        self._peeked: Optional[tuple] = None
-        self._queue_epoch: int = 0
-        #: wake-ups that replayed a memoized dry-run decision instead of
-        #: re-running the FR-FCFS scan (never in reference mode)
+        #: fold state of the last FR-FCFS scan that found nothing ready,
+        #: resumed by later scans until the next command issues (see
+        #: `_frfcfs_choose`)
+        self._wait_memo: Optional[tuple] = None
+        #: FR-FCFS scans resumed from the wait memo instead of walking
+        #: the whole queue (never in reference mode)
         self.peek_hits: int = 0
         self._last_cas_group: Optional[Tuple[int, int]] = None
         # per-wakeup memo of earliest_cas_for_bus results, valid for one
@@ -224,7 +215,6 @@ class MemoryController:
             self.read_queue.append(request)
         else:
             self.write_queue.append(request)
-        self._queue_epoch += 1
         self._schedule_wakeup(self.kernel.now)
 
     def can_accept(self, request: Request) -> bool:
@@ -304,16 +294,7 @@ class MemoryController:
             return
         self._wakeup_at = None
         self._wakeup_token = None
-        now = self.kernel.now
-        next_time = self._try_issue(now)
-        if (next_time is not None and next_time == now + 1
-                and not self.config.reference):
-            # Event wheel: dry-run the next cycle's scheduler scan while
-            # the readiness index is hot, so the wake-up at ``now + 1``
-            # can replay the decision in O(1) unless a submit lands in
-            # between.  The wake-up itself is still scheduled below,
-            # exactly as in reference mode.
-            self._peek_wake(now + 1)
+        next_time = self._try_issue(self.kernel.now)
         if next_time is not None:
             self._schedule_wakeup(next_time)
 
@@ -328,19 +309,6 @@ class MemoryController:
 
     def _try_issue(self, now: int) -> Optional[int]:
         """Issue at most one command; return the next wake-up time."""
-        peeked = self._peeked
-        if peeked is not None:
-            self._peeked = None
-            if peeked[0] == self._queue_epoch and peeked[1] == now:
-                # nothing arrived since the dry-run: its decision is
-                # exact, replay it without re-running the scan
-                self.peek_hits += 1
-                if peeked[2] == "issue":
-                    return self._issue_peeked(now, peeked)
-                _epoch, _when, _kind, draining, reason, wake = peeked
-                self._draining_writes = draining
-                self._note_wait(now, wake, reason)
-                return wake
         if self.channel.next_command > now:
             self._note_wait(now, self.channel.next_command, CCD_BUS)
             return self.channel.next_command
@@ -377,57 +345,6 @@ class MemoryController:
         for probe in self._on_wait:
             probe(start, end, reason)
 
-    def _peek_wake(self, now: int) -> None:
-        """Dry-run the scheduler scan the wake-up at ``now`` will perform.
-
-        Pure: no stall notes, no hysteresis commit, no state mutation
-        beyond stashing the outcome in ``_peeked`` tagged with the queue
-        epoch -- any submit landing before the wake-up invalidates the
-        stash and the wake-up re-runs the scan with the arrival, exactly
-        as polling would.  Between this dry-run (end of the current
-        wake-up) and the wake-up at ``now`` the scan's inputs can only
-        change via submits: requests leave queues solely when this
-        controller issues, and bank/bus/refresh state mutates solely via
-        controller commands.  Outcomes other than a scan decision (bus
-        busy, refresh due, idle) are O(1) to recompute, so they are not
-        memoized -- the stash stays None and the wake-up takes its normal
-        path."""
-        self._peeked = None
-        if self.channel.next_command > now:
-            return
-        if self._refresh_due(now) is not None:
-            return
-        queue, draining = self._pick_queue()
-        if queue is None:
-            return
-        choice = self._frfcfs_choose(now, queue)
-        if choice is None:
-            return
-        request, command, earliest, reason = choice
-        drain_note = queue is self.write_queue and bool(self.read_queue)
-        if earliest > now:
-            if drain_note:
-                reason = WRITE_DRAIN
-            wake = min(earliest, self._next_refresh_deadline() or FOREVER)
-            self._peeked = (
-                self._queue_epoch, now, "wait", draining, reason, wake,
-            )
-        else:
-            self._peeked = (
-                self._queue_epoch, now, "issue", request, command, queue,
-                draining, drain_note,
-            )
-
-    def _issue_peeked(self, now: int, peeked: tuple) -> Optional[int]:
-        """Issue the command a `_peek_wake` dry-run chose for this cycle."""
-        (_epoch, _when, _kind, request, command, queue, draining,
-         drain_note) = peeked
-        self._draining_writes = draining
-        if drain_note:
-            self._note_wait(now, now + 1, WRITE_DRAIN)
-        self._issue(now, request, command, queue)
-        return now + 1 if (self.read_queue or self.write_queue) else None
-
     def _next_refresh_deadline(self) -> Optional[int]:
         if not self.config.refresh_enabled or self.timing.tREFI <= 0:
             return None
@@ -437,30 +354,15 @@ class MemoryController:
 
     def _active_queue(self) -> Optional[List[Request]]:
         """Pick the queue to serve, honouring write-drain watermarks."""
-        queue, self._draining_writes = self._pick_queue()
-        return queue
-
-    def _pick_queue(self) -> Tuple[Optional[List[Request]], bool]:
-        """``(queue, draining_after)``: the queue a wake-up would serve and
-        the write-drain hysteresis state it would leave behind.  Side-effect
-        free so the event-wheel dry-run can evaluate a wake-up without
-        committing the drain transition (the hysteresis update is idempotent
-        for a given pair of queue lengths, so deferring the commit to the
-        real wake-up cannot change any later decision)."""
         cfg = self.config
-        draining = self._draining_writes
-        if draining:
-            if len(self.write_queue) <= cfg.write_low_watermark:
-                draining = False
-            else:
-                return self.write_queue, True
+        if self._draining_writes:
+            if len(self.write_queue) > cfg.write_low_watermark:
+                return self.write_queue
+            self._draining_writes = False
         if len(self.write_queue) >= cfg.write_high_watermark:
-            return self.write_queue, True
-        if self.read_queue:
-            return self.read_queue, draining
-        if self.write_queue:
-            return self.write_queue, draining
-        return None, draining
+            self._draining_writes = True
+            return self.write_queue
+        return self.read_queue or self.write_queue or None
 
     def _frfcfs_choose(
         self, now: int, queue: List[Request]
@@ -475,14 +377,37 @@ class MemoryController:
         issue, are applied at lookup time via a per-epoch memo.  The
         ``future`` minimum keeps wakeup scheduling exact: the controller
         still sleeps to the soonest candidate, never past it.
+
+        A scan that finds nothing ready leaves its fold state in the wait
+        memo: the soonest candidate and, among the candidates tied at its
+        time, the first CAS to another bank group, the first CAS and the
+        first other command.  Until the next command issues no candidate
+        can change -- every gate, bus term and the last CAS group move
+        only on issue, and requests leave a queue only by issuing -- and
+        requests join only at the queue tail.  So a later scan of the
+        same queue resumes from the memo: before the soonest time nothing
+        folded is ready and only the arrivals are evaluated; at that time
+        exactly the tied candidates are ready, in queue order.
         """
         if self.config.reference:
             return self._frfcfs_choose_recompute(now, queue)
         ready_cas: Optional[Tuple[Request, Command, int, str]] = None
         ready_other: Optional[Tuple[Request, Command, int, str]] = None
-        future: Optional[Tuple[Request, Command, int, str]] = None
-        last_group = self._last_cas_group
         chan = self.channel
+        wait = self._wait_memo
+        if (wait is not None and wait[0] is queue
+                and wait[1] == chan.commands_issued and now <= wait[3]):
+            self.peek_hits += 1
+            (_queue, _issued, start, soonest, future, tie_switch, tie_cas,
+             tie_other) = wait
+            if now == soonest:
+                if tie_switch is not None:
+                    return tie_switch
+                ready_cas, ready_other = tie_cas, tie_other
+        else:
+            start = soonest = 0
+            future = tie_switch = tie_cas = tie_other = None
+        last_group = self._last_cas_group
         if self._bus_memo_version != chan.data_version:
             self._bus_memo.clear()
             self._bus_memo_version = chan.data_version
@@ -490,7 +415,8 @@ class MemoryController:
         memo_get = memo.get
         mrs = Command.MRS
         sa_sel = Command.SA_SEL
-        for index, request in enumerate(queue):
+        for index, request in enumerate(queue[start:] if start else queue,
+                                        start):
             rank = request._rank
             bank = request._bank
             sub = request._sub
@@ -554,11 +480,28 @@ class MemoryController:
                         ready_cas = (request, command, earliest, reason)
                 elif ready_other is None:
                     ready_other = (request, command, earliest, reason)
-            elif future is None or earliest < future[2]:
-                future = (request, command, earliest, reason)
+            elif future is None or earliest <= soonest:
+                candidate = (request, command, earliest, reason)
+                if future is None or earliest < soonest:
+                    soonest = earliest
+                    future = candidate
+                    tie_switch = tie_cas = tie_other = None
+                if bus_kind == _BUS_CAS:
+                    if tie_cas is None:
+                        tie_cas = candidate
+                    if tie_switch is None and entry[9] != last_group:
+                        tie_switch = candidate
+                elif tie_other is None:
+                    tie_other = candidate
         if ready_cas is not None:
             return ready_cas
-        return ready_other if ready_other is not None else future
+        if ready_other is not None:
+            return ready_other
+        if future is not None:
+            self._wait_memo = (queue, chan.commands_issued, len(queue),
+                               soonest, future, tie_switch, tie_cas,
+                               tie_other)
+        return future
 
     def _frfcfs_choose_recompute(
         self, now: int, queue: List[Request]

@@ -169,9 +169,12 @@ def _publish_metrics(
     events: int,
     max_events: int,
     scheme: AccessScheme,
+    occupancy: Dict[str, Dict[str, int]],
     kernel: Optional[Kernel] = None,
 ) -> None:
-    """Publish every collected statistic into the metrics registry."""
+    """Publish every collected statistic into the metrics registry;
+    ``occupancy`` is the cache residency snapshot taken before the
+    end-of-run flush empties every level."""
     reg = obs.registry
     reg.publish_struct("dram", system.controller.stats)
     reg.gauge("dram.avg_read_latency").set(
@@ -183,7 +186,7 @@ def _publish_metrics(
         reg.counter(f"core.{name}").inc(
             sum(getattr(c, name) for c in cores)
         )
-    for level, occ in system.hierarchy.occupancy().items():
+    for level, occ in occupancy.items():
         for key, value in occ.items():
             reg.gauge(f"cache.{level}.{key}").set(value)
     reg.gauge("sim.cycles").set(cycles)
@@ -193,8 +196,8 @@ def _publish_metrics(
     reg.gauge("sim.events").set(events)
     reg.gauge("sim.max_events").set(max_events)
     # Event-wheel efficiency gauges: executed kernel events per simulated
-    # cycle (the wakeup-efficiency number the bench ratchets), memoized
-    # scheduler replays, and writeback-poll futility.
+    # cycle (the wakeup-efficiency number the bench ratchets), FR-FCFS
+    # scans resumed from the wait memo, and writeback-poll futility.
     reg.set_ratio("sim.events_per_cycle", events, cycles)
     if kernel is not None:
         reg.gauge("kernel.events").set(kernel.events)
@@ -369,6 +372,7 @@ def run_workload(
                     f"progress)", kernel, system, cores, scheme,
                     workload.name, obs
                 )
+            occupancy = system.hierarchy.occupancy()
         # Account the writeback tail: flush dirty lines, drain the queues.
         with profiler.span("flush_drain"):
             system.flush_caches()
@@ -387,7 +391,7 @@ def run_workload(
 
     cycles = kernel.now
     _publish_metrics(obs, system, cores, cycles, events, limit, scheme,
-                     kernel=kernel)
+                     occupancy, kernel=kernel)
     stalls = _attribute_stalls(obs, cores)
     _finish_timeline(obs, cycles)
     # Energy is priced off the registry: the published dram.* counters

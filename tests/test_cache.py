@@ -96,6 +96,21 @@ class TestSectorCache:
         assert len(dirty) == 1 and dirty[0].line_addr == 0
         assert not c.resident(64)
 
+    def test_flush_returns_victims_in_ascending_set_order(self):
+        """Sets are built on first touch, so their creation order follows
+        the access stream; flushing must still return dirty victims by
+        ascending set index (LRU first within a set), the order the
+        end-of-run writebacks drain in."""
+        c = small_cache(ways=2, sets=4)
+        for index in (3, 2, 1, 0):
+            c.fill(index * 64, 0b1111, dirty=True)
+            c.fill((index + 4) * 64, 0b0011, dirty=True)
+        assert [(e.line_addr // 64, e.dirty_mask) for e in c.flush()] == [
+            (0, 0b1111), (4, 0b0011), (1, 0b1111), (5, 0b0011),
+            (2, 0b1111), (6, 0b0011), (3, 0b1111), (7, 0b0011),
+        ]
+        assert c.occupancy()["lines"] == 0
+
     def test_hit_rate_stat(self):
         c = small_cache()
         c.fill(0, 0b1111)

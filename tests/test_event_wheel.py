@@ -17,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from repro.dram import AddressMapper, ControllerConfig, DDR4_2400
+from repro.dram import AddressMapper, Command, ControllerConfig, DDR4_2400
 from repro.dram.controller import MemoryController
 from repro.imdb.queries import by_name
 from repro.kernel import Kernel
@@ -26,7 +26,8 @@ from repro.sim import run_query
 from repro.sim.config import SystemConfig
 from repro.workloads import make_tables
 
-from .test_dram_controller import read
+from .test_dram_controller import read, write
+from .test_vectorized import lockstep_scans
 
 
 def _run(scheme, query_name, tables, reference=False, **ctrl):
@@ -122,6 +123,19 @@ def test_wheel_matches_polling_full_system(scheme, query, tables):
     assert wheel.metrics["kernel.events"] == poll.metrics["kernel.events"]
 
 
+def test_wait_memo_folds_arrivals_in_lockstep(tables, monkeypatch):
+    """Under backpressure requests keep arriving while the controller
+    waits, so scans resumed from the wait memo fold arrivals in -- and
+    some arrivals win.  Every scan must still decide exactly as the full
+    recompute does at the same instant."""
+    scans = lockstep_scans(monkeypatch)
+    for scheme, query in _CELLS:
+        _run(scheme, query, tables, **_BACKPRESSURE)
+    folded = [won for _now, arrivals, won in scans if arrivals]
+    assert len(folded) > 100
+    assert sum(folded) > 10
+
+
 def test_wheel_matches_polling_default_config(tables):
     """Same exactness at the default (paper) configuration."""
     wheel, wobs = _run("SAM-en", "Qs1", tables)
@@ -134,12 +148,58 @@ def test_wheel_matches_polling_default_config(tables):
 # ------------------------------------------------- memoized scheduler
 
 def test_peek_hits_only_in_wheel_mode(tables):
-    """The dry-run memo must actually be exercised in wheel mode and
-    never in the polling reference."""
+    """The wait memo must actually be resumed in wheel mode and never
+    in the polling reference."""
     wheel, _ = _run("SAM-en", "Q3", tables)
     poll, _ = _run("SAM-en", "Q3", tables, reference=True)
     assert wheel.metrics["dram.peek_hits"] > 0
     assert poll.metrics["dram.peek_hits"] == 0
+
+
+def _two_bank_wait(request):
+    """A controller queueing ``request``-kind accesses to bank 0, whose
+    row opened at cycle 0, and to closed bank 1: at cycle 1 nothing is
+    ready, and bank 1's ACT (tRRD) is due before bank 0's CAS (tRCD)."""
+    kernel = Kernel()
+    mc = MemoryController(
+        kernel, DDR4_2400, config=ControllerConfig(refresh_enabled=False)
+    )
+    mapper = AddressMapper(mc.geometry)
+    hit, other = request(mapper, 0, []), request(mapper, 8192, [])
+    mc.submit(hit)
+    queue = mc.read_queue if hit.is_read else mc.write_queue
+    mc._issue(0, hit, Command.ACT, queue)
+    mc.submit(other)
+    wait = mc._frfcfs_choose(1, queue)
+    assert wait[:2] == (other, Command.ACT) and wait[2] < DDR4_2400.tRCD
+    return mc, mapper, queue, hit, wait
+
+
+def test_wait_memo_expires_at_its_soonest_time():
+    """The wait memo keeps only the candidates tied at the soonest time,
+    so a scan after that time -- even with no command issued since --
+    must walk the whole queue again and decide as the full recompute."""
+    mc, _mapper, queue, hit, wait = _two_bank_wait(read)
+    assert mc._frfcfs_choose(2, queue) == wait
+    assert mc.peek_hits == 1
+    late = DDR4_2400.tRCD + 1
+    assert mc._frfcfs_choose(late, queue)[:2] == (hit, Command.RD)
+    assert mc._frfcfs_choose_recompute(late, queue)[:2] == (hit, Command.RD)
+    assert mc.peek_hits == 1
+
+
+def test_wait_memo_belongs_to_its_queue():
+    """A read arriving while the controller waits on the write queue
+    switches the served queue with no command issued: the read queue's
+    first scan must walk it, not resume the write queue's memo."""
+    mc, mapper, _queue, _hit, _wait = _two_bank_wait(write)
+    arrival = read(mapper, 2 * 8192, [])
+    mc.submit(arrival)
+    assert mc._active_queue() is mc.read_queue
+    choice = mc._frfcfs_choose(2, mc.read_queue)
+    assert choice[:2] == (arrival, Command.ACT)
+    assert choice == mc._frfcfs_choose_recompute(2, mc.read_queue)
+    assert mc.peek_hits == 0
 
 
 # ------------------------------------------------- writeback futility

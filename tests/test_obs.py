@@ -405,6 +405,21 @@ class TestRunnerHealthMetrics:
         assert result.metrics["sim.events_near_limit"] == 1
         assert result.metrics["sim.event_budget_used"] > 0.5
 
+    def test_cache_occupancy_gauges_taken_before_the_flush(self):
+        """The residency gauges describe the caches as the workload left
+        them, not the empty hierarchy after the end-of-run flush."""
+        from repro.sim.runner import run_workload
+        from repro.workloads import KernelWorkload
+
+        read = run_workload(KernelWorkload.from_spec("stream_read[n=64]"),
+                            "baseline")
+        assert read.metrics["cache.LLC.lines"] > 0
+        assert read.metrics["cache.LLC.dirty_lines"] == 0
+        write = run_workload(
+            KernelWorkload.from_spec("stream_write[n=64]"), "baseline"
+        )
+        assert write.metrics["cache.LLC.dirty_lines"] > 0
+
     def test_bus_utilization_overflow_not_clamped(self):
         from types import SimpleNamespace
 

@@ -138,7 +138,7 @@ def test_sector_cache_invariants(operations):
     cache = SectorCache(size_bytes=8 * 64, ways=2, sectors=4)
     for line_idx, mask, dirty in operations:
         cache.fill(line_idx * 64, mask, dirty=dirty)
-        for cache_set in cache._sets:
+        for cache_set in cache._sets.values():
             for state in cache_set.values():
                 assert state.dirty_mask & ~state.valid_mask == 0
         hit, missing = cache.lookup(line_idx * 64, mask)

@@ -4,7 +4,7 @@ The PR-7 hot-path overhaul keeps every original per-bit/per-symbol loop as
 a ``*_scalar`` reference implementation.  These properties assert the
 table-driven / numpy paths are indistinguishable from them across layouts,
 chip counts and random payloads -- and that the fast FR-FCFS scheduler
-(readiness index + event-wheel replay) behaves exactly like the
+(readiness index + wait memo) behaves exactly like the
 reference scheduler on fuzzed traces.
 """
 
@@ -248,20 +248,39 @@ def _decision(choice, now):
     return (request.req_id, command, earliest, reason)
 
 
-def _scan_in_lockstep(case, monkeypatch):
-    """Replay ``case`` in fast mode, re-running the full-recompute scan
-    next to every readiness-index scan and asserting both decide alike."""
+def lockstep_scans(monkeypatch):
+    """Make every fast-mode FR-FCFS scan re-run the full-recompute scan
+    at the same instant and assert both decide alike.
+
+    Returns the scan log, one ``(now, arrivals, won)`` per scan:
+    ``arrivals`` is None for a walk of the whole queue, else how many
+    requests a scan resumed from the wait memo folded in (0 when it only
+    decided the tied candidates at the wait's end), and ``won`` says
+    whether one of those arrivals was chosen."""
     indexed = MemoryController._frfcfs_choose
     scans = []
 
     def lockstep(self, now, queue):
+        hits, memo = self.peek_hits, self._wait_memo
         choice = indexed(self, now, queue)
         recomputed = self._frfcfs_choose_recompute(now, queue)
         assert _decision(choice, now) == _decision(recomputed, now), now
-        scans.append(now)
+        arrivals, won = None, False
+        if self.peek_hits > hits:  # resumed from the wait memo
+            folded = queue[memo[2]:]
+            arrivals = len(folded)
+            won = any(choice[0] is request for request in folded)
+        scans.append((now, arrivals, won))
         return choice
 
     monkeypatch.setattr(MemoryController, "_frfcfs_choose", lockstep)
+    return scans
+
+
+def _scan_in_lockstep(case, monkeypatch):
+    """Replay ``case`` in fast mode with every scan checked in lockstep
+    against the full recompute."""
+    scans = lockstep_scans(monkeypatch)
     result = run_case(case, oracle_data=False)
     assert not result.failed, result.summary()
     return scans
@@ -286,7 +305,7 @@ def test_readiness_index_matches_recompute_under_salp(index, monkeypatch):
 
 @pytest.mark.parametrize("index", range(12))
 def test_event_wheel_matches_polling(index):
-    """The fast scheduler (readiness index + event-wheel replay) must be
+    """The fast scheduler (readiness index + wait memo) must be
     *exact*: identical command stream, final cycle count, and stall
     ledger as the reference scheduler (full recompute, plain polling),
     refresh-heavy cases included -- generate_case mixes them in."""
@@ -299,9 +318,9 @@ def test_event_wheel_matches_polling(index):
 
 @pytest.mark.parametrize("index", range(12))
 def test_event_wheel_matches_polling_under_salp(index):
-    """Same exactness over the subarray-aware schemes, where the dry-run
-    memoization must agree with SA_SEL designation and per-subarray
-    readiness churn."""
+    """Same exactness over the subarray-aware schemes, where the wait
+    memo must agree with SA_SEL designation and per-subarray readiness
+    churn."""
     case = generate_case(seed=20260808, index=index, schemes=SALP_SCHEMES)
     fast = _command_stream(case)
     reference = _command_stream(case, reference=True)

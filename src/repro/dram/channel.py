@@ -47,11 +47,6 @@ class ChannelState:
     # sub-rank burst ``tBL`` (its pin fraction times the full duration).
     data_busy_subbus_cycles: int = 0
     commands_issued: int = 0
-    #: invalidation epoch for the controller's readiness index: bumped
-    #: whenever data-bus occupancy state changes (data_free, subbus_free,
-    #: last-burst bookkeeping), i.e. on every CAS.  New rules that write
-    #: that state elsewhere must bump this too.
-    data_version: int = 0
 
     def __post_init__(self) -> None:
         if not self.ranks:
@@ -117,7 +112,6 @@ class ChannelState:
         latency = t.CL if cmd is Command.RD else t.CWL
         data_start = now + latency
         data_end = data_start + t.tBL
-        self.data_version += 1
         if subrank is None:
             self.data_free = data_end
             self.last_full = (rank, req_type)

@@ -110,13 +110,12 @@ class Request:
     arrival: int = -1
     issue_time: int = -1
     finish_time: int = -1
-    #: controller readiness-index entry: (bank_version, rank_version,
-    #: subarray_version, command, earliest, reason, bus_kind, bus_sig,
-    #: req_type, (rank, bank_group)).  Scheduling cache only -- never part
-    #: of the request's identity or serialized form.
-    _sched_cache: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
+    #: the controller's readiness slot for this request's row target:
+    #: the bank half of its readiness entry, shared with every queued
+    #: request that has the same subarray, row kind, row, direction, I/O
+    #: mode and subrank; None once its CAS issues.  Scheduling state
+    #: only -- never part of the request's identity or serialized form.
+    _slot: Optional[object] = field(default=None, repr=False, compare=False)
     #: direct references to the RankState/BankState/SubarrayState this
     #: request's fixed address decodes to, filled by the controller at
     #: submit so the scheduler scan skips the ranks[...]/banks[...]

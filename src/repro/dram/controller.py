@@ -34,7 +34,7 @@ from ..obs.stalls import (
 )
 from .bank import FOREVER
 from .channel import ChannelState
-from .commands import Command, IOMode, Request, RequestType
+from .commands import Command, IOMode, Request, RequestType, RowKind
 from .geometry import Geometry
 from .timing import TimingParams
 
@@ -75,27 +75,50 @@ class ControllerConfig:
     #: "closed" auto-precharges after every column command (RDA/WRA).
     page_policy: str = "open"
     #: select the behavioral reference scheduler.  The default (fast)
-    #: mode caches each queued request's (command, earliest, reason)
-    #: readiness entry behind bank/rank/subarray version counters, and
+    #: mode splits each queued request's readiness entry in two.  The
+    #: bank half (next command, subarray/bank gate and stall tag) lives
+    #: in one slot shared by every queued request with the same row
+    #: target and is rebuilt only when a bank/subarray/rank version
+    #: counter it is keyed on moves; the shared half (rank gate, then
+    #: the data-bus term) is computed once per command kind, rank and
+    #: bank group or subrank per issued command.  The fast mode also
     #: keeps the fold state of the last scan that found nothing ready
     #: (the wait memo), so until the next command issues a wake-up
     #: evaluates only the requests that arrived since that scan.
-    #: ``reference=True`` re-derives every request's next command on
-    #: every wake-up and memoizes nothing.  The wake-up *event stream* is
-    #: identical in both modes by construction -- every scheduling
-    #: decision happens at the same kernel instant -- so command streams,
-    #: cycle counts and stall ledgers match exactly (enforced by the
-    #: fast-vs-reference batteries).
+    #: ``reference=True`` rebuilds both halves of every request's entry
+    #: on every wake-up and memoizes nothing.  The wake-up *event
+    #: stream* is identical in both modes by construction -- every
+    #: scheduling decision happens at the same kernel instant -- so
+    #: command streams, cycle counts and stall ledgers match exactly
+    #: (enforced by the fast-vs-reference batteries).
     reference: bool = False
 
 
-#: how a readiness entry's earliest time combines with the shared-bus
-#: state at lookup time: no bus term (ACT/PRE), the CAS data-bus fit, or
-#: the MRS data-bus drain.  Bus state changes on every issue, so folding
-#: it into the cached entry would defeat the cache.
-_BUS_NONE = 0
-_BUS_CAS = 1
-_BUS_MRS = 2
+class _Slot:
+    """The bank half of a readiness entry, shared by every queued request
+    with the same (subarray, row kind, row, read/write, I/O mode,
+    subrank): the fields :meth:`MemoryController._entry_terms` reads,
+    plus the subrank that picks the shared half.  ``users`` counts the
+    queued requests holding the slot; the controller drops it when the
+    last of them issues its CAS.
+
+    ``command``, ``bank_time`` and ``bank_reason`` (the bank half) are
+    valid while ``versions`` matches the (bank, subarray, rank) version
+    counters.  ``earliest`` and ``reason`` fold the shared half onto
+    them and are valid for the ``epoch`` (``channel.commands_issued``)
+    they were folded in."""
+
+    __slots__ = ("key", "request", "users", "versions", "command",
+                 "bank_time", "bank_reason", "shared_key", "group",
+                 "epoch", "earliest", "reason")
+
+    def __init__(self, key: tuple, request: Request) -> None:
+        self.key = key
+        #: any one of the slot's requests: they all price alike
+        self.request = request
+        self.users = 0
+        self.versions: Optional[tuple] = None
+        self.epoch = -1
 
 
 @dataclass
@@ -178,11 +201,14 @@ class MemoryController:
         #: the whole queue (never in reference mode)
         self.peek_hits: int = 0
         self._last_cas_group: Optional[Tuple[int, int]] = None
-        # per-wakeup memo of earliest_cas_for_bus results, valid for one
-        # data-bus epoch: queued requests overwhelmingly share their
-        # (command, rank, subrank) bus signature
-        self._bus_memo: dict = {}
-        self._bus_memo_version: int = -1
+        #: readiness slots by key, one per row target among the queued
+        #: requests (see `_Slot`)
+        self._slots: dict = {}
+        #: shared halves of readiness entries by (command, rank, bank
+        #: group or subrank), valid for one `channel.commands_issued`
+        #: epoch (rank and bus state move on every issue)
+        self._shared: dict = {}
+        self._shared_epoch: int = -1
         self._next_refresh = [
             timing.tREFI * (i + 1) // max(1, self.geometry.ranks)
             for i in range(self.geometry.ranks)
@@ -210,7 +236,17 @@ class MemoryController:
         request._rank = rank
         bank = rank.banks[request.addr.bank]
         request._bank = bank
-        request._sub = bank.sub_for_row(request.row_id()[1])
+        sub = request._sub = bank.sub_for_row(request.addr.row)
+        # `_entry_terms` reads exactly these request fields (the subarray
+        # fixes rank, bank and bank group); the subrank picks the shared
+        # half.  The subarray object outlives every slot naming it.
+        key = (id(sub), request.row_kind, request.addr.row, request.is_read,
+               request.io_mode, request.subrank)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = _Slot(key, request)
+        slot.users += 1
+        request._slot = slot
         if request.is_read:
             self.read_queue.append(request)
         else:
@@ -370,11 +406,13 @@ class MemoryController:
         """FR-FCFS: first ready row-hit column command, else oldest ready
         command; if nothing is ready now, the soonest candidate.
 
-        Outside reference mode each queued request's (command, earliest,
-        reason) triple is cached on the request (the readiness index) and
-        re-derived only when the bank/rank state it reads has moved (the
-        version counters); the shared-bus terms, which move on every
-        issue, are applied at lookup time via a per-epoch memo.  The
+        Outside reference mode each queued request reads its (command,
+        earliest, reason) triple from its readiness slot (the readiness
+        index), which every queued request with the same row target
+        shares: the slot's bank half is rebuilt only when a version
+        counter it is keyed on moves, and once per issued command the
+        slot folds on the shared half -- rank gate and data-bus term --
+        from a memo shared by every slot (see `_fold_slot`).  The
         ``future`` minimum keeps wakeup scheduling exact: the controller
         still sleeps to the soonest candidate, never past it.
 
@@ -408,41 +446,18 @@ class MemoryController:
             start = soonest = 0
             future = tie_switch = tie_cas = tie_other = None
         last_group = self._last_cas_group
-        if self._bus_memo_version != chan.data_version:
-            self._bus_memo.clear()
-            self._bus_memo_version = chan.data_version
-        memo = self._bus_memo
-        memo_get = memo.get
+        issued = chan.commands_issued
+        if self._shared_epoch != issued:
+            self._shared.clear()
+            self._shared_epoch = issued
         mrs = Command.MRS
         sa_sel = Command.SA_SEL
         for index, request in enumerate(queue[start:] if start else queue,
                                         start):
-            rank = request._rank
-            bank = request._bank
-            sub = request._sub
-            entry = request._sched_cache
-            if (entry is None or entry[0] != bank.version
-                    or entry[1] != rank.version
-                    or entry[2] != sub.version):
-                terms = self._entry_terms(request, rank, bank)
-                addr = request.addr
-                if terms[3] == _BUS_CAS:
-                    # Pre-resolve the per-epoch memo signature with an int
-                    # flag instead of the Command member: tuple hashing
-                    # would otherwise go through Python-level
-                    # ``Enum.__hash__`` on every lookup.
-                    is_rd = terms[0] is Command.RD
-                    extra = (
-                        (0 if is_rd else 1, addr.rank, request.subrank),
-                        RequestType.READ if is_rd else RequestType.WRITE,
-                        (addr.rank, addr.bank_group),
-                    )
-                else:
-                    extra = (None, None, (addr.rank, addr.bank_group))
-                entry = (bank.version, rank.version, sub.version) \
-                    + terms + extra
-                request._sched_cache = entry
-            command = entry[3]
+            slot = request._slot
+            if slot.epoch != issued:
+                self._fold_slot(slot, issued)
+            command = slot.command
             if (command is mrs or command is sa_sel) and index > 0:
                 # Only the oldest request may flip the rank's I/O mode or
                 # the bank's subarray designation; otherwise requests
@@ -452,44 +467,29 @@ class MemoryController:
                 # candidates are retried whenever the oldest request
                 # makes progress.
                 continue
-            earliest = entry[4]
-            reason = entry[5]
-            bus_kind = entry[6]
-            if bus_kind == _BUS_CAS:
-                bus_t = memo_get(entry[7])
-                if bus_t is None:
-                    bus_t = chan.earliest_cas_for_bus(
-                        command, request.addr.rank, entry[8], request.subrank
-                    )
-                    memo[entry[7]] = bus_t
-                if bus_t > earliest:
-                    earliest, reason = bus_t, CCD_BUS
-            elif bus_kind == _BUS_MRS:
-                data_free = chan.data_free
-                if data_free > earliest:
-                    earliest = data_free
+            earliest = slot.earliest
+            group = slot.group  # (rank, bank group) of a CAS, else None
             if earliest <= now:
-                if bus_kind == _BUS_CAS:
+                if group is not None:
                     # Bank-group rotation: a CAS to a different bank group
                     # than the previous one runs at tCCD_S instead of
                     # tCCD_L, so prefer it over the oldest ready CAS.
-                    group = entry[9]
                     if group != last_group:
-                        return (request, command, earliest, reason)
+                        return (request, command, earliest, slot.reason)
                     if ready_cas is None:
-                        ready_cas = (request, command, earliest, reason)
+                        ready_cas = (request, command, earliest, slot.reason)
                 elif ready_other is None:
-                    ready_other = (request, command, earliest, reason)
+                    ready_other = (request, command, earliest, slot.reason)
             elif future is None or earliest <= soonest:
-                candidate = (request, command, earliest, reason)
+                candidate = (request, command, earliest, slot.reason)
                 if future is None or earliest < soonest:
                     soonest = earliest
                     future = candidate
                     tie_switch = tie_cas = tie_other = None
-                if bus_kind == _BUS_CAS:
+                if group is not None:
                     if tie_cas is None:
                         tie_cas = candidate
-                    if tie_switch is None and entry[9] != last_group:
+                    if tie_switch is None and group != last_group:
                         tie_switch = candidate
                 elif tie_other is None:
                     tie_other = candidate
@@ -542,120 +542,109 @@ class MemoryController:
                 best_time, best_reason = time, reason
         return best_time, best_reason
 
+    def _fold_slot(self, slot: _Slot, issued: int) -> None:
+        """Bring ``slot`` to the ``issued`` epoch: rebuild its bank half
+        if a version counter it is keyed on has moved, take the shared
+        half from the per-epoch memo (computing it on a miss) and fold it
+        on with `_binding`'s rule -- the shared term binds only when
+        strictly later.  That is exact because "first term at the
+        maximum time" is associative: the bank terms come first in every
+        entry."""
+        request = slot.request
+        rank, bank = request._rank, request._bank
+        versions = (bank.version, request._sub.version, rank.version)
+        if slot.versions != versions:
+            command, slot.bank_time, slot.bank_reason = self._entry_terms(
+                request, rank, bank
+            )
+            slot.versions = versions
+            slot.command = command
+            addr = request.addr
+            cas = command is Command.RD or command is Command.WR
+            # the data-bus fit depends on the pins, ACT pacing on the bank
+            # group; a key for one command never serves another
+            slot.shared_key = (command.value, addr.rank,
+                               request.subrank if cas else addr.bank_group)
+            slot.group = (addr.rank, addr.bank_group) if cas else None
+        shared = self._shared.get(slot.shared_key)
+        if shared is None:
+            shared = self._shared_terms(slot.command, request, rank)
+            self._shared[slot.shared_key] = shared
+        slot.earliest, slot.reason = (
+            shared if shared[0] > slot.bank_time
+            else (slot.bank_time, slot.bank_reason))
+        slot.epoch = issued
+
     def _next_command(
         self, now: int, request: Request
     ) -> Tuple[Command, int, str]:
         """The next command ``request`` needs, its earliest issue time, and
         the stall-taxonomy tag of the binding timing constraint (full
-        recompute: stateful terms + the shared-bus terms)."""
+        recompute: both halves of the entry, then the command-bus
+        floor)."""
         rank = self.channel.ranks[request.addr.rank]
         bank = rank.banks[request.addr.bank]
-        command, earliest, reason, bus_kind = self._entry_terms(
-            request, rank, bank
+        command, earliest, reason = self._entry_terms(request, rank, bank)
+        earliest, reason = self._binding(
+            (earliest, reason), self._shared_terms(command, request, rank)
         )
         bus_floor = max(now, self.channel.next_command)
-        if bus_kind == _BUS_MRS:
-            # An MRS can issue once the rank's in-flight CAS work is done
-            # and the data bus has drained (the switch flips DQ drivers).
-            earliest = max(earliest, self.channel.data_free, bus_floor)
-            return (command, earliest, reason)
-        if bus_kind == _BUS_CAS:
-            req_type = (
-                RequestType.READ if request.is_read else RequestType.WRITE
-            )
-            bus_t = self.channel.earliest_cas_for_bus(
-                command, request.addr.rank, req_type, request.subrank
-            )
-            if bus_t > earliest:
-                earliest, reason = bus_t, CCD_BUS
+        if command is Command.MRS:
+            return (command, max(earliest, bus_floor), reason)
         if bus_floor > earliest:
             earliest, reason = bus_floor, CCD_BUS
         return (command, earliest, reason)
 
     def _entry_terms(
         self, request: Request, rank, bank
-    ) -> Tuple[Command, int, str, int]:
-        """The stateful half of a readiness entry: the next command
-        ``request`` needs, the earliest issue time over the
-        subarray/bank/rank constraints, the binding stall tag, and which
-        bus term applies at lookup time.  Everything read here is covered
-        by ``bank.version``, ``rank.version`` and the request's
-        subarray's ``version`` (under SALP one request's readiness also
-        depends on *other* subarrays -- precharge victims, designation --
-        which is why every bank mutation bumps ``bank.version``), so a
-        cached entry stays exact until one of those moves."""
+    ) -> Tuple[Command, int, str]:
+        """The bank half of a readiness entry: the next command
+        ``request`` needs, its earliest issue time over the subarray and
+        bank gates, and the binding stall tag.  It reads the request's
+        subarray, row kind, row, direction and I/O mode -- its slot key
+        -- and of the rank only ``io_mode`` and ``busy_until``, so it is
+        the same for every request sharing a slot, and stays exact while
+        ``bank.version``, the subarray's ``version`` and ``rank.version``
+        stand (under SALP it also reads *other* subarrays -- precharge
+        victims, designation -- which is why every bank mutation bumps
+        ``bank.version``).  The rank gates and the data-bus term are the
+        shared half, `_shared_terms`."""
         if rank.ensure_mode(request.io_mode):
-            earliest = max(rank.busy_until, rank.next_read, rank.next_write)
-            return (Command.MRS, earliest, MODE_SWITCH, _BUS_MRS)
+            # no bank gate: the rank gates and the bus drain bind an MRS
+            return (Command.MRS, 0, MODE_SWITCH)
         if self.salp != "none":
             return self._entry_terms_salp(request, rank, bank)
 
-        needed = request.row_id()
         sub = request._sub  # the whole bank in the degenerate configuration
-        if sub.open_row == needed:
+        if sub.open_row == request.row_id():
             cmd = Command.RD if request.is_read else Command.WR
             bank_gate = sub.earliest(cmd)
-            rank_gate = rank.earliest_cas(cmd)
-            if rank_gate == rank.busy_until:
-                rank_tag = REFRESH
-            elif rank_gate == rank.next_act_any:
-                rank_tag = MODE_SWITCH  # tMOD_IO stalls CAS and ACT alike
-            else:
-                rank_tag = WRITE_DRAIN  # tWTR write-to-read turnaround
-            earliest, reason = self._binding(
-                (
-                    bank_gate,
-                    # the bank CAS gate is tRCD right after an ACT,
-                    # tCCD column-path spacing otherwise
-                    TRCD
-                    if bank_gate <= sub.last_act + self.timing.tRCD
-                    else CCD_BUS,
-                ),
-                (rank_gate, rank_tag),
-            )
-            return (cmd, earliest, reason, _BUS_CAS)
+            # the bank CAS gate is tRCD right after an ACT, tCCD
+            # column-path spacing otherwise
+            return (cmd, bank_gate,
+                    TRCD if bank_gate <= sub.last_act + self.timing.tRCD
+                    else CCD_BUS)
         if sub.open_row is None:
-            cmd = (
-                Command.ACT
-                if needed[0].value == "row"
-                else Command.ACT_COL
-            )
+            cmd = (Command.ACT if request.row_kind is RowKind.ROW
+                   else Command.ACT_COL)
             bank_gate = sub.earliest(Command.ACT)
-            act_gate = rank.earliest_act(0, request.addr.bank_group)
-            if act_gate == rank.busy_until:
-                act_tag = REFRESH
-            elif act_gate == rank.next_act_any:
-                act_tag = MODE_SWITCH
-            else:
-                act_tag = TFAW  # tFAW window or tRRD spacing
-            earliest, reason = self._binding(
-                (
-                    bank_gate,
-                    # post-refresh the bank ACT gate is the tRFC blackout,
-                    # post-precharge it is tRP
-                    REFRESH if rank.busy_until >= bank_gate else TRP,
-                ),
-                (act_gate, act_tag),
-            )
-            return (cmd, earliest, reason, _BUS_NONE)
+            # post-refresh the bank ACT gate is the tRFC blackout,
+            # post-precharge it is tRP
+            return (cmd, bank_gate,
+                    REFRESH if rank.busy_until >= bank_gate else TRP)
         # row conflict: precharge first
-        earliest, reason = self._binding(
-            (sub.earliest(Command.PRE), TRAS),
-            (rank.busy_until, REFRESH),
-        )
-        return (Command.PRE, earliest, reason, _BUS_NONE)
+        return (Command.PRE, sub.earliest(Command.PRE), TRAS)
 
     def _entry_terms_salp(
         self, request: Request, rank, bank
-    ) -> Tuple[Command, int, str, int]:
-        """SALP readiness terms: the per-subarray gates carry tRP/tRCD/
-        tRAS recovery, the bank carries the shared row-logic (tRA) and
+    ) -> Tuple[Command, int, str]:
+        """SALP bank half: the per-subarray gates carry tRP/tRCD/tRAS
+        recovery, the bank carries the shared row-logic (tRA) and
         column-path gates, and SALP-2/MASA additionally gate column
         commands on global sense-amp designation."""
         t = self.timing
-        needed = request.row_id()
         sub = request._sub
-        if sub.open_row == needed:
+        if sub.open_row == request.row_id():
             if bank.designated == sub.sub_id:
                 # column command to the globally connected subarray
                 cmd = Command.RD if request.is_read else Command.WR
@@ -663,71 +652,73 @@ class MemoryController:
                     local, shared = sub.next_read, bank.col_next_read
                 else:
                     local, shared = sub.next_write, bank.col_next_write
-                rank_gate = rank.earliest_cas(cmd)
-                if rank_gate == rank.busy_until:
-                    rank_tag = REFRESH
-                elif rank_gate == rank.next_act_any:
-                    rank_tag = MODE_SWITCH
-                else:
-                    rank_tag = WRITE_DRAIN
-                earliest, reason = self._binding(
+                return (cmd, *self._binding(
                     (local, TRCD if local <= sub.last_act + t.tRCD
                      else CCD_BUS),
                     (shared, CCD_BUS),
-                    (rank_gate, rank_tag),
-                )
-                return (cmd, earliest, reason, _BUS_CAS)
+                ))
             if self.salp == "masa":
                 # right row open in an undesignated subarray: switch the
                 # global sense-amp connection first
-                earliest, reason = self._binding(
-                    (bank.next_sa_sel, SUBARRAY),
-                    (rank.busy_until, REFRESH),
-                )
-                return (Command.SA_SEL, earliest, reason, _BUS_NONE)
+                return (Command.SA_SEL, bank.next_sa_sel, SUBARRAY)
             # SALP-2 cannot re-connect an undesignated subarray (only an
             # ACT designates): close it and re-activate
-            earliest, reason = self._binding(
-                (sub.next_pre, TRAS),
-                (rank.busy_until, REFRESH),
-            )
-            return (Command.PRE, earliest, reason, _BUS_NONE)
+            return (Command.PRE, sub.next_pre, TRAS)
         if sub.open_row is None:
             victim = bank.pre_victim(sub.sub_id)
             if victim is not None:
                 # the bank is at its open-subarray capacity: close the
                 # oldest open subarray before activating this one
-                vic = bank.subarrays[victim]
-                earliest, reason = self._binding(
-                    (vic.next_pre, TRAS),
-                    (rank.busy_until, REFRESH),
-                )
-                return (Command.PRE, earliest, reason, _BUS_NONE)
-            cmd = (
-                Command.ACT
-                if needed[0].value == "row"
-                else Command.ACT_COL
-            )
-            act_gate = rank.earliest_act(0, request.addr.bank_group)
-            if act_gate == rank.busy_until:
-                act_tag = REFRESH
-            elif act_gate == rank.next_act_any:
-                act_tag = MODE_SWITCH
-            else:
-                act_tag = TFAW
-            earliest, reason = self._binding(
+                return (Command.PRE, bank.subarrays[victim].next_pre, TRAS)
+            cmd = (Command.ACT if request.row_kind is RowKind.ROW
+                   else Command.ACT_COL)
+            return (cmd, *self._binding(
                 (sub.next_act,
                  REFRESH if rank.busy_until >= sub.next_act else TRP),
                 (bank.next_any_act, SUBARRAY),  # shared row-logic re-arm
-                (act_gate, act_tag),
-            )
-            return (cmd, earliest, reason, _BUS_NONE)
+            ))
         # row conflict within this subarray: precharge it first
-        earliest, reason = self._binding(
-            (sub.next_pre, TRAS),
-            (rank.busy_until, REFRESH),
-        )
-        return (Command.PRE, earliest, reason, _BUS_NONE)
+        return (Command.PRE, sub.next_pre, TRAS)
+
+    def _shared_terms(
+        self, command: Command, request: Request, rank
+    ) -> Tuple[int, str]:
+        """The shared half of a readiness entry: the rank gate for
+        ``command`` with its stall tag, then the CAS data-bus fit -- or,
+        for an MRS, the data-bus drain.  It reads rank and channel state
+        that moves on every issue (ACT pacing, tWTR, bus occupancy) and
+        depends on the request only through its rank and its bank group
+        (ACT) or subrank (CAS)."""
+        if command is Command.MRS:
+            # An MRS can issue once the rank's in-flight CAS work is done
+            # and the data bus has drained (the switch flips DQ drivers).
+            return (max(rank.busy_until, rank.next_read, rank.next_write,
+                        self.channel.data_free), MODE_SWITCH)
+        cas = command is Command.RD or command is Command.WR
+        if cas:
+            gate = rank.earliest_cas(command)
+        elif command is Command.ACT or command is Command.ACT_COL:
+            gate = rank.earliest_act(0, request.addr.bank_group)
+        else:
+            gate = rank.busy_until  # PRE and SA_SEL wait out refresh only
+        if gate == rank.busy_until:
+            tag = REFRESH
+        elif gate == rank.next_act_any:
+            tag = MODE_SWITCH  # tMOD_IO stalls CAS and ACT alike
+        elif cas:
+            tag = WRITE_DRAIN  # tWTR write-to-read turnaround
+        else:
+            tag = TFAW  # tFAW window or tRRD spacing
+        if cas:
+            bus = self.channel.earliest_cas_for_bus(
+                command, request.addr.rank,
+                RequestType.READ if command is Command.RD
+                else RequestType.WRITE,
+                request.subrank,
+            )
+            if bus > gate:
+                return (bus, CCD_BUS)
+        return (gate, tag)
 
     def _pre_target(self, request: Request, bank):
         """The subarray a PRE chosen for ``request`` closes: the
@@ -735,7 +726,7 @@ class MemoryController:
         right row but undesignated under SALP-2), else the bank's
         capacity victim.  Deterministic re-derivation at issue time is
         safe: any intervening state change bumps ``bank.version`` and
-        forces the scheduling entry to be rebuilt."""
+        forces the slot's bank half to be rebuilt."""
         sub = request._sub
         if sub.open_row is not None:
             return sub
@@ -812,6 +803,13 @@ class MemoryController:
         self.stats.row_hits += 1
         bank.row_hits += 1
         queue.remove(request)
+        slot = request._slot
+        slot.users -= 1
+        if not slot.users:
+            del self._slots[slot.key]
+        # a completed request that something still holds must not keep
+        # its slot, and through it another request, alive
+        request._slot = None
         request.issue_time = now
         # critical-word-first: the demanded word lands mid-burst, so the
         # waiting load restarts before the burst completes

@@ -31,10 +31,12 @@ class RankState:
     last_act_time: int = -(1 << 30)
     mode_switches: int = 0
     refreshes: int = 0
-    #: invalidation epoch for the controller's readiness index: bumped on
-    #: every mutation of scheduling-visible rank state (io_mode, the
-    #: next_*/busy_until gates, ACT pacing history).  New timing rules
-    #: that write those fields elsewhere must bump this too.
+    #: invalidation epoch for the bank halves of the controller's
+    #: readiness slots: bumped whenever ``io_mode`` or ``busy_until``
+    #: changes (MRS and refresh), the only rank state a bank half reads.
+    #: The rank gates and ACT pacing feed the shared half, which the
+    #: controller recomputes after every issued command.  New timing
+    #: rules that write ``io_mode`` or ``busy_until`` must bump this too.
     version: int = 0
 
     def __post_init__(self) -> None:
@@ -62,7 +64,6 @@ class RankState:
         return earliest
 
     def issue_act(self, now: int, bank_group: int) -> None:
-        self.version += 1
         self.last_act_time = now
         self.last_act_group = bank_group
         self.act_window.append(now)
@@ -81,7 +82,6 @@ class RankState:
     def issue_write(self, now: int) -> None:
         t = self.timing
         # write-to-read turnaround within this rank
-        self.version += 1
         self.next_read = max(self.next_read, now + t.CWL + t.tBL + t.tWTR)
 
     def ensure_mode(self, mode: IOMode) -> bool:

@@ -47,6 +47,29 @@ def tables():
     return make_tables(256, 512)
 
 
+def _controllers(monkeypatch):
+    """Every MemoryController built from now on, in build order."""
+    built = []
+    init = MemoryController.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(MemoryController, "__init__", record)
+    return built
+
+
+def _assert_slots_released(controllers):
+    """A run that retired every request must have dropped every
+    readiness slot: a slot lives exactly while a queued request holds
+    it, which is what bounds the slot table's memory."""
+    assert controllers
+    for mc in controllers:
+        assert mc.idle()
+        assert mc._slots == {}
+
+
 # --------------------------------------------------- stale-wakeup guard
 
 def test_stale_wakeup_guard_drops_superseded_event():
@@ -106,13 +129,16 @@ _CELLS = (("SAM-sub", "Qs5"), ("baseline", "Q7"), ("SAM-en", "Q3"))
 
 
 @pytest.mark.parametrize("scheme,query", _CELLS)
-def test_wheel_matches_polling_full_system(scheme, query, tables):
+def test_wheel_matches_polling_full_system(scheme, query, tables,
+                                           monkeypatch):
     """Full-system exactness on tiny controller queues, so core
     backpressure retries and blocked writebacks are actually exercised:
     cycles, command counts and the controller stall ledger must be
     identical in both scheduling modes."""
+    controllers = _controllers(monkeypatch)
     wheel, wobs = _run(scheme, query, tables, **_BACKPRESSURE)
     poll, pobs = _run(scheme, query, tables, reference=True, **_BACKPRESSURE)
+    _assert_slots_released(controllers)
     assert wheel.cycles == poll.cycles
     assert wheel.memory_stats == poll.memory_stats
     assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
@@ -129,8 +155,10 @@ def test_wait_memo_folds_arrivals_in_lockstep(tables, monkeypatch):
     some arrivals win.  Every scan must still decide exactly as the full
     recompute does at the same instant."""
     scans = lockstep_scans(monkeypatch)
+    controllers = _controllers(monkeypatch)
     for scheme, query in _CELLS:
         _run(scheme, query, tables, **_BACKPRESSURE)
+    _assert_slots_released(controllers)
     folded = [won for _now, arrivals, won in scans if arrivals]
     assert len(folded) > 100
     assert sum(folded) > 10

@@ -7,20 +7,29 @@ Covers the three layers the SALP refactor touched:
   refresh blackout, and the degenerate ``salp="none"`` legacy API;
 * the protocol checker's subarray rules (tRA, tSA_SEL, capacity,
   designation, SA_SEL legality) on hand-built command streams;
-* the readiness-index invalidation contract: a hypothesis property that
+* the readiness-index invalidation contract: hypothesis properties that
   no mutation of scheduling-visible state ever leaves the
-  ``(bank.version, sub.version)`` cache key unchanged.
+  ``(bank.version, sub.version)`` cache key unchanged, that no change of
+  a rank's ``io_mode`` or ``busy_until`` leaves ``rank.version``
+  unchanged, and that a readiness slot's key covers everything its
+  bank half reads.
 """
+
+from collections import defaultdict
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.check.protocol import TimingProtocolChecker
+from repro.dram.address import DecodedAddress
 from repro.dram.bank import FOREVER, BankState, SubarrayState
-from repro.dram.commands import Command, RowKind
+from repro.dram.commands import Command, IOMode, Request, RequestType, RowKind
+from repro.dram.controller import ControllerConfig, MemoryController
 from repro.dram.geometry import Geometry
+from repro.dram.rank import RankState
 from repro.dram.timing import DDR4_2400
+from repro.kernel import Kernel
 
 T = DDR4_2400
 #: rows 0 / 512 / 1024 live in subarrays 0 / 1 / 2 at the test geometry
@@ -335,3 +344,168 @@ def test_mutations_never_leave_stale_readiness_keys(salp, ops):
                 f"{name} on subarray {sub_id} at {now} changed visible "
                 f"state but left subarray {i}'s readiness key at {key}"
             )
+
+
+_RANK_OP = st.tuples(
+    st.sampled_from(("act", "read", "write", "mode", "refresh")),
+    st.integers(min_value=0, max_value=3),  # bank group
+    st.sampled_from((IOMode.X4, IOMode.STRIDE)),
+    st.integers(min_value=1, max_value=50),
+)
+
+
+@given(ops=st.lists(_RANK_OP, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_rank_mutations_never_leave_a_stale_rank_epoch(ops):
+    """The rank side of the invalidation contract: a readiness slot's
+    bank half reads only ``io_mode`` and ``busy_until`` of its rank, so
+    any command or refresh that changes either must move
+    ``rank.version`` (the rank gates and ACT pacing feed the shared
+    half, which the controller recomputes after every command)."""
+    rank = RankState(T, Geometry(subarrays_per_bank=SUBS,
+                                 rows_per_subarray=ROWS_PER_SUB))
+    now = 0
+    for name, group, mode, step in ops:
+        now += step
+        before = (rank.io_mode, rank.busy_until)
+        version = rank.version
+        if name == "act":
+            rank.issue_act(now, group)
+        elif name == "read":
+            rank.issue_read(now)
+        elif name == "write":
+            rank.issue_write(now)
+        elif name == "mode":
+            rank.issue_mode_switch(now, mode)
+        else:
+            rank.issue_refresh(now)
+        if (rank.io_mode, rank.busy_until) != before:
+            assert rank.version != version, (
+                f"{name} at {now} changed io_mode/busy_until from {before} "
+                f"but left rank.version at {version}"
+            )
+
+
+# ------------------------------------------------ readiness-slot keys
+
+#: the fields of a readiness slot's key, as varied by `_variant`
+_KEY_FIELDS = ("subarray", "row_kind", "row", "direction", "io_mode",
+               "subrank")
+_BANKS = (0, 1, 4)  # bank 4 sits in another bank group
+
+_STATE_OP = st.tuples(
+    st.sampled_from(("act", "read", "write", "pre", "sa_sel", "mode",
+                     "refresh")),
+    st.integers(min_value=0, max_value=1),  # rank
+    st.sampled_from(_BANKS),
+    st.integers(min_value=0, max_value=SUBS - 1),
+    st.integers(min_value=0, max_value=1),  # row within the subarray
+    st.sampled_from((IOMode.X4, IOMode.STRIDE)),
+    st.integers(min_value=1, max_value=50),
+)
+
+_REQUEST = st.fixed_dictionaries({
+    "rank": st.integers(min_value=0, max_value=1),
+    "bank": st.sampled_from(_BANKS),
+    "sub": st.integers(min_value=0, max_value=SUBS - 1),
+    "offset": st.integers(min_value=0, max_value=1),
+    "row_kind": st.sampled_from((RowKind.ROW, RowKind.COLUMN)),
+    "read": st.booleans(),
+    "io_mode": st.sampled_from((IOMode.X4, IOMode.STRIDE)),
+    "subrank": st.sampled_from((None, 0, 1)),
+    "column": st.integers(min_value=0, max_value=7),
+})
+
+
+def _drive(mc: MemoryController, salp: str, ops) -> None:
+    """Put ``mc``'s ranks, banks and subarrays into a random state."""
+    now = 0
+    for name, rank_id, bank_id, sub_id, offset, mode, step in ops:
+        now += step
+        rank = mc.channel.ranks[rank_id]
+        bank = rank.banks[bank_id]
+        row = sub_id * ROWS_PER_SUB + offset
+        sub = bank.sub_for_row(row)
+        if name == "act":
+            bank.issue_act(now, (RowKind.ROW, row), sub)
+            rank.issue_act(now, bank_id >> 2)
+        elif name == "read":
+            bank.issue_read(now, sub=sub)
+        elif name == "write":
+            bank.issue_write(now, sub=sub)
+            rank.issue_write(now)
+        elif name == "pre":
+            bank.issue_pre(now, sub)
+        elif name == "sa_sel" and salp != "none":
+            bank.issue_sa_sel(now, sub)
+        elif name == "mode":
+            rank.issue_mode_switch(now, mode)
+        elif name == "refresh":
+            rank.issue_refresh(now)
+
+
+def _variant(field: str, base: dict) -> dict:
+    """``base`` with exactly the slot-key field ``field`` changed."""
+    fields = dict(base)
+    if field == "subarray":  # the same row of another bank
+        fields["bank"] = 1 if base["bank"] == 0 else 0
+    elif field == "row":  # another row of the same subarray
+        fields["offset"] ^= 1
+    elif field == "row_kind":
+        fields["row_kind"] = (RowKind.COLUMN if base["row_kind"] is
+                              RowKind.ROW else RowKind.ROW)
+    elif field == "direction":
+        fields["read"] = not base["read"]
+    elif field == "io_mode":
+        fields["io_mode"] = (IOMode.STRIDE if base["io_mode"] is IOMode.X4
+                             else IOMode.X4)
+    else:
+        fields["subrank"] = {None: 0, 0: 1, 1: None}[base["subrank"]]
+    return fields
+
+
+def _submit(mc: MemoryController, fields: dict) -> Request:
+    request = Request(
+        addr=DecodedAddress(0, fields["rank"], fields["bank"],
+                            fields["sub"] * ROWS_PER_SUB + fields["offset"],
+                            fields["column"], 0),
+        type=RequestType.READ if fields["read"] else RequestType.WRITE,
+        io_mode=fields["io_mode"],
+        row_kind=fields["row_kind"],
+        subrank=fields["subrank"],
+    )
+    mc.submit(request)
+    return request
+
+
+@pytest.mark.parametrize("salp", ("none", "salp1", "salp2", "masa"))
+@given(ops=st.lists(_STATE_OP, max_size=30),
+       requests=st.lists(_REQUEST, min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_slot_key_covers_everything_its_entry_reads(salp, ops, requests):
+    """Requests sharing a readiness slot share its bank half, so in any
+    bank, rank and subarray state they must give equal `_entry_terms`;
+    and requests that differ in exactly one key field (subarray, row
+    kind, row, direction, I/O mode, subrank) must never share a slot."""
+    mc = MemoryController(
+        Kernel(), T,
+        geometry=Geometry(subarrays_per_bank=SUBS,
+                          rows_per_subarray=ROWS_PER_SUB),
+        config=ControllerConfig(refresh_enabled=False), salp=salp,
+    )
+    _drive(mc, salp, ops)
+    base = requests[0]
+    twin = dict(base, column=base["column"] + 1)
+    variants = [_variant(field, base) for field in _KEY_FIELDS]
+    submitted = [_submit(mc, fields)
+                 for fields in (*requests, twin, *variants)]
+    by_slot = defaultdict(list)
+    for request in submitted:
+        by_slot[id(request._slot)].append(request)
+    for sharing in by_slot.values():
+        terms = {mc._entry_terms(r, r._rank, r._bank) for r in sharing}
+        assert len(terms) == 1, terms
+    base_slot = submitted[0]._slot
+    assert submitted[len(requests)]._slot is base_slot  # the twin
+    for field, request in zip(_KEY_FIELDS, submitted[len(requests) + 1:]):
+        assert request._slot is not base_slot, field

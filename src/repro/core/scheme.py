@@ -77,9 +77,10 @@ class AccessScheme(abc.ABC):
     timing_override: Optional[str] = None
 
     #: subarray-level-parallelism mode the memory controller runs in:
-    #: "none" (the default one-open-row banks), "salp1", "salp2" or
-    #: "masa" (Kim et al., ISCA'12).  Orthogonal to the stride mapping,
-    #: so SAM schemes can compose with it (e.g. SAM-en+masa).
+    #: "none" (the default one-subarray, one-open-row banks), "salp1",
+    #: "salp2" or "masa" (Kim et al., ISCA'12).  Orthogonal to the
+    #: stride mapping, so SAM schemes can compose with it (e.g.
+    #: SAM-en+masa).
     salp_mode: str = "none"
 
     #: planner row-path cost multiplier under SALP: overlapped

@@ -2,18 +2,16 @@
 
 A bank is N subarrays sharing global structures: the row-address logic
 (one ACT at a time, paced by ``tRA``), the global bitlines / column path
-(CAS spacing), and -- for SALP-2 / MASA -- the notion of a *designated*
-subarray whose local row buffer currently drives the shared global sense
-amplifiers.  :class:`SubarrayState` tracks one subarray's open row and
-local gates; :class:`BankState` owns the subarrays plus the shared gates
-and exposes the scheduling API the controller uses.
+(CAS spacing), and the notion of a *designated* subarray whose local row
+buffer currently drives the shared global sense amplifiers.
+:class:`SubarrayState` tracks one subarray's open row and local gates;
+:class:`BankState` owns the subarrays plus the shared gates and exposes
+the scheduling API the controller uses.  Every mode runs this one path;
+the mode (``salp``) sets how many subarrays a bank has, how many may be
+open at once and how one gets designated:
 
-Four operating modes (``salp``):
-
-* ``"none"`` -- the degenerate single-subarray configuration: one
-  :class:`SubarrayState` backs the whole bank and the legacy field API
-  (``open_row`` / ``next_*`` / ``last_act`` properties) delegates to it,
-  preserving the original one-open-row semantics exactly.
+* ``"none"`` -- the commodity one-open-row bank, modelled as SALP models
+  it: one subarray, so every ACT designates it and every PRE closes it.
 * ``"salp1"`` -- SALP-1 (Kim et al., ISCA'12): at most one subarray open,
   but a precharge only pays its ``tRP`` *locally*; an ACT to a different
   subarray of the same bank waits only the short shared-logic re-arm
@@ -25,8 +23,8 @@ Four operating modes (``salp``):
   command re-designates which one drives the global bitlines before a
   column command to a non-designated subarray.
 
-The constraints are updated as commands issue; the controller asks the
-``earliest``-style accessors before issuing.
+The gates are updated as commands issue; the controller combines the
+subarray's local gates with the bank's shared ones before issuing.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .commands import Command, RowKind
+from .commands import RowKind
 from .timing import TimingParams
 
 FOREVER = 1 << 60
@@ -47,11 +45,12 @@ SALP_MODES = ("none", "salp1", "salp2", "masa")
 class SubarrayState:
     """Timing state of one subarray: its own open row and local gates.
 
-    In the degenerate ``salp="none"`` configuration one instance backs
-    the whole bank, so these fields carry exactly the legacy bank-level
-    semantics (``next_read``/``next_write`` double as the column-path
-    CAS-spacing gates; under SALP those shared-structure gates live on
-    the :class:`BankState` instead and the local ones only carry tRCD).
+    The local gates carry what binds this subarray alone: tRCD after its
+    ACT (``next_read``/``next_write``), tRAS/tRTP/tWR recovery before its
+    PRE (``next_pre``) and tRP or a refresh blackout before its next ACT
+    (``next_act``).  CAS spacing binds the column path every subarray of
+    the bank shares, so it lives on the :class:`BankState`; a one-subarray
+    bank's column gate is the larger of the two.
     """
 
     timing: TimingParams
@@ -69,21 +68,6 @@ class SubarrayState:
     #: scheduler-equivalence test bites).
     version: int = 0
 
-    def is_open(self, row: Tuple[RowKind, int]) -> bool:
-        return self.open_row == row
-
-    def earliest(self, cmd: Command) -> int:
-        """Earliest cycle this subarray allows ``cmd`` to issue."""
-        if cmd in (Command.ACT, Command.ACT_COL):
-            return self.next_act
-        if cmd is Command.RD:
-            return self.next_read
-        if cmd is Command.WR:
-            return self.next_write
-        if cmd is Command.PRE:
-            return self.next_pre
-        raise ValueError(f"subarray does not gate {cmd}")
-
     def issue_act(self, now: int, row: Tuple[RowKind, int]) -> None:
         t = self.timing
         self.version += 1
@@ -93,26 +77,6 @@ class SubarrayState:
         self.next_write = max(self.next_write, now + t.tRCD)
         self.next_pre = max(self.next_pre, now + t.tRAS)
         self.next_act = FOREVER  # must precharge before the next ACT
-
-    def issue_read(self, now: int, extra_internal: int = 0) -> None:
-        """Account a column read; ``extra_internal`` extends the column
-        path occupancy for multi-internal-burst gathers (RC-NVM-bit
-        etc.)."""
-        t = self.timing
-        tail = extra_internal * t.tCCD_L
-        self.version += 1
-        self.next_read = max(self.next_read, now + t.tCCD_L + tail)
-        self.next_write = max(self.next_write, now + t.tCCD_L + tail)
-        self.next_pre = max(self.next_pre, now + t.tRTP + tail)
-
-    def issue_write(self, now: int, extra_internal: int = 0) -> None:
-        t = self.timing
-        tail = extra_internal * t.tCCD_L
-        self.version += 1
-        self.next_read = max(self.next_read, now + t.tCCD_L + tail)
-        self.next_write = max(self.next_write, now + t.tCCD_L + tail)
-        # write recovery: data lands at now+CWL..now+CWL+tBL, then tWR
-        self.next_pre = max(self.next_pre, now + t.CWL + t.tBL + t.tWR + tail)
 
     def issue_pre(self, now: int) -> None:
         t = self.timing
@@ -124,20 +88,17 @@ class SubarrayState:
 class BankState:
     """Timing state of one bank: N subarrays plus shared-structure gates.
 
-    The legacy single-open-row API (``open_row``, ``next_*``,
-    ``earliest``, ``issue_*`` without a subarray, ``snapshot``) keeps
-    working and is exact in the ``"none"`` mode, where it delegates to
-    the single backing :class:`SubarrayState`.  Subarray states are
-    created lazily (a bank has 256 of them; a run touches a handful).
+    Subarray states are created lazily (a bank has 256 of them; a run
+    touches a handful).
 
     Invalidation contract: *every* mutation of scheduling-visible state
     -- local subarray gates, the shared act/column gates, designation,
     the open-subarray set -- bumps :attr:`version` (and the affected
-    subarray's own ``version``).  Under SALP one request's readiness
-    depends on *other* subarrays' state (precharge victims, designation),
-    so the bank epoch is the conservative invalidator; the per-subarray
-    epoch additionally keys the cache entry so a stale subarray ref can
-    never alias a fresh bank epoch.
+    subarray's own ``version``).  One request's readiness depends on
+    *other* subarrays' state (precharge victims, designation), so the
+    bank epoch is the conservative invalidator; the per-subarray epoch
+    additionally keys the cache entry so a stale subarray ref can never
+    alias a fresh bank epoch.
     """
 
     __slots__ = (
@@ -172,17 +133,15 @@ class BankState:
         #: activation order (dict preserves insertion order -> the first
         #: key is the oldest open subarray, the precharge victim)
         self.open_subs: Dict[int, int] = {}
-        #: subarray owning the global sense amps (SALP-2/MASA); under
-        #: SALP-1 the single open subarray is trivially designated
+        #: subarray owning the global sense amps: the newest ACT's, or
+        #: MASA's last SA_SEL target; None once it is precharged
         self.designated: Optional[int] = None
         #: shared row-logic gate: earliest next ACT to *any* subarray
-        #: (tRA pacing); unused in "none" mode, where the single
-        #: subarray's next_act carries the whole story
+        #: (tRA pacing, refresh blackout)
         self.next_any_act = 0
         #: MASA designation-switch pacing
         self.next_sa_sel = 0
-        #: shared column-path (global bitline / IO) CAS-spacing gates;
-        #: unused in "none" mode
+        #: shared column-path (global bitline / IO) CAS-spacing gates
         self.col_next_read = 0
         self.col_next_write = 0
         #: refresh-blackout floor applied to lazily-created subarrays
@@ -202,13 +161,13 @@ class BankState:
     # ------------------------------------------------------- subarray access
 
     def sub_id_for(self, row_index: int) -> int:
-        """Subarray holding ``row_index`` (0 in the degenerate mode).
+        """Subarray holding ``row_index`` (0 in a one-subarray bank).
 
         Synthetic column-row identities (SAM-sub) exceed the physical row
         range, so the index is folded modulo the subarray count -- the
         same deterministic mapping the protocol checker applies.
         """
-        if self.salp == "none":
+        if self.n_subarrays == 1:
             return 0
         return (row_index // self.rows_per_subarray) % self.n_subarrays
 
@@ -231,16 +190,11 @@ class BankState:
             return 2
         if self.salp == "masa":
             return self.n_subarrays
-        return 1  # "none" and "salp1"
-
-    def any_open(self) -> bool:
-        if self.salp == "none":
-            return self.subarrays[0].open_row is not None
-        return bool(self.open_subs)
+        return 1  # the commodity bank and SALP-1
 
     @property
     def all_closed(self) -> bool:
-        return not self.any_open()
+        return not self.open_subs
 
     def pre_victim(self, sub_id: int) -> Optional[int]:
         """The open subarray an ACT for (closed) ``sub_id`` must close
@@ -250,12 +204,9 @@ class BankState:
             return None
         return next(iter(self.open_subs))
 
-    def pre_candidate(self, now: int) -> Optional[SubarrayState]:
+    def pre_candidate(self) -> Optional[SubarrayState]:
         """The open subarray closest to being precharge-ready (refresh
         path); None when the bank is fully precharged."""
-        if self.salp == "none":
-            sub = self.subarrays[0]
-            return sub if sub.open_row is not None else None
         best: Optional[SubarrayState] = None
         for sub_id in self.open_subs:
             sub = self.subarrays[sub_id]
@@ -263,73 +214,14 @@ class BankState:
                 best = sub
         return best
 
-    # ------------------------------------------------ legacy (N=1) field API
-
     @property
     def open_row(self) -> Optional[Tuple[RowKind, int]]:
-        """The designated subarray's open row (the bank's open row in the
-        degenerate mode).  Diagnostics / shadow-sync accessor; the
-        scheduler reads per-subarray state directly."""
-        if self.salp == "none":
-            return self.subarrays[0].open_row
+        """The designated subarray's open row (a one-subarray bank's open
+        row).  Diagnostics / shadow-sync accessor; the scheduler reads
+        per-subarray state directly."""
         if self.designated is None:
             return None
         return self.subarrays[self.designated].open_row
-
-    @property
-    def next_act(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_act
-        return self.next_any_act
-
-    @property
-    def next_read(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_read
-        return self.col_next_read
-
-    @property
-    def next_write(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_write
-        return self.col_next_write
-
-    @property
-    def next_pre(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_pre
-        sub = self.pre_candidate(0)
-        return 0 if sub is None else sub.next_pre
-
-    @property
-    def last_act(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].last_act
-        best = -FOREVER
-        for sub_id in self.open_subs:
-            best = max(best, self.subarrays[sub_id].last_act)
-        return best
-
-    def is_open(self, row: Tuple[RowKind, int]) -> bool:
-        return self.open_row == row
-
-    def earliest(self, cmd: Command) -> int:
-        """Earliest cycle this bank allows ``cmd`` to issue (degenerate
-        single-subarray view; under SALP the scheduler combines the
-        per-subarray and shared gates itself)."""
-        if cmd is Command.SA_SEL:
-            return self.next_sa_sel
-        if self.salp == "none":
-            return self.subarrays[0].earliest(cmd)
-        if cmd in (Command.ACT, Command.ACT_COL):
-            return self.next_any_act
-        if cmd is Command.RD:
-            return self.col_next_read
-        if cmd is Command.WR:
-            return self.col_next_write
-        if cmd is Command.PRE:
-            return self.next_pre
-        raise ValueError(f"bank does not gate {cmd}")
 
     # -------------------------------------------------------------- issuing
 
@@ -343,18 +235,16 @@ class BankState:
         if self.first_act_cycle < 0:
             self.first_act_cycle = now
         self.last_act_cycle = now
-        if self.salp != "none":
-            self.open_subs[sub.sub_id] = now
-            self.designated = sub.sub_id  # newest ACT owns the global SAs
-            self.next_any_act = max(self.next_any_act,
-                                    now + self.timing.tRA)
+        self.open_subs[sub.sub_id] = now
+        self.designated = sub.sub_id  # newest ACT owns the global SAs
+        self.next_any_act = max(self.next_any_act, now + self.timing.tRA)
 
     def issue_read(self, now: int, extra_internal: int = 0,
                    sub: Optional[SubarrayState] = None) -> None:
+        """Account a column read; ``extra_internal`` extends the column
+        path occupancy for multi-internal-burst gathers (RC-NVM-bit
+        etc.)."""
         self.version += 1
-        if self.salp == "none":
-            self.subarrays[0].issue_read(now, extra_internal)
-            return
         t = self.timing
         tail = extra_internal * t.tCCD_L
         if sub is None:
@@ -369,9 +259,6 @@ class BankState:
     def issue_write(self, now: int, extra_internal: int = 0,
                     sub: Optional[SubarrayState] = None) -> None:
         self.version += 1
-        if self.salp == "none":
-            self.subarrays[0].issue_write(now, extra_internal)
-            return
         t = self.timing
         tail = extra_internal * t.tCCD_L
         if sub is None:
@@ -379,17 +266,15 @@ class BankState:
         sub.version += 1
         self.col_next_read = max(self.col_next_read, now + t.tCCD_L + tail)
         self.col_next_write = max(self.col_next_write, now + t.tCCD_L + tail)
+        # write recovery: data lands at now+CWL..now+CWL+tBL, then tWR
         sub.next_pre = max(sub.next_pre,
                            now + t.CWL + t.tBL + t.tWR + tail)
 
     def issue_pre(self, now: int,
                   sub: Optional[SubarrayState] = None) -> None:
         self.version += 1
-        if self.salp == "none":
-            self.subarrays[0].issue_pre(now)
-            return
         if sub is None:
-            sub = self.pre_candidate(now)
+            sub = self.pre_candidate()
             if sub is None:
                 return
         sub.issue_pre(now)
@@ -411,18 +296,12 @@ class BankState:
 
     def force_close(self, now: int) -> None:
         """Close every open subarray as part of a refresh."""
-        if self.salp == "none":
-            if self.subarrays[0].open_row is not None:
-                self.version += 1
-                self.subarrays[0].issue_pre(now)
-            return
         for sub_id in list(self.open_subs):
             self.issue_pre(now, self.subarrays[sub_id])
 
     def refresh(self, now: int, t_rfc: int) -> None:
-        """Refresh blackout: close all subarrays, block ACTs for tRFC.
-        Replaces the legacy direct ``bank.next_act`` write (the gates are
-        per-subarray now); bumps every readiness epoch involved."""
+        """Refresh blackout: close all subarrays, block ACTs for tRFC,
+        and bump every readiness epoch involved."""
         self.force_close(now)
         self.version += 1
         until = now + t_rfc
@@ -430,23 +309,31 @@ class BankState:
         for sub in self.subarrays.values():
             sub.version += 1
             sub.next_act = max(sub.next_act, until)
-        if self.salp != "none":
-            self.next_any_act = max(self.next_any_act, until)
+        self.next_any_act = max(self.next_any_act, until)
 
     def snapshot(self) -> dict:
-        """Timing-state snapshot for protocol-checker cross-validation."""
+        """Timing-state snapshot for stall diagnostics and protocol-checker
+        messages.  The ``next_*`` gates are the ones a command to the
+        designated subarray waits for: its local gates folded with the
+        shared row-logic and column-path gates (with nothing designated,
+        the shared gates alone)."""
         state = {
+            "salp": self.salp,
             "open_row": self.open_row,
-            "next_act": self.next_act,
-            "next_read": self.next_read,
-            "next_write": self.next_write,
-            "next_pre": self.next_pre,
-        }
-        if self.salp != "none":
-            state["salp"] = self.salp
-            state["designated"] = self.designated
-            state["open_subarrays"] = {
+            "designated": self.designated,
+            "open_subarrays": {
                 sub_id: self.subarrays[sub_id].open_row
                 for sub_id in self.open_subs
-            }
+            },
+            "next_act": self.next_any_act,
+            "next_read": self.col_next_read,
+            "next_write": self.col_next_write,
+            "next_pre": 0,
+        }
+        if self.designated is not None:
+            sub = self.subarrays[self.designated]
+            state["next_act"] = max(state["next_act"], sub.next_act)
+            state["next_read"] = max(state["next_read"], sub.next_read)
+            state["next_write"] = max(state["next_write"], sub.next_write)
+            state["next_pre"] = sub.next_pre
         return state

@@ -119,8 +119,7 @@ class Request:
     #: direct references to the RankState/BankState/SubarrayState this
     #: request's fixed address decodes to, filled by the controller at
     #: submit so the scheduler scan skips the ranks[...]/banks[...]
-    #: indexing (the subarray is the whole bank in the degenerate
-    #: single-subarray configuration)
+    #: indexing (the subarray is the whole bank in a one-subarray bank)
     _rank: Optional[object] = field(default=None, repr=False, compare=False)
     _bank: Optional[object] = field(default=None, repr=False, compare=False)
     _sub: Optional[object] = field(default=None, repr=False, compare=False)

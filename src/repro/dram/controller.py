@@ -167,8 +167,8 @@ class MemoryController:
         self.geometry = geometry or Geometry()
         self.config = config or ControllerConfig()
         self.channel_id = channel_id
-        #: subarray-level-parallelism mode: "none" (legacy one-open-row
-        #: banks), "salp1", "salp2" or "masa"
+        #: subarray-level-parallelism mode: "none" (one-subarray,
+        #: one-open-row banks), "salp1", "salp2" or "masa"
         self.salp = salp
         self.channel = ChannelState(timing, self.geometry, salp=salp)
         #: probes subscribed via :meth:`attach`, and per probe method the
@@ -192,7 +192,6 @@ class MemoryController:
         self.stats = CommandStats()
         self._draining_writes = False
         self._wakeup_at: Optional[int] = None
-        self._wakeup_token = None
         #: fold state of the last FR-FCFS scan that found nothing ready,
         #: resumed by later scans until the next command issues (see
         #: `_frfcfs_choose`)
@@ -270,9 +269,10 @@ class MemoryController:
         * ``on_command(cycle, command, request, *, rank=None, bank=None,
           subarray=None, implicit=False)`` -- every command: REF and the
           refresh-path PREs arrive with ``request`` None and their
-          rank/bank spelled out, a SALP PRE names its ``subarray``, and
-          the closed-page auto-precharge is flagged ``implicit`` (it rides
-          on its CAS, stamped with the cycle the row closes);
+          rank/bank spelled out, every PRE names the ``subarray`` it
+          closes (0 in a one-subarray bank), and the closed-page
+          auto-precharge is flagged ``implicit`` (it rides on its CAS,
+          stamped with the cycle the row closes);
         * ``on_data_burst(now, cmd, rank, subrank, data_start, data_end)``
           -- every CAS data burst (delivered by the channel);
         * ``on_wait(start, end, reason)`` -- every scheduling wait, tagged
@@ -318,7 +318,7 @@ class MemoryController:
         # ledger depends on that ordering, and keeping it identical in
         # both scheduling modes is what makes the event wheel exact.
         self._wakeup_at = when
-        self._wakeup_token = self.kernel.schedule_at(when, self._wakeup)
+        self.kernel.schedule_at(when, self._wakeup)
 
     def _wakeup(self) -> None:
         # Drop stale events: only the event matching the armed time acts.
@@ -329,7 +329,6 @@ class MemoryController:
         if self._wakeup_at != self.kernel.now:
             return
         self._wakeup_at = None
-        self._wakeup_token = None
         next_time = self._try_issue(self.kernel.now)
         if next_time is not None:
             self._schedule_wakeup(next_time)
@@ -600,48 +599,27 @@ class MemoryController:
     ) -> Tuple[Command, int, str]:
         """The bank half of a readiness entry: the next command
         ``request`` needs, its earliest issue time over the subarray and
-        bank gates, and the binding stall tag.  It reads the request's
-        subarray, row kind, row, direction and I/O mode -- its slot key
-        -- and of the rank only ``io_mode`` and ``busy_until``, so it is
-        the same for every request sharing a slot, and stays exact while
-        ``bank.version``, the subarray's ``version`` and ``rank.version``
-        stand (under SALP it also reads *other* subarrays -- precharge
-        victims, designation -- which is why every bank mutation bumps
-        ``bank.version``).  The rank gates and the data-bus term are the
-        shared half, `_shared_terms`."""
+        bank gates, and the binding stall tag.  The subarray gates carry
+        tRP/tRCD/tRAS recovery, the bank the shared row-logic (tRA) and
+        column-path (tCCD) gates, and SALP-2/MASA additionally gate
+        column commands on global sense-amp designation.
+
+        It reads the request's subarray, row kind, row, direction and I/O
+        mode -- its slot key -- and of the rank only ``io_mode`` and
+        ``busy_until``, so it is the same for every request sharing a
+        slot, and stays exact while ``bank.version``, the subarray's
+        ``version`` and ``rank.version`` stand (it also reads *other*
+        subarrays -- precharge victims, designation -- which is why every
+        bank mutation bumps ``bank.version``).  The rank gates and the
+        data-bus term are the shared half, `_shared_terms`.
+
+        A one-subarray bank takes the same path exactly: its subarray is
+        designated whenever it is open and never has a capacity victim,
+        and tRA never binds it, since its next ACT already waits
+        tRAS + tRP >= tRA after the last one."""
         if rank.ensure_mode(request.io_mode):
             # no bank gate: the rank gates and the bus drain bind an MRS
             return (Command.MRS, 0, MODE_SWITCH)
-        if self.salp != "none":
-            return self._entry_terms_salp(request, rank, bank)
-
-        sub = request._sub  # the whole bank in the degenerate configuration
-        if sub.open_row == request.row_id():
-            cmd = Command.RD if request.is_read else Command.WR
-            bank_gate = sub.earliest(cmd)
-            # the bank CAS gate is tRCD right after an ACT, tCCD
-            # column-path spacing otherwise
-            return (cmd, bank_gate,
-                    TRCD if bank_gate <= sub.last_act + self.timing.tRCD
-                    else CCD_BUS)
-        if sub.open_row is None:
-            cmd = (Command.ACT if request.row_kind is RowKind.ROW
-                   else Command.ACT_COL)
-            bank_gate = sub.earliest(Command.ACT)
-            # post-refresh the bank ACT gate is the tRFC blackout,
-            # post-precharge it is tRP
-            return (cmd, bank_gate,
-                    REFRESH if rank.busy_until >= bank_gate else TRP)
-        # row conflict: precharge first
-        return (Command.PRE, sub.earliest(Command.PRE), TRAS)
-
-    def _entry_terms_salp(
-        self, request: Request, rank, bank
-    ) -> Tuple[Command, int, str]:
-        """SALP bank half: the per-subarray gates carry tRP/tRCD/tRAS
-        recovery, the bank carries the shared row-logic (tRA) and
-        column-path gates, and SALP-2/MASA additionally gate column
-        commands on global sense-amp designation."""
         t = self.timing
         sub = request._sub
         if sub.open_row == request.row_id():
@@ -672,6 +650,8 @@ class MemoryController:
                 return (Command.PRE, bank.subarrays[victim].next_pre, TRAS)
             cmd = (Command.ACT if request.row_kind is RowKind.ROW
                    else Command.ACT_COL)
+            # post-refresh the subarray ACT gate is the tRFC blackout,
+            # post-precharge it is tRP
             return (cmd, *self._binding(
                 (sub.next_act,
                  REFRESH if rank.busy_until >= sub.next_act else TRP),
@@ -698,7 +678,7 @@ class MemoryController:
         if cas:
             gate = rank.earliest_cas(command)
         elif command is Command.ACT or command is Command.ACT_COL:
-            gate = rank.earliest_act(0, request.addr.bank_group)
+            gate = rank.earliest_act(request.addr.bank_group)
         else:
             gate = rank.busy_until  # PRE and SA_SEL wait out refresh only
         if gate == rank.busy_until:
@@ -724,16 +704,14 @@ class MemoryController:
         """The subarray a PRE chosen for ``request`` closes: the
         request's own subarray when it holds an open row (wrong row, or
         right row but undesignated under SALP-2), else the bank's
-        capacity victim.  Deterministic re-derivation at issue time is
-        safe: any intervening state change bumps ``bank.version`` and
-        forces the slot's bank half to be rebuilt."""
+        capacity victim (`_entry_terms` picks a PRE for no other
+        reason).  Deterministic re-derivation at issue time is safe: any
+        intervening state change bumps ``bank.version`` and forces the
+        slot's bank half to be rebuilt."""
         sub = request._sub
         if sub.open_row is not None:
             return sub
-        victim = bank.pre_victim(sub.sub_id)
-        if victim is not None:
-            return bank.subarrays[victim]
-        return bank.pre_candidate(self.kernel.now)
+        return bank.subarrays[bank.pre_victim(sub.sub_id)]
 
     # ------------------------------------------------------------- issuing
 
@@ -743,9 +721,9 @@ class MemoryController:
         rank = request._rank
         bank = request._bank
         pre_sub = None
-        if command is Command.PRE and self.salp != "none":
+        if command is Command.PRE:
             # resolved before the probes: the checker needs the PRE's
-            # subarray operand (a real SALP PRE names its subarray)
+            # subarray operand (a PRE names the subarray it closes)
             pre_sub = self._pre_target(request, bank)
         self.channel.occupy_command_bus(now)
         subarray = None if pre_sub is None else pre_sub.sub_id
@@ -781,7 +759,6 @@ class MemoryController:
         req_type = RequestType.READ if request.is_read else RequestType.WRITE
         if command is Command.RD:
             bank.issue_read(now, request.internal_bursts, request._sub)
-            rank.issue_read(now)
         else:
             bank.issue_write(now, request.internal_bursts, request._sub)
             rank.issue_write(now)
@@ -791,13 +768,12 @@ class MemoryController:
         self._last_cas_group = (request.addr.rank, request.addr.bank_group)
         if self.config.page_policy == "closed":
             # auto-precharge (RDA/WRA): the row closes once tRTP/tWR allow
-            salp = self.salp != "none"
-            pre_at = request._sub.next_pre if salp \
-                else bank.earliest(Command.PRE)
+            sub = request._sub
+            pre_at = sub.next_pre
             for probe in self._on_command:
                 probe(pre_at, Command.PRE, request, implicit=True,
-                      subarray=request._sub.sub_id if salp else None)
-            bank.issue_pre(pre_at, request._sub if salp else None)
+                      subarray=sub.sub_id)
+            bank.issue_pre(pre_at, sub)
             self.stats.precharges += 1
         self._account_cas(request, command)
         self.stats.row_hits += 1
@@ -856,16 +832,15 @@ class MemoryController:
             # (one command per cycle; a SALP bank may take several PREs)
             soonest = FOREVER
             for bank_id, bank in enumerate(rank.banks):
-                sub = bank.pre_candidate(now)
+                sub = bank.pre_candidate()
                 if sub is None:
                     continue
                 ready = sub.next_pre
                 if ready <= now:
                     self.channel.occupy_command_bus(now)
-                    subarray = sub.sub_id if self.salp != "none" else None
                     for probe in self._on_command:
                         probe(now, Command.PRE, None, rank=rank_id,
-                              bank=bank_id, subarray=subarray)
+                              bank=bank_id, subarray=sub.sub_id)
                     bank.issue_pre(now, sub)
                     self.stats.precharges += 1
                     return now + 1

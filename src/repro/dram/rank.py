@@ -52,7 +52,7 @@ class RankState:
                 for _ in range(g.banks)
             ]
 
-    def earliest_act(self, now: int, bank_group: int) -> int:
+    def earliest_act(self, bank_group: int) -> int:
         """Earliest ACT issue time given tRRD, tFAW and refresh."""
         t = self.timing
         earliest = max(self.next_act_any, self.busy_until)
@@ -75,9 +75,6 @@ class RankState:
         if cmd is Command.RD:
             return max(base, self.next_read)
         return max(base, self.next_write)
-
-    def issue_read(self, now: int) -> None:
-        pass  # rank-level read effects handled at the channel
 
     def issue_write(self, now: int) -> None:
         t = self.timing

@@ -19,8 +19,10 @@ full tRP precharge of the first subarray).  ``tSA_SEL`` is the
 subarray-select delay of MASA: re-designating which activated subarray
 drives the shared global bitlines costs one control-register write
 before the next column command.  Both default to values in the tRRD/tRTR
-class so every preset is SALP-capable without redefining it; they are
-ignored entirely in the degenerate single-subarray configuration.
+class so every preset is SALP-capable without redefining it.  The
+default one-subarray bank runs the same gates, but neither binds it:
+it has no SA_SEL, and its next ACT already waits tRAS + tRP after the
+last one, which every preset keeps at or above ``tRA``.
 """
 
 from __future__ import annotations

@@ -5,43 +5,35 @@ cores, refresh engine) is driven by one :class:`Kernel`: a priority queue of
 ``(time, sequence, callback)`` events.  Time is measured in integer memory
 controller clock cycles (tCK of the configured device).
 
-The kernel is deliberately minimal -- no processes or coroutines -- because
-the component state machines schedule their own wake-ups.  This keeps the
+The kernel is deliberately minimal -- no processes, coroutines or
+cancellation -- because the component state machines schedule their own
+wake-ups (a controller supersedes a pending wake-up by scheduling an
+earlier one and dropping the stale event when it fires).  This keeps the
 hot loop cheap, which matters for a pure-Python cycle-level simulator.
 
-Scheduling returns a token that :meth:`Kernel.cancel` invalidates lazily
-(the heap entry stays in place, its callback slot is cleared, and the pop
-path skips it), :meth:`Kernel.reschedule` retimes a pending event while
-preserving its same-timestamp FIFO position, and :meth:`Kernel.peek`
-reports the next live deadline.  Same-timestamp events run in scheduling
-order (FIFO by sequence number); the memory controller's event-wheel
-equivalence guarantee leans on that ordering being stable, so it is part
-of the kernel's contract, not an implementation detail.
+Same-timestamp events run in scheduling order (FIFO by sequence number);
+the memory controller's event-wheel equivalence guarantee leans on that
+ordering being stable, so it is part of the kernel's contract, not an
+implementation detail.  :meth:`Kernel.peek` reports the next deadline.
 
-:attr:`Kernel.events` counts executed callbacks (cancelled events never
-count); together with the final ``now`` it yields the events-per-simulated-
-cycle gauge the bench harness ratchets.
+:attr:`Kernel.events` counts executed callbacks; together with the final
+``now`` it yields the events-per-simulated-cycle gauge the bench harness
+ratchets.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
+
+#: A queued event: ``(when, seq, callback)``.  ``seq`` is unique, so heap
+#: comparisons resolve on the two ints and never reach the callback, and
+#: same-timestamp events pop in scheduling order.
+Event = Tuple[int, int, Callable[[], None]]
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
-
-
-#: A scheduled-event token: ``[when, seq, tie, callback]``.  ``cancel``
-#: clears the callback slot in place.  ``seq`` orders same-timestamp
-#: events FIFO; ``tie`` is a unique push counter so heap comparisons
-#: always resolve on ints and never reach the callback (a rescheduled
-#: event shares its ``seq`` with the dead entry it replaced).
-Event = List[object]
-
-#: index of the callback slot in an :data:`Event` entry
-_CB = 3
 
 
 class Kernel:
@@ -51,122 +43,53 @@ class Kernel:
         self.now: int = 0
         self._queue: List[Event] = []
         self._seq: int = 0
-        self._pushes: int = 0
-        #: callbacks executed so far (cancelled events are not executed)
+        #: callbacks executed so far
         self.events: int = 0
-        #: cancellations performed (observability; no behavioral role)
-        self.cancelled: int = 0
-        self._live: int = 0
-        #: sequence number of the event currently executing.  Together
-        #: with ``now`` this is a total order over scheduling instants:
-        #: components snapshot ``(now, instant())`` to reconstruct, after
-        #: the fact, whether one wake-up would have preceded another in
-        #: the polling schedule (the event-wheel equivalence machinery).
-        self.current_seq: int = -1
 
-    def instant(self) -> int:
-        """A monotone scheduling instant: the sequence number the next
-        scheduled event would receive.  Snapshots taken at two different
-        points in the run compare in program order."""
-        return self._seq
-
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` cycles from now.
-
-        Returns a token accepted by :meth:`cancel`."""
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback)
+        self.schedule_at(self.now + delay, callback)
 
-    def schedule_at(self, when: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run at absolute time ``when``.
-
-        Returns a token accepted by :meth:`cancel`."""
+    def schedule_at(self, when: int, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` to run at absolute time ``when``."""
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule at {when}, current time is {self.now}"
             )
-        entry: Event = [when, self._seq, self._pushes, callback]
-        heapq.heappush(self._queue, entry)
+        heapq.heappush(self._queue, (when, self._seq, callback))
         self._seq += 1
-        self._pushes += 1
-        self._live += 1
-        return entry
-
-    def reschedule(self, token: Event, when: int) -> Event:
-        """Move a pending event to a new time, preserving its sequence
-        number: the moved event keeps the same-timestamp FIFO position of
-        its *original* scheduling instant, so retiming an event never
-        reorders it against same-timestamp peers scheduled later.
-        Returns the new token; the old token is dead."""
-        if token[_CB] is None:
-            raise SimulationError("cannot reschedule a cancelled or run event")
-        if when < self.now:
-            raise SimulationError(
-                f"cannot reschedule to {when}, current time is {self.now}"
-            )
-        entry: Event = [when, token[1], self._pushes, token[_CB]]
-        token[_CB] = None
-        self._pushes += 1
-        heapq.heappush(self._queue, entry)
-        return entry
-
-    def cancel(self, token: Event) -> bool:
-        """Invalidate a scheduled event.  Returns False when the event
-        already ran or was already cancelled.  Lazy: the heap entry stays
-        queued and is skipped (and dropped) when it surfaces."""
-        if token[_CB] is None:
-            return False
-        token[_CB] = None
-        self._live -= 1
-        self.cancelled += 1
-        return True
 
     def peek(self) -> Optional[int]:
-        """Timestamp of the next live event, or None when none is queued.
-        Cancelled entries surfacing at the head are dropped as a side
-        effect, so repeated peeks stay cheap."""
-        queue = self._queue
-        while queue and queue[0][_CB] is None:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None  # type: ignore[return-value]
+        """Timestamp of the next event, or None when none is queued."""
+        return self._queue[0][0] if self._queue else None
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return self._live
+        """Number of events still queued."""
+        return len(self._queue)
 
     def step(self) -> bool:
-        """Run the next live event.  Returns False when none is queued."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            when, seq, _tie, callback = entry
-            if callback is None:
-                continue
-            # mark the token consumed so a late cancel() of an event that
-            # already ran is a reported no-op, not a live-count corruption
-            entry[_CB] = None
-            self.now = when
-            self.current_seq = seq
-            self._live -= 1
-            self.events += 1
-            callback()
-            return True
-        return False
+        """Run the next event.  Returns False when none is queued."""
+        if not self._queue:
+            return False
+        when, _seq, callback = heapq.heappop(self._queue)
+        self.now = when
+        self.events += 1
+        callback()
+        return True
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains (or limits hit).
 
         Returns the number of events executed.  ``until`` stops the run once
-        the next live event lies beyond that time (the event is left
-        queued); ``max_events`` guards against runaway simulations.
+        the next event lies beyond that time (the event is left queued);
+        ``max_events`` guards against runaway simulations.
         """
+        queue = self._queue
         executed = 0
-        while True:
-            head = self.peek()
-            if head is None:
-                break
-            if until is not None and head > until:
+        while queue:
+            if until is not None and queue[0][0] > until:
                 break
             if max_events is not None and executed >= max_events:
                 raise SimulationError(

@@ -119,7 +119,8 @@ class SimulationStallError(SimulationError):
 
 
 def _bank_snapshot(rank_id: int, bank_id: int, bank) -> Dict[str, object]:
-    open_row = bank.open_row
+    state = bank.snapshot()
+    open_row = state["open_row"]
     return {
         "rank": rank_id,
         "bank": bank_id,
@@ -127,10 +128,10 @@ def _bank_snapshot(rank_id: int, bank_id: int, bank) -> Dict[str, object]:
             None if open_row is None
             else f"{open_row[0].value}:{open_row[1]}"
         ),
-        "next_act": bank.next_act,
-        "next_read": bank.next_read,
-        "next_write": bank.next_write,
-        "next_pre": bank.next_pre,
+        "next_act": state["next_act"],
+        "next_read": state["next_read"],
+        "next_write": state["next_write"],
+        "next_pre": state["next_pre"],
         "activations": bank.activations,
         "row_hits": bank.row_hits,
         "row_conflicts": bank.row_conflicts,

@@ -12,10 +12,10 @@ provides the services the cores use:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..cache.hierarchy import CacheHierarchy, HierarchyConfig, LookupResult
+from ..cache.hierarchy import CacheHierarchy, LookupResult
 from ..core.scheme import AccessScheme, GatherPlan
 from ..dram.controller import MemoryController
 from ..kernel import Kernel
@@ -51,16 +51,8 @@ class MemorySystem:
         self.kernel = kernel
         self.scheme = scheme
         self.config = config or SystemConfig()
-        hier_cfg = HierarchyConfig(
-            l1_bytes=self.config.hierarchy.l1_bytes,
-            l1_ways=self.config.hierarchy.l1_ways,
-            l2_bytes=self.config.hierarchy.l2_bytes,
-            l2_ways=self.config.hierarchy.l2_ways,
-            llc_bytes=self.config.hierarchy.llc_bytes,
-            llc_ways=self.config.hierarchy.llc_ways,
-            line_bytes=self.config.hierarchy.line_bytes,
-            sectors=scheme.sectors_per_line,
-        )
+        hier_cfg = replace(self.config.hierarchy,
+                           sectors=scheme.sectors_per_line)
         self.hierarchy = CacheHierarchy(hier_cfg, per_core_l1=self.config.cores)
         self.controller = MemoryController(
             kernel,

@@ -15,57 +15,86 @@ COL = (RowKind.COLUMN, 5)
 
 
 class TestBankState:
+    """The default bank is one subarray on the subarray-aware path: the
+    subarray carries the row gates (tRCD, tRAS, tRP, tRTP, tWR) and the
+    bank the shared column path (tCCD and internal-burst tails)."""
+
     def make(self):
         return BankState(DDR4_2400)
 
     def test_initially_closed(self):
         bank = self.make()
-        assert bank.open_row is None
-        assert bank.earliest(Command.ACT) == 0
+        assert bank.open_row is None and bank.all_closed
+        assert bank.subarrays[0].next_act == 0
+        assert bank.next_any_act == 0
 
     def test_act_gates_column_commands(self):
         bank = self.make()
         bank.issue_act(100, ROW)
+        sub = bank.subarrays[0]
         assert bank.open_row == ROW
-        assert bank.earliest(Command.RD) == 100 + DDR4_2400.tRCD
-        assert bank.earliest(Command.PRE) == 100 + DDR4_2400.tRAS
+        assert sub.next_read == sub.next_write == 100 + DDR4_2400.tRCD
+        assert sub.next_pre == 100 + DDR4_2400.tRAS
 
     def test_no_second_act_without_precharge(self):
         bank = self.make()
         bank.issue_act(0, ROW)
-        assert bank.earliest(Command.ACT) == FOREVER
+        sub = bank.subarrays[0]
+        assert sub.next_act == FOREVER
         bank.issue_pre(100)
-        assert bank.earliest(Command.ACT) == 100 + DDR4_2400.tRP
+        assert sub.next_act == 100 + DDR4_2400.tRP
 
     def test_read_to_precharge_trtp(self):
         bank = self.make()
         bank.issue_act(0, ROW)
         bank.issue_read(20)
-        assert bank.earliest(Command.PRE) >= 20 + DDR4_2400.tRTP
+        assert bank.subarrays[0].next_pre >= 20 + DDR4_2400.tRTP
+        assert bank.col_next_read == 20 + DDR4_2400.tCCD_L
 
     def test_write_recovery(self):
         bank = self.make()
         bank.issue_act(0, ROW)
         bank.issue_write(20)
         expected = 20 + DDR4_2400.CWL + DDR4_2400.tBL + DDR4_2400.tWR
-        assert bank.earliest(Command.PRE) >= expected
+        assert bank.subarrays[0].next_pre >= expected
+        assert bank.col_next_write == 20 + DDR4_2400.tCCD_L
 
     def test_internal_bursts_extend_column_occupancy(self):
         bank = self.make()
         bank.issue_act(0, ROW)
         bank.issue_read(20, extra_internal=3)
-        assert bank.earliest(Command.RD) == 20 + 4 * DDR4_2400.tCCD_L
+        tail = 3 * DDR4_2400.tCCD_L
+        assert bank.col_next_read == 20 + 4 * DDR4_2400.tCCD_L
+        assert bank.col_next_write == 20 + 4 * DDR4_2400.tCCD_L
+        assert bank.subarrays[0].next_pre == max(
+            DDR4_2400.tRAS, 20 + DDR4_2400.tRTP + tail)
 
     def test_column_row_is_distinct_identity(self):
         bank = self.make()
         bank.issue_act(0, ROW)
-        assert bank.is_open(ROW) and not bank.is_open(COL)
+        assert bank.open_row == ROW and bank.open_row != COL
+        assert bank.subarrays[0].open_row == ROW
 
     def test_force_close(self):
         bank = self.make()
         bank.issue_act(0, ROW)
         bank.force_close(50)
-        assert bank.open_row is None
+        assert bank.open_row is None and bank.all_closed
+        assert bank.subarrays[0].next_act == 50 + DDR4_2400.tRP
+
+    def test_default_bank_tracks_open_subarray_and_designation(self):
+        bank = self.make()
+        assert bank.open_subs == {} and bank.designated is None
+        bank.issue_act(10, ROW)
+        assert bank.open_subs == {0: 10} and bank.designated == 0
+        bank.issue_pre(60)
+        assert bank.open_subs == {} and bank.designated is None
+        bank.issue_act(100, COL)
+        assert bank.open_subs == {0: 100} and bank.designated == 0
+        bank.refresh(200, DDR4_2400.tRFC)
+        assert bank.open_subs == {} and bank.designated is None
+        assert bank.subarrays[0].next_act == 200 + DDR4_2400.tRFC
+        assert bank.next_any_act == 200 + DDR4_2400.tRFC
 
 
 class TestRankState:
@@ -75,8 +104,8 @@ class TestRankState:
     def test_trrd_spacing(self):
         rank = self.make()
         rank.issue_act(100, bank_group=0)
-        same = rank.earliest_act(101, bank_group=0)
-        diff = rank.earliest_act(101, bank_group=1)
+        same = rank.earliest_act(bank_group=0)
+        diff = rank.earliest_act(bank_group=1)
         assert same == 100 + DDR4_2400.tRRD_L
         assert diff == 100 + DDR4_2400.tRRD_S
 
@@ -84,7 +113,7 @@ class TestRankState:
         rank = self.make()
         for i in range(4):
             rank.issue_act(i * 4, bank_group=i)
-        earliest = rank.earliest_act(16, bank_group=0)
+        earliest = rank.earliest_act(bank_group=0)
         assert earliest >= 0 + DDR4_2400.tFAW
 
     def test_write_to_read_turnaround(self):

@@ -99,65 +99,19 @@ def test_step_advances_time():
     assert k.now == 4
 
 
-# ---------------------------------------------------- token API (cancel/peek)
-
-def test_cancel_prevents_execution_and_counts():
-    k = Kernel()
-    seen = []
-    token = k.schedule(3, lambda: seen.append("x"))
-    k.schedule(5, lambda: seen.append("y"))
-    assert k.cancel(token)
-    assert not k.cancel(token)  # idempotent: already cancelled
-    assert k.cancelled == 1
-    k.run()
-    assert seen == ["y"]
-    assert k.events == 1  # cancelled events never count as executed
-
-
-def test_cancel_after_run_returns_false():
-    k = Kernel()
-    token = k.schedule(1, lambda: None)
-    k.run()
-    assert not k.cancel(token)
-    assert k.cancelled == 0
-
+# ------------------------------------------------------------------- peek
 
 def test_peek_reports_next_live_deadline():
     k = Kernel()
     assert k.peek() is None
-    t1 = k.schedule(4, lambda: None)
     k.schedule(9, lambda: None)
+    k.schedule(4, lambda: None)
     assert k.peek() == 4
-    k.cancel(t1)
-    # the cancelled head is dropped as a side effect of peeking
+    k.run(until=5)
     assert k.peek() == 9
     assert k.pending() == 1
-
-
-def test_reschedule_preserves_fifo_position():
-    """A rescheduled event keeps its original same-timestamp sequence
-    position: retiming never reorders it against peers scheduled later."""
-    k = Kernel()
-    order = []
-    early = k.schedule(10, lambda: order.append("early"))
-    k.schedule(10, lambda: order.append("late"))
-    moved = k.reschedule(early, 2)
-    k.reschedule(moved, 10)  # back to the contested timestamp
     k.run()
-    assert order == ["early", "late"]
-
-
-def test_reschedule_rejects_dead_token_and_past_time():
-    k = Kernel()
-    token = k.schedule(5, lambda: None)
-    k.cancel(token)
-    with pytest.raises(SimulationError):
-        k.reschedule(token, 7)
-    live = k.schedule(5, lambda: None)
-    k.schedule(2, lambda: None)
-    k.run(until=3)
-    with pytest.raises(SimulationError):
-        k.reschedule(live, 1)
+    assert k.peek() is None and k.pending() == 0
 
 
 # ------------------------------------------------------- hypothesis properties
@@ -232,30 +186,27 @@ def test_property_schedule_in_past_rejected(delays):
     if k.now > 0:
         with pytest.raises(SimulationError):
             k.schedule_at(k.now - 1, lambda: None)
-    token = k.schedule_at(k.now, lambda: None)
-    assert token[0] == k.now
+    k.schedule_at(k.now, lambda: None)
+    assert k.peek() == k.now
     k.run()
 
 
-@given(st.data())
+@given(_delays, st.lists(st.integers(min_value=0, max_value=35),
+                         max_size=4))
 @settings(max_examples=60, deadline=None)
-def test_property_cancel_peek_invariants(data):
-    """Random cancels: peek always reports the earliest *live* event,
-    pending() tracks live count exactly, and only live events execute."""
-    delays = data.draw(_delays)
+def test_property_peek_and_pending_track_the_queue(delays, stops):
+    """Across partial runs, peek() always reports the earliest queued
+    event and pending() the number still queued."""
     k = Kernel()
     ran = []
-    tokens = [k.schedule(d, lambda d=d: ran.append(d)) for d in delays]
-    drop = data.draw(st.sets(
-        st.integers(min_value=0, max_value=len(tokens) - 1)
-    ))
-    for i in sorted(drop):
-        assert k.cancel(tokens[i])
-    live = [d for i, d in enumerate(delays) if i not in drop]
-    assert k.pending() == len(live)
-    assert k.cancelled == len(drop)
-    assert k.peek() == (min(live) if live else None)
-    executed = k.run()
-    assert executed == len(live)
-    assert ran == sorted(live)
-    assert k.events == len(live)
+    for d in delays:
+        k.schedule(d, lambda d=d: ran.append(d))
+    for stop in sorted(stops):
+        k.run(until=stop)
+        left = sorted(delays)[len(ran):]
+        assert k.pending() == len(left)
+        assert k.peek() == (left[0] if left else None)
+    before = len(ran)
+    assert k.run() == len(delays) - before
+    assert ran == sorted(delays)
+    assert k.events == len(delays)

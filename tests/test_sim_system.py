@@ -1,7 +1,10 @@
 """Tests for the system glue: MSHR, fetch/gather paths, cores, runner."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cache.hierarchy import HierarchyConfig
 from repro.core import make_scheme
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.ops import Compute, GatherLoad, GatherStore, Load, Store
@@ -18,6 +21,18 @@ def make_system(scheme_name="baseline", **kw):
 
 
 class TestMemorySystem:
+    def test_custom_hierarchy_reaches_the_caches(self):
+        # every field but the scheme's sector count passes through,
+        # hit latencies included
+        hierarchy = HierarchyConfig(l1_bytes=16 * 1024, l2_ways=4,
+                                    l1_latency=2, l2_latency=7,
+                                    llc_latency=30)
+        scheme = make_scheme("SAM-en")
+        system = MemorySystem(Kernel(), scheme,
+                              SystemConfig(hierarchy=hierarchy))
+        assert system.hierarchy.config == replace(
+            hierarchy, sectors=scheme.sectors_per_line)
+
     def test_sectorize(self):
         _, system = make_system()
         line, mask = system.sectorize(100, 8)

@@ -4,7 +4,8 @@ Covers the three layers the SALP refactor touched:
 
 * :class:`~repro.dram.bank.SubarrayState` / :class:`~repro.dram.bank.BankState`
   -- per-subarray gates, shared-structure gates, designation, capacity,
-  refresh blackout, and the degenerate ``salp="none"`` legacy API;
+  refresh blackout, and the default ``salp="none"`` bank as one subarray
+  on the same path;
 * the protocol checker's subarray rules (tRA, tSA_SEL, capacity,
   designation, SA_SEL legality) on hand-built command streams;
 * the readiness-index invalidation contract: hypothesis properties that
@@ -23,12 +24,13 @@ from hypothesis import given, settings
 
 from repro.check.protocol import TimingProtocolChecker
 from repro.dram.address import DecodedAddress
-from repro.dram.bank import FOREVER, BankState, SubarrayState
+from repro.core import available_schemes, make_scheme
+from repro.dram.bank import FOREVER, BankState
 from repro.dram.commands import Command, IOMode, Request, RequestType, RowKind
 from repro.dram.controller import ControllerConfig, MemoryController
 from repro.dram.geometry import Geometry
 from repro.dram.rank import RankState
-from repro.dram.timing import DDR4_2400
+from repro.dram.timing import DDR4_2400, PRESETS
 from repro.kernel import Kernel
 
 T = DDR4_2400
@@ -72,36 +74,54 @@ def test_synthetic_rows_fold_into_range():
     assert bank.sub_id_for(huge) == 3
 
 
-# ------------------------------------------------------- legacy (none) mode
+# -------------------------------------------- default (one-subarray) bank
 
 def test_none_mode_legacy_field_api():
+    """The default bank's one subarray carries the one-open-row state:
+    its row, its ACT and tRCD/tRAS/tRP gates, and the designation."""
     bank = BankState(T)
     sub = bank.subarrays[0]
     bank.issue_act(100, ROW0)
-    assert bank.open_row == ROW0
-    assert bank.is_open(ROW0)
-    assert bank.next_read == sub.next_read == 100 + T.tRCD
-    assert bank.next_pre == 100 + T.tRAS
-    assert bank.next_act == FOREVER
-    assert bank.last_act == 100
+    assert bank.open_row == sub.open_row == ROW0
+    assert bank.designated == 0
+    assert sub.next_read == sub.next_write == 100 + T.tRCD
+    assert sub.next_pre == 100 + T.tRAS
+    assert sub.next_act == FOREVER
+    assert sub.last_act == 100
     bank.issue_pre(400)
     assert bank.open_row is None
-    assert bank.next_act == 400 + T.tRP
+    assert sub.next_act == 400 + T.tRP
     assert bank.all_closed
 
 
 def test_subarray_state_gates_match_legacy_bank():
-    """One SubarrayState must reproduce the legacy bank field updates."""
-    sub = SubarrayState(T)
-    sub.issue_act(50, ROW0)
-    assert sub.earliest(Command.RD) == 50 + T.tRCD
-    assert sub.earliest(Command.PRE) == 50 + T.tRAS
-    sub.issue_read(60, extra_internal=2)
+    """A one-subarray bank's local tRCD gate and shared tCCD gate fold
+    into the one-open-row bank's combined column gate, and its subarray
+    carries the tRAS/tRTP/tWR precharge gate."""
+    bank = BankState(T)
+    sub = bank.subarrays[0]
+    bank.issue_act(50, ROW0)
+    assert max(sub.next_read, bank.col_next_read) == 50 + T.tRCD
+    assert sub.next_pre == 50 + T.tRAS
+    bank.issue_read(60, extra_internal=2)
     tail = 2 * T.tCCD_L
-    assert sub.next_read == 60 + T.tCCD_L + tail
+    assert max(sub.next_read, bank.col_next_read) == 60 + T.tCCD_L + tail
+    assert max(sub.next_write, bank.col_next_write) == 60 + T.tCCD_L + tail
     assert sub.next_pre == max(50 + T.tRAS, 60 + T.tRTP + tail)
-    sub.issue_write(80)
+    bank.issue_write(80)
     assert sub.next_pre >= 80 + T.CWL + T.tBL + T.tWR
+
+
+@pytest.mark.parametrize("timing", sorted(PRESETS))
+def test_tra_never_binds_a_one_subarray_bank(timing):
+    """A one-subarray bank's next ACT waits at least tRAS + tRP after the
+    last one, so the shared tRA gate never binds it when
+    tRA <= tRAS + tRP -- the condition that makes the default bank exact
+    on the subarray-aware path.  It must hold for every scheme's timing
+    (area-overhead scaling only lengthens tRAS and tRP)."""
+    for name in available_schemes():
+        t = make_scheme(name).with_timing(timing).timing
+        assert t.tRA <= t.tRAS + t.tRP, (name, timing)
 
 
 # ------------------------------------------------------------- SALP modes
@@ -190,7 +210,14 @@ def test_snapshot_carries_salp_state():
     assert snap["salp"] == "masa"
     assert snap["designated"] == 1
     assert snap["open_subarrays"] == {0: ROW0, 1: ROW1}
-    assert "salp" not in BankState(T).snapshot()
+    # the default bank's snapshot has the same shape
+    default = BankState(T)
+    default.issue_act(0, ROW0)
+    snap = default.snapshot()
+    assert snap["salp"] == "none"
+    assert snap["designated"] == 0
+    assert snap["open_subarrays"] == {0: ROW0}
+    assert snap["next_read"] == T.tRCD and snap["next_pre"] == T.tRAS
 
 
 # ----------------------------------------------------- protocol-rule tests
@@ -347,7 +374,7 @@ def test_mutations_never_leave_stale_readiness_keys(salp, ops):
 
 
 _RANK_OP = st.tuples(
-    st.sampled_from(("act", "read", "write", "mode", "refresh")),
+    st.sampled_from(("act", "write", "mode", "refresh")),
     st.integers(min_value=0, max_value=3),  # bank group
     st.sampled_from((IOMode.X4, IOMode.STRIDE)),
     st.integers(min_value=1, max_value=50),
@@ -371,8 +398,6 @@ def test_rank_mutations_never_leave_a_stale_rank_epoch(ops):
         version = rank.version
         if name == "act":
             rank.issue_act(now, group)
-        elif name == "read":
-            rank.issue_read(now)
         elif name == "write":
             rank.issue_write(now)
         elif name == "mode":

@@ -33,7 +33,7 @@ class TestBankState:
         bank.issue_act(100, ROW)
         sub = bank.subarrays[0]
         assert bank.open_row == ROW
-        assert sub.next_read == sub.next_write == 100 + DDR4_2400.tRCD
+        assert bank.snapshot()["next_cas"] == 100 + DDR4_2400.tRCD
         assert sub.next_pre == 100 + DDR4_2400.tRAS
 
     def test_no_second_act_without_precharge(self):
@@ -49,7 +49,7 @@ class TestBankState:
         bank.issue_act(0, ROW)
         bank.issue_read(20)
         assert bank.subarrays[0].next_pre >= 20 + DDR4_2400.tRTP
-        assert bank.col_next_read == 20 + DDR4_2400.tCCD_L
+        assert bank.col_next == 20 + DDR4_2400.tCCD_L
 
     def test_write_recovery(self):
         bank = self.make()
@@ -57,15 +57,14 @@ class TestBankState:
         bank.issue_write(20)
         expected = 20 + DDR4_2400.CWL + DDR4_2400.tBL + DDR4_2400.tWR
         assert bank.subarrays[0].next_pre >= expected
-        assert bank.col_next_write == 20 + DDR4_2400.tCCD_L
+        assert bank.col_next == 20 + DDR4_2400.tCCD_L
 
     def test_internal_bursts_extend_column_occupancy(self):
         bank = self.make()
         bank.issue_act(0, ROW)
         bank.issue_read(20, extra_internal=3)
         tail = 3 * DDR4_2400.tCCD_L
-        assert bank.col_next_read == 20 + 4 * DDR4_2400.tCCD_L
-        assert bank.col_next_write == 20 + 4 * DDR4_2400.tCCD_L
+        assert bank.col_next == 20 + 4 * DDR4_2400.tCCD_L
         assert bank.subarrays[0].next_pre == max(
             DDR4_2400.tRAS, 20 + DDR4_2400.tRTP + tail)
 

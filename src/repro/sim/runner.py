@@ -201,7 +201,7 @@ def _publish_metrics(
     reg.set_ratio("sim.events_per_cycle", events, cycles)
     if kernel is not None:
         reg.gauge("kernel.events").set(kernel.events)
-    reg.gauge("dram.peek_hits").set(system.controller.peek_hits)
+    reg.gauge("dram.peek_hits").set(system.controller.scheduler.peek_hits)
     reg.gauge("sys.wb_polls").set(system.wb_polls)
     reg.gauge("sys.wb_polls_futile").set(system.wb_polls_futile)
     frac = events / max_events if max_events else 0.0

@@ -67,7 +67,7 @@ def _assert_slots_released(controllers):
     assert controllers
     for mc in controllers:
         assert mc.idle()
-        assert mc._slots == {}
+        assert mc.scheduler._slots == {}
 
 
 # --------------------------------------------------- stale-wakeup guard
@@ -198,7 +198,7 @@ def _two_bank_wait(request):
     queue = mc.read_queue if hit.is_read else mc.write_queue
     mc._issue(0, hit, Command.ACT, queue)
     mc.submit(other)
-    wait = mc._frfcfs_choose(1, queue)
+    wait = mc.scheduler.choose(1, queue)
     assert wait[:2] == (other, Command.ACT) and wait[2] < DDR4_2400.tRCD
     return mc, mapper, queue, hit, wait
 
@@ -208,12 +208,13 @@ def test_wait_memo_expires_at_its_soonest_time():
     so a scan after that time -- even with no command issued since --
     must walk the whole queue again and decide as the full recompute."""
     mc, _mapper, queue, hit, wait = _two_bank_wait(read)
-    assert mc._frfcfs_choose(2, queue) == wait
-    assert mc.peek_hits == 1
+    scheduler = mc.scheduler
+    assert scheduler.choose(2, queue) == wait
+    assert scheduler.peek_hits == 1
     late = DDR4_2400.tRCD + 1
-    assert mc._frfcfs_choose(late, queue)[:2] == (hit, Command.RD)
-    assert mc._frfcfs_choose_recompute(late, queue)[:2] == (hit, Command.RD)
-    assert mc.peek_hits == 1
+    assert scheduler.choose(late, queue)[:2] == (hit, Command.RD)
+    assert scheduler.choose_reference(late, queue)[:2] == (hit, Command.RD)
+    assert scheduler.peek_hits == 1
 
 
 def test_wait_memo_belongs_to_its_queue():
@@ -224,10 +225,10 @@ def test_wait_memo_belongs_to_its_queue():
     arrival = read(mapper, 2 * 8192, [])
     mc.submit(arrival)
     assert mc._active_queue() is mc.read_queue
-    choice = mc._frfcfs_choose(2, mc.read_queue)
+    choice = mc.scheduler.choose(2, mc.read_queue)
     assert choice[:2] == (arrival, Command.ACT)
-    assert choice == mc._frfcfs_choose_recompute(2, mc.read_queue)
-    assert mc.peek_hits == 0
+    assert choice == mc.scheduler.choose_reference(2, mc.read_queue)
+    assert mc.scheduler.peek_hits == 0
 
 
 # ------------------------------------------------- writeback futility

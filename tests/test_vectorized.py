@@ -19,7 +19,7 @@ import repro.dram.commands as dram_commands
 from repro.check.fuzz import SALP_SCHEMES, generate_case, run_case
 from repro.dram import datapath as dp
 from repro.dram import iobuffer as io
-from repro.dram.controller import MemoryController
+from repro.dram.scheduler import Scheduler
 from repro.ecc.chipkill import ChipAlignedSSC, SSCCodec, SSCDSDCodec
 from repro.ecc.rs import ReedSolomon
 
@@ -257,13 +257,13 @@ def lockstep_scans(monkeypatch):
     requests a scan resumed from the wait memo folded in (0 when it only
     decided the tied candidates at the wait's end), and ``won`` says
     whether one of those arrivals was chosen."""
-    indexed = MemoryController._frfcfs_choose
+    indexed = Scheduler.choose
     scans = []
 
     def lockstep(self, now, queue):
         hits, memo = self.peek_hits, self._wait_memo
         choice = indexed(self, now, queue)
-        recomputed = self._frfcfs_choose_recompute(now, queue)
+        recomputed = self.choose_reference(now, queue)
         assert _decision(choice, now) == _decision(recomputed, now), now
         arrivals, won = None, False
         if self.peek_hits > hits:  # resumed from the wait memo
@@ -273,7 +273,7 @@ def lockstep_scans(monkeypatch):
         scans.append((now, arrivals, won))
         return choice
 
-    monkeypatch.setattr(MemoryController, "_frfcfs_choose", lockstep)
+    monkeypatch.setattr(Scheduler, "choose", lockstep)
     return scans
 
 

@@ -153,7 +153,6 @@ class Core:
         elif self.stall_log is not None:
             # op stream exhausted, misses still draining
             self.stall_log.open_block(now, MEM_WAIT)
-        self.system.core_may_be_done(self)
 
     def _catch_up(self, now: int) -> None:
         """Sleep until the fractional issue clock catches up; that whole
@@ -275,7 +274,6 @@ class Core:
         self._schedule_advance(self.kernel.now)
         if self.finished:
             self.finish_cycle = self.kernel.now
-            self.system.core_may_be_done(self)
 
     def _make_rfo_callback(self, line: int, mask: int):
         def _done() -> None:

@@ -110,15 +110,15 @@ class Request:
     arrival: int = -1
     issue_time: int = -1
     finish_time: int = -1
-    #: the controller's readiness slot for this request's row target:
+    #: the scheduler's readiness slot for this request's row target:
     #: the bank half of its readiness entry, shared with every queued
     #: request that has the same subarray, row kind, row, direction, I/O
     #: mode and subrank; None once its CAS issues.  Scheduling state
     #: only -- never part of the request's identity or serialized form.
     _slot: Optional[object] = field(default=None, repr=False, compare=False)
     #: direct references to the RankState/BankState/SubarrayState this
-    #: request's fixed address decodes to, filled by the controller at
-    #: submit so the scheduler scan skips the ranks[...]/banks[...]
+    #: request's fixed address decodes to, filled by the scheduler at
+    #: submit so its scan skips the ranks[...]/banks[...]
     #: indexing (the subarray is the whole bank in a one-subarray bank)
     _rank: Optional[object] = field(default=None, repr=False, compare=False)
     _bank: Optional[object] = field(default=None, repr=False, compare=False)
@@ -135,6 +135,3 @@ class Request:
     def row_id(self) -> tuple:
         """The (kind, row-or-column index) this request needs open."""
         return (self.row_kind, self.addr.row)
-
-    def bank_key(self) -> tuple:
-        return (self.addr.channel, self.addr.rank, self.addr.bank)

@@ -308,17 +308,3 @@ class RankDatapath:
                         bits |= 1 << (4 * n * b + 4 * i + l)
         return bits.to_bytes(n, "little")
 
-    def expected_sector(
-        self, bank: int, row: int, column: int, sector: int
-    ) -> bytes:
-        """Ground truth: bytes ``[16*sector, 16*sector+16)`` of the stored
-        line -- what a software strided read would load."""
-        line = self.read_line_logical(bank, row, column)
-        return line[16 * sector : 16 * (sector + 1)]
-
-    def expected_parity_sector(
-        self, bank: int, row: int, column: int, sector: int
-    ) -> bytes:
-        """Ground truth for the 2 parity bytes of codeword ``sector``."""
-        parity = self.read_parity(bank, row, column)
-        return parity[2 * sector : 2 * (sector + 1)]

@@ -19,7 +19,6 @@ from .kernels import (
     KERNEL_DESIGNS,
     KernelSweepResult,
     build_kernel_spec,
-    render_kernels,
     run_kernel_sweep,
 )
 from .reliability import render_reliability, run_reliability
@@ -46,7 +45,6 @@ __all__ = [
     "KERNEL_DESIGNS",
     "KernelSweepResult",
     "build_kernel_spec",
-    "render_kernels",
     "run_kernel_sweep",
     "render_reliability",
     "run_reliability",

@@ -61,32 +61,6 @@ class Figure12Result:
             },
         }
 
-    def render_chart(self) -> str:
-        """Figure-12 shaped ASCII bars: Q/Qs geomeans per design."""
-        from .report import bar_chart
-
-        blocks = []
-        if self.q_names:
-            blocks.append("Gmean speedup, Q queries (column-friendly):")
-            blocks.append(
-                bar_chart(
-                    {d: self.q_gmean(d) for d in self.speedups},
-                    reference=1.0,
-                    fmt="{:.2f}x",
-                )
-            )
-        if self.qs_names:
-            blocks.append("")
-            blocks.append("Gmean speedup, Qs queries (row-friendly):")
-            blocks.append(
-                bar_chart(
-                    {d: self.qs_gmean(d) for d in self.speedups},
-                    reference=1.0,
-                    fmt="{:.2f}x",
-                )
-            )
-        return '\n'.join(blocks)
-
     def render(self) -> str:
         designs = list(self.speedups)
         lines = []

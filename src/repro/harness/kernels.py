@@ -172,6 +172,3 @@ def run_kernel_sweep(
         design_list, kernel_names, cycles, speedups, gathers
     )
 
-
-def render_kernels(result: KernelSweepResult) -> str:
-    return result.render()

@@ -126,13 +126,6 @@ def rows_payload(rows: Dict[str, ReliabilityRow],
     }
 
 
-def reliability_payload(
-    trials: int = 500,
-    engine: Optional[SweepEngine] = None,
-) -> Dict[str, object]:
-    return rows_payload(run_reliability(trials, engine=engine), trials)
-
-
 def render_rows(rows: Dict[str, ReliabilityRow]) -> str:
     lines = [
         "design        codewords-intact  chip-fault  dq-fault  double-chip"

@@ -32,7 +32,6 @@ package, so no cycle forms).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
@@ -136,66 +135,34 @@ class StallLedger:
     moment the controller re-evaluated).
     """
 
-    __slots__ = ("entries", "_starts")
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
         self.entries: List[List[object]] = []  # [start, end, reason]
-        #: entry start times, maintained in lockstep with ``entries`` so
-        #: :meth:`overlay` can bisect without rebuilding the index
-        #: (rebuilding made each overlay O(n), i.e. attribution quadratic)
-        self._starts: List[int] = []
 
     def note(self, start: int, end: int, reason: str) -> None:
         if end <= start:
             return
         entries = self.entries
-        starts = self._starts
         while entries and entries[-1][0] >= start:
             entries.pop()
-            starts.pop()
         if entries and entries[-1][1] > start:
             entries[-1][1] = start
         if entries and entries[-1][1] == start and entries[-1][2] == reason:
             entries[-1][1] = end
             return
         entries.append([start, end, reason])
-        starts.append(start)
-
-    def overlay(self, start: int, end: int) -> Dict[str, int]:
-        """Partition ``[start, end)`` into reason -> cycles.  Gaps (the
-        controller was issuing, idle, or data was in flight) count as
-        ``dram_service``."""
-        out: Dict[str, int] = {}
-        if end <= start:
-            return out
-        covered = 0
-        entries = self.entries
-        i = bisect_right(self._starts, start) - 1
-        if i < 0:
-            i = 0
-        for entry in entries[i:]:
-            e_start, e_end, reason = entry
-            if e_start >= end:
-                break
-            lo = max(start, e_start)
-            hi = min(end, e_end)
-            if hi > lo:
-                out[reason] = out.get(reason, 0) + (hi - lo)
-                covered += hi - lo
-        gap = (end - start) - covered
-        if gap:
-            out[DRAM_SERVICE] = out.get(DRAM_SERVICE, 0) + gap
-        return out
 
     def overlay_windows(
         self, windows: List[Tuple[int, int]], out: Dict[str, int]
     ) -> None:
-        """Accumulate ``overlay`` results for many windows into ``out``.
+        """Partition each of ``windows`` into reason -> cycles and add
+        the counts into ``out``.  Gaps (the controller was issuing, idle,
+        or data was in flight) count as ``dram_service``.
 
         ``windows`` must be disjoint and time-ordered (a core's blocked
         intervals are, by construction), which lets one monotone walk of
-        the ledger serve every window: O(entries + windows) per core
-        instead of a bisect-plus-rescan per window.
+        the ledger serve every window: O(entries + windows) per core.
         """
         entries = self.entries
         n = len(entries)

@@ -379,6 +379,3 @@ class MemorySystem:
             if not request.is_read:
                 self.outstanding_writes += 1
             self.controller.submit(request)
-
-    def core_may_be_done(self, core) -> None:
-        """Hook for the runner's end-of-run detection (no-op by default)."""

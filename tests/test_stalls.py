@@ -95,12 +95,15 @@ class TestStallLedger:
     def test_overlay_partitions_with_gaps(self):
         ledger = StallLedger()
         ledger.note(10, 14, TRCD)
-        out = ledger.overlay(8, 20)
+        out = {}
+        ledger.overlay_windows([(8, 20)], out)
         assert out == {TRCD: 4, DRAM_SERVICE: 8}
         assert sum(out.values()) == 12
 
     def test_overlay_empty_window(self):
-        assert StallLedger().overlay(5, 5) == {}
+        out = {}
+        StallLedger().overlay_windows([(5, 5)], out)
+        assert out == {}
 
 
 # -------------------------------------------------- conservation (tier-1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.registry import _NO_STRIDE, make_scheme
+from ..core.registry import make_scheme, stride_gather
 from ..core.scheme import TablePlacement
 from ..dram.commands import Request
 from ..dram.controller import ControllerConfig, MemoryController
@@ -229,8 +229,7 @@ def run_case(case: FuzzCase, registry=None,
     # shapes the generated trace for them
     scheme = make_scheme(
         case.scheme,
-        gather_factor=(case.gather_factor
-                       if case.scheme not in _NO_STRIDE else None),
+        gather_factor=stride_gather(case.scheme, case.gather_factor),
     )
     geometry = scheme.geometry
     truth = scheme.timing

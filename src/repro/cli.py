@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import List, Optional
 
 
@@ -53,8 +54,10 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """Shared flags of every sweep-driven command (the figures and the
-    reliability matrix all execute through :class:`repro.exp.SweepEngine`)."""
+    """Shared flags of every sweep-driven command (the figures, the SALP
+    and kernel sweeps and the reliability matrix all execute through
+    :class:`repro.exp.SweepEngine`), output flags included."""
+    _add_output_args(parser)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for sweep points "
                              "(results are identical at any N)")
@@ -81,21 +84,17 @@ def _make_engine(args):
     from .exp import ResultCache, SweepEngine, default_cache_dir
 
     cache = None
-    if not getattr(args, "no_cache", False):
-        cache = ResultCache(
-            getattr(args, "cache_dir", None) or default_cache_dir()
-        )
-    return SweepEngine(jobs=getattr(args, "jobs", 1), cache=cache,
-                       check=getattr(args, "check", False),
-                       timeline=getattr(args, "timeline", False),
-                       timeline_dir=getattr(args, "artifacts", None))
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
+    return SweepEngine(jobs=args.jobs, cache=cache, check=args.check,
+                       timeline=args.timeline, timeline_dir=args.artifacts)
 
 
 def _finish_sweep(args, name: str, engine) -> None:
     """Engine epilogue: one-line summary on stderr, sweep manifest into
     the artifacts directory when one was requested."""
     print(engine.summary(), file=sys.stderr)
-    if getattr(args, "artifacts", None):
+    if args.artifacts:
         from .obs.artifacts import ArtifactWriter
 
         path = ArtifactWriter(args.artifacts).write_json(
@@ -121,51 +120,52 @@ def _emit(args, name: str, payload, text_fn) -> int:
     return 0
 
 
+def _sweep(args, name: str, run, payload=None, text=None) -> int:
+    """Every sweep command: build the engine from the shared flags, get
+    the result of ``run(engine=engine)``, emit it and finish the sweep.
+    ``payload``/``text`` shape the result; by default its ``payload()``
+    and ``render()``."""
+    engine = _make_engine(args)
+    result = run(engine=engine)
+    code = _emit(
+        args, name,
+        payload(result) if payload else result.payload(),
+        (lambda: text(result)) if text else result.render,
+    )
+    _finish_sweep(args, name, engine)
+    return code
+
+
 def _cmd_figure12(args) -> int:
     from .harness.figure12 import run_figure12
 
-    engine = _make_engine(args)
-    result = run_figure12(
-        n_ta=args.ta, n_tb=args.tb,
-        designs=args.designs or None,
-        queries=args.queries or None,
-        engine=engine,
-    )
-    code = _emit(args, "figure12", result.payload(), result.render)
-    _finish_sweep(args, "figure12", engine)
-    return code
+    return _sweep(args, "figure12", partial(
+        run_figure12, n_ta=args.ta, n_tb=args.tb,
+        designs=args.designs or None, queries=args.queries or None,
+    ))
 
 
 def _cmd_figure13(args) -> int:
     from .harness.figure13 import run_figure13
 
-    engine = _make_engine(args)
     designs = args.designs or ["baseline", "SAM-sub", "SAM-IO", "SAM-en"]
-    result = run_figure13(n_ta=args.ta, n_tb=args.tb, designs=designs,
-                          engine=engine)
-    code = _emit(args, "figure13", result.payload(), result.render)
-    _finish_sweep(args, "figure13", engine)
-    return code
+    return _sweep(args, "figure13", partial(
+        run_figure13, n_ta=args.ta, n_tb=args.tb, designs=designs,
+    ))
 
 
 def _cmd_figure14a(args) -> int:
     from .harness.figure14 import run_figure14a
 
-    engine = _make_engine(args)
-    result = run_figure14a(n_ta=args.ta, n_tb=args.tb, engine=engine)
-    code = _emit(args, "figure14a", result.payload(), result.render)
-    _finish_sweep(args, "figure14a", engine)
-    return code
+    return _sweep(args, "figure14a",
+                  partial(run_figure14a, n_ta=args.ta, n_tb=args.tb))
 
 
 def _cmd_figure14b(args) -> int:
     from .harness.figure14 import run_figure14b
 
-    engine = _make_engine(args)
-    result = run_figure14b(n_ta=args.ta, n_tb=args.tb, engine=engine)
-    code = _emit(args, "figure14b", result.payload(), result.render)
-    _finish_sweep(args, "figure14b", engine)
-    return code
+    return _sweep(args, "figure14b",
+                  partial(run_figure14b, n_ta=args.ta, n_tb=args.tb))
 
 
 def _cmd_figure14c(args) -> int:
@@ -175,57 +175,47 @@ def _cmd_figure14c(args) -> int:
 
 
 def _cmd_figure15(args) -> int:
-    from .harness.figure15 import run_figure15
+    from .harness.figure15 import FIG15_DESIGNS, FIG15_PANELS
 
-    known = set("abcdefghi")
-    selected = args.panels or sorted(known)
+    selected = args.panels or list(FIG15_PANELS)
     for key in selected:
-        if key not in known:
-            print(f"unknown panel {key!r} (have {sorted(known)})",
+        if key not in FIG15_PANELS:
+            print(f"unknown panel {key!r} (have {sorted(FIG15_PANELS)})",
                   file=sys.stderr)
             return 2
-    engine = _make_engine(args)
-    panels = run_figure15(n_ta=args.ta, engine=engine)
-    payload = {
-        "kind": "figure15",
-        "panels": {key: panels[key].payload() for key in selected},
-    }
-
-    def text() -> str:
-        return "\n\n".join(panels[key].render() for key in selected)
-
-    code = _emit(args, "figure15", payload, text)
-    _finish_sweep(args, "figure15", engine)
-    return code
+    return _sweep(
+        args, "figure15",
+        # only the chosen panels are simulated
+        lambda engine: {
+            key: FIG15_PANELS[key](args.ta, FIG15_DESIGNS, engine=engine)
+            for key in selected
+        },
+        payload=lambda panels: {
+            "kind": "figure15",
+            "panels": {key: panels[key].payload() for key in selected},
+        },
+        text=lambda panels: "\n\n".join(
+            panels[key].render() for key in selected
+        ),
+    )
 
 
 def _cmd_salp(args) -> int:
     from .harness.salp import run_salp_sweep
 
-    engine = _make_engine(args)
-    result = run_salp_sweep(
-        n_ta=args.ta, n_tb=args.tb,
-        designs=args.designs or None,
-        queries=args.queries or None,
-        engine=engine,
-    )
-    code = _emit(args, "salp", result.payload(), result.render)
-    _finish_sweep(args, "salp", engine)
-    return code
+    return _sweep(args, "salp", partial(
+        run_salp_sweep, n_ta=args.ta, n_tb=args.tb,
+        designs=args.designs or None, queries=args.queries or None,
+    ))
 
 
 def _cmd_kernels(args) -> int:
     from .harness.kernels import run_kernel_sweep
 
-    engine = _make_engine(args)
-    result = run_kernel_sweep(
-        designs=args.designs or None,
+    return _sweep(args, "kernels", partial(
+        run_kernel_sweep, designs=args.designs or None,
         gather_factor=args.gather,
-        engine=engine,
-    )
-    code = _emit(args, "kernels", result.payload(), result.render)
-    _finish_sweep(args, "kernels", engine)
-    return code
+    ))
 
 
 def _cmd_table1(args) -> int:
@@ -236,22 +226,13 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_reliability(args) -> int:
-    from .harness.reliability import (
-        render_rows,
-        rows_payload,
-        run_reliability,
-    )
+    from .harness.reliability import render_rows, rows_payload, run_reliability
 
-    engine = _make_engine(args)
-    rows = run_reliability(trials=args.trials, engine=engine)
-    if args.json or args.artifacts:
-        code = _emit(args, "reliability", rows_payload(rows, args.trials),
-                     lambda: render_rows(rows))
-    else:
-        print(render_rows(rows))
-        code = 0
-    _finish_sweep(args, "reliability", engine)
-    return code
+    return _sweep(
+        args, "reliability", partial(run_reliability, trials=args.trials),
+        payload=lambda rows: rows_payload(rows, args.trials),
+        text=render_rows,
+    )
 
 
 def _explain_one(scheme_name, query, tables, gather_factor, as_json):
@@ -265,7 +246,7 @@ def _explain_one(scheme_name, query, tables, gather_factor, as_json):
 
 
 def _cmd_explain(args) -> int:
-    from .core.registry import available_schemes
+    from .core.registry import available_schemes, stride_gather
     from .workloads import make_tables
     from .imdb.sql import parse
 
@@ -276,10 +257,8 @@ def _cmd_explain(args) -> int:
     def gather_for(name):
         # stride-less designs reject an explicit gather factor; with
         # --all-schemes the flag only applies where it is meaningful
-        from .core.registry import _NO_STRIDE
-
-        if args.all_schemes and name in _NO_STRIDE:
-            return None
+        if args.all_schemes:
+            return stride_gather(name, args.gather)
         return args.gather
 
     if args.json:
@@ -533,26 +512,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     p.add_argument("--designs", nargs="*", default=None)
     p.add_argument("--queries", nargs="*", default=None)
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_figure12)
 
     p = sub.add_parser("figure13", help="power and energy efficiency")
     _add_size_args(p)
     p.add_argument("--designs", nargs="*", default=None)
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_figure13)
 
     p = sub.add_parser("figure14a", help="substrate swap")
     _add_size_args(p)
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_figure14a)
 
     p = sub.add_parser("figure14b", help="strided granularity sweep")
     _add_size_args(p)
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_figure14b)
 
@@ -564,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     p.add_argument("--panels", nargs="*", default=None,
                    help="panels a..i (default: all)")
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_figure15)
 
@@ -579,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", nargs="*", default=None,
                    help="queries to sweep (default: the bank-conflict-"
                         "heavy Q3/Q7/Q8)")
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_salp)
 
@@ -592,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: SAM-en and masa)")
     p.add_argument("--gather", type=int, default=8,
                    help="gather factor for stride-capable designs")
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_kernels)
 
@@ -602,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reliability", help="fault-injection matrix")
     p.add_argument("--trials", type=int, default=500)
-    _add_output_args(p)
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_reliability)
 

@@ -64,6 +64,12 @@ def available_schemes() -> List[str]:
     return sorted(_FACTORIES)
 
 
+def stride_gather(name: str, gather_factor: Optional[int]) -> Optional[int]:
+    """The gather factor to pass :func:`make_scheme` for ``name``:
+    ``gather_factor`` on stride-capable designs, ``None`` on the rest."""
+    return None if name in _NO_STRIDE else gather_factor
+
+
 def make_scheme(
     name: str,
     geometry: Optional[Geometry] = None,

@@ -1,7 +1,7 @@
 """Unified sweep engine: declarative specs, parallel execution, caching.
 
-Every harness (Figures 12-15, reliability) describes its grid of
-independent simulations as an :class:`ExperimentSpec` of
+Every harness (Figures 12-15, reliability, SALP, kernels) describes its
+grid of independent simulations as an :class:`ExperimentSpec` of
 :class:`SweepPoint` data records and hands it to a :class:`SweepEngine`,
 which executes points serially or across worker processes (``jobs``),
 skips points already present in a content-addressed :class:`ResultCache`,
@@ -22,6 +22,7 @@ from .spec import (
     SweepPoint,
     TableSpec,
     build_tables,
+    design_points,
     standard_tables,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "TableSpec",
     "build_tables",
     "default_cache_dir",
+    "design_points",
     "execute_point",
     "point_digest",
     "source_digest",

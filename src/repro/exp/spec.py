@@ -11,6 +11,11 @@ plain (frozen-dataclass) data, it can be
 * hashed to a stable content digest (result caching), and
 * replayed bit-identically in any order (deterministic sweeps).
 
+Most figures are a design x workload grid normalized to the row-store
+baseline: harnesses build that grid with :func:`design_points` and read
+it back with :meth:`~repro.exp.SweepRun.table` and
+:meth:`~repro.exp.SweepRun.speedups`.
+
 The work itself is a :class:`repro.workloads.Workload` -- a relational
 query (:class:`~repro.workloads.QueryWorkload`) or a generated
 micro-kernel (:class:`~repro.workloads.KernelWorkload`).  Workloads
@@ -22,14 +27,14 @@ spec stays tiny and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 # table recipes live with the workload IR now; re-exported here because
 # they are part of the sweep-spec vocabulary (specs reference recipes)
 from ..workloads.tables import TableSpec, build_tables, standard_tables
+from ..core.registry import stride_gather
 from ..sim.config import SystemConfig
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..workloads import Workload
@@ -40,6 +45,7 @@ __all__ = [
     "SweepPoint",
     "TableSpec",
     "build_tables",
+    "design_points",
     "standard_tables",
 ]
 
@@ -128,7 +134,6 @@ class ExperimentSpec:
     name: str
     points: Tuple[SweepPoint, ...]
     normalize: Optional[str] = None
-    meta: Tuple[Tuple[str, object], ...] = field(default=())
 
     def __post_init__(self) -> None:
         keys = [p.key for p in self.points]
@@ -143,8 +148,25 @@ class ExperimentSpec:
     def keys(self) -> Tuple[Tuple[str, ...], ...]:
         return tuple(p.key for p in self.points)
 
-    def point(self, key: Tuple[str, ...]) -> SweepPoint:
-        for p in self.points:
-            if p.key == key:
-                return p
-        raise KeyError(key)
+
+def design_points(
+    designs: Iterable[str],
+    workloads: Sequence["Workload"],
+    gather_factor: Optional[int] = None,
+    prefix: Tuple[str, ...] = (),
+    timing: Optional[str] = None,
+) -> List[SweepPoint]:
+    """One point per (design, workload), design-major.
+
+    Each point is keyed ``prefix + (design, workload.name)`` and takes
+    its ``kind`` from its workload.  Only stride-capable designs get
+    ``gather_factor`` (the others reject one); ``timing`` forces a
+    base-timing preset on every point.
+    """
+    return [
+        SweepPoint(key=prefix + (design, w.name), kind=w.kind, scheme=design,
+                   workload=w, timing=timing,
+                   gather_factor=stride_gather(design, gather_factor))
+        for design in designs
+        for w in workloads
+    ]

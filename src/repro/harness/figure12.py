@@ -17,8 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.registry import FIGURE12_DESIGNS, _NO_STRIDE
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
+from ..core.registry import FIGURE12_DESIGNS
+from ..exp import (
+    ExperimentSpec,
+    SweepEngine,
+    SweepPoint,
+    design_points,
+    standard_tables,
+)
 from ..imdb.queries import q_queries, qs_queries
 from ..workloads import QueryWorkload, geomean
 
@@ -104,34 +110,19 @@ def build_figure12_spec(
 ) -> ExperimentSpec:
     """Figure 12 as data: one point per (series, query)."""
     q_list, qs_list = _query_lists(queries)
-    all_q = q_list + qs_list
-    designs = list(designs or FIGURE12_DESIGNS)
     tables = standard_tables(n_ta, n_tb)
-
-    points = [
-        SweepPoint(key=("baseline", q.name), scheme="baseline",
-                   workload=QueryWorkload(query=q, tables=tables))
-        for q in all_q
-    ]
-    for design in designs:
-        # designs without stride hardware reject a gather factor
-        gf = gather_factor if design not in _NO_STRIDE else None
-        points += [
-            SweepPoint(key=(design, q.name), scheme=design,
-                       workload=QueryWorkload(query=q, tables=tables),
-                       gather_factor=gf)
-            for q in all_q
-        ]
+    workloads = [QueryWorkload(query=q, tables=tables)
+                 for q in q_list + qs_list]
+    points = design_points(["baseline", *(designs or FIGURE12_DESIGNS)],
+                           workloads, gather_factor)
     if include_ideal:
         # the paper's "ideal": a plain row store for row-preferring
         # queries, a plain column store for column-preferring ones
         points += [
-            SweepPoint(
-                key=("ideal", q.name),
-                scheme="baseline" if q.prefers == "row" else "column-store",
-                workload=QueryWorkload(query=q, tables=tables),
-            )
-            for q in all_q
+            SweepPoint(key=("ideal", w.name), workload=w,
+                       scheme="baseline" if w.query.prefers == "row"
+                       else "column-store")
+            for w in workloads
         ]
     return ExperimentSpec(
         "figure12", tuple(points),
@@ -156,26 +147,16 @@ def run_figure12(
     """
     engine = engine or SweepEngine()
     q_list, qs_list = _query_lists(queries)
-    all_q = q_list + qs_list
-    design_list = list(designs or FIGURE12_DESIGNS)
+    q_names = [q.name for q in q_list]
+    qs_names = [q.name for q in qs_list]
+    names = q_names + qs_names
     run = engine.run(build_figure12_spec(
         n_ta, n_tb, designs, queries, include_ideal, gather_factor
     ))
-
-    baseline_cycles: Dict[str, int] = {
-        q.name: run.cycles(("baseline", q.name)) for q in all_q
-    }
-    series = design_list + (["ideal"] if include_ideal else [])
-    speedups: Dict[str, Dict[str, float]] = {
-        name: {
-            q.name: run.speedup((name, q.name), ("baseline", q.name))
-            for q in all_q
-        }
-        for name in series
-    }
+    series = list(designs or FIGURE12_DESIGNS)
+    series += ["ideal"] if include_ideal else []
     return Figure12Result(
-        speedups,
-        baseline_cycles,
-        [q.name for q in q_list],
-        [q.name for q in qs_list],
+        speedups=run.speedups(series, names),
+        baseline_cycles=run.table(["baseline"], names)["baseline"],
+        q_names=q_names, qs_names=qs_names,
     )

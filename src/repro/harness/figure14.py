@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..area.overhead import AreaReport, all_designs
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
+from ..exp import ExperimentSpec, SweepEngine, design_points, standard_tables
 from ..imdb.queries import all_queries, q_queries
 from ..workloads import QueryWorkload, geomean
 
@@ -43,6 +43,25 @@ class Figure14aResult:
 SUBSTRATES = (("DRAM", "DDR4-2400"), ("NVM", "RRAM"))
 
 
+def _workloads(source, n_ta: int, n_tb: int,
+               queries: Optional[Sequence[str]]):
+    """The queries of ``source()`` (only ``queries``, when given) over
+    the standard tables."""
+    tables = standard_tables(n_ta, n_tb)
+    return [
+        QueryWorkload(query=q, tables=tables)
+        for q in source() if queries is None or q.name in queries
+    ]
+
+
+def _gmeans(run, designs: Sequence[str], prefix: str) -> Dict[str, float]:
+    """Per-design gmean speedup of the ``(prefix, design, query)``
+    points over the baseline, across the baseline's queries."""
+    names = [key[1] for key in run.spec.keys() if key[0] == "baseline"]
+    speedups = run.speedups(designs, names, prefix=(prefix,))
+    return {d: geomean(speedups[d].values()) for d in designs}
+
+
 def build_figure14a_spec(
     n_ta: int = 1024,
     n_tb: int = 2048,
@@ -52,23 +71,11 @@ def build_figure14a_spec(
     """Figure 14(a) as data: baseline per query + every design on every
     substrate, timing forced via the scheme's immutable ``with_timing``
     clone (no shared-instance monkeypatching)."""
-    q_list = [
-        q for q in all_queries() if queries is None or q.name in queries
-    ]
-    tables = standard_tables(n_ta, n_tb)
-    points = [
-        SweepPoint(key=("baseline", q.name), scheme="baseline",
-                   workload=QueryWorkload(query=q, tables=tables))
-        for q in q_list
-    ]
-    points += [
-        SweepPoint(key=(substrate, design, q.name), scheme=design,
-                   workload=QueryWorkload(query=q, tables=tables),
-                   timing=timing_name)
-        for substrate, timing_name in SUBSTRATES
-        for design in designs
-        for q in q_list
-    ]
+    workloads = _workloads(all_queries, n_ta, n_tb, queries)
+    points = design_points(["baseline"], workloads)
+    for substrate, timing_name in SUBSTRATES:
+        points += design_points(designs, workloads, prefix=(substrate,),
+                                timing=timing_name)
     return ExperimentSpec(
         "figure14a", tuple(points),
         normalize="divide by baseline cycles per query, gmean per design",
@@ -84,19 +91,9 @@ def run_figure14a(
 ) -> Figure14aResult:
     """Figure 14(a): every design on both memory technologies."""
     engine = engine or SweepEngine()
-    q_list = [
-        q for q in all_queries() if queries is None or q.name in queries
-    ]
     run = engine.run(build_figure14a_spec(n_ta, n_tb, designs, queries))
-    out: Dict[str, Dict[str, float]] = {"DRAM": {}, "NVM": {}}
-    for substrate, _ in SUBSTRATES:
-        for design in designs:
-            out[substrate][design] = geomean(
-                run.speedup((substrate, design, q.name),
-                            ("baseline", q.name))
-                for q in q_list
-            )
-    return Figure14aResult(out)
+    return Figure14aResult({substrate: _gmeans(run, designs, substrate)
+                            for substrate, _ in SUBSTRATES})
 
 
 @dataclass
@@ -137,23 +134,11 @@ def build_figure14b_spec(
 ) -> ExperimentSpec:
     """Figure 14(b) as data: baseline per query + every design at every
     strided granularity."""
-    q_list = [
-        q for q in q_queries() if queries is None or q.name in queries
-    ]
-    tables = standard_tables(n_ta, n_tb)
-    points = [
-        SweepPoint(key=("baseline", q.name), scheme="baseline",
-                   workload=QueryWorkload(query=q, tables=tables))
-        for q in q_list
-    ]
-    points += [
-        SweepPoint(key=(f"{bits}-bit", design, q.name), scheme=design,
-                   workload=QueryWorkload(query=q, tables=tables),
-                   gather_factor=factor)
-        for bits, factor in GRANULARITY_TO_GATHER.items()
-        for design in designs
-        for q in q_list
-    ]
+    workloads = _workloads(q_queries, n_ta, n_tb, queries)
+    points = design_points(["baseline"], workloads)
+    for bits, factor in GRANULARITY_TO_GATHER.items():
+        points += design_points(designs, workloads, factor,
+                                prefix=(f"{bits}-bit",))
     return ExperimentSpec(
         "figure14b", tuple(points),
         normalize="divide by baseline cycles per query, gmean per design",
@@ -169,20 +154,9 @@ def run_figure14b(
 ) -> Figure14bResult:
     """Figure 14(b): strided granularity sweep over Q queries."""
     engine = engine or SweepEngine()
-    q_list = [
-        q for q in q_queries() if queries is None or q.name in queries
-    ]
     run = engine.run(build_figure14b_spec(n_ta, n_tb, designs, queries))
-    out: Dict[int, Dict[str, float]] = {}
-    for bits in GRANULARITY_TO_GATHER:
-        out[bits] = {}
-        for design in designs:
-            out[bits][design] = geomean(
-                run.speedup((f"{bits}-bit", design, q.name),
-                            ("baseline", q.name))
-                for q in q_list
-            )
-    return Figure14bResult(out)
+    return Figure14bResult({bits: _gmeans(run, designs, f"{bits}-bit")
+                            for bits in GRANULARITY_TO_GATHER})
 
 
 def run_figure14c() -> Dict[str, AreaReport]:

@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.registry import _NO_STRIDE
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint
+from ..exp import ExperimentSpec, SweepEngine, design_points
 from ..workloads import KernelWorkload
 
 #: Designs swept against the row-store baseline.
@@ -118,21 +117,8 @@ def build_kernel_spec(
     gather_factor: int = 8,
 ) -> ExperimentSpec:
     """The sweep as data: baseline plus every design, per kernel."""
-    design_list = list(designs or KERNEL_DESIGNS)
-    grid = kernel_grid()
-    points = [
-        SweepPoint(key=("baseline", w.name), kind="kernel",
-                   scheme="baseline", workload=w)
-        for w in grid
-    ]
-    for design in design_list:
-        # designs without stride hardware reject a gather factor
-        gf = gather_factor if design not in _NO_STRIDE else None
-        points += [
-            SweepPoint(key=(design, w.name), kind="kernel", scheme=design,
-                       workload=w, gather_factor=gf)
-            for w in grid
-        ]
+    points = design_points(["baseline", *(designs or KERNEL_DESIGNS)],
+                           kernel_grid(), gather_factor)
     return ExperimentSpec(
         "kernels", tuple(points),
         normalize="divide by baseline cycles per kernel",
@@ -147,28 +133,13 @@ def run_kernel_sweep(
     """Run the micro-kernel sweep and shape the per-kernel speedups."""
     engine = engine or SweepEngine()
     design_list = list(designs or KERNEL_DESIGNS)
-    kernel_names = [w.name for w in kernel_grid()]
+    names = [w.name for w in kernel_grid()]
     run = engine.run(build_kernel_spec(design_list, gather_factor))
-
     series = ["baseline"] + design_list
-    cycles = {
-        d: {k: run.cycles((d, k)) for k in kernel_names} for d in series
-    }
-    speedups = {
-        d: {
-            k: run.speedup((d, k), ("baseline", k)) for k in kernel_names
-        }
-        for d in design_list
-    }
-    gathers = {
-        d: {
-            k: int(run[(d, k)].memory_stats.gather_reads
-                   + run[(d, k)].memory_stats.gather_writes)
-            for k in kernel_names
-        }
-        for d in series
-    }
     return KernelSweepResult(
-        design_list, kernel_names, cycles, speedups, gathers
+        design_list, names,
+        cycles=run.table(series, names),
+        speedups=run.speedups(design_list, names),
+        gathers=run.table(series, names, value=lambda r: int(
+            r.memory_stats.gather_reads + r.memory_stats.gather_writes)),
     )
-

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.registry import SALP_DESIGNS, _NO_STRIDE
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
+from ..core.registry import SALP_DESIGNS
+from ..exp import ExperimentSpec, SweepEngine, design_points, standard_tables
 from ..workloads import QueryWorkload
 from ..imdb.queries import q_queries
 
@@ -107,6 +107,11 @@ class SALPSweepResult:
         return "\n".join(lines)
 
 
+def _merged_stalls(result) -> Dict[str, int]:
+    merged = (result.stalls or {}).get("merged", {})
+    return {k: int(v) for k, v in sorted(merged.items())}
+
+
 def build_salp_spec(
     n_ta: int = 2048,
     n_tb: int = 4096,
@@ -115,25 +120,13 @@ def build_salp_spec(
     gather_factor: int = 8,
 ) -> ExperimentSpec:
     """The sweep as data: baseline plus every design, per query."""
-    design_list = list(designs or SALP_DESIGNS)
-    q_list = [
-        q for q in q_queries()
-        if q.name in (queries or SALP_QUERIES)
-    ]
     tables = standard_tables(n_ta, n_tb)
-    points = [
-        SweepPoint(key=("baseline", q.name), scheme="baseline",
-                   workload=QueryWorkload(query=q, tables=tables))
-        for q in q_list
+    workloads = [
+        QueryWorkload(query=q, tables=tables)
+        for q in q_queries() if q.name in (queries or SALP_QUERIES)
     ]
-    for design in designs or SALP_DESIGNS:
-        gf = gather_factor if design not in _NO_STRIDE else None
-        points += [
-            SweepPoint(key=(design, q.name), scheme=design,
-                       workload=QueryWorkload(query=q, tables=tables),
-                       gather_factor=gf)
-            for q in q_list
-        ]
+    points = design_points(["baseline", *(designs or SALP_DESIGNS)],
+                           workloads, gather_factor)
     return ExperimentSpec(
         "salp", tuple(points),
         normalize="divide by baseline cycles per query",
@@ -151,34 +144,15 @@ def run_salp_sweep(
     """Run the SALP interaction sweep and shape the stall accounting."""
     engine = engine or SweepEngine()
     design_list = list(designs or SALP_DESIGNS)
-    query_names = [
-        q.name for q in q_queries()
-        if q.name in (queries or SALP_QUERIES)
-    ]
-    run = engine.run(build_salp_spec(
-        n_ta, n_tb, designs, queries, gather_factor
-    ))
-
+    spec = build_salp_spec(n_ta, n_tb, designs, queries, gather_factor)
+    names = [key[1] for key in spec.keys() if key[0] == "baseline"]
+    run = engine.run(spec)
     series = ["baseline"] + design_list
-    cycles: Dict[str, Dict[str, int]] = {
-        d: {q: run.cycles((d, q)) for q in query_names} for d in series
-    }
-    speedups = {
-        d: {
-            q: run.speedup((d, q), ("baseline", q)) for q in query_names
-        }
-        for d in design_list
-    }
-    stalls: Dict[str, Dict[str, Dict[str, int]]] = {}
-    sa_sels: Dict[str, Dict[str, int]] = {}
-    for d in series:
-        stalls[d] = {}
-        sa_sels[d] = {}
-        for q in query_names:
-            result = run[(d, q)]
-            merged = (result.stalls or {}).get("merged", {})
-            stalls[d][q] = {k: int(v) for k, v in sorted(merged.items())}
-            sa_sels[d][q] = int(getattr(result.memory_stats, "sa_sels", 0))
     return SALPSweepResult(
-        design_list, query_names, cycles, speedups, stalls, sa_sels
+        design_list, names,
+        cycles=run.table(series, names),
+        speedups=run.speedups(design_list, names),
+        stalls=run.table(series, names, value=_merged_stalls),
+        sa_sels=run.table(series, names, value=lambda r: int(
+            getattr(r.memory_stats, "sa_sels", 0))),
     )

@@ -69,6 +69,16 @@ class TestCommands:
         code = main(["figure15", "--ta", "64", "--panels", "z"])
         assert code == 2
 
+    def test_figure15_runs_only_chosen_panels(self, tmp_path, capsys):
+        code = main(["figure15", "--ta", "64", "--panels", "a", "--json",
+                     "--no-cache", "--artifacts", str(tmp_path)])
+        assert code == 0
+        assert list(json.loads(capsys.readouterr().out)["panels"]) == ["a"]
+        manifest = json.loads((tmp_path / "figure15.sweep.json").read_text())
+        # panel (a): five selectivities x (row store, column store and
+        # the three Figure 15 designs)
+        assert manifest["totals"]["points"] == 25
+
 
 class TestJsonOutput:
     def test_schemes_json(self, capsys):

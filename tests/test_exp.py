@@ -15,11 +15,12 @@ from repro.exp import (
     SweepPoint,
     TableSpec,
     build_tables,
+    design_points,
     point_digest,
     standard_tables,
 )
 from repro.harness.figure12 import build_figure12_spec, run_figure12
-from repro.workloads import QueryWorkload, make_tables
+from repro.workloads import KernelWorkload, QueryWorkload, make_tables
 from repro.imdb.queries import by_name
 from repro.obs.artifacts import to_jsonable
 
@@ -91,6 +92,60 @@ class TestSweepSpec:
         spec = _tiny_spec()
         clone = pickle.loads(pickle.dumps(spec.points[1]))
         assert clone == spec.points[1]
+
+
+class TestDesignPoints:
+    def _workloads(self):
+        tables = standard_tables(16, 16)
+        return [QueryWorkload(query=by_name()[q], tables=tables)
+                for q in ("Q3", "Qs1")]
+
+    def test_keys_order_and_kind(self):
+        kernel = KernelWorkload.from_spec("stream_read[n=64]")
+        points = design_points(["baseline", "SAM-en"],
+                               self._workloads() + [kernel])
+        assert [p.key for p in points] == [
+            ("baseline", "Q3"), ("baseline", "Qs1"),
+            ("baseline", kernel.name),
+            ("SAM-en", "Q3"), ("SAM-en", "Qs1"), ("SAM-en", kernel.name),
+        ]
+        assert [p.kind for p in points] == ["query", "query", "kernel"] * 2
+        assert [p.scheme for p in points] == ["baseline"] * 3 + ["SAM-en"] * 3
+
+    def test_gather_factor_only_on_stride_designs(self):
+        points = design_points(["baseline", "masa", "SAM-en"],
+                               self._workloads()[:1], gather_factor=4)
+        assert {p.scheme: p.gather_factor for p in points} == {
+            "baseline": None, "masa": None, "SAM-en": 4,
+        }
+
+    def test_prefix_and_timing_reach_points(self):
+        points = design_points(["SAM-en"], self._workloads(),
+                               prefix=("NVM",), timing="RRAM")
+        assert [p.key for p in points] == [
+            ("NVM", "SAM-en", "Q3"), ("NVM", "SAM-en", "Qs1"),
+        ]
+        assert [p.timing for p in points] == ["RRAM", "RRAM"]
+
+    def test_run_table_and_speedups(self):
+        workloads = [QueryWorkload(query=by_name()["Q3"],
+                                   tables=standard_tables(64, 64))]
+        spec = ExperimentSpec("grid", tuple(
+            design_points(["baseline"], workloads)
+            + design_points(["SAM-en"], workloads, 8, prefix=("x",))
+        ))
+        run = SweepEngine().run(spec)
+        base = run.cycles(("baseline", "Q3"))
+        sam = run.cycles(("x", "SAM-en", "Q3"))
+        assert run.table(["baseline"], ["Q3"]) == {"baseline": {"Q3": base}}
+        assert run.table(["baseline"], ["Q3"], value=lambda r: r.scheme) \
+            == {"baseline": {"Q3": "baseline"}}
+        assert run.speedups(["baseline"], ["Q3"]) == {
+            "baseline": {"Q3": 1.0}
+        }
+        assert run.speedups(["SAM-en"], ["Q3"], prefix=("x",)) == {
+            "SAM-en": {"Q3": base / sam}
+        }
 
 
 class TestDigests:

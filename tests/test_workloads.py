@@ -62,10 +62,10 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def _build_streams(workload, scheme_name="SAM-en"):
-    from repro.core.registry import _NO_STRIDE
+    from repro.core.registry import stride_gather
 
-    gf = None if scheme_name in _NO_STRIDE else 8
-    scheme = make_scheme(scheme_name, gather_factor=gf)
+    scheme = make_scheme(scheme_name,
+                         gather_factor=stride_gather(scheme_name, 8))
     from repro.sim.config import SystemConfig
 
     config = SystemConfig()

@@ -192,9 +192,10 @@ class MemoryController:
           subarray=None, implicit=False)`` -- every command: REF and the
           refresh-path PREs arrive with ``request`` None and their
           rank/bank spelled out, every PRE names the ``subarray`` it
-          closes (0 in a one-subarray bank), and the closed-page
-          auto-precharge is flagged ``implicit`` (it rides on its CAS,
-          stamped with the cycle the row closes);
+          closes and every ACT/ACT_COL the one it opens (0 in a
+          one-subarray bank), and the closed-page auto-precharge is
+          flagged ``implicit`` (it rides on its CAS, stamped with the
+          cycle the row closes);
         * ``on_data_burst(now, cmd, rank, subrank, data_start, data_end)``
           -- every CAS data burst (delivered by the channel);
         * ``on_wait(start, end, reason)`` -- every scheduling wait, tagged
@@ -328,13 +329,15 @@ class MemoryController:
     ) -> None:
         rank = request._rank
         bank = request._bank
-        pre_sub = None
+        pre_sub = subarray = None
         if command is Command.PRE:
             # resolved before the probes: the checker needs the PRE's
             # subarray operand (a PRE names the subarray it closes)
             pre_sub = self.scheduler.pre_target(request)
+            subarray = pre_sub.sub_id
+        elif command is Command.ACT or command is Command.ACT_COL:
+            subarray = request._sub.sub_id  # the subarray it opens
         self.channel.occupy_command_bus(now)
-        subarray = None if pre_sub is None else pre_sub.sub_id
         for probe in self._on_command:
             probe(now, command, request, subarray=subarray)
 

@@ -60,9 +60,10 @@ class RowKind(enum.Enum):
 _request_ids = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
-    """One burst-granularity memory request.
+    """One burst-granularity memory request.  Requests compare by
+    identity: two requests for the same line are still two requests.
 
     Attributes:
         addr: decoded device coordinates of the accessed line.
@@ -110,19 +111,22 @@ class Request:
     arrival: int = -1
     issue_time: int = -1
     finish_time: int = -1
-    #: the scheduler's readiness slot for this request's row target:
-    #: the bank half of its readiness entry, shared with every queued
-    #: request that has the same subarray, row kind, row, direction, I/O
-    #: mode and subrank; None once its CAS issues.  Scheduling state
-    #: only -- never part of the request's identity or serialized form.
-    _slot: Optional[object] = field(default=None, repr=False, compare=False)
+    #: the scheduler's readiness slot for this request's row target,
+    #: shared with every queued request that has the same subarray, row
+    #: kind, row, direction, I/O mode and subrank; None once its CAS
+    #: issues.  Scheduling state only -- never part of the request's
+    #: serialized form.
+    _slot: Optional[object] = field(default=None, repr=False)
+    #: the scheduler's admission number: its slot's FIFO and the
+    #: queue's slot order follow it
+    _seq: int = field(default=-1, repr=False)
     #: direct references to the RankState/BankState/SubarrayState this
     #: request's fixed address decodes to, filled by the scheduler at
     #: submit so its scan skips the ranks[...]/banks[...]
     #: indexing (the subarray is the whole bank in a one-subarray bank)
-    _rank: Optional[object] = field(default=None, repr=False, compare=False)
-    _bank: Optional[object] = field(default=None, repr=False, compare=False)
-    _sub: Optional[object] = field(default=None, repr=False, compare=False)
+    _rank: Optional[object] = field(default=None, repr=False)
+    _bank: Optional[object] = field(default=None, repr=False)
+    _sub: Optional[object] = field(default=None, repr=False)
 
     @property
     def is_read(self) -> bool:

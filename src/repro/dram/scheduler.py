@@ -8,11 +8,15 @@ ready, the soonest candidate.  The controller calls it at submit
 for a PRE (:meth:`~Scheduler.pre_target`) and at CAS
 (:meth:`~Scheduler.retire`).
 
+It arbitrates over readiness slots, not requests: a slot holds the
+queued requests with one row target (`_Slot`), and a scan walks each
+queue's slots in order of their oldest requests.
+
 The invalidation contract has one epoch, ``BankState.version``: a
-readiness slot's bank half (`Scheduler._entry_terms`) is rebuilt only
-when it moves.  Every write of bank or subarray state bumps it, and MRS
-and refresh bump every bank of their rank, since the bank half also
-reads the rank's ``io_mode`` and ``busy_until``.  The shared half
+slot's bank half (`Scheduler._entry_terms`) is rebuilt only when it
+moves.  Every write of bank or subarray state bumps it, and MRS and
+refresh bump every bank of their rank, since the bank half also reads
+the rank's ``io_mode`` and ``busy_until``.  The shared half
 (`Scheduler._shared_terms`) is recomputed after every issued command.
 
 ``reference=True`` rebuilds both halves of every request's entry on
@@ -24,6 +28,9 @@ batteries).
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from ..obs.stalls import (
@@ -43,33 +50,39 @@ from .commands import Command, Request, RequestType, RowKind
 
 
 class _Slot:
-    """The bank half of a readiness entry, shared by every queued request
-    with the same (subarray, row kind, row, read/write, I/O mode,
-    subrank): the fields :meth:`Scheduler._entry_terms` reads, plus the
-    subrank that picks the shared half.  ``users`` counts the queued
-    requests holding the slot; the scheduler drops it when the last of
-    them issues its CAS.
+    """A readiness slot: the queued requests with one row target -- the
+    same (subarray, row kind, row, read/write, I/O mode, subrank) -- and
+    the bank half of their readiness entry, which
+    :meth:`Scheduler._entry_terms` derives from exactly those fields.
 
-    ``command``, ``bank_time`` and ``bank_reason`` (the bank half) are
-    valid while ``version`` matches the bank's ``version``.  ``earliest``
-    and ``reason`` fold the shared half onto them and are valid for the
-    ``epoch`` (``channel.commands_issued``) they were folded in."""
+    ``users`` holds the slot's requests in admission order and
+    ``request`` is its head, the oldest.  Identical candidates tie, and
+    the oldest wins every queue-order tie, so the head is the one a scan
+    offers and the next to issue its CAS.  The scheduler drops the slot
+    when its last request does.
 
-    __slots__ = ("key", "request", "users", "version", "command",
-                 "bank_time", "bank_reason", "shared_key", "group",
-                 "epoch", "earliest", "reason")
+    ``command``, ``bank_time`` and ``bank_reason`` (the bank half),
+    ``shared_key`` (which shared half folds onto it) and ``group`` are
+    valid while ``version`` matches its bank's ``version``."""
+
+    __slots__ = ("key", "users", "request", "bank", "version", "command",
+                 "bank_time", "bank_reason", "shared_key", "group")
 
     def __init__(self, key: tuple, request: Request) -> None:
         self.key = key
-        #: any one of the slot's requests: they all price alike
+        self.users = deque()
         self.request = request
-        self.users = 0
+        self.bank = request._bank
         self.version = -1
-        self.epoch = -1
+
+
+#: a slot's place in its queue's order: its head's admission number
+_head_seq = attrgetter("request._seq")
 
 
 class Scheduler:
-    """FR-FCFS arbiter over one channel's queued requests."""
+    """FR-FCFS arbiter over one channel's queued requests, scanning
+    readiness slots in queue order."""
 
     def __init__(self, channel: ChannelState,
                  reference: bool = False) -> None:
@@ -89,6 +102,12 @@ class Scheduler:
         #: readiness slots by key, one per row target among the queued
         #: requests (see `_Slot`)
         self._slots: dict = {}
+        #: the live slots of the write queue and of the read queue
+        #: (indexed by ``is_read``), in order of their heads' admission
+        self._orders: Tuple[List[_Slot], List[_Slot]] = ([], [])
+        #: admissions so far: numbers requests in submit order (``req_id``
+        #: follows construction order, and ``arrival`` ties in a cycle)
+        self._admitted: int = 0
         #: shared halves of readiness entries by (command, rank, bank
         #: group or subrank), valid for one `channel.commands_issued`
         #: epoch (rank and bus state move on every issue)
@@ -96,13 +115,15 @@ class Scheduler:
         self._shared_epoch: int = -1
 
     def admit(self, request: Request) -> None:
-        """Resolve a submitted request's rank, bank and subarray, and
-        join the readiness slot of its row target."""
+        """Resolve a submitted request's rank, bank and subarray, number
+        it, and join the readiness slot of its row target."""
         rank = self.channel.ranks[request.addr.rank]
         request._rank = rank
         bank = rank.banks[request.addr.bank]
         request._bank = bank
         sub = request._sub = bank.sub_for_row(request.addr.row)
+        request._seq = self._admitted
+        self._admitted += 1
         # `_entry_terms` reads exactly these request fields (the subarray
         # fixes rank, bank and bank group); the subrank picks the shared
         # half.  The subarray object outlives every slot naming it.
@@ -111,19 +132,29 @@ class Scheduler:
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = _Slot(key, request)
-        slot.users += 1
+            # its head is the newest request: the order's tail
+            self._orders[request.is_read].append(slot)
+        slot.users.append(request)
         request._slot = slot
 
     def retire(self, request: Request) -> None:
-        """``request``'s CAS issued: record its bank group and leave its
-        slot."""
+        """``request``'s CAS issued: record its bank group and pop it from
+        the head of its slot, which leaves the order when empty and
+        otherwise moves to its new head's place."""
         self._last_cas_group = (request.addr.rank, request.addr.bank_group)
         slot = request._slot
-        slot.users -= 1
-        if not slot.users:
+        users = slot.users
+        head = users.popleft()
+        assert head is request, "a slot's head wins every tie"
+        order = self._orders[request.is_read]
+        order.remove(slot)
+        if users:
+            slot.request = users[0]
+            insort(order, slot, key=_head_seq)
+        else:
             del self._slots[slot.key]
         # a completed request that something still holds must not keep
-        # its slot, and through it another request, alive
+        # its slot, and through it other requests, alive
         request._slot = None
 
     def choose(
@@ -132,37 +163,45 @@ class Scheduler:
         """FR-FCFS: first ready row-hit column command, else oldest ready
         command; if nothing is ready now, the soonest candidate.
 
-        Outside reference mode each queued request reads its (command,
-        earliest, reason) triple from its readiness slot (the readiness
-        index), which every queued request with the same row target
-        shares: the slot's bank half is rebuilt only when its bank's
-        ``version`` moves, and once per issued command the slot folds on
-        the shared half -- rank gate and data-bus term -- from a memo
-        shared by every slot (see `_fold_slot`).  The ``future`` minimum
-        keeps wakeup scheduling exact: the controller still sleeps to the
-        soonest candidate, never past it.
+        Outside reference mode the scan walks ``queue``'s readiness slots
+        in order of their heads' admission and offers each head, which
+        wins every tie against its siblings (see `_Slot`).  A slot's
+        (command, earliest, reason) is computed in place: its bank half
+        is rebuilt only when its bank's ``version`` moves, and the shared
+        half -- rank gate and data-bus term -- comes from a memo shared
+        by every slot and refilled once per issued command.  It binds
+        only when strictly later than the bank half (`_binding`'s rule),
+        which is exact because "first term at the maximum time" is
+        associative.  The ``future`` minimum keeps wakeup scheduling
+        exact: the controller still sleeps to the soonest candidate,
+        never past it.
 
         A scan that finds nothing ready leaves its fold state in the wait
-        memo: the soonest candidate and, among the candidates tied at its
-        time, the first CAS to another bank group, the first CAS and the
-        first other command.  Until the next command issues no candidate
-        can change -- every gate, bus term and the last CAS group move
-        only on issue, and requests leave a queue only by issuing -- and
-        requests join only at the queue tail.  So a later scan of the
-        same queue resumes from the memo: before the soonest time nothing
-        folded is ready and only the arrivals are evaluated; at that time
-        exactly the tied candidates are ready, in queue order.
+        memo: the slot count, the soonest candidate and, among the
+        candidates tied at its time, the first CAS to another bank group,
+        the first CAS and the first other command.  Until the next command
+        issues no candidate can change -- every gate, bus term and the
+        last CAS group move only on issue, and requests leave a queue only
+        by issuing -- and slots join only at the order's tail, while an
+        arrival that joins an existing slot can never win a tie.  So a
+        later scan of the same queue resumes from the memo: before the
+        soonest time nothing folded is ready and only the slots created
+        since are evaluated; at that time exactly the tied candidates are
+        ready, in queue order.
         """
         if self.reference:
             return self.choose_reference(now, queue)
+        if not queue:
+            return None
+        order = self._orders[queue[0].is_read]
         ready_cas: Optional[Tuple[Request, Command, int, str]] = None
         ready_other: Optional[Tuple[Request, Command, int, str]] = None
-        chan = self.channel
+        issued = self.channel.commands_issued
         wait = self._wait_memo
-        if (wait is not None and wait[0] is queue
-                and wait[1] == chan.commands_issued and now <= wait[3]):
+        if (wait is not None and wait[0] is order and wait[1] == issued
+                and now <= wait[3]):
             self.peek_hits += 1
-            (_queue, _issued, start, soonest, future, tie_switch, tie_cas,
+            (_order, _issued, start, soonest, future, tie_switch, tie_cas,
              tie_other) = wait
             if now == soonest:
                 if tie_switch is not None:
@@ -172,28 +211,36 @@ class Scheduler:
             start = soonest = 0
             future = tie_switch = tie_cas = tie_other = None
         last_group = self._last_cas_group
-        issued = chan.commands_issued
+        shared = self._shared
         if self._shared_epoch != issued:
-            self._shared.clear()
+            shared.clear()
             self._shared_epoch = issued
         mrs = Command.MRS
         sa_sel = Command.SA_SEL
-        for index, request in enumerate(queue[start:] if start else queue,
-                                        start):
-            slot = request._slot
-            if slot.epoch != issued:
-                self._fold_slot(slot, issued)
+        for index in range(start, len(order)):
+            slot = order[index]
+            if slot.version != slot.bank.version:
+                self._rebuild(slot)
             command = slot.command
-            if (command is mrs or command is sa_sel) and index > 0:
-                # Only the oldest request may flip the rank's I/O mode or
-                # the bank's subarray designation; otherwise requests
-                # needing different modes (or different subarrays, under
-                # MASA) thrash MRS / SA_SEL while waiting out tRCD, each
-                # flip pushing the column gates further out.  Skipped
-                # candidates are retried whenever the oldest request
-                # makes progress.
+            if (command is mrs or command is sa_sel) and index:
+                # Only the oldest request (the first slot's head) may flip
+                # the rank's I/O mode or the bank's subarray designation;
+                # otherwise requests needing different modes (or
+                # different subarrays, under MASA) thrash MRS / SA_SEL
+                # while waiting out tRCD, each flip pushing the column
+                # gates further out.  Skipped candidates are retried
+                # whenever the oldest request makes progress.
                 continue
-            earliest = slot.earliest
+            request = slot.request
+            term = shared.get(slot.shared_key)
+            if term is None:
+                term = shared[slot.shared_key] = self._shared_terms(
+                    command, request, request._rank)
+            earliest = slot.bank_time
+            if term[0] > earliest:
+                earliest, reason = term
+            else:
+                reason = slot.bank_reason
             group = slot.group  # (rank, bank group) of a CAS, else None
             if earliest <= now:
                 if group is not None:
@@ -201,13 +248,13 @@ class Scheduler:
                     # than the previous one runs at tCCD_S instead of
                     # tCCD_L, so prefer it over the oldest ready CAS.
                     if group != last_group:
-                        return (request, command, earliest, slot.reason)
+                        return (request, command, earliest, reason)
                     if ready_cas is None:
-                        ready_cas = (request, command, earliest, slot.reason)
+                        ready_cas = (request, command, earliest, reason)
                 elif ready_other is None:
-                    ready_other = (request, command, earliest, slot.reason)
+                    ready_other = (request, command, earliest, reason)
             elif future is None or earliest <= soonest:
-                candidate = (request, command, earliest, slot.reason)
+                candidate = (request, command, earliest, reason)
                 if future is None or earliest < soonest:
                     soonest = earliest
                     future = candidate
@@ -224,9 +271,8 @@ class Scheduler:
         if ready_other is not None:
             return ready_other
         if future is not None:
-            self._wait_memo = (queue, chan.commands_issued, len(queue),
-                               soonest, future, tie_switch, tie_cas,
-                               tie_other)
+            self._wait_memo = (order, issued, len(order), soonest, future,
+                               tie_switch, tie_cas, tie_other)
         return future
 
     def choose_reference(
@@ -273,36 +319,23 @@ class Scheduler:
                 best_time, best_reason = time, reason
         return best_time, best_reason
 
-    def _fold_slot(self, slot: _Slot, issued: int) -> None:
-        """Bring ``slot`` to the ``issued`` epoch: rebuild its bank half
-        if its bank's ``version`` has moved, take the shared half from
-        the per-epoch memo (computing it on a miss) and fold it on with
-        `_binding`'s rule -- the shared term binds only when strictly
-        later.  That is exact because "first term at the maximum time" is
-        associative: the bank terms come first in every entry."""
+    def _rebuild(self, slot: _Slot) -> None:
+        """Rebuild ``slot``'s bank half after its bank's ``version``
+        moved, with the shared key and the CAS group it implies."""
         request = slot.request
-        rank, bank = request._rank, request._bank
-        if slot.version != bank.version:
-            command, slot.bank_time, slot.bank_reason = self._entry_terms(
-                request, rank, bank
-            )
-            slot.version = bank.version
-            slot.command = command
-            addr = request.addr
-            cas = command is Command.RD or command is Command.WR
-            # the data-bus fit depends on the pins, ACT pacing on the bank
-            # group; a key for one command never serves another
-            slot.shared_key = (command.value, addr.rank,
-                               request.subrank if cas else addr.bank_group)
-            slot.group = (addr.rank, addr.bank_group) if cas else None
-        shared = self._shared.get(slot.shared_key)
-        if shared is None:
-            shared = self._shared_terms(slot.command, request, rank)
-            self._shared[slot.shared_key] = shared
-        slot.earliest, slot.reason = (
-            shared if shared[0] > slot.bank_time
-            else (slot.bank_time, slot.bank_reason))
-        slot.epoch = issued
+        bank = slot.bank
+        command, slot.bank_time, slot.bank_reason = self._entry_terms(
+            request, request._rank, bank
+        )
+        slot.version = bank.version
+        slot.command = command
+        addr = request.addr
+        cas = command is Command.RD or command is Command.WR
+        # the data-bus fit depends on the pins, ACT pacing on the bank
+        # group; a key for one command never serves another
+        slot.shared_key = (command.value, addr.rank,
+                           request.subrank if cas else addr.bank_group)
+        slot.group = (addr.rank, addr.bank_group) if cas else None
 
     def _entry_terms(
         self, request: Request, rank, bank

@@ -63,11 +63,13 @@ def _controllers(monkeypatch):
 def _assert_slots_released(controllers):
     """A run that retired every request must have dropped every
     readiness slot: a slot lives exactly while a queued request holds
-    it, which is what bounds the slot table's memory."""
+    it, which is what bounds the slot table's memory.  Both queues'
+    slot orders must be empty with it."""
     assert controllers
     for mc in controllers:
         assert mc.idle()
         assert mc.scheduler._slots == {}
+        assert mc.scheduler._orders == ([], [])
 
 
 # --------------------------------------------------- stale-wakeup guard
@@ -151,15 +153,16 @@ def test_wheel_matches_polling_full_system(scheme, query, tables,
 
 def test_wait_memo_folds_arrivals_in_lockstep(tables, monkeypatch):
     """Under backpressure requests keep arriving while the controller
-    waits, so scans resumed from the wait memo fold arrivals in -- and
-    some arrivals win.  Every scan must still decide exactly as the full
-    recompute does at the same instant."""
+    waits, so scans resumed from the wait memo fold in the slots those
+    arrivals opened -- and some of those slots win.  Every scan must
+    still decide exactly as the full recompute does at the same
+    instant."""
     scans = lockstep_scans(monkeypatch)
     controllers = _controllers(monkeypatch)
     for scheme, query in _CELLS:
         _run(scheme, query, tables, **_BACKPRESSURE)
     _assert_slots_released(controllers)
-    folded = [won for _now, arrivals, won in scans if arrivals]
+    folded = [won for _now, new_slots, won in scans if new_slots]
     assert len(folded) > 100
     assert sum(folded) > 10
 
@@ -215,6 +218,32 @@ def test_wait_memo_expires_at_its_soonest_time():
     assert scheduler.choose(late, queue)[:2] == (hit, Command.RD)
     assert scheduler.choose_reference(late, queue)[:2] == (hit, Command.RD)
     assert scheduler.peek_hits == 1
+
+
+def test_slot_moves_behind_older_heads_when_its_head_retires():
+    """Queue A1, B1, A2, where A1 and A2 share a slot.  Once A1's CAS
+    issues, slot A's head is A2, admitted after B1, so slot A must move
+    behind slot B.  With B1 and A2 both ready in one bank group (so
+    bank-group rotation prefers neither), FR-FCFS picks the older B1."""
+    kernel = Kernel()
+    mc = MemoryController(
+        kernel, DDR4_2400, config=ControllerConfig(refresh_enabled=False)
+    )
+    mapper = AddressMapper(mc.geometry)
+    # bank 0 row 0, bank 1 row 0 (same bank group), bank 0 row 0
+    a1, b1, a2 = (read(mapper, addr, []) for addr in (0, 8192, 64))
+    for request in (a1, b1, a2):
+        mc.submit(request)
+    assert a2._slot is a1._slot is not b1._slot
+    queue = mc.read_queue
+    mc._issue(0, a1, Command.ACT, queue)
+    mc._issue(10, b1, Command.ACT, queue)
+    mc._issue(50, a1, Command.RD, queue)
+    assert queue == [b1, a2]
+    late = 200  # every gate of both candidates has passed
+    choice = mc.scheduler.choose(late, queue)
+    assert choice[:2] == (b1, Command.RD) and choice[2] <= late
+    assert choice == mc.scheduler.choose_reference(late, queue)
 
 
 def test_wait_memo_belongs_to_its_queue():

@@ -252,25 +252,36 @@ def lockstep_scans(monkeypatch):
     """Make every fast-mode FR-FCFS scan re-run the full-recompute scan
     at the same instant and assert both decide alike.
 
-    Returns the scan log, one ``(now, arrivals, won)`` per scan:
-    ``arrivals`` is None for a walk of the whole queue, else how many
-    requests a scan resumed from the wait memo folded in (0 when it only
-    decided the tied candidates at the wait's end), and ``won`` says
-    whether one of those arrivals was chosen."""
+    Returns the scan log, one ``(now, new_slots, won)`` per scan:
+    ``new_slots`` is None for a walk of the whole slot order, else how
+    many readiness slots created since the wait memo a resumed scan
+    evaluated (0 when it only decided the tied candidates at the wait's
+    end), and ``won`` says whether the choice heads one of them.  A
+    resumed scan never picks a request that arrived since the memo
+    unless it heads a new slot: an arrival that joins an existing slot
+    loses every tie to that slot's head."""
     indexed = Scheduler.choose
     scans = []
+    #: per scheduler, the wait memo last taken and the queue length then
+    taken = {}
 
     def lockstep(self, now, queue):
         hits, memo = self.peek_hits, self._wait_memo
         choice = indexed(self, now, queue)
         recomputed = self.choose_reference(now, queue)
         assert _decision(choice, now) == _decision(recomputed, now), now
-        arrivals, won = None, False
+        new_slots, won = None, False
         if self.peek_hits > hits:  # resumed from the wait memo
-            folded = queue[memo[2]:]
-            arrivals = len(folded)
-            won = any(choice[0] is request for request in folded)
-        scans.append((now, arrivals, won))
+            folded = memo[0][memo[2]:]
+            new_slots = len(folded)
+            won = any(choice[0] is slot.request for slot in folded)
+            memo_taken, queued = taken[self]
+            assert memo_taken is memo
+            arrivals = queue[queued:]
+            assert won or not any(choice[0] is r for r in arrivals), now
+        if self._wait_memo is not memo:
+            taken[self] = (self._wait_memo, len(queue))
+        scans.append((now, new_slots, won))
         return choice
 
     monkeypatch.setattr(Scheduler, "choose", lockstep)

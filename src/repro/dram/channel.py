@@ -89,19 +89,20 @@ class ChannelState:
         """
         t = self.timing
         latency = t.CL if cmd is Command.RD else t.CWL
-        candidates = [(self.data_free, self.last_full)]
+        gap_after = self._gap_after
+        last = self.subbus_last
+        earliest_data = self.data_free + gap_after(self.last_full, rank,
+                                                   req_type)
         if subrank is None:
             for group, end in self.subbus_free.items():
-                candidates.append((end, self.subbus_last.get(group)))
+                data = end + gap_after(last.get(group), rank, req_type)
+                if data > earliest_data:
+                    earliest_data = data
         else:
-            candidates.append((
-                self.subbus_free.get(subrank, 0),
-                self.subbus_last.get(subrank),
-            ))
-        earliest_data = max(
-            end + self._gap_after(last, rank, req_type)
-            for end, last in candidates
-        )
+            data = (self.subbus_free.get(subrank, 0)
+                    + gap_after(last.get(subrank), rank, req_type))
+            if data > earliest_data:
+                earliest_data = data
         return max(0, earliest_data - latency)
 
     def issue_cas(self, now: int, cmd: Command, rank: int,

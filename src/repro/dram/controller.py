@@ -148,6 +148,12 @@ class MemoryController:
             timing.tREFI * (i + 1) // max(1, self.geometry.ranks)
             for i in range(self.geometry.ranks)
         ]
+        #: the soonest refresh deadline, FOREVER with refresh off
+        self._refresh_at = (
+            min(self._next_refresh)
+            if self.config.refresh_enabled and timing.tREFI > 0
+            else FOREVER
+        )
 
     # ------------------------------------------------------------------ API
 
@@ -258,7 +264,7 @@ class MemoryController:
 
     def _refresh_due(self, now: int) -> Optional[int]:
         """Rank index whose refresh deadline has passed, if any."""
-        if not self.config.refresh_enabled or self.timing.tREFI <= 0:
+        if now < self._refresh_at:
             return None
         for rank_id, deadline in enumerate(self._next_refresh):
             if now >= deadline:
@@ -291,7 +297,7 @@ class MemoryController:
             # binding constraint is
             reason = WRITE_DRAIN
         if earliest > now:
-            wake = min(earliest, self._next_refresh_deadline() or FOREVER)
+            wake = min(earliest, self._refresh_at)
             self._note_wait(now, wake, reason)
             return wake
         if queue is self.write_queue and self.read_queue:
@@ -304,11 +310,9 @@ class MemoryController:
             probe(start, end, reason)
 
     def _next_refresh_deadline(self) -> Optional[int]:
-        if not self.config.refresh_enabled or self.timing.tREFI <= 0:
-            return None
-        if self.idle():
+        if self._refresh_at == FOREVER or self.idle():
             return None  # nothing to do; refresh bookkeeping resumes on submit
-        return min(self._next_refresh)
+        return self._refresh_at
 
     def _active_queue(self) -> Optional[List[Request]]:
         """Pick the queue to serve, honouring write-drain watermarks."""
@@ -456,4 +460,5 @@ class MemoryController:
         rank.issue_refresh(now)
         self.stats.refreshes += 1
         self._next_refresh[rank_id] += self.timing.tREFI
+        self._refresh_at = min(self._next_refresh)
         return now + 1

@@ -154,7 +154,11 @@ def build_stall_report(
     controller = system.controller
     cfg = controller.config
     oldest = []
-    for request in (controller.read_queue + controller.write_queue)[:8]:
+    # the 8 oldest across both queues (a stable sort: reads first on a
+    # tie), so queued writes show even behind a full read queue
+    queued = sorted(controller.read_queue + controller.write_queue,
+                    key=lambda request: request.arrival)
+    for request in queued[:8]:
         oldest.append({
             "type": request.type.value,
             "rank": request.addr.rank,

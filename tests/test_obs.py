@@ -387,6 +387,32 @@ class TestStallDiagnostics:
             run_query("SAM-en", _small_query(), make_tables(512, 512),
                       max_events=200)
 
+    def test_stall_report_lists_oldest_across_queues(self):
+        """A write queued before 8 reads is the oldest request, so the
+        report lists it first rather than only the read queue's head."""
+        from repro.core.registry import make_scheme
+        from repro.dram import AddressMapper
+        from repro.kernel import Kernel
+        from repro.obs.diagnostics import build_stall_report
+        from repro.sim.system import MemorySystem
+
+        from .test_dram_controller import read, write
+
+        kernel = Kernel()
+        system = MemorySystem(kernel, make_scheme("baseline"))
+        mc = system.controller
+        mapper = AddressMapper(mc.geometry)
+        mc.submit(write(mapper, 0, []))
+        kernel.schedule_at(1, lambda: [
+            mc.submit(read(mapper, (i + 1) * 8192, [])) for i in range(8)
+        ])
+        kernel.run(until=2)
+        assert (len(mc.read_queue), len(mc.write_queue)) == (8, 1)
+        report = build_stall_report("forced", kernel, system)
+        assert [r["type"] for r in report.oldest_requests] == (
+            ["WRITE"] + ["READ"] * 7)
+        assert report.oldest_requests[0]["arrival"] == 0
+
 
 # --------------------------------------------------- runner health metrics
 

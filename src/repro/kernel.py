@@ -17,8 +17,7 @@ ordering being stable, so it is part of the kernel's contract, not an
 implementation detail.  :meth:`Kernel.peek` reports the next deadline.
 
 :attr:`Kernel.events` counts executed callbacks; together with the final
-``now`` it yields the events-per-simulated-cycle gauge the bench harness
-ratchets.
+``now`` it yields the run's events-per-simulated-cycle gauge.
 """
 
 from __future__ import annotations

@@ -196,8 +196,8 @@ def _publish_metrics(
     reg.gauge("sim.events").set(events)
     reg.gauge("sim.max_events").set(max_events)
     # Event-wheel efficiency gauges: executed kernel events per simulated
-    # cycle (the wakeup-efficiency number the bench ratchets), FR-FCFS
-    # scans resumed from the wait memo, and writeback-poll futility.
+    # cycle (the wake-up efficiency), FR-FCFS scans resumed from the wait
+    # memo, and writeback-poll futility.
     reg.set_ratio("sim.events_per_cycle", events, cycles)
     if kernel is not None:
         reg.gauge("kernel.events").set(kernel.events)

@@ -1,12 +1,12 @@
 """Pinned simulated work: the exact cycles and kernel events of eight runs.
 
-The rows are the ``repro bench`` set on 512 x 1024 tables: SQL queries by
-name and one generated strided kernel, across the row store, the column
-store, SAM, SAM-sub and the MASA bank.  Simulated cycles and executed
-kernel events are deterministic, so any drift in either is a behaviour
-change of the scheduler, the bank model or the event wheel, never host
-noise.  A change that alters simulated behaviour on purpose updates this
-table and says why.
+The rows run on 512 x 1024 tables: SQL queries by name and one generated
+strided kernel, across the row store, the column store, SAM, SAM-sub and
+the MASA bank.  Simulated cycles and executed kernel events are
+deterministic, so any drift in either is a behaviour change of the
+scheduler, the bank model or the event wheel, never host noise.  A change
+that alters simulated behaviour on purpose updates this table and says
+why.
 """
 
 import pytest
@@ -45,6 +45,7 @@ def test_pinned_run(scheme, workload, tables):
 
 
 def test_pinned_totals():
-    """The table's totals, as the bench ratchet reports them."""
+    """The table's totals, so that an edit to any row also shows up as
+    a change to these two numbers."""
     assert sum(cycles for cycles, _ in PINNED.values()) == 43_547
     assert sum(events for _, events in PINNED.values()) == 72_361

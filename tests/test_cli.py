@@ -69,6 +69,20 @@ class TestCommands:
         code = main(["figure15", "--ta", "64", "--panels", "z"])
         assert code == 2
 
+    @pytest.mark.parametrize("pair,message", [
+        pytest.param("tRCD=abc", "tRCD wants an integer, got 'abc'",
+                     id="tRCD=abc"),
+        pytest.param("tRCDX=5",
+                     "unknown timing parameter 'tRCDX'; valid: tRCD, tRP",
+                     id="tRCDX=5"),
+        pytest.param("name=5",
+                     "unknown timing parameter 'name'; valid: tRCD, tRP",
+                     id="name=5"),
+    ])
+    def test_fuzz_rejects_bad_inject(self, pair, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["check", "fuzz", "--cases", "2", "--inject", pair])
+
     def test_figure15_runs_only_chosen_panels(self, tmp_path, capsys):
         code = main(["figure15", "--ta", "64", "--panels", "a", "--json",
                      "--no-cache", "--artifacts", str(tmp_path)])

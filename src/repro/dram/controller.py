@@ -71,6 +71,11 @@ class ControllerConfig:
     #: nothing (see `repro.dram.scheduler`)
     reference: bool = False
 
+    def __post_init__(self) -> None:
+        if self.page_policy not in ("open", "closed"):
+            raise ValueError(f"page_policy must be 'open' or 'closed', "
+                             f"got {self.page_policy!r}")
+
 
 @dataclass
 class CommandStats:

@@ -109,6 +109,10 @@ class TestStressConfigurations:
         )
         assert result.memory_stats.writes > 0
 
+    def test_misspelled_page_policy_rejected(self):
+        with pytest.raises(ValueError, match="'open' or 'closed'"):
+            ControllerConfig(page_policy="close")
+
     def test_refresh_disabled(self):
         config = SystemConfig(
             controller=ControllerConfig(refresh_enabled=False)

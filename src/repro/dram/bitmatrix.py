@@ -8,10 +8,10 @@ once per ``(layout, chip count)`` as an index matrix and move whole lines
 with three numpy ops: unpack to a bit vector, gather through the index
 matrix, pack back to words.
 
-The scalar loops in :mod:`repro.dram.datapath` and
-:mod:`repro.dram.iobuffer` (the ``*_scalar`` functions) remain the
-reference oracle; the hypothesis round-trip tests assert bit-for-bit
-equality between the two implementations.
+The per-bit loops these tables replaced live on in
+``tests/scalar_oracles.py`` as the reference oracle; the hypothesis
+round-trip tests assert bit-for-bit equality between the two
+implementations.
 """
 
 from __future__ import annotations

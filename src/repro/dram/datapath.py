@@ -27,11 +27,9 @@ from .iobuffer import (
     BEATS,
     LANES,
     deserialize_x4,
-    lane,
     serialize_stride,
     serialize_stride_2d,
     serialize_x4,
-    with_lane,
 )
 
 Layout = str  # "default" | "transposed"
@@ -40,29 +38,10 @@ Layout = str  # "default" | "transposed"
 # --------------------------------------------------------------------------
 # Generic packers (parameterized by chip count so parity chips reuse them).
 #
-# The public names dispatch to the table-driven bit-matrix engine of
-# :mod:`repro.dram.bitmatrix`; the ``*_scalar`` versions are the original
-# per-bit loops, kept as the reference oracle for the round-trip tests.
+# They dispatch to the table-driven bit-matrix engine of
+# :mod:`repro.dram.bitmatrix`; ``tests/scalar_oracles.py`` keeps the
+# per-bit loops they replaced, as the oracle of the round-trip tests.
 # --------------------------------------------------------------------------
-
-def pack_default_scalar(data: bytes, n_chips: int) -> List[int]:
-    """Reference implementation of :func:`pack_default`."""
-    if len(data) * 8 != n_chips * 32:
-        raise ValueError(
-            f"{n_chips} chips hold {n_chips * 4} bytes, got {len(data)}"
-        )
-    bits = int.from_bytes(data, "little")
-    per_beat = 4 * n_chips
-    blocks = [0] * n_chips
-    for k in range(BEATS):
-        beat = (bits >> (per_beat * k)) & ((1 << per_beat) - 1)
-        for i in range(n_chips):
-            nibble = (beat >> (4 * i)) & 0xF
-            for l in range(LANES):
-                if (nibble >> l) & 1:
-                    blocks[i] |= 1 << (8 * l + k)
-    return blocks
-
 
 def pack_default(data: bytes, n_chips: int) -> List[int]:
     """Default layout: data bit ``(4*n_chips)*k + 4i + l`` goes to chip
@@ -74,41 +53,8 @@ def pack_default(data: bytes, n_chips: int) -> List[int]:
     return pack_blocks(data, "default", n_chips)
 
 
-def unpack_default_scalar(blocks: Sequence[int], n_chips: int) -> bytes:
-    """Reference implementation of :func:`unpack_default`."""
-    bits = 0
-    per_beat = 4 * n_chips
-    for i, block in enumerate(blocks):
-        for l in range(LANES):
-            lane_bits = lane(block, l)
-            for k in range(BEATS):
-                if (lane_bits >> k) & 1:
-                    bits |= 1 << (per_beat * k + 4 * i + l)
-    return bits.to_bytes(n_chips * 4, "little")
-
-
 def unpack_default(blocks: Sequence[int], n_chips: int) -> bytes:
     return unpack_blocks(blocks, "default", n_chips)
-
-
-def pack_transposed_scalar(data: bytes, n_chips: int) -> List[int]:
-    """Reference implementation of :func:`pack_transposed`."""
-    if len(data) * 8 != n_chips * 32:
-        raise ValueError(
-            f"{n_chips} chips hold {n_chips * 4} bytes, got {len(data)}"
-        )
-    bits = int.from_bytes(data, "little")
-    sector_bits = n_chips * 8
-    blocks = [0] * n_chips
-    for n in range(LANES):
-        sector = (bits >> (sector_bits * n)) & ((1 << sector_bits) - 1)
-        for i in range(n_chips):
-            symbol = 0
-            for k in range(BEATS):
-                if (sector >> (n_chips * k + i)) & 1:
-                    symbol |= 1 << k
-            blocks[i] = with_lane(blocks[i], n, symbol)
-    return blocks
 
 
 def pack_transposed(data: bytes, n_chips: int) -> List[int]:
@@ -119,19 +65,6 @@ def pack_transposed(data: bytes, n_chips: int) -> List[int]:
             f"{n_chips} chips hold {n_chips * 4} bytes, got {len(data)}"
         )
     return pack_blocks(data, "transposed", n_chips)
-
-
-def unpack_transposed_scalar(blocks: Sequence[int], n_chips: int) -> bytes:
-    """Reference implementation of :func:`unpack_transposed`."""
-    bits = 0
-    sector_bits = n_chips * 8
-    for n in range(LANES):
-        for i, block in enumerate(blocks):
-            symbol = lane(block, n)
-            for k in range(BEATS):
-                if (symbol >> k) & 1:
-                    bits |= 1 << (sector_bits * n + n_chips * k + i)
-    return bits.to_bytes(n_chips * 4, "little")
 
 
 def unpack_transposed(blocks: Sequence[int], n_chips: int) -> bytes:

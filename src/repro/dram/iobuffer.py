@@ -43,7 +43,7 @@ SECTORS_PER_LINE = LINE_BYTES // SECTOR_BYTES
 #: bit-matrix tables for the serializers: ``_SPREAD4[n]`` places the four
 #: bits of nibble ``n`` at bit 0 of each 8-bit lane of a 32-bit word;
 #: ``_COMPRESS4`` is the exact inverse.  One masked shift plus one lookup
-#: replaces the per-lane loop of the scalar serializers.
+#: replaces a per-lane loop.
 _SPREAD4 = tuple(
     (n & 1)
     | (((n >> 1) & 1) << 8)
@@ -86,30 +86,6 @@ def block_column(block: int, n: int) -> int:
 # Line <-> per-chip block packing (default layout, Figure 4(b))
 # --------------------------------------------------------------------------
 
-def _line_bits(line: bytes) -> int:
-    if len(line) != LINE_BYTES:
-        raise ValueError(f"a cacheline is {LINE_BYTES} bytes, got {len(line)}")
-    return int.from_bytes(line, "little")
-
-
-def _bits_to_line(bits: int) -> bytes:
-    return bits.to_bytes(LINE_BYTES, "little")
-
-
-def pack_line_default_scalar(line: bytes) -> List[int]:
-    """Reference implementation of :func:`pack_line_default`."""
-    bits = _line_bits(line)
-    blocks = [0] * DATA_CHIPS
-    for k in range(BEATS):
-        beat = (bits >> (64 * k)) & ((1 << 64) - 1)
-        for i in range(DATA_CHIPS):
-            nibble = (beat >> (4 * i)) & 0xF
-            for l in range(LANES):
-                if (nibble >> l) & 1:
-                    blocks[i] |= 1 << (LANE_BITS * l + k)
-    return blocks
-
-
 def pack_line_default(line: bytes) -> List[int]:
     """Distribute a 64B line over 16 chips in the default layout.
 
@@ -122,40 +98,11 @@ def pack_line_default(line: bytes) -> List[int]:
     return pack_blocks(line, "default", DATA_CHIPS)
 
 
-def unpack_line_default_scalar(blocks: Sequence[int]) -> bytes:
-    """Reference implementation of :func:`unpack_line_default`."""
-    if len(blocks) != DATA_CHIPS:
-        raise ValueError(f"need {DATA_CHIPS} blocks, got {len(blocks)}")
-    bits = 0
-    for i, block in enumerate(blocks):
-        for l in range(LANES):
-            lane_bits = lane(block, l)
-            for k in range(BEATS):
-                if (lane_bits >> k) & 1:
-                    bits |= 1 << (64 * k + 4 * i + l)
-    return _bits_to_line(bits)
-
-
 def unpack_line_default(blocks: Sequence[int]) -> bytes:
     """Inverse of :func:`pack_line_default`."""
     if len(blocks) != DATA_CHIPS:
         raise ValueError(f"need {DATA_CHIPS} blocks, got {len(blocks)}")
     return unpack_blocks(blocks, "default", DATA_CHIPS)
-
-
-def pack_line_transposed_scalar(line: bytes) -> List[int]:
-    """Reference implementation of :func:`pack_line_transposed`."""
-    bits = _line_bits(line)
-    blocks = [0] * DATA_CHIPS
-    for n in range(SECTORS_PER_LINE):
-        sector = (bits >> (128 * n)) & ((1 << 128) - 1)
-        for i in range(DATA_CHIPS):
-            symbol = 0
-            for k in range(BEATS):
-                if (sector >> (16 * k + i)) & 1:
-                    symbol |= 1 << k
-            blocks[i] = with_lane(blocks[i], n, symbol)
-    return blocks
 
 
 def pack_line_transposed(line: bytes) -> List[int]:
@@ -172,20 +119,6 @@ def pack_line_transposed(line: bytes) -> List[int]:
     return pack_blocks(line, "transposed", DATA_CHIPS)
 
 
-def unpack_line_transposed_scalar(blocks: Sequence[int]) -> bytes:
-    """Reference implementation of :func:`unpack_line_transposed`."""
-    if len(blocks) != DATA_CHIPS:
-        raise ValueError(f"need {DATA_CHIPS} blocks, got {len(blocks)}")
-    bits = 0
-    for n in range(SECTORS_PER_LINE):
-        for i, block in enumerate(blocks):
-            symbol = lane(block, n)
-            for k in range(BEATS):
-                if (symbol >> k) & 1:
-                    bits |= 1 << (128 * n + 16 * k + i)
-    return _bits_to_line(bits)
-
-
 def unpack_line_transposed(blocks: Sequence[int]) -> bytes:
     """Inverse of :func:`pack_line_transposed`."""
     if len(blocks) != DATA_CHIPS:
@@ -198,37 +131,15 @@ def unpack_line_transposed(blocks: Sequence[int]) -> bytes:
 #
 # The public serializers are table-driven: gathering "bit k of each lane"
 # is a mask at 0x01010101 followed by a 16-entry compress lookup, and the
-# deserializers spread nibbles back with the inverse table.  The
-# ``*_scalar`` versions keep the original per-lane loops as the oracle.
+# deserializers spread nibbles back with the inverse table.
+# ``tests/scalar_oracles.py`` keeps the per-lane loops they replaced as
+# the oracle.
 # --------------------------------------------------------------------------
-
-def serialize_x4_scalar(block: int) -> List[int]:
-    """Reference implementation of :func:`serialize_x4`."""
-    beats = []
-    for k in range(BEATS):
-        nibble = 0
-        for l in range(LANES):
-            nibble |= ((lane(block, l) >> k) & 1) << l
-        beats.append(nibble)
-    return beats
-
 
 def serialize_x4(block: int) -> List[int]:
     """Regular x4 burst: 8 beats, each a 4-bit value (DQ3..DQ0)."""
     block &= 0xFFFFFFFF  # lane() reads bits 0..31 only
     return [_COMPRESS4[(block >> k) & 0x01010101] for k in range(BEATS)]
-
-
-def deserialize_x4_scalar(beats: Sequence[int]) -> int:
-    """Reference implementation of :func:`deserialize_x4`."""
-    if len(beats) != BEATS:
-        raise ValueError(f"a burst is {BEATS} beats, got {len(beats)}")
-    block = 0
-    for k, nibble in enumerate(beats):
-        for l in range(LANES):
-            if (nibble >> l) & 1:
-                block |= 1 << (LANE_BITS * l + k)
-    return block
 
 
 def deserialize_x4(beats: Sequence[int]) -> int:
@@ -239,20 +150,6 @@ def deserialize_x4(beats: Sequence[int]) -> int:
     for k, nibble in enumerate(beats):
         block |= _SPREAD4[nibble & 0xF] << k
     return block
-
-
-def serialize_stride_scalar(buffers: Sequence[int], n: int) -> List[int]:
-    """Reference implementation of :func:`serialize_stride`."""
-    if len(buffers) != 4:
-        raise ValueError("stride mode uses all four I/O buffers")
-    beats = []
-    lanes = [lane(buf, n) for buf in buffers]
-    for k in range(BEATS):
-        nibble = 0
-        for j in range(4):
-            nibble |= ((lanes[j] >> k) & 1) << j
-        beats.append(nibble)
-    return beats
 
 
 def serialize_stride(buffers: Sequence[int], n: int) -> List[int]:
@@ -267,20 +164,6 @@ def serialize_stride(buffers: Sequence[int], n: int) -> List[int]:
         | (lane(buffers[3], n) << 24)
     )
     return [_COMPRESS4[(word >> k) & 0x01010101] for k in range(BEATS)]
-
-
-def serialize_stride_2d_scalar(buffers: Sequence[int], n: int) -> List[int]:
-    """Reference implementation of :func:`serialize_stride_2d`."""
-    if len(buffers) != 4:
-        raise ValueError("stride mode uses all four I/O buffers")
-    beats = []
-    columns = [block_column(buf, n) for buf in buffers]
-    for k in range(BEATS):
-        nibble = 0
-        for j in range(4):
-            nibble |= ((columns[j] >> k) & 1) << j
-        beats.append(nibble)
-    return beats
 
 
 def serialize_stride_2d(buffers: Sequence[int], n: int) -> List[int]:

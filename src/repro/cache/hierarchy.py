@@ -1,14 +1,16 @@
 """Three-level cache hierarchy (Table 2: L1 32KB, L2 256KB, LLC 8MB).
 
-The hierarchy is functional (hit/miss classification + inclusive fills);
-latencies are charged by the CPU model.  All levels are sector caches so
-SAM's strided fills stay at sector granularity end to end.
+The hierarchy is functional (hit/miss classification + inclusive fills).
+A probe reports the configured hit latency of the level that hit, but no
+simulated timing reads it: the cores charge a hit their issue cycles at
+any level.  All levels are sector caches so SAM's strided fills stay at
+sector granularity end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .sector import Eviction, SectorCache
 
@@ -23,7 +25,9 @@ class HierarchyConfig:
     llc_ways: int = 8
     line_bytes: int = 64
     sectors: int = 4
-    l1_latency: int = 1  # memory-controller cycles
+    # memory-controller cycles, reported by LookupResult.latency; the
+    # cores do not charge them
+    l1_latency: int = 1
     l2_latency: int = 4
     llc_latency: int = 12
 
@@ -33,9 +37,8 @@ class LookupResult:
     """Outcome of a hierarchy probe."""
 
     level: Optional[int]  # 1, 2, 3 for a hit; None for full miss
-    latency: int  # cycles spent probing (hit latency of deepest probe)
+    latency: int  # configured latency of the deepest level probed
     missing_mask: int  # sectors to fetch from memory (0 on hit)
-    writebacks: Tuple[int, ...] = ()  # dirty victim line addrs to write back
 
 
 class CacheHierarchy:
@@ -54,26 +57,30 @@ class CacheHierarchy:
                               name="L2")
         self.llc = SectorCache(c.llc_bytes, c.llc_ways, c.line_bytes,
                                c.sectors, name="LLC")
+        # a hit's result depends only on its level, so it is shared
+        self._l1_hit = LookupResult(1, c.l1_latency, 0)
+        self._l2_hit = LookupResult(2, c.l2_latency, 0)
+        self._llc_hit = LookupResult(3, c.llc_latency, 0)
 
     # --------------------------------------------------------------- reads
 
     def lookup(self, core: int, line_addr: int,
                sector_mask: int) -> LookupResult:
         """Probe L1 -> L2 -> LLC; fill upper levels on a lower-level hit."""
-        c = self.config
         l1 = self.l1[core % len(self.l1)]
         hit, missing = l1.lookup(line_addr, sector_mask)
         if hit:
-            return LookupResult(1, c.l1_latency, 0)
-        hit2, missing2 = self.l2.lookup(line_addr, missing)
-        if hit2:
-            self._fill_upper(l1, None, line_addr, missing)
-            return LookupResult(2, c.l2_latency, 0)
-        hit3, missing3 = self.llc.lookup(line_addr, missing2)
-        if hit3:
-            self._fill_upper(l1, self.l2, line_addr, missing)
-            return LookupResult(3, c.llc_latency, 0)
-        return LookupResult(None, c.llc_latency, missing3)
+            return self._l1_hit
+        hit, missing2 = self.l2.lookup(line_addr, missing)
+        if hit:
+            l1.fill(line_addr, missing)
+            return self._l2_hit
+        hit, missing3 = self.llc.lookup(line_addr, missing2)
+        if hit:
+            self.l2.fill(line_addr, missing)
+            l1.fill(line_addr, missing)
+            return self._llc_hit
+        return LookupResult(None, self.config.llc_latency, missing3)
 
     def fill_from_memory(self, core: int, line_addr: int,
                          sector_mask: int) -> List[Eviction]:
@@ -106,17 +113,11 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------ internals
 
-    def _fill_upper(self, l1: SectorCache, l2: Optional[SectorCache],
-                    line_addr: int, sector_mask: int) -> None:
-        if l2 is not None:
-            l2.fill(line_addr, sector_mask)
-        l1.fill(line_addr, sector_mask)
-
     def _dirty_all(self, core: int, line_addr: int, sector_mask: int) -> None:
-        l1 = self.l1[core % len(self.l1)]
-        for cache in (l1, self.l2, self.llc):
-            if cache.resident(line_addr):
-                cache.fill(line_addr, sector_mask, dirty=True)
+        """Validate and dirty the sectors at every level holding the line."""
+        self.l1[core % len(self.l1)].write_resident(line_addr, sector_mask)
+        self.l2.write_resident(line_addr, sector_mask)
+        self.llc.write_resident(line_addr, sector_mask)
 
     def occupancy(self) -> dict:
         """Per-level residency snapshot, keyed by cache name."""

@@ -5,25 +5,23 @@ each), so the cache tracks validity and dirtiness per sector: a line may be
 resident with only the sectors a strided load brought in.  Regular fills
 validate all sectors.  Sector count is configurable (4 x 16B under SSC,
 8 x 8B under SSC-DSD).
+
+A resident line's state is one int, ``valid | dirty << sectors``: the
+low ``sectors`` bits are the valid mask and the bits above them the
+dirty mask.  Each set is a plain dict from line address to that int,
+whose insertion order is the LRU order: a touch pops the line and
+re-inserts it as most recently used, and the victim is the first key.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import DefaultDict, Dict, List, Optional, Tuple
 
 
 def full_mask(sectors: int) -> int:
     return (1 << sectors) - 1
-
-
-@dataclass
-class LineState:
-    """Residency state of one cached line."""
-
-    valid_mask: int = 0
-    dirty_mask: int = 0
 
 
 @dataclass
@@ -49,7 +47,12 @@ class Eviction:
 
 
 class SectorCache:
-    """One cache level with per-sector valid/dirty bits and LRU sets."""
+    """One cache level with per-sector valid/dirty bits and LRU sets.
+
+    Sector masks passed in must lie within ``full_mask(sectors)``, as
+    :meth:`sector_mask_for` builds them; a higher bit would alias a
+    dirty bit of the packed line state.
+    """
 
     def __init__(
         self,
@@ -59,6 +62,15 @@ class SectorCache:
         sectors: int = 4,
         name: str = "cache",
     ) -> None:
+        if min(size_bytes, ways, line_bytes, sectors) <= 0:
+            raise ValueError(
+                f"cache geometry must be positive: size_bytes={size_bytes}, "
+                f"ways={ways}, line_bytes={line_bytes}, sectors={sectors}"
+            )
+        if line_bytes % sectors:
+            raise ValueError(
+                f"{sectors} sectors do not divide a {line_bytes}-byte line"
+            )
         if size_bytes % (ways * line_bytes):
             raise ValueError("cache size must divide into ways * line size")
         self.name = name
@@ -67,15 +79,15 @@ class SectorCache:
         self.sector_bytes = line_bytes // sectors
         self.ways = ways
         self.num_sets = size_bytes // (ways * line_bytes)
-        # set index -> OrderedDict line_addr -> LineState, LRU first; a
+        # set index -> {line_addr: valid | dirty << sectors}, LRU first; a
         # set is created on first touch, since a run touches a fraction
         # of an 8 MB LLC's sets
-        self._sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
+        self._sets: DefaultDict[int, Dict[int, int]] = defaultdict(dict)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- helpers
 
-    def _set_for(self, line_addr: int) -> OrderedDict:
+    def _set_for(self, line_addr: int) -> Dict[int, int]:
         index = (line_addr // self.line_bytes) % self.num_sets
         return self._sets[index]
 
@@ -88,10 +100,7 @@ class SectorCache:
             raise ValueError("access crosses a line boundary")
         first = offset // self.sector_bytes
         last = (offset + size - 1) // self.sector_bytes
-        mask = 0
-        for s in range(first, last + 1):
-            mask |= 1 << s
-        return mask
+        return (2 << last) - (1 << first)
 
     # -------------------------------------------------------------- access
 
@@ -102,59 +111,73 @@ class SectorCache:
         sector is valid; ``missing_mask`` lists the sectors that must be
         fetched.  Updates LRU on any touch of a resident line.
         """
-        self.stats.accesses += 1
-        cache_set = self._set_for(line_addr)
-        state = cache_set.get(line_addr)
+        stats = self.stats
+        stats.accesses += 1
+        cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
+        state = cache_set.pop(line_addr, None)
         if state is None:
-            self.stats.misses += 1
+            stats.misses += 1
             return False, sector_mask
-        cache_set.move_to_end(line_addr)
-        missing = sector_mask & ~state.valid_mask
+        cache_set[line_addr] = state
+        missing = sector_mask & ~state
         if missing:
-            self.stats.misses += 1
-            self.stats.partial_hits += 1
+            stats.misses += 1
+            stats.partial_hits += 1
             return False, missing
-        self.stats.hits += 1
+        stats.hits += 1
         return True, 0
 
     def mark_dirty(self, line_addr: int, sector_mask: int) -> bool:
-        """Set dirty bits on a resident line; returns False if not present."""
-        state = self._set_for(line_addr).get(line_addr)
-        if state is None or (state.valid_mask & sector_mask) != sector_mask:
+        """Set dirty bits on a resident line; returns False if not present.
+        The line keeps its LRU position."""
+        cache_set = self._set_for(line_addr)
+        state = cache_set.get(line_addr)
+        if state is None or (state & sector_mask) != sector_mask:
             return False
-        state.dirty_mask |= sector_mask
+        cache_set[line_addr] = state | sector_mask << self.sectors
         return True
 
     def fill(self, line_addr: int, sector_mask: int,
              dirty: bool = False) -> Optional[Eviction]:
         """Install sectors of a line, evicting LRU if needed."""
-        cache_set = self._set_for(line_addr)
-        state = cache_set.get(line_addr)
+        cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
+        state = cache_set.pop(line_addr, None)
         evicted = None
         if state is None:
+            state = 0
             if len(cache_set) >= self.ways:
-                victim_addr, victim = cache_set.popitem(last=False)
-                self.stats.evictions += 1
-                if victim.dirty_mask:
-                    self.stats.writebacks += 1
-                evicted = Eviction(victim_addr, victim.dirty_mask)
-            state = LineState()
-            cache_set[line_addr] = state
-        state.valid_mask |= sector_mask
+                victim_addr = next(iter(cache_set))
+                dirty_mask = cache_set.pop(victim_addr) >> self.sectors
+                stats = self.stats
+                stats.evictions += 1
+                if dirty_mask:
+                    stats.writebacks += 1
+                evicted = Eviction(victim_addr, dirty_mask)
         if dirty:
-            state.dirty_mask |= sector_mask
-        cache_set.move_to_end(line_addr)
+            sector_mask |= sector_mask << self.sectors
+        cache_set[line_addr] = state | sector_mask
         return evicted
+
+    def write_resident(self, line_addr: int, sector_mask: int) -> bool:
+        """Write sectors into a resident line: they become valid and
+        dirty, and the line most recently used.  Returns False, changing
+        nothing, when the line is not present."""
+        cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
+        state = cache_set.pop(line_addr, None)
+        if state is None:
+            return False
+        cache_set[line_addr] = state | sector_mask | sector_mask << self.sectors
+        return True
 
     def invalidate(self, line_addr: int) -> Optional[Eviction]:
         """Drop a line; returns its dirty state for writeback."""
-        cache_set = self._set_for(line_addr)
-        state = cache_set.pop(line_addr, None)
+        state = self._set_for(line_addr).pop(line_addr, None)
         if state is None:
             return None
-        if state.dirty_mask:
+        dirty_mask = state >> self.sectors
+        if dirty_mask:
             self.stats.writebacks += 1
-        return Eviction(line_addr, state.dirty_mask)
+        return Eviction(line_addr, dirty_mask)
 
     def resident(self, line_addr: int) -> bool:
         return line_addr in self._set_for(line_addr)
@@ -163,10 +186,11 @@ class SectorCache:
         """Resident/dirty line counts (observability snapshots)."""
         lines = 0
         dirty = 0
+        sectors = self.sectors
         for cache_set in self._sets.values():
             lines += len(cache_set)
             for state in cache_set.values():
-                if state.dirty_mask:
+                if state >> sectors:
                     dirty += 1
         return {
             "lines": lines,
@@ -178,10 +202,12 @@ class SectorCache:
         """Empty the cache, returning all dirty victims in ascending set
         index (LRU first within a set), the order writebacks drain in."""
         out = []
+        sectors = self.sectors
         for index in sorted(self._sets):
             for line_addr, state in self._sets[index].items():
-                if state.dirty_mask:
-                    out.append(Eviction(line_addr, state.dirty_mask))
+                dirty_mask = state >> sectors
+                if dirty_mask:
+                    out.append(Eviction(line_addr, dirty_mask))
                     self.stats.writebacks += 1
         self._sets.clear()
         return out

@@ -1,9 +1,13 @@
 """Tests for the sector cache and the hierarchy."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.sector import SectorCache, full_mask
+
+from .cache_oracle import ReferenceCacheHierarchy, ReferenceSectorCache
 
 
 def small_cache(sectors=4, ways=2, sets=4):
@@ -118,9 +122,21 @@ class TestSectorCache:
         c.lookup(64, 1)
         assert c.stats.hit_rate == 0.5
 
-    def test_bad_geometry(self):
+    @pytest.mark.parametrize("geometry", [
+        dict(size_bytes=100, ways=3),
+        dict(size_bytes=0, ways=2),
+        dict(size_bytes=-512, ways=2),
+        dict(size_bytes=512, ways=0),
+        dict(size_bytes=512, ways=2, line_bytes=0),
+        dict(size_bytes=512, ways=2, sectors=0),
+        dict(size_bytes=512, ways=2, sectors=-4),
+        dict(size_bytes=512, ways=2, sectors=3),
+    ], ids=["indivisible-size", "zero-size", "negative-size", "zero-ways",
+            "zero-line", "zero-sectors", "negative-sectors",
+            "sectors-not-dividing-line"])
+    def test_bad_geometry(self, geometry):
         with pytest.raises(ValueError):
-            SectorCache(size_bytes=100, ways=3)
+            SectorCache(**geometry)
 
 
 class TestHierarchy:
@@ -181,8 +197,120 @@ class TestHierarchy:
         dirty = h.flush_dirty()
         assert dirty and dirty[0].dirty_mask == 0b0011
 
+    def test_write_hit_refreshes_lru_at_every_level(self):
+        """A write that hits in L1 also makes the line most recently used
+        in L2 and the LLC, so the next conflicting fill evicts the other,
+        clean line there and reports no dirty victim."""
+        h = CacheHierarchy(HierarchyConfig(
+            l1_bytes=128, l1_ways=2, l2_bytes=128, l2_ways=2,
+            llc_bytes=128, llc_ways=2,
+        ))
+        h.fill_from_memory(0, 0, 0b1111)
+        h.fill_from_memory(0, 64, 0b1111)
+        assert h.write(0, 0, 0b0001).level == 1
+        assert h.fill_from_memory(0, 128, 0b1111) == []
+        assert h.lookup(0, 0, 0b0001).level == 1
+
     def test_latencies_configured(self):
         h = self.make()
         h.fill_from_memory(0, 0, 0b1111)
         assert h.lookup(0, 0, 1).latency == h.config.l1_latency
         assert h.lookup(1, 0, 1).latency == h.config.l2_latency
+
+
+# ---------------------------------------------------------------------------
+# Lockstep against the reference cache of ``cache_oracle.py``: random
+# operation sequences on tiny geometries, so sets fill up and evict, with
+# every return value, counter, occupancy and flush order compared after
+# each operation.
+# ---------------------------------------------------------------------------
+
+#: few enough distinct lines that writes and lookups often hit
+line_indices = st.integers(0, 11)
+
+#: (operation, line index, sector mask, dirty flag); a mask is cut down to
+#: the cache's sectors before use.  Flushes are drawn rarely, so that sets
+#: fill up and evict between them.
+cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("lookup", "fill", "mark_dirty", "invalidate",
+                         "resident") * 4 + ("flush",)),
+        line_indices,
+        st.integers(0, 255),
+        st.booleans(),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+hierarchy_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("lookup", "write", "fill_from_memory",
+                         "complete_write_fill") * 4 + ("flush_dirty",)),
+        st.integers(0, 1),  # core
+        line_indices,
+        st.integers(0, 255),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+@given(
+    sets=st.integers(1, 4),
+    ways=st.integers(1, 4),
+    sectors=st.sampled_from((4, 8)),
+    ops=cache_ops,
+)
+@settings(max_examples=300, deadline=None)
+def test_sector_cache_matches_reference(sets, ways, sectors, ops):
+    fast = SectorCache(sets * ways * 64, ways, sectors=sectors)
+    ref = ReferenceSectorCache(sets * ways * 64, ways, sectors=sectors)
+    for op, line_idx, mask, dirty in ops:
+        line = line_idx * 64
+        mask &= full_mask(sectors)
+        if op == "fill":
+            args = (line, mask, dirty)
+        elif op == "flush":
+            args = ()
+        elif op in ("invalidate", "resident"):
+            args = (line,)
+        else:
+            args = (line, mask)
+        assert getattr(fast, op)(*args) == getattr(ref, op)(*args), op
+        assert fast.stats == ref.stats
+        assert fast.occupancy() == ref.occupancy()
+    assert fast.flush() == ref.flush()
+
+
+@given(
+    geometry=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        min_size=3, max_size=3,
+    ),
+    sectors=st.sampled_from((4, 8)),
+    ops=hierarchy_ops,
+)
+@settings(max_examples=300, deadline=None)
+def test_hierarchy_matches_reference(geometry, sectors, ops):
+    """Two cores with private L1s over a shared L2 and LLC, each level
+    ``sets x ways`` lines."""
+    (l1_sets, l1_ways), (l2_sets, l2_ways), (llc_sets, llc_ways) = geometry
+    cfg = HierarchyConfig(
+        l1_bytes=l1_sets * l1_ways * 64, l1_ways=l1_ways,
+        l2_bytes=l2_sets * l2_ways * 64, l2_ways=l2_ways,
+        llc_bytes=llc_sets * llc_ways * 64, llc_ways=llc_ways,
+        sectors=sectors,
+    )
+    fast = CacheHierarchy(cfg, per_core_l1=2)
+    ref = ReferenceCacheHierarchy(cfg, per_core_l1=2)
+    for op, core, line_idx, mask in ops:
+        args = (core, line_idx * 64, mask & full_mask(sectors))
+        if op == "flush_dirty":
+            args = ()
+        assert getattr(fast, op)(*args) == getattr(ref, op)(*args), op
+        assert fast.occupancy() == ref.occupancy()
+        for mine, theirs in zip((*fast.l1, fast.l2, fast.llc),
+                                (*ref.l1, ref.l2, ref.llc)):
+            assert mine.stats == theirs.stats, mine.name
+    assert fast.flush_dirty() == ref.flush_dirty()

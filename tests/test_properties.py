@@ -20,7 +20,7 @@ from repro.ecc import hamming
 from repro.ecc.chipkill import SSCCodec
 from repro.ecc.injection import FAULT_MODELS, run_campaign
 from repro.ecc.rs import ReedSolomon
-from repro.cache.sector import SectorCache
+from repro.cache.sector import SectorCache, full_mask
 from repro.vm import PAGE_SIZE, sam_io_mapping, sam_sub_mapping
 
 lines = st.binary(min_size=64, max_size=64)
@@ -134,13 +134,16 @@ def test_stride_mapping_preserves_strided_offset(addr, granularity):
 @settings(max_examples=50, deadline=None)
 def test_sector_cache_invariants(operations):
     """After any fill sequence: dirty implies valid, and a lookup hit
-    implies all requested sectors were filled at some point."""
+    implies all requested sectors were filled at some point.  A line's
+    state is packed as ``valid | dirty << sectors``."""
     cache = SectorCache(size_bytes=8 * 64, ways=2, sectors=4)
     for line_idx, mask, dirty in operations:
         cache.fill(line_idx * 64, mask, dirty=dirty)
         for cache_set in cache._sets.values():
             for state in cache_set.values():
-                assert state.dirty_mask & ~state.valid_mask == 0
+                valid_mask = state & full_mask(cache.sectors)
+                dirty_mask = state >> cache.sectors
+                assert dirty_mask & ~valid_mask == 0
         hit, missing = cache.lookup(line_idx * 64, mask)
         assert hit and missing == 0
 

@@ -36,6 +36,8 @@ import sys
 from functools import partial
 from typing import List, Optional
 
+from .core.registry import GATHER_FACTORS
+
 
 def _add_size_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ta", type=int, default=512,
@@ -525,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--designs", nargs="*", default=None,
                    help="designs to sweep against baseline "
                         "(default: SAM-en and masa)")
-    p.add_argument("--gather", type=int, default=8,
+    p.add_argument("--gather", type=int, default=8, choices=GATHER_FACTORS,
                    help="gather factor for stride-capable designs")
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_kernels)
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "7500'")
     p.add_argument("--scheme", default="SAM-en")
     p.add_argument("--gather", type=int, default=None,
-                   help="gather factor (2/4/8)")
+                   choices=GATHER_FACTORS, help="gather factor")
     p.add_argument("--baseline", action="store_true",
                    help="also run the baseline and print the speedup")
     p.add_argument("--stats", action="store_true",
@@ -608,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "f10 > 7500'")
     t.add_argument("--scheme", default="SAM-en")
     t.add_argument("--gather", type=int, default=None,
-                   help="gather factor (2/4/8)")
+                   choices=GATHER_FACTORS, help="gather factor")
     _add_size_args(t)
     t.add_argument("--artifacts", metavar="DIR", default=None,
                    help="also write the run manifest, Chrome trace-event "
@@ -622,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-schemes", action="store_true",
                    help="print the plan under every registered design")
     p.add_argument("--gather", type=int, default=None,
-                   help="gather factor (2/4/8)")
+                   choices=GATHER_FACTORS, help="gather factor")
     _add_size_args(p)
     p.add_argument("--json", action="store_true",
                    help="emit the plan tree(s) as JSON")

@@ -38,6 +38,11 @@ _NO_STRIDE = frozenset({
     "baseline", "column-store", "sub-rank", "salp1", "salp2", "masa",
 })
 
+#: The gather factors a stride-capable design simulates: elements per
+#: burst at the paper's 16-, 8- and 4-bit chipkill granularities.  Each
+#: one tiles a 64-byte line with whole sectors.
+GATHER_FACTORS = (2, 4, 8)
+
 #: The designs of the SALP interaction sweep (``repro salp``): the three
 #: SALP flavours alone, SAM-en alone, and the composed design.
 SALP_DESIGNS = (
@@ -79,9 +84,11 @@ def make_scheme(
 
     ``gather_factor`` sets the strided granularity for stride-capable
     designs: 8 elements/burst at the 4-bit SSC-DSD granularity (the
-    default of Figure 12), 4 at 8-bit SSC, 2 at 16-bit.  Designs without
-    strided hardware (``baseline``, ``column-store``, ``sub-rank``)
-    reject any non-default gather factor instead of silently ignoring it.
+    default of Figure 12), 4 at 8-bit SSC, 2 at 16-bit; any other factor
+    raises ``ValueError``.  Designs without strided hardware
+    (``baseline``, ``column-store``, ``sub-rank`` and the pure SALP
+    designs) reject any non-default gather factor instead of silently
+    ignoring it.
     """
     try:
         factory = _FACTORIES[name]
@@ -100,4 +107,9 @@ def make_scheme(
         return factory(geometry)
     if gather_factor is None:
         return factory(geometry)
+    if gather_factor not in GATHER_FACTORS:
+        raise ValueError(
+            f"scheme {name!r} cannot simulate gather_factor={gather_factor}; "
+            f"the valid gather factors are {GATHER_FACTORS}"
+        )
     return factory(geometry, gather_factor=gather_factor)

@@ -22,6 +22,16 @@ class TestParser:
         args = build_parser().parse_args(["query", "SELECT f1 FROM Ta"])
         assert args.scheme == "SAM-en" and not args.baseline
 
+    @pytest.mark.parametrize("command", [
+        ["kernels"],
+        ["query", "SELECT f1 FROM Ta"],
+        ["trace", "report", "SELECT f1 FROM Ta"],
+        ["explain", "SELECT f1 FROM Ta"],
+    ], ids=["kernels", "query", "trace-report", "explain"])
+    def test_gather_rejects_unsimulatable_factor(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--gather", "3"])
+
 
 class TestCommands:
     def test_schemes(self, capsys):

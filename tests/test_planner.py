@@ -8,7 +8,8 @@ fall into three classes: stride-capable designs, plain row stores
 
 import pytest
 
-from repro.core.registry import available_schemes, make_scheme
+from repro.core.registry import GATHER_FACTORS, available_schemes, make_scheme
+from repro.harness.figure14 import GRANULARITY_TO_GATHER
 from repro.workloads import make_tables
 from repro.imdb import by_name
 from repro.imdb.plan import LogicalPlan, PhysicalPlan, logical_plan
@@ -248,3 +249,17 @@ class TestSchemeGatherValidation:
     def test_stride_schemes_accept_gather_factor(self):
         scheme = make_scheme("SAM-en", gather_factor=4)
         assert scheme.gather_factor == 4
+        # the paper's 16/8/4-bit granularities, as Figure 14(b) sweeps them
+        assert GATHER_FACTORS == tuple(sorted(GRANULARITY_TO_GATHER.values()))
+        for name in STRIDED:
+            for factor in GATHER_FACTORS:
+                assert make_scheme(name, gather_factor=factor).gather_factor \
+                    == factor
+
+    @pytest.mark.parametrize("factor", [0, 1, 3, 5, 16, -2])
+    def test_stride_schemes_reject_unsimulatable_gather(self, factor):
+        """Only 2, 4 and 8 elements per burst tile a 64-byte line with
+        whole sectors."""
+        for name in STRIDED:
+            with pytest.raises(ValueError, match=r"\(2, 4, 8\)"):
+                make_scheme(name, gather_factor=factor)

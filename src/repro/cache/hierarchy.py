@@ -10,7 +10,7 @@ sector granularity end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .sector import Eviction, SectorCache
 
@@ -85,12 +85,21 @@ class CacheHierarchy:
     def fill_from_memory(self, core: int, line_addr: int,
                          sector_mask: int) -> List[Eviction]:
         """Install fetched sectors in all levels; returns dirty victims."""
-        l1 = self.l1[core % len(self.l1)]
+        return self.fill_lines_from_memory(core, ((line_addr, sector_mask),))
+
+    def fill_lines_from_memory(
+        self, core: int, fills: Iterable[Tuple[int, int]]
+    ) -> List[Eviction]:
+        """Install ``(line_addr, sector_mask)`` fills in order, each one
+        LLC -> L2 -> L1; returns the dirty victims in eviction order."""
+        levels = (self.llc.fill, self.l2.fill,
+                  self.l1[core % len(self.l1)].fill)
         evictions = []
-        for cache in (self.llc, self.l2, l1):
-            victim = cache.fill(line_addr, sector_mask)
-            if victim is not None and victim.dirty_mask:
-                evictions.append(victim)
+        for line_addr, sector_mask in fills:
+            for fill in levels:
+                victim = fill(line_addr, sector_mask)
+                if victim is not None and victim.dirty_mask:
+                    evictions.append(victim)
         return evictions
 
     # -------------------------------------------------------------- writes

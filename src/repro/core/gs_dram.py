@@ -17,8 +17,7 @@ keep chipkill (or SEC-DED) codewords intact on strided accesses:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..area.overhead import AreaReport, gs_dram_area, gs_dram_ecc_area
 from ..dram.commands import Request, RequestType
@@ -66,30 +65,21 @@ class GSDRAMScheme(AccessScheme):
                 req_type: RequestType) -> GatherPlan:
         """Group elements by DRAM row; one access per row-resident group
         (the intra-row shift cannot cross a row)."""
-        by_row: Dict[tuple, List[int]] = defaultdict(list)
-        for addr in element_addrs:
-            d = self.mapper.decode(addr)
-            by_row[(d.rank, d.bank, d.row)].append(addr)
+        critical = req_type is RequestType.READ
         requests = []
         fills = []
-        for addrs in by_row.values():
-            first = self.mapper.decode(addrs[0])
+        for first, addrs in self._row_groups(element_addrs):
             requests.append(
                 Request(
                     addr=first,
                     type=req_type,
                     gather=len(addrs),
-                    critical=req_type is RequestType.READ,
-                    internal_bursts=self._extra_internal(),
+                    critical=critical,
                 )
             )
             requests.extend(self._ecc_requests(first, req_type))
-            for addr in addrs:
-                fills.append(self._sector_fill(addr))
+            fills += self._sector_fills(addrs)
         return GatherPlan(requests, fills)
-
-    def _extra_internal(self) -> int:
-        return 0
 
     def _ecc_requests(self, decoded, req_type) -> List[Request]:
         return []

@@ -71,9 +71,8 @@ class _RCNVMBase(AccessScheme):
         """Column-rows are per (vertical region, field column) and remain
         open across consecutive gathers of the same field."""
         region = decoded.row - decoded.row % RC_NVM_GROUP_ROWS
-        field_column = decoded.column * (
-            self.geometry.cacheline_bytes // self.sector_bytes
-        ) + decoded.offset // self.sector_bytes
+        field_column = (decoded.column * self.sectors_per_line
+                        + decoded.offset // self.sector_bytes)
         return (region << (self.mapper.column_bits + 4)) | field_column
 
     def _gather(self, element_addrs: Sequence[int],
@@ -95,8 +94,7 @@ class _RCNVMBase(AccessScheme):
             internal_bursts=self.internal_per_gather,
             critical=req_type is RequestType.READ,
         )
-        fills = [self._sector_fill(a) for a in element_addrs]
-        return GatherPlan([request], fills)
+        return GatherPlan([request], self._sector_fills(element_addrs))
 
     def lower_gather_read(
         self, element_addrs: Sequence[int]

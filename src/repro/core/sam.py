@@ -19,8 +19,7 @@ They differ in *where* the gather happens:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..area.overhead import AreaReport, sam_en_area, sam_io_area, sam_sub_area
 from ..dram.commands import IOMode, Request, RequestType, RowKind
@@ -47,14 +46,10 @@ class _SAMRowGatherMixin:
         element_addrs: Sequence[int],
         req_type: RequestType,
     ) -> GatherPlan:
-        by_row: Dict[tuple, List[int]] = defaultdict(list)
-        for addr in element_addrs:
-            decoded = self.mapper.decode(addr)
-            by_row[(decoded.rank, decoded.bank, decoded.row)].append(addr)
+        critical = req_type is RequestType.READ
         requests: List[Request] = []
         fills = []
-        for addrs in by_row.values():
-            first = self.mapper.decode(addrs[0])
+        for first, addrs in self._row_groups(element_addrs):
             if len(addrs) >= 2:
                 requests.append(
                     Request(
@@ -62,19 +57,14 @@ class _SAMRowGatherMixin:
                         type=req_type,
                         io_mode=IOMode.STRIDE,
                         gather=len(addrs),
-                        critical=req_type is RequestType.READ,
+                        critical=critical,
                     )
                 )
             else:
                 requests.append(
-                    Request(
-                        addr=first,
-                        type=req_type,
-                        critical=req_type is RequestType.READ,
-                    )
+                    Request(addr=first, type=req_type, critical=critical)
                 )
-            for addr in addrs:
-                fills.append(self._sector_fill(addr))
+            fills += self._sector_fills(addrs)
         return GatherPlan(requests, fills)
 
     def lower_gather_read(
@@ -240,8 +230,7 @@ class SAMSubScheme(AccessScheme):
             gather=len(element_addrs),
             critical=req_type is RequestType.READ,
         )
-        fills = [self._sector_fill(a) for a in element_addrs]
-        return GatherPlan([request], fills)
+        return GatherPlan([request], self._sector_fills(element_addrs))
 
     def lower_gather_read(
         self, element_addrs: Sequence[int]

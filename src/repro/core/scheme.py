@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import abc
 import copy
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..area.overhead import AreaReport
-from ..dram.address import AddressMapper
+from ..dram.address import AddressMapper, DecodedAddress
 from ..dram.commands import IOMode, Request, RequestType, RowKind
 from ..dram.geometry import Geometry
 from ..dram.timing import TimingParams, preset
@@ -105,6 +106,15 @@ class AccessScheme(abc.ABC):
         self.geometry = geometry or Geometry()
         self.mapper = AddressMapper(self.geometry)
         self.gather_factor = gather_factor
+        line = self.geometry.cacheline_bytes
+        #: True when the design accelerates strided accesses in hardware
+        self.supports_stride = gather_factor > 1
+        #: size of one strided element (= one cache sector)
+        self.sector_bytes = (
+            line // gather_factor if self.supports_stride else line // 4
+        )
+        self.sectors_per_line = line // self.sector_bytes
+        self._line_offset_mask = line - 1
 
     # ------------------------------------------------------------ metadata
 
@@ -118,20 +128,12 @@ class AccessScheme(abc.ABC):
     def area(self) -> AreaReport:
         """Silicon/storage overhead (Figure 14(c))."""
 
-    @property
-    def supports_stride(self) -> bool:
-        """True when the design accelerates strided accesses in hardware."""
-        return self.gather_factor > 1
-
-    @property
-    def sector_bytes(self) -> int:
-        """Size of one strided element (= one cache sector)."""
-        line = self.geometry.cacheline_bytes
-        return line // self.gather_factor if self.supports_stride else line // 4
-
-    @property
-    def sectors_per_line(self) -> int:
-        return self.geometry.cacheline_bytes // self.sector_bytes
+    @functools.cached_property
+    def _critical_word_first(self) -> bool:
+        """``traits.critical_word_first``, read on first use: ``traits``
+        builds a fresh record per call, and a subclass may set what it
+        reads after this class's ``__init__`` (SAM-en's ``two_d_buffer``)."""
+        return self.traits.critical_word_first
 
     def base_timing(self) -> TimingParams:
         """Device timing of the design's native substrate (subclass hook)."""
@@ -179,7 +181,7 @@ class AccessScheme(abc.ABC):
             Request(
                 addr=self.mapper.decode(line_addr),
                 type=RequestType.READ,
-                early_restart=self.traits.critical_word_first,
+                early_restart=self._critical_word_first,
             )
         ]
 
@@ -207,12 +209,35 @@ class AccessScheme(abc.ABC):
 
     # -------------------------------------------------------------- helpers
 
-    def _sector_fill(self, element_addr: int) -> Tuple[int, int]:
-        """(line_addr, sector_mask) for one strided element."""
-        line = self.mapper.line_address(element_addr)
-        offset = element_addr - line
-        sector = offset // self.sector_bytes
-        return line, 1 << sector
+    def _sector_fills(
+        self, element_addrs: Iterable[int]
+    ) -> List[Tuple[int, int]]:
+        """(line_addr, sector_mask) of each strided element, in order."""
+        low = self._line_offset_mask
+        sector_bytes = self.sector_bytes
+        return [
+            (addr & ~low, 1 << ((addr & low) // sector_bytes))
+            for addr in element_addrs
+        ]
+
+    def _row_groups(
+        self, element_addrs: Sequence[int]
+    ) -> Iterable[Tuple[DecodedAddress, List[int]]]:
+        """The elements grouped by DRAM row, for gathers that cannot cross
+        one (SAM-IO/en, GS-DRAM): ``(first, addrs)`` per (rank, bank, row)
+        in order of each row's first element, with ``first`` that
+        element's decode.  Each element is decoded once."""
+        decode = self.mapper.decode
+        groups: Dict[tuple, Tuple[DecodedAddress, List[int]]] = {}
+        for addr in element_addrs:
+            decoded = decode(addr)
+            key = decoded[1:4]  # (rank, bank, row)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = (decoded, [addr])
+            else:
+                group[1].append(addr)
+        return groups.values()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

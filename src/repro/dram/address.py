@@ -9,7 +9,7 @@ implements the controller-side interleaving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Geometry
 
@@ -21,9 +21,9 @@ def _log2_exact(value: int, what: str) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """An address broken into its device coordinates."""
+class DecodedAddress(NamedTuple):
+    """An address broken into its device coordinates.  Immutable, and
+    equal and hashed by value (the hash of its field tuple)."""
 
     channel: int
     rank: int
@@ -61,26 +61,33 @@ class AddressMapper:
             + self.rank_bits
             + self.row_bits
         )
+        # decode's field masks and shifts, lowest field first
+        self._offset_mask = (1 << self.offset_bits) - 1
+        self._column_mask = (1 << self.column_bits) - 1
+        self._channel_shift = self.offset_bits + self.column_bits
+        self._channel_mask = (1 << self.channel_bits) - 1
+        self._bank_shift = self._channel_shift + self.channel_bits
+        self._bank_mask = (1 << self.bank_bits) - 1
+        self._rank_shift = self._bank_shift + self.bank_bits
+        self._rank_mask = (1 << self.rank_bits) - 1
+        self._row_shift = self._rank_shift + self.rank_bits
+        self._rows_per_bank = g.rows_per_bank
 
     def decode(self, address: int) -> DecodedAddress:
         """Split a flat byte address into device coordinates."""
         if address < 0:
             raise ValueError(f"negative address {address}")
-        a = address
-        offset = a & ((1 << self.offset_bits) - 1)
-        a >>= self.offset_bits
-        column = a & ((1 << self.column_bits) - 1)
-        a >>= self.column_bits
-        channel = a & ((1 << self.channel_bits) - 1)
-        a >>= self.channel_bits
-        bank = a & ((1 << self.bank_bits) - 1)
-        a >>= self.bank_bits
-        rank = a & ((1 << self.rank_bits) - 1)
-        a >>= self.rank_bits
-        row = a
-        if row >= self.geometry.rows_per_bank:
-            row %= self.geometry.rows_per_bank
-        return DecodedAddress(channel, rank, bank, row, column, offset)
+        row = address >> self._row_shift
+        if row >= self._rows_per_bank:
+            row %= self._rows_per_bank
+        return DecodedAddress(
+            (address >> self._channel_shift) & self._channel_mask,
+            (address >> self._rank_shift) & self._rank_mask,
+            (address >> self._bank_shift) & self._bank_mask,
+            row,
+            (address >> self.offset_bits) & self._column_mask,
+            address & self._offset_mask,
+        )
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Rebuild the flat byte address from device coordinates."""

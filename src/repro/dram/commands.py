@@ -127,10 +127,11 @@ class Request:
     _rank: Optional[object] = field(default=None, repr=False)
     _bank: Optional[object] = field(default=None, repr=False)
     _sub: Optional[object] = field(default=None, repr=False)
+    #: True for a READ; set once from ``type``, which never changes
+    is_read: bool = field(init=False, repr=False)
 
-    @property
-    def is_read(self) -> bool:
-        return self.type is RequestType.READ
+    def __post_init__(self) -> None:
+        self.is_read = self.type is RequestType.READ
 
     @property
     def is_gather(self) -> bool:

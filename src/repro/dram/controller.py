@@ -26,7 +26,7 @@ from ..kernel import Kernel
 from ..obs.stalls import CCD_BUS, REFRESH, WRITE_DRAIN
 from .bank import FOREVER
 from .channel import ChannelState
-from .commands import Command, IOMode, Request, RequestType
+from .commands import Command, IOMode, Request
 from .geometry import Geometry
 from .scheduler import Scheduler
 from .timing import TimingParams
@@ -376,14 +376,13 @@ class MemoryController:
             return
 
         # Column command: the request completes.
-        req_type = RequestType.READ if request.is_read else RequestType.WRITE
         if command is Command.RD:
             bank.issue_read(now, request.internal_bursts, request._sub)
         else:
             bank.issue_write(now, request.internal_bursts, request._sub)
             rank.issue_write(now)
         data_end = self.channel.issue_cas(
-            now, command, request.addr.rank, req_type, request.subrank
+            now, command, request.addr.rank, request.type, request.subrank
         )
         if self.config.page_policy == "closed":
             # auto-precharge (RDA/WRA): the row closes once tRTP/tWR allow

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from ..cache.hierarchy import HierarchyConfig
 from ..cpu.core import CoreConfig
 from ..dram.controller import ControllerConfig
-from ..dram.geometry import Geometry
 
 
 @dataclass(frozen=True)
@@ -20,12 +19,13 @@ class SystemConfig:
     * Caches: L1 32KB / L2 256KB / LLC 8MB, 64B lines, 8-way.
     * Memory controller: open page, FR-FCFS, write queue capacity 32,
       address mapping rw:rk:bk:ch:cl:offset.
-    * Memory: DDR4-2400, x4, 1 channel, 2 ranks, 16 banks.
+    * Memory: DDR4-2400, x4, 1 channel, 2 ranks, 16 banks -- the
+      scheme's ``geometry``, since a design's placements, address map
+      and controller all follow it.
     """
 
     cores: int = 4
     cpu_ghz: float = 4.0
-    geometry: Geometry = field(default_factory=Geometry)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     core: CoreConfig = field(default_factory=CoreConfig)
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)

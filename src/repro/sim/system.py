@@ -233,9 +233,9 @@ class MemorySystem:
 
     def _finish_gather(self, core: int, plan: GatherPlan,
                        callback: Callable[[], None]) -> None:
-        for line, mask in plan.fills:
-            evictions = self.hierarchy.fill_from_memory(core, line, mask)
-            self._push_writebacks(evictions)
+        self._push_writebacks(
+            self.hierarchy.fill_lines_from_memory(core, plan.fills)
+        )
         callback()
 
     # --------------------------------------------------------------- stores
@@ -367,7 +367,7 @@ class MemorySystem:
         def _one_done(_req, _time) -> None:
             nonlocal remaining
             remaining -= 1
-            if _req.type.value == "WRITE":
+            if not _req.is_read:
                 self.outstanding_writes -= 1
             if remaining == 0 and callback is not None:
                 callback()

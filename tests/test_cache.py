@@ -283,18 +283,16 @@ def test_sector_cache_matches_reference(sets, ways, sectors, ops):
     assert fast.flush() == ref.flush()
 
 
-@given(
-    geometry=st.lists(
-        st.tuples(st.integers(1, 4), st.integers(1, 4)),
-        min_size=3, max_size=3,
-    ),
-    sectors=st.sampled_from((4, 8)),
-    ops=hierarchy_ops,
+#: ``(sets, ways)`` of L1, L2 and the LLC
+hierarchy_geometry = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    min_size=3, max_size=3,
 )
-@settings(max_examples=300, deadline=None)
-def test_hierarchy_matches_reference(geometry, sectors, ops):
+
+
+def lockstep_hierarchies(geometry, sectors):
     """Two cores with private L1s over a shared L2 and LLC, each level
-    ``sets x ways`` lines."""
+    ``sets x ways`` lines: ``repro.cache``'s and the reference's."""
     (l1_sets, l1_ways), (l2_sets, l2_ways), (llc_sets, llc_ways) = geometry
     cfg = HierarchyConfig(
         l1_bytes=l1_sets * l1_ways * 64, l1_ways=l1_ways,
@@ -302,15 +300,67 @@ def test_hierarchy_matches_reference(geometry, sectors, ops):
         llc_bytes=llc_sets * llc_ways * 64, llc_ways=llc_ways,
         sectors=sectors,
     )
-    fast = CacheHierarchy(cfg, per_core_l1=2)
-    ref = ReferenceCacheHierarchy(cfg, per_core_l1=2)
+    return (CacheHierarchy(cfg, per_core_l1=2),
+            ReferenceCacheHierarchy(cfg, per_core_l1=2))
+
+
+def assert_same_levels(fast, ref):
+    assert fast.occupancy() == ref.occupancy()
+    for mine, theirs in zip((*fast.l1, fast.l2, fast.llc),
+                            (*ref.l1, ref.l2, ref.llc)):
+        assert mine.stats == theirs.stats, mine.name
+
+
+@given(geometry=hierarchy_geometry, sectors=st.sampled_from((4, 8)),
+       ops=hierarchy_ops)
+@settings(max_examples=300, deadline=None)
+def test_hierarchy_matches_reference(geometry, sectors, ops):
+    fast, ref = lockstep_hierarchies(geometry, sectors)
     for op, core, line_idx, mask in ops:
         args = (core, line_idx * 64, mask & full_mask(sectors))
         if op == "flush_dirty":
             args = ()
         assert getattr(fast, op)(*args) == getattr(ref, op)(*args), op
-        assert fast.occupancy() == ref.occupancy()
-        for mine, theirs in zip((*fast.l1, fast.l2, fast.llc),
-                                (*ref.l1, ref.l2, ref.llc)):
-            assert mine.stats == theirs.stats, mine.name
+        assert_same_levels(fast, ref)
+    assert fast.flush_dirty() == ref.flush_dirty()
+
+
+#: (operation, core, fills): a gather completion installs all of its
+#: ``(line index, sector mask)`` fills, whose lines repeat and share sets;
+#: a write or write-miss fill takes the first, and leaves lines dirty so
+#: that later gathers evict dirty victims at every level
+gather_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("fill_lines_from_memory",) * 2
+                        + ("write", "complete_write_fill")),
+        st.integers(0, 1),
+        st.lists(st.tuples(line_indices, st.integers(0, 255)),
+                 min_size=1, max_size=8),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@given(geometry=hierarchy_geometry, sectors=st.sampled_from((4, 8)),
+       ops=gather_ops)
+@settings(max_examples=300, deadline=None)
+def test_gather_fill_matches_reference(geometry, sectors, ops):
+    """One ``fill_lines_from_memory`` call does what the reference's
+    ``fill_from_memory`` does line by line: the same dirty victims in the
+    same order, and the same counters and occupancy at every level."""
+    fast, ref = lockstep_hierarchies(geometry, sectors)
+    for op, core, fills in ops:
+        fills = [(idx * 64, mask & full_mask(sectors))
+                 for idx, mask in fills]
+        if op == "fill_lines_from_memory":
+            expected = []
+            for line, mask in fills:
+                expected += ref.fill_from_memory(core, line, mask)
+            assert fast.fill_lines_from_memory(core, fills) == expected
+        else:
+            line, mask = fills[0]
+            assert (getattr(fast, op)(core, line, mask)
+                    == getattr(ref, op)(core, line, mask)), op
+        assert_same_levels(fast, ref)
     assert fast.flush_dirty() == ref.flush_dirty()

@@ -9,6 +9,7 @@ from repro.core import (
     make_scheme,
 )
 from repro.core.compare import COLUMNS, ROWS, comparison_matrix, render_table
+from repro.core.sam import SAMEnScheme
 from repro.dram.commands import IOMode, RequestType, RowKind
 
 
@@ -161,6 +162,40 @@ class TestLowering:
         addrs = [80, 80 + 32 * 8192 * 2]  # same bank, different row
         plan = s.lower_gather_read(addrs)
         assert len(plan.requests) == 2
+
+    @pytest.mark.parametrize("name",
+                             ["SAM-IO", "SAM-en", "GS-DRAM", "GS-DRAM-ecc"])
+    def test_row_gather_groups_by_row_decoding_each_element_once(
+            self, name, monkeypatch):
+        """Row-resident gathers group their elements by DRAM row in order
+        of each row's first element, decode every element exactly once,
+        and address each group's burst with its first element's decode;
+        fills follow the groups."""
+        s = make_scheme(name)
+        row2 = 2 * 8192 * 16 * 2  # row 2 of the same bank
+        addrs = [80, row2 + 80, 144, row2 + 144]
+        decode = s.mapper.decode
+        decoded = []
+        monkeypatch.setattr(s.mapper, "decode",
+                            lambda a: decoded.append(a) or decode(a))
+        plan = s.lower_gather_read(addrs)
+        assert decoded == addrs
+        bursts = [r for r in plan.requests if r.gather > 1]
+        assert [r.addr for r in bursts] == [decode(80), decode(row2 + 80)]
+        assert [r.gather for r in bursts] == [2, 2]
+        grouped = [80, 144, row2 + 80, row2 + 144]
+        assert plan.fills == [
+            (a - a % 64, 1 << (a % 64 // s.sector_bytes)) for a in grouped
+        ]
+
+    def test_demand_read_early_restart_follows_critical_word_first(self):
+        assert SAMEnScheme().lower_read(0)[0].early_restart
+        assert not SAMEnScheme(two_d_buffer=False).lower_read(0)[0] \
+            .early_restart
+        for name in ("baseline", "SAM-IO", "SAM-sub", "GS-DRAM"):
+            s = make_scheme(name)
+            assert s.lower_read(0)[0].early_restart \
+                is s.traits.critical_word_first
 
     def test_sam_io_single_element_falls_back_to_regular(self):
         s = make_scheme("SAM-IO")

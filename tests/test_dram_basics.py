@@ -1,8 +1,11 @@
 """Tests for timing presets, geometry, and address mapping."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.dram.address import AddressMapper, DecodedAddress
+from repro.dram.commands import Request, RequestType
 from repro.dram.geometry import DEFAULT_GEOMETRY, Geometry
 from repro.dram.timing import DDR4_2400, RRAM, preset
 
@@ -77,6 +80,21 @@ class TestAddressMapper:
             decoded = self.mapper.decode(addr)
             assert self.mapper.encode(decoded) == addr
 
+    @pytest.mark.parametrize("geometry", [
+        DEFAULT_GEOMETRY,
+        Geometry(ranks=1, bank_groups=2, subarrays_per_bank=1,
+                 rows_per_subarray=1024),
+    ], ids=["default", "small"])
+    @given(data=st.data())
+    def test_roundtrip_over_capacity(self, geometry, data):
+        mapper = AddressMapper(geometry)
+        addr = data.draw(st.integers(0, geometry.capacity_bytes - 1))
+        decoded = mapper.decode(addr)
+        assert mapper.encode(decoded) == addr
+        assert decoded.rank < geometry.ranks
+        assert decoded.bank < geometry.banks
+        assert decoded.row < geometry.rows_per_bank
+
     def test_field_order_offset_first(self):
         # consecutive lines share everything but the column
         a = self.mapper.decode(0)
@@ -121,6 +139,41 @@ class TestAddressMapper:
         d = DecodedAddress(0, 0, 7, 0, 0, 0)
         assert d.bank_group == 1
 
+    def test_decoded_address_is_an_immutable_value(self):
+        a = self.mapper.decode(0x12345678)
+        b = self.mapper.decode(0x12345678)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        # the hash of the field tuple, so dict and set orders keyed on
+        # decoded addresses do not depend on the record's type
+        assert hash(a) == hash((a.channel, a.rank, a.bank, a.row,
+                                a.column, a.offset))
+        assert a != self.mapper.decode(0x12345678 + 64)
+        with pytest.raises(AttributeError):
+            a.row = 0
+        with pytest.raises(AttributeError):
+            a.extra = 0
+
+    def test_decoded_address_builds_positionally_and_by_keyword(self):
+        d = self.mapper.decode(0x12345678)
+        # as the placements build it, and as the schemes rebuild a
+        # decoded element with a synthetic row (``first.__class__(...)``)
+        positional = DecodedAddress(d.channel, d.rank, d.bank, d.row,
+                                    d.column, d.offset)
+        by_keyword = d.__class__(channel=d.channel, rank=d.rank,
+                                 bank=d.bank, row=d.row, column=d.column,
+                                 offset=d.offset)
+        assert positional == by_keyword == d
+        assert by_keyword.bank_group == d.bank >> 2
+        assert by_keyword.line_key() == (d.channel, d.rank, d.bank, d.row,
+                                         d.column)
+
     def test_non_power_of_two_geometry_rejected(self):
         with pytest.raises(ValueError):
             AddressMapper(Geometry(ranks=3))
+
+
+class TestRequest:
+    def test_is_read_follows_type(self):
+        addr = DecodedAddress(0, 0, 0, 0, 0, 0)
+        assert Request(addr=addr, type=RequestType.READ).is_read is True
+        assert Request(addr=addr, type=RequestType.WRITE).is_read is False

@@ -8,6 +8,7 @@ from repro.cache.hierarchy import HierarchyConfig
 from repro.core import make_scheme
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.ops import Compute, GatherLoad, GatherStore, Load, Store
+from repro.dram.geometry import Geometry
 from repro.imdb import TA, TB, Table, by_name
 from repro.kernel import Kernel
 from repro.sim import MemorySystem, SystemConfig, run_ideal, run_query
@@ -32,6 +33,13 @@ class TestMemorySystem:
                               SystemConfig(hierarchy=hierarchy))
         assert system.hierarchy.config == replace(
             hierarchy, sectors=scheme.sectors_per_line)
+
+    def test_config_takes_no_geometry(self):
+        """A design's geometry is its scheme's, which its placements,
+        address map and controller follow, so the system config takes
+        none."""
+        with pytest.raises(TypeError):
+            SystemConfig(geometry=Geometry(ranks=1, subarrays_per_bank=1))
 
     def test_sectorize(self):
         _, system = make_system()

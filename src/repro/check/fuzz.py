@@ -215,15 +215,13 @@ def _pump(kernel: Kernel, mc: MemoryController,
 
 def run_case(case: FuzzCase, registry=None,
              oracle_data: bool = True,
-             reference: bool = False,
              probes: Sequence[object] = ()) -> CaseResult:
     """Execute one case with checker + oracles attached (collect mode).
 
-    ``reference`` runs the controller's reference scheduler (see
-    :class:`~repro.dram.controller.ControllerConfig`) and ``probes`` are
-    attached to the controller ahead of the checker -- together they let
-    the equivalence tests replay one fuzzed trace through both scheduler
-    modes and diff command streams, cycles and stall ledgers.
+    ``probes`` are attached to the controller ahead of the checker, so
+    the equivalence tests can replay one fuzzed trace through the
+    scheduler and its test-only reference and diff command streams,
+    cycles and stall ledgers.
     """
     # non-stride schemes reject a gather factor; the case's factor only
     # shapes the generated trace for them
@@ -240,7 +238,7 @@ def run_case(case: FuzzCase, registry=None,
     kernel = Kernel()
     mc = MemoryController(
         kernel, corrupted, geometry,
-        ControllerConfig(refresh_enabled=case.refresh, reference=reference),
+        ControllerConfig(refresh_enabled=case.refresh),
         salp=scheme.salp_mode,
     )
     for probe in probes:

@@ -20,6 +20,7 @@ row-friendly (Qs) queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from ..kernel import Kernel
@@ -67,9 +68,6 @@ class ControllerConfig:
     #: "open" (Table 2 default) keeps rows open for FR-FCFS row hits;
     #: "closed" auto-precharges after every column command (RDA/WRA).
     page_policy: str = "open"
-    #: select the behavioural reference scheduler, which memoizes
-    #: nothing (see `repro.dram.scheduler`)
-    reference: bool = False
 
     def __post_init__(self) -> None:
         if self.page_policy not in ("open", "closed"):
@@ -147,8 +145,9 @@ class MemoryController:
         self.stats = CommandStats()
         self._draining_writes = False
         self._wakeup_at: Optional[int] = None
-        self.scheduler = Scheduler(self.channel,
-                                   reference=self.config.reference)
+        #: the wake-up event's callback, bound once
+        self._wake = self._wakeup
+        self.scheduler = Scheduler(self.channel)
         self._next_refresh = [
             timing.tREFI * (i + 1) // max(1, self.geometry.ranks)
             for i in range(self.geometry.ranks)
@@ -249,17 +248,17 @@ class MemoryController:
         # event -- the oldest one scheduled for it -- is the one that
         # acts, at its *original* sequence position within the cycle
         # (before any same-cycle events scheduled later).  The stall
-        # ledger depends on that ordering, and keeping it identical in
-        # both scheduling modes is what makes the event wheel exact.
+        # ledger depends on that ordering, and it is the ordering plain
+        # polling gives, which is what makes the event wheel exact.
         self._wakeup_at = when
-        self.kernel.schedule_at(when, self._wakeup)
+        self.kernel.schedule_at(when, self._wake)
 
     def _wakeup(self) -> None:
         # Drop stale events: only the event matching the armed time acts.
         # (When an earlier wake-up is scheduled over a pending later one,
         # the later event still fires; acting on it would fork a second
-        # self-perpetuating wake-up chain.)  Both scheduling modes rely
-        # on this guard -- superseded events are never cancelled.
+        # self-perpetuating wake-up chain.)  Superseded events are never
+        # cancelled.
         if self._wakeup_at != self.kernel.now:
             return
         self._wakeup_at = None
@@ -267,26 +266,23 @@ class MemoryController:
         if next_time is not None:
             self._schedule_wakeup(next_time)
 
-    def _refresh_due(self, now: int) -> Optional[int]:
-        """Rank index whose refresh deadline has passed, if any."""
-        if now < self._refresh_at:
-            return None
-        for rank_id, deadline in enumerate(self._next_refresh):
-            if now >= deadline:
-                return rank_id
-        return None
-
     def _try_issue(self, now: int) -> Optional[int]:
         """Issue at most one command; return the next wake-up time."""
-        if self.channel.next_command > now:
-            self._note_wait(now, self.channel.next_command, CCD_BUS)
-            return self.channel.next_command
+        next_command = self.channel.next_command
+        if next_command > now:
+            for probe in self._on_wait:
+                probe(now, next_command, CCD_BUS)
+            return next_command
 
-        rank_id = self._refresh_due(now)
-        if rank_id is not None:
+        if now >= self._refresh_at:
+            # the first rank whose deadline has passed (the soonest has)
+            rank_id = next(rank_id for rank_id, deadline
+                           in enumerate(self._next_refresh)
+                           if now >= deadline)
             wake = self._issue_refresh_step(now, rank_id)
             if wake is not None:
-                self._note_wait(now, wake, REFRESH)
+                for probe in self._on_wait:
+                    probe(now, wake, REFRESH)
             return wake
 
         queue = self._active_queue()
@@ -303,16 +299,14 @@ class MemoryController:
             reason = WRITE_DRAIN
         if earliest > now:
             wake = min(earliest, self._refresh_at)
-            self._note_wait(now, wake, reason)
+            for probe in self._on_wait:
+                probe(now, wake, reason)
             return wake
         if queue is self.write_queue and self.read_queue:
-            self._note_wait(now, now + 1, WRITE_DRAIN)
+            for probe in self._on_wait:
+                probe(now, now + 1, WRITE_DRAIN)
         self._issue(now, request, command, queue)
         return now + 1 if (self.read_queue or self.write_queue) else None
-
-    def _note_wait(self, start: int, end: int, reason: str) -> None:
-        for probe in self._on_wait:
-            probe(start, end, reason)
 
     def _next_refresh_deadline(self) -> Optional[int]:
         if self._refresh_at == FOREVER or self.idle():
@@ -347,6 +341,7 @@ class MemoryController:
         elif command is Command.ACT or command is Command.ACT_COL:
             subarray = request._sub.sub_id  # the subarray it opens
         self.channel.occupy_command_bus(now)
+        self.scheduler.moved(command)
         for probe in self._on_command:
             probe(now, command, request, subarray=subarray)
 
@@ -364,7 +359,7 @@ class MemoryController:
             self.stats.row_conflicts += 1
             bank.row_conflicts += 1
             return
-        if command in (Command.ACT, Command.ACT_COL):
+        if command is Command.ACT or command is Command.ACT_COL:
             bank.issue_act(now, request.row_id(), request._sub)
             rank.issue_act(now, request.addr.bank_group)
             if command is Command.ACT_COL:
@@ -411,9 +406,8 @@ class MemoryController:
             for probe in self._on_read_latency:
                 probe(complete_at - request.arrival)
         if request.on_complete is not None:
-            callback = request.on_complete
             self.kernel.schedule_at(
-                complete_at, lambda r=request, t=complete_at: callback(r, t)
+                complete_at, partial(request.on_complete, request, complete_at)
             )
         if self.slot_listener is not None:
             # a queue slot just freed: let the system wake whoever is
@@ -462,6 +456,7 @@ class MemoryController:
         for probe in self._on_command:
             probe(now, Command.REF, None, rank=rank_id)
         rank.issue_refresh(now)
+        self.scheduler.moved(Command.REF)
         self.stats.refreshes += 1
         self._next_refresh[rank_id] += self.timing.tREFI
         self._refresh_at = min(self._next_refresh)

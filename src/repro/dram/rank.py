@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Deque, List
 
 from .bank import BankState
-from .commands import Command, IOMode
+from .commands import IOMode
 from .geometry import Geometry
 from .timing import TimingParams
 
@@ -63,20 +63,10 @@ class RankState:
         while len(self.act_window) > 4:
             self.act_window.popleft()
 
-    def earliest_cas(self, cmd: Command) -> int:
-        base = self.busy_until
-        if cmd is Command.RD:
-            return max(base, self.next_read)
-        return max(base, self.next_write)
-
     def issue_write(self, now: int) -> None:
         t = self.timing
         # write-to-read turnaround within this rank
         self.next_read = max(self.next_read, now + t.CWL + t.tBL + t.tWTR)
-
-    def ensure_mode(self, mode: IOMode) -> bool:
-        """True if an MRS (mode switch) is needed to serve ``mode``."""
-        return self.io_mode is not mode
 
     def issue_mode_switch(self, now: int, mode: IOMode) -> None:
         t = self.timing

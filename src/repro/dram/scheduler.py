@@ -5,25 +5,37 @@
 row-hit column command, else the oldest ready command; if nothing is
 ready, the soonest candidate.  The controller calls it at submit
 (:meth:`~Scheduler.admit`), on every scan (:meth:`~Scheduler.choose`),
-for a PRE (:meth:`~Scheduler.pre_target`) and at CAS
-(:meth:`~Scheduler.retire`).
+for a PRE (:meth:`~Scheduler.pre_target`), after every command it issues
+(:meth:`~Scheduler.moved`) and at CAS (:meth:`~Scheduler.retire`).
 
 It arbitrates over readiness slots, not requests: a slot holds the
 queued requests with one row target (`_Slot`), and a scan walks each
 queue's slots in order of their oldest requests.
 
-The invalidation contract has one epoch, ``BankState.version``: a
-slot's bank half (`Scheduler._entry_terms`) is rebuilt only when it
-moves.  Every write of bank or subarray state bumps it, and MRS and
-refresh bump every bank of their rank, since the bank half also reads
-the rank's ``io_mode`` and ``busy_until``.  The shared half
-(`Scheduler._shared_terms`) is recomputed after every issued command.
+The invalidation contract has two parts.  A slot's bank half
+(`Scheduler._entry_terms`) is rebuilt only when its bank's
+``BankState.version`` moves: every write of bank or subarray state bumps
+it, and MRS and refresh bump every bank of their rank, since the bank
+half also reads the rank's ``io_mode`` and ``busy_until``.  The shared
+halves (`Scheduler._shared_terms`) are memoized in two dicts, and
+:meth:`~Scheduler.moved` drops a dict only when the issued command moved
+state its halves read:
 
-``reference=True`` rebuilds both halves of every request's entry on
-every scan and memoizes nothing.  Every scheduling decision happens at
-the same kernel instant in both modes, so command streams, cycle counts
-and stall ledgers match exactly (enforced by the fast-vs-reference
-batteries).
+* the CAS memo holds the RD, WR and MRS halves (rank CAS gates, data
+  bus, bus drain), and RD and WR drop it: they occupy the data bus, and
+  a WR moves its rank's ``next_read``;
+* the row memo holds the ACT, ACT_COL, PRE and SA_SEL halves (ACT
+  pacing, refresh), and ACT and ACT_COL drop it: they move their rank's
+  ``last_act_*`` and ``act_window``;
+* PRE and SA_SEL move only bank state and the command bus, which no
+  shared half reads, and drop nothing;
+* MRS and REF move ``next_act_any`` or ``busy_until``, which every
+  shared half reads, and drop both.
+
+The test-only reference scan (``tests/scheduler_oracle.py``) re-derives
+every queued request's entry on every scan; the lockstep batteries hold
+this scheduler's decisions, command streams, cycle counts and stall
+ledgers to it exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from ..obs.stalls import (
 )
 from .bank import SubarrayState
 from .channel import ChannelState
-from .commands import Command, Request, RequestType, RowKind
+from .commands import Command, Request, RowKind
 
 
 class _Slot:
@@ -56,47 +68,60 @@ class _Slot:
     :meth:`Scheduler._entry_terms` derives from exactly those fields.
 
     ``users`` holds the slot's requests in admission order and
-    ``request`` is its head, the oldest.  Identical candidates tie, and
-    the oldest wins every queue-order tie, so the head is the one a scan
-    offers and the next to issue its CAS.  The scheduler drops the slot
-    when its last request does.
+    ``request`` is its head, the oldest, admitted ``seq``-th.  Identical
+    candidates tie, and the oldest wins every queue-order tie, so the
+    head is the one a scan offers and the next to issue its CAS.  The
+    scheduler drops the slot when its last request does.
 
     ``command``, ``bank_time`` and ``bank_reason`` (the bank half),
-    ``shared_key`` (which shared half folds onto it) and ``group`` are
-    valid while ``version`` matches its bank's ``version``."""
+    ``memo`` and ``shared_key`` (where its shared half is memoized) and
+    ``group`` are valid while ``version`` matches its bank's
+    ``version``.  The key fixes the rest: the direction its CAS command
+    (``cas``), the row kind its ACT command (``act``), and the address
+    the rank, bank group and subrank of their shared keys and of the
+    CAS group."""
 
-    __slots__ = ("key", "users", "request", "bank", "version", "command",
-                 "bank_time", "bank_reason", "shared_key", "group")
+    __slots__ = ("key", "users", "request", "seq", "bank", "version",
+                 "command", "bank_time", "bank_reason", "memo",
+                 "shared_key", "group", "cas", "cas_key", "cas_group",
+                 "act", "act_key")
 
     def __init__(self, key: tuple, request: Request) -> None:
         self.key = key
         self.users = deque()
         self.request = request
+        self.seq = request._seq
         self.bank = request._bank
         self.version = -1
+        addr = request.addr
+        self.cas = Command.RD if request.is_read else Command.WR
+        self.act = (Command.ACT if request.row_kind is RowKind.ROW
+                    else Command.ACT_COL)
+        # the data-bus fit depends on the pins, ACT pacing on the bank
+        # group; a key for one command never serves another
+        self.cas_key = (self.cas.value, addr.rank, request.subrank)
+        self.act_key = (self.act.value, addr.rank, addr.bank_group)
+        self.cas_group = (addr.rank, addr.bank_group)
 
 
 #: a slot's place in its queue's order: its head's admission number
-_head_seq = attrgetter("request._seq")
+_head_seq = attrgetter("seq")
 
 
 class Scheduler:
     """FR-FCFS arbiter over one channel's queued requests, scanning
     readiness slots in queue order."""
 
-    def __init__(self, channel: ChannelState,
-                 reference: bool = False) -> None:
+    def __init__(self, channel: ChannelState) -> None:
         self.channel = channel
         self.timing = channel.timing
         self.salp = channel.salp
-        #: rebuild every entry on every scan (the behavioural reference)
-        self.reference = reference
         #: fold state of the last FR-FCFS scan that found nothing ready,
         #: resumed by later scans until the next command issues (see
         #: `choose`)
         self._wait_memo: Optional[tuple] = None
         #: FR-FCFS scans resumed from the wait memo instead of walking
-        #: the whole queue (never in reference mode)
+        #: the whole queue
         self.peek_hits: int = 0
         self._last_cas_group: Optional[Tuple[int, int]] = None
         #: readiness slots by key, one per row target among the queued
@@ -108,11 +133,11 @@ class Scheduler:
         #: admissions so far: numbers requests in submit order (``req_id``
         #: follows construction order, and ``arrival`` ties in a cycle)
         self._admitted: int = 0
-        #: shared halves of readiness entries by (command, rank, bank
-        #: group or subrank), valid for one `channel.commands_issued`
-        #: epoch (rank and bus state move on every issue)
-        self._shared: dict = {}
-        self._shared_epoch: int = -1
+        #: shared halves of readiness entries by (command, rank, subrank
+        #: or bank group): the CAS memo (RD, WR, MRS) and the row memo
+        #: (ACT, ACT_COL, PRE, SA_SEL), each valid until `moved` drops it
+        self._cas_memo: dict = {}
+        self._row_memo: dict = {}
 
     def admit(self, request: Request) -> None:
         """Resolve a submitted request's rank, bank and subarray, number
@@ -141,8 +166,8 @@ class Scheduler:
         """``request``'s CAS issued: record its bank group and pop it from
         the head of its slot, which leaves the order when empty and
         otherwise moves to its new head's place."""
-        self._last_cas_group = (request.addr.rank, request.addr.bank_group)
         slot = request._slot
+        self._last_cas_group = slot.cas_group
         users = slot.users
         head = users.popleft()
         assert head is request, "a slot's head wins every tie"
@@ -150,6 +175,7 @@ class Scheduler:
         order.remove(slot)
         if users:
             slot.request = users[0]
+            slot.seq = users[0]._seq
             insort(order, slot, key=_head_seq)
         else:
             del self._slots[slot.key]
@@ -163,16 +189,17 @@ class Scheduler:
         """FR-FCFS: first ready row-hit column command, else oldest ready
         command; if nothing is ready now, the soonest candidate.
 
-        Outside reference mode the scan walks ``queue``'s readiness slots
-        in order of their heads' admission and offers each head, which
-        wins every tie against its siblings (see `_Slot`).  A slot's
-        (command, earliest, reason) is computed in place: its bank half
-        is rebuilt only when its bank's ``version`` moves, and the shared
-        half -- rank gate and data-bus term -- comes from a memo shared
-        by every slot and refilled once per issued command.  It binds
-        only when strictly later than the bank half (`_binding`'s rule),
-        which is exact because "first term at the maximum time" is
-        associative.  The ``future`` minimum keeps wakeup scheduling
+        The scan walks ``queue``'s readiness slots in order of their
+        heads' admission and offers each head, which wins every tie
+        against its siblings (see `_Slot`).  A slot's (command, earliest,
+        reason) is computed in place: its bank half is rebuilt only when
+        its bank's ``version`` moves, and the shared half -- rank gate
+        and data-bus term -- comes from a memo shared by every slot and
+        dropped only by the commands that move it (see the module
+        docstring).  The shared half binds only when strictly later than
+        the bank half: a tie keeps the earlier-listed term, and "first
+        term at the maximum time" is associative, so folding the halves
+        apart is exact.  The ``future`` minimum keeps wakeup scheduling
         exact: the controller still sleeps to the soonest candidate,
         never past it.
 
@@ -189,8 +216,6 @@ class Scheduler:
         since are evaluated; at that time exactly the tied candidates are
         ready, in queue order.
         """
-        if self.reference:
-            return self.choose_reference(now, queue)
         if not queue:
             return None
         order = self._orders[queue[0].is_read]
@@ -211,10 +236,6 @@ class Scheduler:
             start = soonest = 0
             future = tie_switch = tie_cas = tie_other = None
         last_group = self._last_cas_group
-        shared = self._shared
-        if self._shared_epoch != issued:
-            shared.clear()
-            self._shared_epoch = issued
         mrs = Command.MRS
         sa_sel = Command.SA_SEL
         for index in range(start, len(order)):
@@ -232,9 +253,9 @@ class Scheduler:
                 # whenever the oldest request makes progress.
                 continue
             request = slot.request
-            term = shared.get(slot.shared_key)
+            term = slot.memo.get(slot.shared_key)
             if term is None:
-                term = shared[slot.shared_key] = self._shared_terms(
+                term = slot.memo[slot.shared_key] = self._shared_terms(
                     command, request, request._rank)
             earliest = slot.bank_time
             if term[0] > earliest:
@@ -275,53 +296,20 @@ class Scheduler:
                                tie_switch, tie_cas, tie_other)
         return future
 
-    def choose_reference(
-        self, now: int, queue: List[Request]
-    ) -> Optional[Tuple[Request, Command, int, str]]:
-        """Old-style scan: re-derive every queued request's next command
-        on every wakeup.  Kept as the behavioral reference the readiness
-        index is tested against."""
-        ready_cas: Optional[Tuple[Request, Command, int, str]] = None
-        ready_other: Optional[Tuple[Request, Command, int, str]] = None
-        future: Optional[Tuple[Request, Command, int, str]] = None
-        channel = self.channel
-        for index, request in enumerate(queue):
-            rank = channel.ranks[request.addr.rank]
-            command, earliest, reason = self._entry_terms(
-                request, rank, rank.banks[request.addr.bank])
-            earliest, reason = self._binding(
-                (earliest, reason), self._shared_terms(command, request, rank))
-            if (command is Command.MRS
-                    or command is Command.SA_SEL) and index > 0:
-                continue
-            if earliest <= now:
-                if command in (Command.RD, Command.WR):
-                    group = (request.addr.rank, request.addr.bank_group)
-                    if group != self._last_cas_group:
-                        return (request, command, earliest, reason)
-                    if ready_cas is None:
-                        ready_cas = (request, command, earliest, reason)
-                elif ready_other is None:
-                    ready_other = (request, command, earliest, reason)
-            elif future is None or earliest < future[2]:
-                future = (request, command, earliest, reason)
-        if ready_cas is not None:
-            return ready_cas
-        return ready_other if ready_other is not None else future
-
-    @staticmethod
-    def _binding(*terms: Tuple[int, str]) -> Tuple[int, str]:
-        """Max over ``(time, reason)`` terms; ties keep the earlier term,
-        so list the more specific timing reasons first."""
-        best_time, best_reason = terms[0]
-        for time, reason in terms[1:]:
-            if time > best_time:
-                best_time, best_reason = time, reason
-        return best_time, best_reason
+    def moved(self, command: Command) -> None:
+        """``command`` issued: drop the shared halves it can have moved
+        (see the module docstring)."""
+        if command is Command.RD or command is Command.WR:
+            self._cas_memo.clear()
+        elif command is Command.ACT or command is Command.ACT_COL:
+            self._row_memo.clear()
+        elif command is Command.MRS or command is Command.REF:
+            self._cas_memo.clear()
+            self._row_memo.clear()
 
     def _rebuild(self, slot: _Slot) -> None:
         """Rebuild ``slot``'s bank half after its bank's ``version``
-        moved, with the shared key and the CAS group it implies."""
+        moved, with the memo, shared key and CAS group it implies."""
         request = slot.request
         bank = slot.bank
         command, slot.bank_time, slot.bank_reason = self._entry_terms(
@@ -329,13 +317,21 @@ class Scheduler:
         )
         slot.version = bank.version
         slot.command = command
-        addr = request.addr
-        cas = command is Command.RD or command is Command.WR
-        # the data-bus fit depends on the pins, ACT pacing on the bank
-        # group; a key for one command never serves another
-        slot.shared_key = (command.value, addr.rank,
-                           request.subrank if cas else addr.bank_group)
-        slot.group = (addr.rank, addr.bank_group) if cas else None
+        if command is slot.cas:
+            slot.memo = self._cas_memo
+            slot.shared_key = slot.cas_key
+            slot.group = slot.cas_group
+            return
+        slot.group = None
+        if command is slot.act:
+            slot.memo = self._row_memo
+            slot.shared_key = slot.act_key
+            return
+        # an MRS waits on the bus drain, a PRE or SA_SEL on refresh only
+        slot.memo = (self._cas_memo if command is Command.MRS
+                     else self._row_memo)
+        slot.shared_key = (command.value, request.addr.rank,
+                           request.addr.bank_group)
 
     def _entry_terms(
         self, request: Request, rank, bank
@@ -345,7 +341,9 @@ class Scheduler:
         bank gates, and the binding stall tag.  The subarray gates carry
         tRP/tRCD/tRAS recovery, the bank the shared row-logic (tRA) and
         column-path (tCCD) gates, and SALP-2/MASA additionally gate
-        column commands on global sense-amp designation.
+        column commands on global sense-amp designation.  Where two
+        gates tie, the one listed first -- the subarray's -- is the
+        binding tag.
 
         It reads the request's subarray, row kind, row, direction and I/O
         mode -- its slot key -- and of the rank only ``io_mode`` and
@@ -360,27 +358,12 @@ class Scheduler:
         designated whenever it is open and never has a capacity victim,
         and tRA never binds it, since its next ACT already waits
         tRAS + tRP >= tRA after the last one."""
-        if rank.ensure_mode(request.io_mode):
+        if rank.io_mode is not request.io_mode:
             # no bank gate: the rank gates and the bus drain bind an MRS
             return (Command.MRS, 0, MODE_SWITCH)
-        t = self.timing
         sub = request._sub
-        if sub.open_row == request.row_id():
-            if bank.designated == sub.sub_id:
-                # column command to the globally connected subarray
-                cmd = Command.RD if request.is_read else Command.WR
-                return (cmd, *self._binding(
-                    (sub.last_act + t.tRCD, TRCD),
-                    (bank.col_next, CCD_BUS),
-                ))
-            if self.salp == "masa":
-                # right row open in an undesignated subarray: switch the
-                # global sense-amp connection first
-                return (Command.SA_SEL, bank.next_sa_sel, SUBARRAY)
-            # SALP-2 cannot re-connect an undesignated subarray (only an
-            # ACT designates): close it and re-activate
-            return (Command.PRE, sub.next_pre, TRAS)
-        if sub.open_row is None:
+        open_row = sub.open_row
+        if open_row is None:
             victim = bank.pre_victim(sub.sub_id)
             if victim is not None:
                 # the bank is at its open-subarray capacity: close the
@@ -388,14 +371,32 @@ class Scheduler:
                 return (Command.PRE, bank.subarrays[victim].next_pre, TRAS)
             cmd = (Command.ACT if request.row_kind is RowKind.ROW
                    else Command.ACT_COL)
+            ready = sub.next_act
+            shared = bank.next_any_act  # shared row-logic re-arm
+            if shared > ready:
+                return (cmd, shared, SUBARRAY)
             # post-refresh the subarray ACT gate is the tRFC blackout,
             # post-precharge it is tRP
-            return (cmd, *self._binding(
-                (sub.next_act,
-                 REFRESH if rank.busy_until >= sub.next_act else TRP),
-                (bank.next_any_act, SUBARRAY),  # shared row-logic re-arm
-            ))
-        # row conflict within this subarray: precharge it first
+            return (cmd, ready,
+                    REFRESH if rank.busy_until >= ready else TRP)
+        if (open_row[1] != request.addr.row
+                or open_row[0] is not request.row_kind):
+            # row conflict within this subarray: precharge it first
+            return (Command.PRE, sub.next_pre, TRAS)
+        if bank.designated == sub.sub_id:
+            # column command to the globally connected subarray
+            cmd = Command.RD if request.is_read else Command.WR
+            ready = sub.last_act + self.timing.tRCD
+            column = bank.col_next
+            if column > ready:
+                return (cmd, column, CCD_BUS)
+            return (cmd, ready, TRCD)
+        if self.salp == "masa":
+            # right row open in an undesignated subarray: switch the
+            # global sense-amp connection first
+            return (Command.SA_SEL, bank.next_sa_sel, SUBARRAY)
+        # SALP-2 cannot re-connect an undesignated subarray (only an ACT
+        # designates): close it and re-activate
         return (Command.PRE, sub.next_pre, TRAS)
 
     def _shared_terms(
@@ -403,40 +404,39 @@ class Scheduler:
     ) -> Tuple[int, str]:
         """The shared half of a readiness entry: the rank gate for
         ``command`` with its stall tag, then the CAS data-bus fit -- or,
-        for an MRS, the data-bus drain.  It reads rank and channel state
-        that moves on every issue (ACT pacing, tWTR, bus occupancy) and
-        depends on the request only through its rank and its bank group
-        (ACT) or subrank (CAS)."""
+        for an MRS, the data-bus drain.  A bus fit binds only when
+        strictly later than the rank gate.  It reads rank and channel
+        state that the commands `moved` names move (ACT pacing, tWTR,
+        bus occupancy) and depends on the request only through its rank
+        and its bank group (ACT) or subrank and direction (CAS)."""
+        busy = rank.busy_until
+        if command is Command.RD or command is Command.WR:
+            gate = (rank.next_read if command is Command.RD
+                    else rank.next_write)
+            if gate <= busy:
+                gate, tag = busy, REFRESH
+            elif gate == rank.next_act_any:
+                tag = MODE_SWITCH  # tMOD_IO stalls CAS and ACT alike
+            else:
+                tag = WRITE_DRAIN  # tWTR write-to-read turnaround
+            bus = self.channel.earliest_cas_for_bus(
+                command, request.addr.rank, request.type, request.subrank)
+            if bus > gate:
+                return (bus, CCD_BUS)
+            return (gate, tag)
+        if command is Command.ACT or command is Command.ACT_COL:
+            gate = rank.earliest_act(request.addr.bank_group)
+            if gate == busy:
+                return (gate, REFRESH)
+            if gate == rank.next_act_any:
+                return (gate, MODE_SWITCH)
+            return (gate, TFAW)  # tFAW window or tRRD spacing
         if command is Command.MRS:
             # An MRS can issue once the rank's in-flight CAS work is done
             # and the data bus has drained (the switch flips DQ drivers).
-            return (max(rank.busy_until, rank.next_read, rank.next_write,
+            return (max(busy, rank.next_read, rank.next_write,
                         self.channel.data_free), MODE_SWITCH)
-        cas = command is Command.RD or command is Command.WR
-        if cas:
-            gate = rank.earliest_cas(command)
-        elif command is Command.ACT or command is Command.ACT_COL:
-            gate = rank.earliest_act(request.addr.bank_group)
-        else:
-            gate = rank.busy_until  # PRE and SA_SEL wait out refresh only
-        if gate == rank.busy_until:
-            tag = REFRESH
-        elif gate == rank.next_act_any:
-            tag = MODE_SWITCH  # tMOD_IO stalls CAS and ACT alike
-        elif cas:
-            tag = WRITE_DRAIN  # tWTR write-to-read turnaround
-        else:
-            tag = TFAW  # tFAW window or tRRD spacing
-        if cas:
-            bus = self.channel.earliest_cas_for_bus(
-                command, request.addr.rank,
-                RequestType.READ if command is Command.RD
-                else RequestType.WRITE,
-                request.subrank,
-            )
-            if bus > gate:
-                return (bus, CCD_BUS)
-        return (gate, tag)
+        return (busy, REFRESH)  # PRE and SA_SEL wait out refresh only
 
     def pre_target(self, request: Request) -> SubarrayState:
         """The subarray a PRE chosen for ``request`` closes: the

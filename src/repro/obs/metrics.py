@@ -11,12 +11,14 @@ downstream -- the power model, the harnesses, the artifact writer -- reads
 from the registry rather than from scattered structs.
 
 Histograms use fixed upper bounds chosen at creation time so ``observe``
-is a short loop with no allocation; they are cheap enough to leave on by
-default (one observation per DRAM column command, not per kernel event).
+is one binary search with no allocation; they are cheap enough to leave on
+by default (one observation per DRAM column command, not per kernel
+event).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import fields, is_dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -69,13 +71,11 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
+        """Count ``value`` (a number, not NaN) in the bucket of the first
+        bound >= it, else in the overflow bucket."""
         self.total += 1
         self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

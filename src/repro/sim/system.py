@@ -51,6 +51,15 @@ class MemorySystem:
         self.kernel = kernel
         self.scheme = scheme
         self.config = config or SystemConfig()
+        line_bytes = self.config.hierarchy.line_bytes
+        if line_bytes != scheme.geometry.cacheline_bytes:
+            # the schemes, planner and DRAM bursts move the design's line
+            raise ValueError(
+                f"HierarchyConfig.line_bytes is {line_bytes} but the "
+                f"{scheme.name} design's cache line is "
+                f"{scheme.geometry.cacheline_bytes} bytes; the caches "
+                f"must use the design's line size"
+            )
         hier_cfg = replace(self.config.hierarchy,
                            sectors=scheme.sectors_per_line)
         self.hierarchy = CacheHierarchy(hier_cfg, per_core_l1=self.config.cores)
@@ -61,17 +70,16 @@ class MemorySystem:
             self.config.controller,
             salp=scheme.salp_mode,
         )
-        self.line_bytes = self.config.hierarchy.line_bytes
+        self.line_bytes = line_bytes
         self.stats = SystemStats()
         self._mshr: Dict[int, _MSHREntry] = {}
         self._pending_writebacks: Deque[int] = deque()
         self._writeback_poll_scheduled = False
-        # Writeback-poll futility gate (off in reference mode).  The poll
-        # *event chain* is identical in both scheduling modes -- polls
-        # fire at exactly the cycles and heap positions reference mode
-        # uses, which is what keeps the two modes cycle-exact -- but a
-        # poll that provably cannot succeed re-arms in O(1) instead of
-        # re-lowering the blocked writeback.  The proof obligation: a
+        # Writeback-poll futility gate.  The poll *event chain* is the
+        # one plain polling gives -- polls fire at exactly the same
+        # cycles and heap positions, which keeps the gate cycle-exact --
+        # but a poll that provably cannot succeed re-arms in O(1) instead
+        # of re-lowering the blocked writeback.  The proof obligation: a
         # blocked drain can only unblock after a controller queue slot
         # frees, and slots free exactly when the controller issues a
         # RD/WR (`slot_listener`).  If no issue happened since the poll
@@ -84,8 +92,7 @@ class MemorySystem:
         self.wb_polls_futile = 0
         self.outstanding_writes = 0
         self._done_callbacks: List[Callable[[], None]] = []
-        if not self.config.controller.reference:
-            self.controller.slot_listener = self._on_slot_freed
+        self.controller.slot_listener = self._on_slot_freed
 
     # ------------------------------------------------------------ utilities
 
@@ -306,8 +313,7 @@ class MemorySystem:
         self.wb_polls += 1
         self._writeback_poll_scheduled = False
         if (
-            not self.config.controller.reference
-            and self._pending_writebacks
+            self._pending_writebacks
             and self._wb_slot_epoch == self._wb_armed_epoch
         ):
             # No queue slot freed since this poll was armed: re-lowering

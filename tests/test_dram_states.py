@@ -119,13 +119,13 @@ class TestRankState:
         rank = self.make()
         rank.issue_write(50)
         expected = 50 + DDR4_2400.CWL + DDR4_2400.tBL + DDR4_2400.tWTR
-        assert rank.earliest_cas(Command.RD) >= expected
+        assert rank.next_read >= expected
 
     def test_mode_switch_stalls_rank(self):
         rank = self.make()
-        assert rank.ensure_mode(IOMode.STRIDE)
+        assert rank.io_mode is not IOMode.STRIDE
         rank.issue_mode_switch(10, IOMode.STRIDE)
-        assert not rank.ensure_mode(IOMode.STRIDE)
+        assert rank.io_mode is IOMode.STRIDE
         assert rank.next_read >= 10 + DDR4_2400.tMOD_IO
         assert rank.mode_switches == 1
 

@@ -4,7 +4,7 @@ paths the wheel's equivalence argument leans on.
 The event wheel's contract is that it never changes *behavior*, only the
 cost of re-deriving scheduler decisions: the controller's wake-up event
 stream is identical to the plain polling of the reference scheduler
-(``ControllerConfig(reference=True)``) by construction, so command
+(``scheduler_oracle.reference_mode``) by construction, so command
 streams, cycle counts and stall ledgers match exactly.  The fuzzed
 battery in ``test_vectorized.py`` replays controller-level traces under
 both modes; this file locks down the rest -- full-system equivalence
@@ -26,19 +26,25 @@ from repro.sim import run_query
 from repro.sim.config import SystemConfig
 from repro.workloads import make_tables
 
+from .scheduler_oracle import reference_choice, reference_mode
 from .test_dram_controller import read, write
 from .test_vectorized import lockstep_scans
 
 
 def _run(scheme, query_name, tables, reference=False, **ctrl):
+    """Run one query, under the reference scheduler and the plain
+    writeback poll when ``reference`` is set."""
     obs = Observation()
     config = dataclasses.replace(
-        SystemConfig(),
-        controller=ControllerConfig(reference=reference, **ctrl),
+        SystemConfig(), controller=ControllerConfig(**ctrl),
     )
-    result = run_query(
-        scheme, by_name()[query_name], tables, config=config, observe=obs,
-    )
+    if reference:
+        with reference_mode():
+            result = run_query(scheme, by_name()[query_name], tables,
+                               config=config, observe=obs)
+    else:
+        result = run_query(scheme, by_name()[query_name], tables,
+                           config=config, observe=obs)
     return result, obs
 
 
@@ -216,7 +222,7 @@ def test_wait_memo_expires_at_its_soonest_time():
     assert scheduler.peek_hits == 1
     late = DDR4_2400.tRCD + 1
     assert scheduler.choose(late, queue)[:2] == (hit, Command.RD)
-    assert scheduler.choose_reference(late, queue)[:2] == (hit, Command.RD)
+    assert reference_choice(scheduler, late, queue)[:2] == (hit, Command.RD)
     assert scheduler.peek_hits == 1
 
 
@@ -243,7 +249,7 @@ def test_slot_moves_behind_older_heads_when_its_head_retires():
     late = 200  # every gate of both candidates has passed
     choice = mc.scheduler.choose(late, queue)
     assert choice[:2] == (b1, Command.RD) and choice[2] <= late
-    assert choice == mc.scheduler.choose_reference(late, queue)
+    assert choice == reference_choice(mc.scheduler, late, queue)
 
 
 def test_wait_memo_belongs_to_its_queue():
@@ -256,7 +262,7 @@ def test_wait_memo_belongs_to_its_queue():
     assert mc._active_queue() is mc.read_queue
     choice = mc.scheduler.choose(2, mc.read_queue)
     assert choice[:2] == (arrival, Command.ACT)
-    assert choice == mc.scheduler.choose_reference(2, mc.read_queue)
+    assert choice == reference_choice(mc.scheduler, 2, mc.read_queue)
     assert mc.scheduler.peek_hits == 0
 
 

@@ -5,7 +5,9 @@ import json
 import warnings
 from dataclasses import dataclass
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.workloads import make_tables
 from repro.imdb.sql import parse
@@ -136,6 +138,37 @@ class TestMetricsRegistry:
         lines = reg.render().splitlines()
         assert lines[0].startswith("a.first")
         assert lines[1].startswith("b.second")
+
+
+def _linear_bucket(bounds, value):
+    """The bucket the first bound >= ``value`` names, else overflow."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+_numbers = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.floats(min_value=-50, max_value=50, allow_nan=False),
+)
+
+
+@given(bounds=st.lists(st.integers(min_value=-20, max_value=20),
+                       min_size=1, max_size=8).map(sorted),
+       values=st.lists(_numbers, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_histogram_bucket_matches_linear_scan(bounds, values):
+    """`Histogram.observe` counts each value where a scan of the bounds
+    in order would: repeated bounds keep the first, and values past the
+    last bound overflow."""
+    h = Histogram("h", bounds)
+    expected = [0] * (len(bounds) + 1)
+    for value in values:
+        h.observe(value)
+        expected[_linear_bucket(bounds, value)] += 1
+        assert h.counts == expected
+    assert h.total == len(values)
 
 
 # ----------------------------------------------------------------- spans

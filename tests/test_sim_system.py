@@ -41,6 +41,22 @@ class TestMemorySystem:
         with pytest.raises(TypeError):
             SystemConfig(geometry=Geometry(ranks=1, subarrays_per_bank=1))
 
+    @pytest.mark.parametrize("line_bytes", (32, 128))
+    def test_cache_line_must_match_the_design(self, line_bytes):
+        """The schemes, planner and DRAM bursts move the design's 64-byte
+        line, so caches with another line size would mark a 128-byte
+        line valid after one 64-byte burst: the run must refuse, naming
+        both sizes, not mis-simulate."""
+        from repro.sim.runner import run_workload
+        from repro.workloads.kernels import KernelWorkload
+
+        config = SystemConfig(hierarchy=HierarchyConfig(line_bytes=line_bytes))
+        with pytest.raises(ValueError, match=rf"{line_bytes}.* 64 bytes"):
+            MemorySystem(Kernel(), make_scheme("baseline"), config)
+        workload = KernelWorkload.from_spec("stream_read[n=512]", seed=1)
+        with pytest.raises(ValueError, match="line_bytes"):
+            run_workload(workload, "baseline", config=config, check=True)
+
     def test_sectorize(self):
         _, system = make_system()
         line, mask = system.sectorize(100, 8)

@@ -5,8 +5,8 @@ lookup tables replaced as a ``*_scalar`` reference implementation, and the
 codecs keep their scalar paths.  These properties assert the
 table-driven / numpy paths are indistinguishable from them across layouts,
 chip counts and random payloads -- and that the fast FR-FCFS scheduler
-(readiness index + wait memo) behaves exactly like the
-reference scheduler on fuzzed traces.
+(readiness index, shared-half memos, wait memo) behaves exactly like the
+reference scheduler of ``scheduler_oracle.py`` on fuzzed traces.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from repro.ecc.chipkill import ChipAlignedSSC, SSCCodec, SSCDSDCodec
 from repro.ecc.rs import ReedSolomon
 
 from . import scalar_oracles as oracle
+from .scheduler_oracle import reference_choice, reference_mode
 
 CHIP_COUNTS = (1, 2, 4, 16, 18)
 LAYOUTS = ("default", "transposed")
@@ -211,6 +212,12 @@ def test_chip_aligned_batches_match_scalar(layout, data):
 
 # ------------------------------------------------- scheduler equivalence
 
+def _failure(result):
+    """What a failed fuzz case reports: its first failure's label and
+    first violations and mismatches."""
+    return result.signature(), result.violations[:3], result.mismatches[:3]
+
+
 def _command_stream(case, reference=False):
     """One fuzz case replayed under the fast or the reference scheduler.
 
@@ -233,9 +240,12 @@ def _command_stream(case, reference=False):
 
     ledger = StallLedger()
     probe = SimpleNamespace(on_command=on_command, on_wait=ledger.note)
-    result = run_case(case, oracle_data=False, reference=reference,
-                      probes=(probe,))
-    assert not result.failed, result.summary()
+    if reference:
+        with reference_mode():
+            result = run_case(case, oracle_data=False, probes=(probe,))
+    else:
+        result = run_case(case, oracle_data=False, probes=(probe,))
+    assert not result.failed, _failure(result)
     return log, result.cycles, [tuple(e) for e in ledger.entries]
 
 
@@ -271,7 +281,7 @@ def lockstep_scans(monkeypatch):
     def lockstep(self, now, queue):
         hits, memo = self.peek_hits, self._wait_memo
         choice = indexed(self, now, queue)
-        recomputed = self.choose_reference(now, queue)
+        recomputed = reference_choice(self, now, queue)
         assert _decision(choice, now) == _decision(recomputed, now), now
         new_slots, won = None, False
         if self.peek_hits > hits:  # resumed from the wait memo
@@ -296,7 +306,7 @@ def _scan_in_lockstep(case, monkeypatch):
     against the full recompute."""
     scans = lockstep_scans(monkeypatch)
     result = run_case(case, oracle_data=False)
-    assert not result.failed, result.summary()
+    assert not result.failed, _failure(result)
     return scans
 
 
@@ -349,4 +359,4 @@ def test_salp_checked_fuzz_stays_clean(scheme):
     for index in range(6):
         case = generate_case(seed=1804, index=index, schemes=(scheme,))
         result = run_case(case)
-        assert not result.failed, result.summary()
+        assert not result.failed, _failure(result)

@@ -17,7 +17,7 @@ Public API tour:
 
 from .core import FIGURE12_DESIGNS, available_schemes, make_scheme
 from .imdb import Table, TA, TB, all_queries, by_name
-from .sim import RunResult, SystemConfig, run_ideal, run_query
+from .sim import RunResult, SystemConfig, run_query
 
 __version__ = "1.0.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "by_name",
     "RunResult",
     "SystemConfig",
-    "run_ideal",
     "run_query",
     "__version__",
 ]

@@ -1,12 +1,11 @@
 """Sector cache hierarchy (valid/dirty bits per 16B chipkill codeword)."""
 
-from .hierarchy import CacheHierarchy, HierarchyConfig, LookupResult
+from .hierarchy import CacheHierarchy, HierarchyConfig
 from .sector import CacheStats, Eviction, SectorCache, full_mask
 
 __all__ = [
     "CacheHierarchy",
     "HierarchyConfig",
-    "LookupResult",
     "CacheStats",
     "Eviction",
     "SectorCache",

@@ -1,86 +1,68 @@
 """Three-level cache hierarchy (Table 2: L1 32KB, L2 256KB, LLC 8MB).
 
-The hierarchy is functional (hit/miss classification + inclusive fills).
-A probe reports the configured hit latency of the level that hit, but no
-simulated timing reads it: the cores charge a hit their issue cycles at
-any level.  All levels are sector caches so SAM's strided fills stay at
-sector granularity end to end.
+The hierarchy is functional (hit/miss classification + inclusive fills):
+a probe reports only the sectors to fetch, and the cores charge a hit
+their issue cycles at any level.  All levels are sector caches so SAM's
+strided fills stay at sector granularity end to end; the line and sector
+sizes are the design's (a 64-byte line in codeword-sized sectors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .sector import Eviction, SectorCache
 
 
 @dataclass(frozen=True)
 class HierarchyConfig:
+    """Per-level capacity and associativity (Table 2)."""
+
     l1_bytes: int = 32 * 1024
     l1_ways: int = 8
     l2_bytes: int = 256 * 1024
     l2_ways: int = 8
     llc_bytes: int = 8 * 1024 * 1024
     llc_ways: int = 8
-    line_bytes: int = 64
-    sectors: int = 4
-    # memory-controller cycles, reported by LookupResult.latency; the
-    # cores do not charge them
-    l1_latency: int = 1
-    l2_latency: int = 4
-    llc_latency: int = 12
-
-
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of a hierarchy probe."""
-
-    level: Optional[int]  # 1, 2, 3 for a hit; None for full miss
-    latency: int  # configured latency of the deepest level probed
-    missing_mask: int  # sectors to fetch from memory (0 on hit)
 
 
 class CacheHierarchy:
     """L1 -> L2 -> LLC, inclusive on fill paths, LRU everywhere."""
 
     def __init__(self, config: HierarchyConfig | None = None,
-                 per_core_l1: int = 1) -> None:
-        self.config = config or HierarchyConfig()
-        c = self.config
+                 per_core_l1: int = 1, line_bytes: int = 64,
+                 sectors: int = 4) -> None:
+        c = config or HierarchyConfig()
         self.l1 = [
-            SectorCache(c.l1_bytes, c.l1_ways, c.line_bytes, c.sectors,
+            SectorCache(c.l1_bytes, c.l1_ways, line_bytes, sectors,
                         name=f"L1[{i}]")
             for i in range(per_core_l1)
         ]
-        self.l2 = SectorCache(c.l2_bytes, c.l2_ways, c.line_bytes, c.sectors,
+        self.l2 = SectorCache(c.l2_bytes, c.l2_ways, line_bytes, sectors,
                               name="L2")
-        self.llc = SectorCache(c.llc_bytes, c.llc_ways, c.line_bytes,
-                               c.sectors, name="LLC")
-        # a hit's result depends only on its level, so it is shared
-        self._l1_hit = LookupResult(1, c.l1_latency, 0)
-        self._l2_hit = LookupResult(2, c.l2_latency, 0)
-        self._llc_hit = LookupResult(3, c.llc_latency, 0)
+        self.llc = SectorCache(c.llc_bytes, c.llc_ways, line_bytes, sectors,
+                               name="LLC")
 
     # --------------------------------------------------------------- reads
 
-    def lookup(self, core: int, line_addr: int,
-               sector_mask: int) -> LookupResult:
-        """Probe L1 -> L2 -> LLC; fill upper levels on a lower-level hit."""
+    def lookup(self, core: int, line_addr: int, sector_mask: int) -> int:
+        """Probe L1 -> L2 -> LLC; fill upper levels on a lower-level hit.
+        Returns the sectors to fetch from memory, 0 on a hit."""
         l1 = self.l1[core % len(self.l1)]
         hit, missing = l1.lookup(line_addr, sector_mask)
         if hit:
-            return self._l1_hit
+            return 0
         hit, missing2 = self.l2.lookup(line_addr, missing)
         if hit:
             l1.fill(line_addr, missing)
-            return self._l2_hit
+            return 0
         hit, missing3 = self.llc.lookup(line_addr, missing2)
         if hit:
             self.l2.fill(line_addr, missing)
             l1.fill(line_addr, missing)
-            return self._llc_hit
-        return LookupResult(None, self.config.llc_latency, missing3)
+            return 0
+        return missing3
 
     def fill_from_memory(self, core: int, line_addr: int,
                          sector_mask: int) -> List[Eviction]:
@@ -104,14 +86,13 @@ class CacheHierarchy:
 
     # -------------------------------------------------------------- writes
 
-    def write(self, core: int, line_addr: int,
-              sector_mask: int) -> LookupResult:
+    def write(self, core: int, line_addr: int, sector_mask: int) -> int:
         """Write-allocate, write-back: marks sectors dirty when resident,
-        otherwise reports the sectors to fetch (read-for-ownership)."""
-        result = self.lookup(core, line_addr, sector_mask)
-        if result.level is not None:
+        otherwise returns the sectors to fetch (read-for-ownership)."""
+        missing = self.lookup(core, line_addr, sector_mask)
+        if not missing:
             self._dirty_all(core, line_addr, sector_mask)
-        return result
+        return missing
 
     def complete_write_fill(self, core: int, line_addr: int,
                             sector_mask: int) -> List[Eviction]:

@@ -188,8 +188,8 @@ class Core:
     def _do_load(self, op: Load) -> bool:
         self.loads += 1
         line, mask = self.system.sectorize(op.addr, op.size)
-        result = self.system.lookup(self.core_id, line, mask)
-        if result.missing_mask == 0:
+        missing = self.system.hierarchy.lookup(self.core_id, line, mask)
+        if not missing:
             self.hits += 1
             self._ready_time += self.config.issue_cycles
             self._pc += 1
@@ -198,7 +198,7 @@ class Core:
         if self._inflight >= self.config.mlp:
             return False  # a completion will reschedule us
         if not self.system.issue_fetch(
-            self.core_id, line, result.missing_mask, self._on_fill
+            self.core_id, line, missing, self._on_fill
         ):
             self.loads -= 1
             self.misses -= 1

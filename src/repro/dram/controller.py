@@ -113,14 +113,12 @@ class MemoryController:
         timing: TimingParams,
         geometry: Geometry | None = None,
         config: ControllerConfig | None = None,
-        channel_id: int = 0,
         salp: str = "none",
     ) -> None:
         self.kernel = kernel
         self.timing = timing
         self.geometry = geometry or Geometry()
         self.config = config or ControllerConfig()
-        self.channel_id = channel_id
         # subarray-level-parallelism mode: "none" (one-subarray,
         # one-open-row banks), "salp1", "salp2" or "masa"
         self.channel = ChannelState(timing, self.geometry, salp=salp)

@@ -10,7 +10,7 @@ from .plan import (
     logical_plan,
     selected_mask,
 )
-from .planner import Planner, ideal_choice, join_matches, plan_for
+from .planner import Planner, join_matches, plan_for
 from .queries import (
     aggregate_query,
     all_queries,
@@ -42,7 +42,6 @@ __all__ = [
     "PhysicalNode",
     "PhysicalPlan",
     "Planner",
-    "ideal_choice",
     "join_matches",
     "logical_plan",
     "plan_for",

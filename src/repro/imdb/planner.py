@@ -553,24 +553,3 @@ def plan_for(
     placements = allocate_placements(scheme, tables)
     planner = Planner(scheme, config, tables, placements, cost)
     return planner.plan(query)
-
-
-def ideal_choice(
-    query: Query,
-    tables: Dict[str, Table],
-    config: Optional[SystemConfig] = None,
-    cost: Optional[CostModel] = None,
-) -> Tuple[str, Dict[str, float]]:
-    """The ideal-envelope planner decision: plan the query under the two
-    pure layouts and pick the cheaper estimate.
-
-    Returns (winning scheme name, per-scheme estimated bursts).  This is
-    the modeled replacement for the old oracle ``query.prefers`` lookup.
-    """
-    estimates = {
-        name: plan_for(name, query, tables, config=config,
-                       cost=cost).est_bursts
-        for name in ("baseline", "column-store")
-    }
-    winner = min(sorted(estimates), key=lambda name: estimates[name])
-    return winner, estimates

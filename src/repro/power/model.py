@@ -16,7 +16,7 @@ fraction; RRAM has near-zero background but expensive writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..dram.controller import CommandStats
 from ..dram.geometry import Geometry
@@ -142,20 +142,6 @@ class PowerModel:
         return per_chip * chips * cfg.background_scale
 
     # ---------------------------------------------------------- aggregation
-
-    def evaluate_registry(self, registry,
-                          elapsed_cycles: int) -> PowerBreakdown:
-        """Evaluate from a :class:`repro.obs.metrics.MetricsRegistry`.
-
-        The runner publishes the controller's command counts under
-        ``dram.<field>`` before pricing energy, making the registry the
-        single source the power model reads from.
-        """
-        stats = CommandStats(**{
-            f.name: int(registry.value(f"dram.{f.name}", 0))
-            for f in fields(CommandStats)
-        })
-        return self.evaluate(stats, elapsed_cycles)
 
     def evaluate(self, stats: CommandStats, elapsed_cycles: int) -> PowerBreakdown:
         """Total energy for a run summarised by ``stats``."""

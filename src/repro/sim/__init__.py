@@ -4,7 +4,7 @@ from .config import DEFAULT_CONFIG, SystemConfig
 from ..kernel import Kernel, SimulationError
 from ..obs import Observation, SimulationStallError, StallReport
 from .results import RunResult
-from .runner import allocate_placements, run_ideal, run_query
+from .runner import allocate_placements, run_query
 from .system import MemorySystem, SystemStats
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "StallReport",
     "RunResult",
     "allocate_placements",
-    "run_ideal",
     "run_query",
     "MemorySystem",
     "SystemStats",

@@ -16,7 +16,8 @@ class SystemConfig:
     * Processor: 4 cores, x86, 4.0 GHz (the memory clock is 1.2 GHz, so
       one memory cycle is ~3.33 CPU cycles; core issue costs are given in
       memory cycles).
-    * Caches: L1 32KB / L2 256KB / LLC 8MB, 64B lines, 8-way.
+    * Caches: L1 32KB / L2 256KB / LLC 8MB, 8-way; the 64B line and its
+      sectors are the scheme's.
     * Memory controller: open page, FR-FCFS, write queue capacity 32,
       address mapping rw:rk:bk:ch:cl:offset.
     * Memory: DDR4-2400, x4, 1 channel, 2 ranks, 16 banks -- the

@@ -7,19 +7,20 @@ for queries, the generator registry for micro-kernels), runs the cores
 against the cycle-level memory system, flushes dirty state, and reports
 time, command counts and energy.
 
-:func:`run_workload` is the single core path; :func:`run_query` and
-:func:`run_ideal` are thin wrappers that construct a
-:class:`~repro.workloads.QueryWorkload` -- their parameter lists cannot
-drift from the core's because they *are* the core's.
+:func:`run_workload` is the single core path; :func:`run_query` is a
+thin wrapper that constructs a :class:`~repro.workloads.QueryWorkload`
+-- its parameter list cannot drift from the core's because it *is* the
+core's.
 
 Every run is observed: a :class:`repro.obs.Observation` (created on
 demand when the caller does not pass one) records phase spans, publishes
-all statistics into a metrics registry -- the single source the power
-model and harnesses read from -- keeps a ring of recently issued DRAM
-commands for stall forensics, and can write a JSON run manifest plus a
-JSONL command trace into an artifacts directory.  A wedged simulation
-raises :class:`repro.obs.SimulationStallError` carrying per-bank state,
-queue occupancies and the last commands instead of a bare string.
+all statistics into a metrics registry -- the source the harnesses read
+from -- keeps a ring of recently issued DRAM commands for stall
+forensics, and can write a JSON run manifest plus a JSONL command trace
+into an artifacts directory.  A wedged simulation raises
+:class:`repro.obs.SimulationStallError` carrying per-bank state, queue
+occupancies and the last commands instead of a bare string; a livelocked
+one does so once it exhausts an event budget scaled to its op count.
 """
 
 from __future__ import annotations
@@ -58,8 +59,13 @@ from .system import MemorySystem
 #: The module holds 32 GiB (2^35 bytes); four 8 GiB regions tile it exactly.
 _REGION_STRIDE = 1 << 33
 
-#: Safety valve for runaway simulations.
-_MAX_EVENTS = 200_000_000
+#: Safety valve for runaway simulations: a run may execute this many
+#: kernel events per op of its build, plus a floor for tiny builds, in
+#: each of its execute and drain phases.  Healthy runs take at most 22
+#: events per op (about 100 with one-entry queues and 16 cores retrying
+#: every cycle), so a livelocked one fails within seconds.
+_EVENTS_PER_OP = 2_000
+_MIN_EVENTS = 100_000
 
 #: Fraction of the event budget beyond which a run counts as near-runaway.
 _EVENT_WARN_FRACTION = 0.5
@@ -192,7 +198,7 @@ def _publish_metrics(
     reg.gauge("sim.cycles").set(cycles)
     reg.gauge("sim.ns").set(scheme.timing.ns(cycles))
     # Event count against the safety valve: near-runaway runs become
-    # visible long before they trip _MAX_EVENTS.
+    # visible long before they exhaust the budget.
     reg.gauge("sim.events").set(events)
     reg.gauge("sim.max_events").set(max_events)
     # Event-wheel efficiency gauges: executed kernel events per simulated
@@ -295,7 +301,8 @@ def run_workload(
     through the run (enable tracing, choose an artifacts directory);
     without one, default-on metrics, spans and the stall ring are still
     recorded.  ``artifacts`` is a shortcut for an artifacts directory.
-    ``max_events`` overrides the runaway-simulation safety valve.
+    ``max_events`` overrides the runaway-simulation safety valve, an
+    event budget scaled to the build's op count.
     ``timing`` forces a base-timing preset by name (substrate swap) via
     :meth:`~repro.core.scheme.AccessScheme.with_timing`; together with a
     string ``scheme`` this keeps the whole entry point picklable, which
@@ -323,7 +330,6 @@ def run_workload(
         ).attach()
     if artifacts is not None and obs.artifacts_dir is None:
         obs.artifacts_dir = artifacts
-    limit = max_events if max_events is not None else _MAX_EVENTS
     profiler = obs.profiler
 
     kernel = Kernel()
@@ -348,6 +354,8 @@ def run_workload(
                 # footprint diff for queries, the generator access /
                 # expected-bytes oracle for kernels
                 workload.check_build(validator, build, placements)
+            limit = (max_events if max_events is not None
+                     else _MIN_EVENTS + _EVENTS_PER_OP * build.total_ops)
             cores = [
                 Core(kernel, core_id, system, config.core)
                 for core_id in range(config.cores)
@@ -393,12 +401,9 @@ def run_workload(
                      occupancy, kernel=kernel)
     stalls = _attribute_stalls(obs, cores)
     _finish_timeline(obs, cycles)
-    # Energy is priced off the registry: the published dram.* counters
-    # are the single source of truth, not the raw struct.
-    power_model = PowerModel(
+    power = PowerModel(
         scheme.power_config, scheme.timing, scheme.geometry
-    )
-    power = power_model.evaluate_registry(obs.registry, cycles)
+    ).evaluate(system.controller.stats, cycles)
     obs.registry.gauge("power.background_nj").set(power.background_nj)
     obs.registry.gauge("power.act_nj").set(power.act_nj)
     obs.registry.gauge("power.rdwr_nj").set(power.rdwr_nj)
@@ -472,43 +477,3 @@ def run_query(
         max_events=max_events,
         check=check,
     )
-
-
-def run_ideal(
-    query: "Query",
-    tables: "Dict[str, Table]",
-    config: Optional[SystemConfig] = None,
-    cost: "Optional[CostModel]" = None,
-    gather_factor: Optional[int] = None,
-    timing: Optional[str] = None,
-    observe: Optional[Observation] = None,
-    artifacts: Optional[str] = None,
-    max_events: Optional[int] = None,
-    check: bool = False,
-) -> RunResult:
-    """The paper's "ideal" series: the min-cost plan over the two pure
-    layouts (plain row store vs plain column store).
-
-    The choice is a real planner decision -- both layouts are planned
-    and the cheaper estimated-burst total wins -- not a lookup of the
-    query's ``prefers`` annotation.  All ``run_query`` keyword arguments
-    are forwarded to the winning run.
-    """
-    from ..imdb.planner import ideal_choice
-
-    name, _estimates = ideal_choice(query, tables, config=config, cost=cost)
-    result = run_query(
-        name,
-        query,
-        tables,
-        config=config,
-        cost=cost,
-        gather_factor=gather_factor,
-        timing=timing,
-        observe=observe,
-        artifacts=artifacts,
-        max_events=max_events,
-        check=check,
-    )
-    result.scheme = "ideal"
-    return result

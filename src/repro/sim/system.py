@@ -12,10 +12,10 @@ provides the services the cores use:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..cache.hierarchy import CacheHierarchy, LookupResult
+from ..cache.hierarchy import CacheHierarchy
 from ..core.scheme import AccessScheme, GatherPlan
 from ..dram.controller import MemoryController
 from ..kernel import Kernel
@@ -33,7 +33,6 @@ class SystemStats:
     demand_fetches: int = 0
     merged_fetches: int = 0
     gathers: int = 0
-    gather_fallback_requests: int = 0
     writebacks: int = 0
     streaming_stores: int = 0
     gather_stores: int = 0
@@ -51,18 +50,13 @@ class MemorySystem:
         self.kernel = kernel
         self.scheme = scheme
         self.config = config or SystemConfig()
-        line_bytes = self.config.hierarchy.line_bytes
-        if line_bytes != scheme.geometry.cacheline_bytes:
-            # the schemes, planner and DRAM bursts move the design's line
-            raise ValueError(
-                f"HierarchyConfig.line_bytes is {line_bytes} but the "
-                f"{scheme.name} design's cache line is "
-                f"{scheme.geometry.cacheline_bytes} bytes; the caches "
-                f"must use the design's line size"
-            )
-        hier_cfg = replace(self.config.hierarchy,
-                           sectors=scheme.sectors_per_line)
-        self.hierarchy = CacheHierarchy(hier_cfg, per_core_l1=self.config.cores)
+        # the caches hold the design's line in codeword-sized sectors,
+        # the units its schemes, planner and DRAM bursts move
+        self.line_bytes = scheme.geometry.cacheline_bytes
+        self.hierarchy = CacheHierarchy(
+            self.config.hierarchy, per_core_l1=self.config.cores,
+            line_bytes=self.line_bytes, sectors=scheme.sectors_per_line,
+        )
         self.controller = MemoryController(
             kernel,
             scheme.timing,
@@ -70,7 +64,6 @@ class MemorySystem:
             self.config.controller,
             salp=scheme.salp_mode,
         )
-        self.line_bytes = line_bytes
         self.stats = SystemStats()
         self._mshr: Dict[int, _MSHREntry] = {}
         self._pending_writebacks: Deque[int] = deque()
@@ -102,22 +95,17 @@ class MemorySystem:
         cache = self.hierarchy.llc
         return line, cache.sector_mask_for(addr, size)
 
-    def lookup(self, core: int, line: int, mask: int) -> LookupResult:
-        return self.hierarchy.lookup(core, line, mask)
-
     def gather_cached(self, core: int, element_addrs: Sequence[int]) -> bool:
         """True when every element of a gather group is already cached."""
         for addr in element_addrs:
             line, mask = self.sectorize(addr, self.scheme.sector_bytes)
-            result = self.hierarchy.lookup(core, line, mask)
-            if result.missing_mask:
+            if self.hierarchy.lookup(core, line, mask):
                 return False
         return True
 
     def write_hit(self, core: int, line: int, mask: int) -> bool:
         """Try to mark sectors dirty in place; False when not resident."""
-        result = self.hierarchy.write(core, line, mask)
-        return result.level is not None
+        return not self.hierarchy.write(core, line, mask)
 
     # -------------------------------------------------------------- fetches
 
@@ -183,11 +171,14 @@ class MemorySystem:
         self, core: int, element_addrs: Sequence[int],
         callback: Callable[[], None],
     ) -> bool:
+        """A strided load: one gather fills a sector of each element's
+        line.  Designs without stride hardware have none to issue."""
         plan = self.scheme.lower_gather_read(element_addrs)
         if plan is None:
-            # No stride hardware: fall back to per-element demand fetches,
-            # fused into one completion.
-            return self._issue_gather_fallback(core, element_addrs, callback)
+            raise RuntimeError(
+                f"scheme {self.scheme.name} cannot lower strided loads; "
+                "the executor should emit Load ops instead"
+            )
         if not self._can_accept_all(plan.requests):
             return False
         self.stats.gathers += 1
@@ -200,42 +191,6 @@ class MemorySystem:
             lambda: self._finish_gather(core, plan, callback),
             core=core,
         )
-        return True
-
-    def _issue_gather_fallback(
-        self, core: int, element_addrs: Sequence[int],
-        callback: Callable[[], None],
-    ) -> bool:
-        lines = []
-        for addr in element_addrs:
-            line, mask = self.sectorize(addr, self.scheme.sector_bytes)
-            result = self.hierarchy.lookup(core, line, mask)
-            if result.missing_mask:
-                lines.append((line, result.missing_mask))
-        if not lines:
-            self.kernel.schedule(0, callback)
-            return True
-        remaining = len(lines)
-
-        def _one_done() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                callback()
-
-        # all-or-nothing admission to keep retry semantics simple
-        requests_needed = sum(
-            1 for line, _m in lines if line not in self._mshr
-        )
-        if requests_needed and len(
-            self.controller.read_queue
-        ) + requests_needed > self.controller.config.read_queue_capacity:
-            return False
-        self.stats.gather_fallback_requests += len(lines)
-        for line, mask in lines:
-            if not self.issue_fetch(core, line, mask, _one_done):
-                # capacity was checked above; treat as merged completion
-                self.kernel.schedule(0, _one_done)
         return True
 
     def _finish_gather(self, core: int, plan: GatherPlan,
@@ -262,7 +217,6 @@ class MemorySystem:
         without read-modify-write.  Updates any cached copies in place."""
         plan = self.scheme.lower_gather_write(element_addrs)
         if plan is None:
-            # no stride hardware: read-modify-write per element line
             raise RuntimeError(
                 f"scheme {self.scheme.name} cannot lower strided stores; "
                 "the executor should emit Store ops instead"

@@ -7,6 +7,10 @@ order; :class:`ReferenceCacheHierarchy` builds its levels from it.  Both
 are kept verbatim, only renamed, so ``test_cache.py`` can drive them in
 lockstep with :mod:`repro.cache` and assert every return value, counter,
 eviction and flush order.  Nothing in the simulator calls them.
+
+The hierarchy's probe result, :class:`LookupResult`, and its per-level
+hit latencies are kept here too: ``repro.cache`` returns only the
+missing-sector mask, which the lockstep compares with ``missing_mask``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,21 @@ from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import DefaultDict, Dict, List, Optional, Tuple
 
-from repro.cache.hierarchy import HierarchyConfig, LookupResult
+from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.sector import CacheStats, Eviction
+
+#: hit latencies of L1, L2 and the LLC in memory-controller cycles, as
+#: the hierarchy configuration used to carry them
+L1_LATENCY, L2_LATENCY, LLC_LATENCY = 1, 4, 12
+
+
+@dataclass(frozen=True)
+class LookupResult:
+    """Outcome of a hierarchy probe."""
+
+    level: Optional[int]  # 1, 2, 3 for a hit; None for full miss
+    latency: int  # configured latency of the deepest level probed
+    missing_mask: int  # sectors to fetch from memory (0 on hit)
 
 
 @dataclass
@@ -170,38 +187,38 @@ class ReferenceCacheHierarchy:
     """L1 -> L2 -> LLC, inclusive on fill paths, LRU everywhere."""
 
     def __init__(self, config: HierarchyConfig | None = None,
-                 per_core_l1: int = 1) -> None:
+                 per_core_l1: int = 1, line_bytes: int = 64,
+                 sectors: int = 4) -> None:
         self.config = config or HierarchyConfig()
         c = self.config
         self.l1 = [
-            ReferenceSectorCache(c.l1_bytes, c.l1_ways, c.line_bytes,
-                                 c.sectors, name=f"L1[{i}]")
+            ReferenceSectorCache(c.l1_bytes, c.l1_ways, line_bytes,
+                                 sectors, name=f"L1[{i}]")
             for i in range(per_core_l1)
         ]
-        self.l2 = ReferenceSectorCache(c.l2_bytes, c.l2_ways, c.line_bytes,
-                                       c.sectors, name="L2")
-        self.llc = ReferenceSectorCache(c.llc_bytes, c.llc_ways, c.line_bytes,
-                                        c.sectors, name="LLC")
+        self.l2 = ReferenceSectorCache(c.l2_bytes, c.l2_ways, line_bytes,
+                                       sectors, name="L2")
+        self.llc = ReferenceSectorCache(c.llc_bytes, c.llc_ways, line_bytes,
+                                        sectors, name="LLC")
 
     # --------------------------------------------------------------- reads
 
     def lookup(self, core: int, line_addr: int,
                sector_mask: int) -> LookupResult:
         """Probe L1 -> L2 -> LLC; fill upper levels on a lower-level hit."""
-        c = self.config
         l1 = self.l1[core % len(self.l1)]
         hit, missing = l1.lookup(line_addr, sector_mask)
         if hit:
-            return LookupResult(1, c.l1_latency, 0)
+            return LookupResult(1, L1_LATENCY, 0)
         hit2, missing2 = self.l2.lookup(line_addr, missing)
         if hit2:
             self._fill_upper(l1, None, line_addr, missing)
-            return LookupResult(2, c.l2_latency, 0)
+            return LookupResult(2, L2_LATENCY, 0)
         hit3, missing3 = self.llc.lookup(line_addr, missing2)
         if hit3:
             self._fill_upper(l1, self.l2, line_addr, missing)
-            return LookupResult(3, c.llc_latency, 0)
-        return LookupResult(None, c.llc_latency, missing3)
+            return LookupResult(3, LLC_LATENCY, 0)
+        return LookupResult(None, LLC_LATENCY, missing3)
 
     def fill_from_memory(self, core: int, line_addr: int,
                          sector_mask: int) -> List[Eviction]:

@@ -7,9 +7,10 @@ factor -- the reproduction's acceptance criteria.
 
 import pytest
 
+from repro.harness.figure12 import build_figure12_spec
 from repro.workloads import geomean, make_tables
 from repro.imdb import by_name
-from repro.sim import run_ideal, run_query
+from repro.sim import run_query
 
 N_TA = 512
 N_TB = 1024
@@ -78,13 +79,20 @@ class TestGranularity:
         assert speeds[4] > speeds[8] > speeds[16]
 
 
+def figure12_ideal(qname):
+    """The store Figure 12's ``ideal`` series runs for ``qname``."""
+    spec = build_figure12_spec(N_TA, N_TB, queries=[qname])
+    return next(p.scheme for p in spec.points if p.key == ("ideal", qname))
+
+
 class TestIdealEnvelope:
     def test_ideal_upper_bounds_q_queries(self):
         """The per-query ideal store is at least as good as SAM on plain
         field-scan queries."""
         query = by_name()["Q3"]
         base = run_query("baseline", query, make_tables(N_TA, N_TB))
-        ideal = run_ideal(query, make_tables(N_TA, N_TB))
+        ideal = run_query(figure12_ideal("Q3"), query,
+                          make_tables(N_TA, N_TB))
         sam = run_query("SAM-en", query, make_tables(N_TA, N_TB))
         assert base.cycles / ideal.cycles >= 0.9 * (
             base.cycles / sam.cycles
@@ -93,7 +101,8 @@ class TestIdealEnvelope:
     def test_ideal_is_baseline_for_row_queries(self):
         query = by_name()["Qs1"]
         base = run_query("baseline", query, make_tables(N_TA, N_TB))
-        ideal = run_ideal(query, make_tables(N_TA, N_TB))
+        ideal = run_query(figure12_ideal("Qs1"), query,
+                          make_tables(N_TA, N_TB))
         assert ideal.cycles == base.cycles
 
 

@@ -323,8 +323,8 @@ class TestRunArtifacts:
         assert 0.0 < result.metrics["sim.event_budget_used"] < 1.0
 
     def test_power_priced_from_registry(self, run):
-        # the registry is the power model's source: pricing the raw
-        # struct must agree with what the run reported
+        # pricing the run's command counts must agree with the energy
+        # the run reported
         from repro.core.registry import make_scheme
         from repro.power.model import PowerModel
 

@@ -13,9 +13,9 @@ from repro.harness.figure14 import GRANULARITY_TO_GATHER
 from repro.workloads import make_tables
 from repro.imdb import by_name
 from repro.imdb.plan import LogicalPlan, PhysicalPlan, logical_plan
-from repro.imdb.planner import ideal_choice, plan_for
+from repro.imdb.planner import plan_for
 from repro.obs import Observation
-from repro.sim.runner import run_ideal, run_query
+from repro.sim.runner import run_query
 
 STRIDED = (
     "GS-DRAM", "GS-DRAM-ecc", "RC-NVM-bit", "RC-NVM-wd",
@@ -185,8 +185,16 @@ class TestPlanShapes:
 
 class TestIdealChoice:
     def test_matches_paper_preference_for_every_query(self, tables):
+        """Figure 12's ideal runs the paper's store for each query: the
+        row store for row-preferring queries, else the column store.
+        The planner's burst estimates agree: the paper's store is the
+        cheaper of the two pure layouts for every query."""
         for name, query in by_name().items():
-            winner, estimates = ideal_choice(query, tables)
+            estimates = {
+                store: plan_for(store, query, tables).est_bursts
+                for store in ("baseline", "column-store")
+            }
+            winner = min(sorted(estimates), key=estimates.get)
             expected = (
                 "baseline" if query.prefers == "row" else "column-store"
             )
@@ -194,27 +202,6 @@ class TestIdealChoice:
                 f"{name}: planner chose {winner} ({estimates}), "
                 f"paper says {expected}"
             )
-            assert set(estimates) == {"baseline", "column-store"}
-
-    def test_run_ideal_reports_ideal_scheme(self, tables):
-        result = run_ideal(by_name()["Q3"], tables)
-        assert result.scheme == "ideal"
-        assert result.cycles > 0
-
-    def test_run_ideal_forwards_check(self, tables):
-        observe = Observation()
-        result = run_ideal(
-            by_name()["Q3"], tables, observe=observe, check=True
-        )
-        assert result.scheme == "ideal"
-        # the protocol checker only counts commands when attached
-        assert observe.registry.value("check.commands") > 0
-
-    def test_run_ideal_forwards_gather_factor(self, tables):
-        # ideal resolves to baseline/column-store; both reject an
-        # explicit gather factor, which run_ideal must forward
-        with pytest.raises(ValueError, match="gather_factor"):
-            run_ideal(by_name()["Q3"], tables, gather_factor=4)
 
 
 class TestPlanInManifest:

@@ -1,5 +1,6 @@
 """Tests for the system glue: MSHR, fetch/gather paths, cores, runner."""
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -9,9 +10,17 @@ from repro.core import make_scheme
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.ops import Compute, GatherLoad, GatherStore, Load, Store
 from repro.dram.geometry import Geometry
+from repro.dram.scheduler import Scheduler
 from repro.imdb import TA, TB, Table, by_name
 from repro.kernel import Kernel
-from repro.sim import MemorySystem, SystemConfig, run_ideal, run_query
+from repro.sim import (
+    MemorySystem,
+    SimulationStallError,
+    SystemConfig,
+    run_query,
+)
+from repro.sim.runner import run_workload
+from repro.workloads import KernelWorkload, QueryWorkload, standard_tables
 
 
 def make_system(scheme_name="baseline", **kw):
@@ -23,16 +32,21 @@ def make_system(scheme_name="baseline", **kw):
 
 class TestMemorySystem:
     def test_custom_hierarchy_reaches_the_caches(self):
-        # every field but the scheme's sector count passes through,
-        # hit latencies included
+        # sizes and ways pass through; the line and its sectors are the
+        # design's
         hierarchy = HierarchyConfig(l1_bytes=16 * 1024, l2_ways=4,
-                                    l1_latency=2, l2_latency=7,
-                                    llc_latency=30)
+                                    llc_bytes=1024 * 1024, llc_ways=16)
         scheme = make_scheme("SAM-en")
         system = MemorySystem(Kernel(), scheme,
-                              SystemConfig(hierarchy=hierarchy))
-        assert system.hierarchy.config == replace(
-            hierarchy, sectors=scheme.sectors_per_line)
+                              SystemConfig(hierarchy=hierarchy, cores=2))
+        h = system.hierarchy
+        caches = (*h.l1, h.l2, h.llc)
+        assert [(c.num_sets * c.ways * c.line_bytes, c.ways)
+                for c in caches] == [(16 * 1024, 8)] * 2 + [
+                    (256 * 1024, 4), (1024 * 1024, 16)]
+        assert {(c.line_bytes, c.sectors) for c in caches} == {
+            (scheme.geometry.cacheline_bytes, scheme.sectors_per_line)}
+        assert scheme.sectors_per_line == 8  # SSC-DSD: 8 x 8B sectors
 
     def test_config_takes_no_geometry(self):
         """A design's geometry is its scheme's, which its placements,
@@ -44,18 +58,14 @@ class TestMemorySystem:
     @pytest.mark.parametrize("line_bytes", (32, 128))
     def test_cache_line_must_match_the_design(self, line_bytes):
         """The schemes, planner and DRAM bursts move the design's 64-byte
-        line, so caches with another line size would mark a 128-byte
-        line valid after one 64-byte burst: the run must refuse, naming
-        both sizes, not mis-simulate."""
-        from repro.sim.runner import run_workload
-        from repro.workloads.kernels import KernelWorkload
-
-        config = SystemConfig(hierarchy=HierarchyConfig(line_bytes=line_bytes))
-        with pytest.raises(ValueError, match=rf"{line_bytes}.* 64 bytes"):
-            MemorySystem(Kernel(), make_scheme("baseline"), config)
-        workload = KernelWorkload.from_spec("stream_read[n=512]", seed=1)
-        with pytest.raises(ValueError, match="line_bytes"):
-            run_workload(workload, "baseline", config=config, check=True)
+        line in codeword-sized sectors, so caches of another line size
+        would mark a 128-byte line valid after one 64-byte burst.  The
+        hierarchy config therefore offers neither size: the caches take
+        both from the design."""
+        with pytest.raises(TypeError):
+            HierarchyConfig(line_bytes=line_bytes)
+        with pytest.raises(TypeError):
+            HierarchyConfig(sectors=line_bytes // 16)
 
     def test_sectorize(self):
         _, system = make_system()
@@ -69,8 +79,7 @@ class TestMemorySystem:
         kernel.run()
         assert done == [1]
         # every sector valid after a 64B fetch
-        res = system.lookup(0, 0, 0b1111)
-        assert res.missing_mask == 0
+        assert system.hierarchy.lookup(0, 0, 0b1111) == 0
 
     def test_mshr_merges_duplicate_fetches(self):
         kernel, system = make_system()
@@ -91,17 +100,7 @@ class TestMemorySystem:
         assert done == [1]
         assert system.gather_cached(0, addrs)
         # but other sectors of those lines are still invalid
-        res = system.lookup(0, 1024, 0b11111111)
-        assert res.missing_mask != 0
-
-    def test_gather_fallback_for_baseline(self):
-        kernel, system = make_system("baseline")
-        done = []
-        addrs = [0, 64]
-        assert system.issue_gather(0, addrs, lambda: done.append(1))
-        kernel.run()
-        assert done == [1]
-        assert system.stats.gather_fallback_requests == 2
+        assert system.hierarchy.lookup(0, 1024, 0b11111111) != 0
 
     def test_streaming_store(self):
         kernel, system = make_system()
@@ -118,6 +117,14 @@ class TestMemorySystem:
         assert system.issue_gather_store(0, addrs)
         kernel.run()
         assert system.controller.stats.gather_writes >= 1
+
+    def test_gather_fallback_for_baseline(self):
+        """A design without stride hardware has no gather path: its
+        executor emits plain Loads, and a strided load is refused."""
+        _, system = make_system("baseline")
+        with pytest.raises(RuntimeError, match="strided loads"):
+            system.issue_gather(0, [0, 64], lambda: None)
+        assert system.stats.gathers == 0
 
     def test_gather_store_rejected_without_stride(self):
         _, system = make_system("baseline")
@@ -235,12 +242,6 @@ class TestRunner:
                 expected = r.result
             assert r.result == expected
 
-    def test_run_ideal_picks_store(self):
-        r_col = run_ideal(by_name()["Q3"], self.tables())
-        assert r_col.scheme == "ideal"
-        r_row = run_ideal(by_name()["Qs1"], self.tables())
-        assert r_row.scheme == "ideal"
-
     def test_power_attached(self):
         r = run_query("SAM-en", by_name()["Q3"], self.tables())
         assert r.power.total_nj > 0
@@ -257,6 +258,108 @@ class TestRunner:
         )
         assert r.cycles > 0
 
+    def test_livelocked_run_fails_within_its_event_budget(self, monkeypatch):
+        """A controller that never sees its banks move issues nothing and
+        wakes forever; the default event budget scales with the build's
+        op count, so the run fails in seconds, not after hundreds of
+        millions of events."""
+        rebuild = Scheduler._rebuild
+
+        def first_build_only(scheduler, slot):
+            if slot.version < 0:
+                rebuild(scheduler, slot)
+
+        workload = KernelWorkload.from_spec("stream_read[n=64]", seed=1)
+        healthy = run_workload(workload, "baseline")
+        assert healthy.metrics["sim.event_budget_used"] < 0.01
+        monkeypatch.setattr(Scheduler, "_rebuild", first_build_only)
+        with pytest.raises(SimulationStallError,
+                           match=r"event budget exhausted: exceeded \d+ "):
+            run_workload(workload, "baseline")
+
     def test_core_stats_collected(self):
         r = run_query("baseline", by_name()["Q1"], self.tables())
         assert r.core_stats["loads"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Every settable config value changes a run
+# ---------------------------------------------------------------------------
+
+#: the run a perturbation is shown on: most move a strided copy on the
+#: row store
+STRIDED = ("strided_copy[n=256,stride=512]", "baseline")
+
+#: every settable leaf of ``SystemConfig``, dotted below its nested config:
+#: ``(value, (workload, design), base config changes)``.  A field missing
+#: here fails the test, so a new knob must come with a run it changes.
+FIELD_PERTURBATIONS = {
+    "cores": (2, STRIDED, {}),
+    # only queries charge CPU work between memory operations
+    "cpu_ghz": (2.0, ("Q3", "SAM-en"), {}),
+    "controller.write_queue_capacity": (8, STRIDED, {}),
+    "controller.write_high_watermark": (12, STRIDED, {}),
+    "controller.write_low_watermark": (2, STRIDED, {}),
+    "controller.read_queue_capacity": (4, STRIDED, {}),
+    # a run must outlast the first refresh interval
+    "controller.refresh_enabled": (
+        False, ("stream_copy[n=4096]", "baseline"), {}),
+    "controller.page_policy": ("closed", STRIDED, {}),
+    "core.mlp": (2, STRIDED, {}),
+    "core.issue_cycles": (3.0, STRIDED, {}),
+    # cores retry only when a queue is full
+    "core.retry_interval": (
+        32, STRIDED, {"controller.read_queue_capacity": 2}),
+    "hierarchy.l1_bytes": (4 * 1024, STRIDED, {}),
+    "hierarchy.l1_ways": (1, STRIDED, {}),
+    "hierarchy.l2_bytes": (16 * 1024, STRIDED, {}),
+    "hierarchy.l2_ways": (1, STRIDED, {}),
+    "hierarchy.llc_bytes": (64 * 1024, STRIDED, {}),
+    "hierarchy.llc_ways": (1, STRIDED, {}),
+}
+
+
+def settable_fields():
+    """Every leaf value of ``SystemConfig``: its own scalar fields and
+    the fields of the configs nested in it, as dotted names."""
+    names = []
+    for f in dataclasses.fields(SystemConfig):
+        nested = getattr(SystemConfig(), f.name)
+        if dataclasses.is_dataclass(nested):
+            names += [f"{f.name}.{g.name}" for g in dataclasses.fields(nested)]
+        else:
+            names.append(f.name)
+    return names
+
+
+def with_field(config, name, value):
+    if "." in name:
+        section, leaf = name.split(".")
+        value = replace(getattr(config, section), **{leaf: value})
+        name = section
+    return replace(config, **{name: value})
+
+
+def run_fingerprint(workload, design, config):
+    """What a config can change: cycles, DRAM command counts and the
+    caches' occupancy at the end of the run."""
+    if workload.startswith("Q"):
+        workload = QueryWorkload(query=by_name()[workload],
+                                 tables=standard_tables(64, 128))
+    else:
+        workload = KernelWorkload.from_spec(workload, seed=1)
+    result = run_workload(workload, design, config=config)
+    return (result.cycles, dataclasses.asdict(result.memory_stats),
+            {k: v for k, v in result.metrics.items()
+             if k.startswith("cache.")})
+
+
+@pytest.mark.parametrize("name", settable_fields())
+def test_every_config_field_changes_a_run(name):
+    assert set(FIELD_PERTURBATIONS) == set(settable_fields())
+    value, (workload, design), base_changes = FIELD_PERTURBATIONS[name]
+    base = SystemConfig()
+    for other, other_value in base_changes.items():
+        base = with_field(base, other, other_value)
+    assert (run_fingerprint(workload, design, with_field(base, name, value))
+            != run_fingerprint(workload, design, base)), name

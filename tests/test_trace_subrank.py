@@ -118,8 +118,8 @@ class TestSubRank:
         system.issue_fetch(0, 0, 0b0001, lambda: done.append(1))
         kernel.run()
         assert done == [1]
-        res = system.lookup(0, 0, 0b1111)
-        assert res.missing_mask == 0b1110  # other sectors still missing
+        # other sectors still missing
+        assert system.hierarchy.lookup(0, 0, 0b1111) == 0b1110
 
     def test_subrank_transfers_overlap(self):
         """Four reads from four different sub-ranks finish faster than

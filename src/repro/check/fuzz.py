@@ -466,7 +466,6 @@ def run_fuzz(
     artifacts_dir=None,
     registry=None,
     progress: Optional[Callable[[str], None]] = None,
-    shrink_failures: bool = True,
 ) -> FuzzReport:
     """Run ``cases`` seeded cases; shrink and persist the first failure."""
     report = FuzzReport(seed=seed)
@@ -479,7 +478,7 @@ def run_fuzz(
             continue
         report.failures.append(result)
         if len(report.failures) == 1:
-            minimal = shrink(case) if shrink_failures else case
+            minimal = shrink(case)
             minimal_result = run_case(minimal)
             if not minimal_result.failed:  # pragma: no cover - paranoia
                 minimal, minimal_result = case, result

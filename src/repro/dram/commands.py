@@ -10,7 +10,6 @@ the bus but carry metadata that the controller uses for I/O-mode switching
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -55,9 +54,6 @@ class RowKind(enum.Enum):
 
     ROW = "row"  # regular row-wise activation
     COLUMN = "column"  # column-wise subarray activation (SAM-sub / RC-NVM)
-
-
-_request_ids = itertools.count()
 
 
 @dataclass(eq=False)
@@ -106,11 +102,8 @@ class Request:
     #: writebacks and other requests no core is waiting on); used for
     #: queue-full diagnostics and timeline lanes
     source_core: Optional[int] = None
-    # Bookkeeping (filled by the controller)
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    #: cycle the controller admitted this request (filled at submit)
     arrival: int = -1
-    issue_time: int = -1
-    finish_time: int = -1
     #: the scheduler's readiness slot for this request's row target,
     #: shared with every queued request that has the same subarray, row
     #: kind, row, direction, I/O mode and subrank; None once its CAS

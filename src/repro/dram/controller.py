@@ -132,12 +132,6 @@ class MemoryController:
         #: optional obs.metrics.MetricsRegistry for controller-side
         #: counters (queue_full_rejects)
         self.metrics = None
-        #: optional callback fired as ``(request,)`` whenever a request
-        #: leaves a queue (a RD/WR issued), i.e. whenever a queue slot
-        #: frees.  The memory system uses it to retry blocked writebacks
-        #: the moment a slot opens instead of polling on a fixed
-        #: interval.
-        self.slot_listener = None
         self.read_queue: List[Request] = []
         self.write_queue: List[Request] = []
         self.stats = CommandStats()
@@ -391,13 +385,11 @@ class MemoryController:
         bank.row_hits += 1
         queue.remove(request)
         self.scheduler.retire(request)
-        request.issue_time = now
         # critical-word-first: the demanded word lands mid-burst, so the
         # waiting load restarts before the burst completes
         complete_at = data_end
         if request.early_restart and request.is_read and request.critical:
             complete_at = data_end - self.timing.tBL // 2
-        request.finish_time = complete_at
         if request.is_read:
             self.stats.read_latency_total += complete_at - request.arrival
             self.stats.read_count_for_latency += 1
@@ -407,10 +399,6 @@ class MemoryController:
             self.kernel.schedule_at(
                 complete_at, partial(request.on_complete, request, complete_at)
             )
-        if self.slot_listener is not None:
-            # a queue slot just freed: let the system wake whoever is
-            # backpressured on it (event-wheel replacement for retry polls)
-            self.slot_listener(request)
 
     def _account_cas(self, request: Request, command: Command) -> None:
         s = self.stats

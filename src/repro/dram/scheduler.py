@@ -130,8 +130,8 @@ class Scheduler:
         #: the live slots of the write queue and of the read queue
         #: (indexed by ``is_read``), in order of their heads' admission
         self._orders: Tuple[List[_Slot], List[_Slot]] = ([], [])
-        #: admissions so far: numbers requests in submit order (``req_id``
-        #: follows construction order, and ``arrival`` ties in a cycle)
+        #: admissions so far: numbers requests in submit order (``arrival``
+        #: ties within a cycle)
         self._admitted: int = 0
         #: shared halves of readiness entries by (command, rank, subrank
         #: or bank group): the CAS memo (RD, WR, MRS) and the row memo

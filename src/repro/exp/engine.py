@@ -14,9 +14,9 @@ payload, so an interrupted figure run resumes where it stopped and a
 warm rerun executes zero simulations.
 
 Every run is observed: the engine's metrics registry counts points,
-cache hits/misses and executed simulations, its span profiler records
-one span per point (with per-point wall time even for parallel points),
-and :meth:`SweepEngine.manifest` rolls the whole history into one
+cache hits/misses and executed simulations, each executed point records
+its wall time (measured in the worker for parallel points), and
+:meth:`SweepEngine.manifest` rolls the whole history into one
 machine-readable sweep manifest.
 """
 
@@ -31,7 +31,6 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanProfiler
 from .cache import ResultCache, point_digest, source_digest
 from .spec import ExperimentSpec, SweepPoint
 
@@ -57,7 +56,6 @@ def _execute_workload(point: SweepPoint) -> object:
         config=point.config,
         gather_factor=point.gather_factor,
         timing=point.timing,
-        max_events=point.max_events,
         check=point.check,
         observe=observe,
     )
@@ -190,17 +188,13 @@ class SweepEngine:
 
     One engine instance may run several specs (Figure 15 runs nine
     panels); ``history`` keeps every :class:`SweepRun` for roll-up into a
-    single sweep manifest.  ``registry``/``profiler`` default to fresh
-    instances but accept shared ones so sweeps fold into a caller's
-    observability bundle.
+    single sweep manifest, and ``registry`` counts across all of them.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[SpanProfiler] = None,
         check: bool = False,
         timeline: bool = False,
         timeline_dir: Optional[str] = None,
@@ -209,8 +203,7 @@ class SweepEngine:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = cache
-        self.registry = registry or MetricsRegistry()
-        self.profiler = profiler or SpanProfiler()
+        self.registry = MetricsRegistry()
         self.check = check
         self.timeline = timeline
         self.timeline_dir = timeline_dir
@@ -249,30 +242,28 @@ class SweepEngine:
         pending: List[int] = []
 
         hits = 0
-        with self.profiler.span(f"sweep:{spec.name}", points=len(points),
-                                jobs=self.jobs):
-            if self.cache is not None:
-                source = source_digest()
-                for i, point in enumerate(points):
-                    digests[i] = point_digest(point, source=source)
-                    payload = self.cache.get(digests[i])
-                    if payload is not None:
-                        payloads[i] = payload
-                        outcomes[i] = PointOutcome(point.key, True, 0.0)
-                        hits += 1
-                    else:
-                        pending.append(i)
-            else:
-                pending = list(range(len(points)))
-
-            if pending:
-                if self.jobs > 1 and len(pending) > 1:
-                    self._run_parallel(points, pending, payloads, outcomes)
+        if self.cache is not None:
+            source = source_digest()
+            for i, point in enumerate(points):
+                digests[i] = point_digest(point, source=source)
+                payload = self.cache.get(digests[i])
+                if payload is not None:
+                    payloads[i] = payload
+                    outcomes[i] = PointOutcome(point.key, True, 0.0)
+                    hits += 1
                 else:
-                    self._run_serial(points, pending, payloads, outcomes)
-                if self.cache is not None:
-                    for i in pending:
-                        self.cache.put(digests[i], payloads[i])
+                    pending.append(i)
+        else:
+            pending = list(range(len(points)))
+
+        if pending:
+            if self.jobs > 1 and len(pending) > 1:
+                self._run_parallel(points, pending, payloads, outcomes)
+            else:
+                self._run_serial(points, pending, payloads, outcomes)
+            if self.cache is not None:
+                for i in pending:
+                    self.cache.put(digests[i], payloads[i])
 
         run = SweepRun(
             spec=spec,
@@ -291,9 +282,10 @@ class SweepEngine:
     def _run_serial(self, points, pending, payloads, outcomes) -> None:
         for i in pending:
             point = points[i]
-            with self.profiler.span(f"point:{point.label}") as span:
-                payloads[i] = execute_point(point)
-            outcomes[i] = PointOutcome(point.key, False, span.wall_s)
+            start = time.perf_counter()
+            payloads[i] = execute_point(point)
+            outcomes[i] = PointOutcome(point.key, False,
+                                       time.perf_counter() - start)
 
     def _run_parallel(self, points, pending, payloads, outcomes) -> None:
         # fork keeps worker start-up free of re-imports on POSIX; the
@@ -312,12 +304,7 @@ class SweepEngine:
                 _pool_worker, items
             ):
                 payloads[index] = payload
-                point = points[index]
-                outcomes[index] = PointOutcome(point.key, False, wall)
-                self.profiler.add(
-                    None, f"point:{point.label}", 0, 0,
-                    wall_s=wall, parallel=True,
-                )
+                outcomes[index] = PointOutcome(points[index].key, False, wall)
 
     # ----------------------------------------------------------- reporting
 

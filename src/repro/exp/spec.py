@@ -76,7 +76,6 @@ class SweepPoint:
     gather_factor: Optional[int] = None
     timing: Optional[str] = None  # base-timing preset override by name
     config: Optional[SystemConfig] = None
-    max_events: Optional[int] = None
     #: run with the repro.check protocol checker + workload oracle
     #: attached (strict: a violation aborts the sweep); part of the cache
     #: digest, so checked and unchecked payloads never alias

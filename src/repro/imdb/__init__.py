@@ -1,15 +1,8 @@
 """In-memory database workload: schemas, queries, planner, executor."""
 
-from .executor import CostModel, ExecutorOutput, QueryExecutor
+from .executor import CostModel, QueryExecutor
 from .lowering import Lowering
-from .plan import (
-    LogicalNode,
-    LogicalPlan,
-    PhysicalNode,
-    PhysicalPlan,
-    logical_plan,
-    selected_mask,
-)
+from .plan import PhysicalNode, PhysicalPlan, selected_mask
 from .planner import Planner, join_matches, plan_for
 from .queries import (
     aggregate_query,
@@ -34,16 +27,12 @@ from .sql import SQLError, parse
 
 __all__ = [
     "CostModel",
-    "ExecutorOutput",
     "QueryExecutor",
     "Lowering",
-    "LogicalNode",
-    "LogicalPlan",
     "PhysicalNode",
     "PhysicalPlan",
     "Planner",
     "join_matches",
-    "logical_plan",
     "plan_for",
     "selected_mask",
     "aggregate_query",

@@ -1,8 +1,8 @@
 """Query execution: plan -> lower -> per-core op streams + results.
 
-The executor is now a thin orchestrator over the planning IR:
+The executor is a thin orchestrator over the planning IR:
 
-* :mod:`repro.imdb.plan` defines the logical/physical plan nodes,
+* :mod:`repro.imdb.plan` defines the physical plan nodes,
 * :mod:`repro.imdb.planner` chooses the access mode per operator
   (strided vs plain, the paper's Figure 15 crossover) and costs it,
 * :mod:`repro.imdb.lowering` turns the chosen plan into memory ops.
@@ -11,21 +11,22 @@ What stays here is the part simulation cannot outsource: the *ground
 truth*.  The executor computes the actual query answer from the table
 data (and applies updates/inserts), so correctness of every scheme's
 access plan is checkable -- a plan that skips data the query needs would
-produce the wrong answer in tests.
+produce the wrong answer in tests.  A build is the workload layer's
+:class:`~repro.workloads.base.WorkloadBuild`, so
+:class:`~repro.workloads.query.QueryWorkload` hands it on unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.scheme import AccessScheme, Placement
-from ..cpu.ops import MemOp
 from ..sim.config import SystemConfig
+from ..workloads.base import WorkloadBuild
 from .lowering import Lowering
-from .plan import CostModel, PhysicalPlan, selected_mask
+from .plan import CostModel, selected_mask
 from .planner import Planner, join_matches
 from .query import (
     AggregateQuery,
@@ -37,21 +38,7 @@ from .query import (
 )
 from .schema import Table
 
-__all__ = ["CostModel", "ExecutorOutput", "QueryExecutor"]
-
-
-@dataclass
-class ExecutorOutput:
-    """Per-core op streams, the chosen plan, and the ground-truth result."""
-
-    ops_per_core: List[List[MemOp]]
-    result: object
-    selected_records: int = 0
-    plan: Optional[PhysicalPlan] = None
-
-    @property
-    def total_ops(self) -> int:
-        return sum(len(ops) for ops in self.ops_per_core)
+__all__ = ["CostModel", "QueryExecutor"]
 
 
 class QueryExecutor:
@@ -66,19 +53,13 @@ class QueryExecutor:
         placements: Dict[str, Placement],
         cost: Optional[CostModel] = None,
     ) -> None:
-        self.scheme = scheme
-        self.config = config
         self.tables = tables
-        self.placements = placements
-        self.cost = cost or CostModel()
-        self.line_bytes = scheme.geometry.cacheline_bytes
-        self.planner = Planner(scheme, config, tables, placements, self.cost)
-        self.lowering = Lowering(scheme, config, tables, placements,
-                                 self.cost)
+        self.planner = Planner(scheme, config, tables, placements, cost)
+        self.lowering = Lowering(scheme, config, tables, placements, cost)
 
     # ------------------------------------------------------------ dispatch
 
-    def build(self, query: Query) -> ExecutorOutput:
+    def build(self, query: Query) -> WorkloadBuild:
         if isinstance(query, SelectQuery):
             return self._build_select(query)
         if isinstance(query, AggregateQuery):
@@ -93,7 +74,7 @@ class QueryExecutor:
 
     # --------------------------------------------------------------- SELECT
 
-    def _build_select(self, query: SelectQuery) -> ExecutorOutput:
+    def _build_select(self, query: SelectQuery) -> WorkloadBuild:
         table = self.tables[query.table]
         selected = selected_mask(table, query.predicate)
         n = table.n_records
@@ -116,11 +97,11 @@ class QueryExecutor:
                 len(rows),
                 int(data.sum()) if data is not None else 0,
             )
-        return ExecutorOutput(ops_per_core, result, int(len(rows)), plan)
+        return WorkloadBuild(ops_per_core, result, int(len(rows)), plan)
 
     # ------------------------------------------------------------ AGGREGATE
 
-    def _build_aggregate(self, query: AggregateQuery) -> ExecutorOutput:
+    def _build_aggregate(self, query: AggregateQuery) -> WorkloadBuild:
         table = self.tables[query.table]
         selected = selected_mask(table, query.predicate)
 
@@ -136,11 +117,11 @@ class QueryExecutor:
             result = {f: sums[f] / len(rows) for f in query.fields}
         else:
             result = sums
-        return ExecutorOutput(ops_per_core, result, int(len(rows)), plan)
+        return WorkloadBuild(ops_per_core, result, int(len(rows)), plan)
 
     # --------------------------------------------------------------- UPDATE
 
-    def _build_update(self, query: UpdateQuery) -> ExecutorOutput:
+    def _build_update(self, query: UpdateQuery) -> WorkloadBuild:
         table = self.tables[query.table]
         selected = selected_mask(table, query.predicate)
 
@@ -150,20 +131,20 @@ class QueryExecutor:
         rows = np.flatnonzero(selected)
         for f, v in query.assignments:
             table.values[rows, f] = v
-        return ExecutorOutput(ops_per_core, int(len(rows)), int(len(rows)),
-                              plan)
+        return WorkloadBuild(ops_per_core, int(len(rows)), int(len(rows)),
+                             plan)
 
     # --------------------------------------------------------------- INSERT
 
-    def _build_insert(self, query: InsertQuery) -> ExecutorOutput:
+    def _build_insert(self, query: InsertQuery) -> WorkloadBuild:
         plan = self.planner.plan(query)
         ops_per_core = self.lowering.lower(query, plan)
         n = plan.node("insert").records
-        return ExecutorOutput(ops_per_core, n, n, plan)
+        return WorkloadBuild(ops_per_core, n, n, plan)
 
     # ----------------------------------------------------------------- JOIN
 
-    def _build_join(self, query: JoinQuery) -> ExecutorOutput:
+    def _build_join(self, query: JoinQuery) -> WorkloadBuild:
         build = self.tables[query.build_table]
         probe = self.tables[query.probe_table]
         matches, probe_match = join_matches(
@@ -174,4 +155,4 @@ class QueryExecutor:
         ops_per_core = self.lowering.lower(
             query, plan, probe_match=probe_match
         )
-        return ExecutorOutput(ops_per_core, matches, matches, plan)
+        return WorkloadBuild(ops_per_core, matches, matches, plan)

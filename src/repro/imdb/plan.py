@@ -1,19 +1,14 @@
-"""Query-plan IR: logical operator trees and costed physical plans.
+"""Query-plan IR: costed physical plans.
 
-The planning pipeline mirrors a conventional database engine, scaled to
-the paper's query subset:
-
-* a :class:`LogicalPlan` is the scheme-independent operator tree built
-  straight from a :class:`~repro.imdb.query.Query` (what the query
-  *means*);
-* a :class:`PhysicalPlan` is the scheme-specific, costed realization the
-  :class:`~repro.imdb.planner.Planner` chooses: every operator carries
-  its access mode (strided gathers vs plain loads vs whole-record reads),
-  the effective gather factor, its sector/line footprints and an
-  estimated burst cost -- the quantities behind the paper's Figure 15
-  row-vs-column crossover;
-* :mod:`repro.imdb.lowering` turns a physical plan into per-core memory
-  op streams without re-deriving any of those decisions.
+The :class:`~repro.imdb.planner.Planner` turns a
+:class:`~repro.imdb.query.Query` straight into a :class:`PhysicalPlan`,
+the scheme-specific, costed realization of the query: every operator
+carries its access mode (strided gathers vs plain loads vs whole-record
+reads), the effective gather factor, its sector/line footprints and an
+estimated burst cost -- the quantities behind the paper's Figure 15
+row-vs-column crossover.  :mod:`repro.imdb.lowering` turns a physical
+plan into per-core memory op streams without re-deriving any of those
+decisions.
 
 Physical nodes are frozen: a plan can be hashed, pickled into sweep
 workers, embedded in run manifests, and diffed by the
@@ -22,20 +17,12 @@ workers, embedded in run manifests, and diffed by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .query import (
-    AggregateQuery,
-    InsertQuery,
-    JoinQuery,
-    Predicate,
-    Query,
-    SelectQuery,
-    UpdateQuery,
-)
+from .query import Predicate
 from .schema import PREDICATE_RANGE, Table
 
 
@@ -76,94 +63,6 @@ def selected_mask(table: Table,
             span = max(1, int(PREDICATE_RANGE * conj.selectivity))
             mask &= column < span  # model: matches the rare key set
     return mask
-
-
-# --------------------------------------------------------------------------
-# Logical plan
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogicalNode:
-    """One scheme-independent operator: what the query asks for."""
-
-    op: str  # scan | filter | project | aggregate | update | insert | join
-    table: str = ""
-    fields: Optional[Tuple[int, ...]] = None
-    predicate: Optional[Predicate] = None
-    detail: Tuple[Tuple[str, object], ...] = ()
-    children: Tuple["LogicalNode", ...] = ()
-
-    def walk(self) -> Iterator["LogicalNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
-@dataclass(frozen=True)
-class LogicalPlan:
-    """The operator tree of one query, before any scheme is chosen."""
-
-    query: str
-    root: LogicalNode
-
-    def walk(self) -> Iterator[LogicalNode]:
-        return self.root.walk()
-
-    def explain(self) -> str:
-        return "\n".join(_render_tree(self.root, _logical_label))
-
-
-def logical_plan(query: Query) -> LogicalPlan:
-    """Build the logical operator tree for one query."""
-    if isinstance(query, SelectQuery):
-        node = LogicalNode("scan", query.table)
-        if query.predicate is not None:
-            node = LogicalNode("filter", query.table,
-                               fields=query.predicate.fields,
-                               predicate=query.predicate, children=(node,))
-        detail = ()
-        if query.limit is not None:
-            detail = (("limit", query.limit),)
-        node = LogicalNode("project", query.table, fields=query.projected,
-                           detail=detail, children=(node,))
-        return LogicalPlan(query.name, node)
-    if isinstance(query, AggregateQuery):
-        node = LogicalNode("scan", query.table)
-        if query.predicate is not None:
-            node = LogicalNode("filter", query.table,
-                               fields=query.predicate.fields,
-                               predicate=query.predicate, children=(node,))
-        node = LogicalNode("aggregate", query.table, fields=query.fields,
-                           detail=(("func", query.func),), children=(node,))
-        return LogicalPlan(query.name, node)
-    if isinstance(query, UpdateQuery):
-        node = LogicalNode("scan", query.table)
-        node = LogicalNode("filter", query.table,
-                           fields=query.predicate.fields,
-                           predicate=query.predicate, children=(node,))
-        node = LogicalNode(
-            "update", query.table,
-            fields=tuple(f for f, _v in query.assignments),
-            detail=(("assignments", query.assignments),), children=(node,))
-        return LogicalPlan(query.name, node)
-    if isinstance(query, InsertQuery):
-        node = LogicalNode("insert", query.table,
-                           detail=(("n_records", query.n_records),))
-        return LogicalPlan(query.name, node)
-    if isinstance(query, JoinQuery):
-        build = LogicalNode("scan", query.build_table)
-        build = LogicalNode("hash-build", query.build_table,
-                            fields=(query.key_field,), children=(build,))
-        probe = LogicalNode("scan", query.probe_table)
-        probe = LogicalNode("hash-probe", query.probe_table,
-                            fields=(query.key_field,), children=(probe,))
-        node = LogicalNode(
-            "join", query.probe_table,
-            detail=(("key_field", query.key_field),
-                    ("extra_compare_field", query.extra_compare_field)),
-            children=(build, probe))
-        return LogicalPlan(query.name, node)
-    raise TypeError(f"unknown query {query!r}")
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +141,6 @@ class PhysicalPlan:
     #: the single place the batch size is computed (the partitioner and
     #: the gather grouping both honour it)
     batch_records: int = 8
-    logical: Optional[LogicalPlan] = field(default=None, compare=False)
 
     def walk(self) -> Iterator[PhysicalNode]:
         return self.root.walk()
@@ -280,7 +178,7 @@ class PhysicalPlan:
             f"PhysicalPlan {self.query} on {self.scheme}: mode={self.mode} "
             f"est_bursts={self.est_bursts:.1f} batch={self.batch_records}"
         )
-        return "\n".join([head] + _render_tree(self.root, _physical_label))
+        return "\n".join([head] + _render_tree(self.root))
 
 
 # --------------------------------------------------------------------------
@@ -294,17 +192,6 @@ def _fields_label(fields) -> str:
         return (",".join(f"f{f}" for f in fields[:5])
                 + f",..(+{len(fields) - 5})")
     return ",".join(f"f{f}" for f in fields)
-
-
-def _logical_label(node: LogicalNode) -> str:
-    parts = [node.op.capitalize() if node.op != "hash-build" else "HashBuild"]
-    if node.table:
-        parts.append(node.table)
-    if node.fields is not None or node.op == "project":
-        parts.append(f"fields={_fields_label(node.fields)}")
-    for key, value in node.detail:
-        parts.append(f"{key}={value}")
-    return " ".join(parts)
 
 
 def _physical_label(node: PhysicalNode) -> str:
@@ -332,16 +219,16 @@ def _physical_label(node: PhysicalNode) -> str:
     return " ".join(p for p in parts if p)
 
 
-def _render_tree(root, label) -> List[str]:
+def _render_tree(root: PhysicalNode) -> List[str]:
     lines: List[str] = []
 
     def visit(node, prefix: str, is_last: bool, is_root: bool) -> None:
         if is_root:
-            lines.append(label(node))
+            lines.append(_physical_label(node))
             child_prefix = ""
         else:
             branch = "└─ " if is_last else "├─ "
-            lines.append(prefix + branch + label(node))
+            lines.append(prefix + branch + _physical_label(node))
             child_prefix = prefix + ("   " if is_last else "│  ")
         for i, child in enumerate(node.children):
             visit(child, child_prefix, i == len(node.children) - 1, False)

@@ -11,9 +11,9 @@ anything.
 
 The stride decision (`stride_worthwhile`) keeps the exact arithmetic of
 the original executor heuristic -- the decomposed per-operator estimates
-(`est_bursts`) are for EXPLAIN output and the ideal-envelope planner
-choice, never for the mode decision itself, so plans (and therefore
-simulated cycles) are bit-identical to the pre-IR executor.
+(`est_bursts`) are for EXPLAIN output and run manifests, never for the
+mode decision itself, so plans (and therefore simulated cycles) are
+bit-identical to the pre-IR executor.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ import numpy as np
 
 from ..core.scheme import AccessScheme, Placement
 from ..sim.config import SystemConfig
-from .plan import (
-    CostModel,
-    LogicalPlan,
-    PhysicalNode,
-    PhysicalPlan,
-    logical_plan,
-    selected_mask,
-)
+from .plan import CostModel, PhysicalNode, PhysicalPlan, selected_mask
 from .query import (
     AggregateQuery,
     InsertQuery,
@@ -304,7 +297,6 @@ class Planner:
         caller (the executor) already computed them; left ``None``, the
         planner derives them itself (the EXPLAIN path).
         """
-        logical = logical_plan(query)
         if isinstance(query, SelectQuery):
             root, mode = self._plan_select(query, selected)
         elif isinstance(query, AggregateQuery):
@@ -323,7 +315,6 @@ class Planner:
             mode=mode,
             root=root,
             batch_records=self.batch_records(),
-            logical=logical,
         )
 
     # ------------------------------------------------------------- SELECT

@@ -111,20 +111,17 @@ class SpanProfiler:
 
     def add(
         self,
-        parent: Optional[Span],
+        parent: Span,
         name: str,
         start_cycle: int,
         end_cycle: int,
         **meta: object,
     ) -> Span:
-        """Attach a synthetic (cycles-only) span, e.g. a per-bank busy
-        window reconstructed after the run."""
+        """Attach a synthetic (cycles-only) span under ``parent``, e.g. a
+        per-bank busy window reconstructed after the run."""
         span = Span(name, start_cycle=start_cycle, end_cycle=end_cycle,
                     meta=meta)
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
+        parent.children.append(span)
         return span
 
     # ------------------------------------------------------------- reading

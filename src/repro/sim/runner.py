@@ -203,13 +203,12 @@ def _publish_metrics(
     reg.gauge("sim.max_events").set(max_events)
     # Event-wheel efficiency gauges: executed kernel events per simulated
     # cycle (the wake-up efficiency), FR-FCFS scans resumed from the wait
-    # memo, and writeback-poll futility.
+    # memo, and writeback polls fired.
     reg.set_ratio("sim.events_per_cycle", events, cycles)
     if kernel is not None:
         reg.gauge("kernel.events").set(kernel.events)
     reg.gauge("dram.peek_hits").set(system.controller.scheduler.peek_hits)
     reg.gauge("sys.wb_polls").set(system.wb_polls)
-    reg.gauge("sys.wb_polls_futile").set(system.wb_polls_futile)
     frac = events / max_events if max_events else 0.0
     reg.gauge("sim.event_budget_used").set(frac)
     if frac > _EVENT_WARN_FRACTION:
@@ -277,7 +276,6 @@ def run_workload(
     gather_factor: Optional[int] = None,
     timing: Optional[str] = None,
     observe: Optional[Observation] = None,
-    artifacts: Optional[str] = None,
     max_events: Optional[int] = None,
     check: bool = False,
 ) -> RunResult:
@@ -300,9 +298,8 @@ def run_workload(
     ``observe`` threads a caller-owned :class:`repro.obs.Observation`
     through the run (enable tracing, choose an artifacts directory);
     without one, default-on metrics, spans and the stall ring are still
-    recorded.  ``artifacts`` is a shortcut for an artifacts directory.
-    ``max_events`` overrides the runaway-simulation safety valve, an
-    event budget scaled to the build's op count.
+    recorded.  ``max_events`` overrides the runaway-simulation safety
+    valve, an event budget scaled to the build's op count.
     ``timing`` forces a base-timing preset by name (substrate swap) via
     :meth:`~repro.core.scheme.AccessScheme.with_timing`; together with a
     string ``scheme`` this keeps the whole entry point picklable, which
@@ -328,8 +325,6 @@ def run_workload(
         validator = PlanValidator(
             scheme, registry=obs.registry, strict=True
         ).attach()
-    if artifacts is not None and obs.artifacts_dir is None:
-        obs.artifacts_dir = artifacts
     profiler = obs.profiler
 
     kernel = Kernel()
@@ -452,7 +447,6 @@ def run_query(
     gather_factor: Optional[int] = None,
     timing: Optional[str] = None,
     observe: Optional[Observation] = None,
-    artifacts: Optional[str] = None,
     max_events: Optional[int] = None,
     check: bool = False,
 ) -> RunResult:
@@ -473,7 +467,6 @@ def run_query(
         gather_factor=gather_factor,
         timing=timing,
         observe=observe,
-        artifacts=artifacts,
         max_events=max_events,
         check=check,
     )

@@ -68,24 +68,9 @@ class MemorySystem:
         self._mshr: Dict[int, _MSHREntry] = {}
         self._pending_writebacks: Deque[int] = deque()
         self._writeback_poll_scheduled = False
-        # Writeback-poll futility gate.  The poll *event chain* is the
-        # one plain polling gives -- polls fire at exactly the same
-        # cycles and heap positions, which keeps the gate cycle-exact --
-        # but a poll that provably cannot succeed re-arms in O(1) instead
-        # of re-lowering the blocked writeback.  The proof obligation: a
-        # blocked drain can only unblock after a controller queue slot
-        # frees, and slots free exactly when the controller issues a
-        # RD/WR (`slot_listener`).  If no issue happened since the poll
-        # was armed, queue lengths can only have grown, so the same
-        # admission check must fail again.
-        self._wb_slot_epoch = 0
-        self._wb_armed_epoch = -1
-        #: writeback poll events fired / fired-but-provably-futile
+        #: writeback poll events fired
         self.wb_polls = 0
-        self.wb_polls_futile = 0
         self.outstanding_writes = 0
-        self._done_callbacks: List[Callable[[], None]] = []
-        self.controller.slot_listener = self._on_slot_freed
 
     # ------------------------------------------------------------ utilities
 
@@ -251,32 +236,15 @@ class MemorySystem:
             self.stats.writebacks += 1
             self._submit_plan(requests, None)
 
-    def _on_slot_freed(self, _request) -> None:
-        """Controller notification: a RD/WR issued, so a queue slot just
-        freed.  Marks blocked writeback polls as worth retrying."""
-        self._wb_slot_epoch += 1
-
     def _schedule_writeback_poll(self) -> None:
         if self._writeback_poll_scheduled:
             return
         self._writeback_poll_scheduled = True
-        self._wb_armed_epoch = self._wb_slot_epoch
         self.kernel.schedule(16, self._writeback_poll)
 
     def _writeback_poll(self) -> None:
         self.wb_polls += 1
         self._writeback_poll_scheduled = False
-        if (
-            self._pending_writebacks
-            and self._wb_slot_epoch == self._wb_armed_epoch
-        ):
-            # No queue slot freed since this poll was armed: re-lowering
-            # the blocked writeback would fail the same admission check,
-            # so skip straight to re-arming (exactly what a failed drain
-            # attempt would have done).
-            self.wb_polls_futile += 1
-            self._schedule_writeback_poll()
-            return
         self._drain_writebacks()
 
     def flush_caches(self) -> None:
@@ -299,7 +267,6 @@ class MemorySystem:
             "mshr_lines": len(self._mshr),
             "pending_writebacks": len(self._pending_writebacks),
             "writeback_polls": self.wb_polls,
-            "writeback_polls_futile": self.wb_polls_futile,
             "outstanding_writes": self.outstanding_writes,
             "read_queue": len(self.controller.read_queue),
             "write_queue": len(self.controller.write_queue),

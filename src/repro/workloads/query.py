@@ -1,10 +1,11 @@
 """The relational workload family: one ``repro.imdb`` query as a Workload.
 
 ``QueryWorkload`` is a behavior-identical wrapper around the existing
-planner/lowering path -- :meth:`build` delegates straight to
-:class:`~repro.imdb.executor.QueryExecutor`, so a query run through the
-workload layer produces exactly the op streams, plan and ground-truth
-result the pre-IR ``run_query`` produced.
+planner/lowering path -- :meth:`build` returns the
+:class:`WorkloadBuild` of :class:`~repro.imdb.executor.QueryExecutor`
+as is, so a query run through the workload layer produces exactly the
+op streams, plan and ground-truth result the pre-IR ``run_query``
+produced.
 """
 
 from __future__ import annotations
@@ -74,10 +75,4 @@ class QueryWorkload(Workload):
         from ..imdb.executor import QueryExecutor
 
         executor = QueryExecutor(scheme, config, tables, placements, cost)
-        output = executor.build(self.query)
-        return WorkloadBuild(
-            ops_per_core=output.ops_per_core,
-            result=output.result,
-            selected_records=output.selected_records,
-            plan=output.plan,
-        )
+        return executor.build(self.query)

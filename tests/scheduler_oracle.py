@@ -12,8 +12,7 @@ channel, timing, SALP mode and last CAS group, so a test can put it
 beside the fast scan at the same instant (``test_vectorized.py``'s
 lockstep batteries).  :class:`ReferenceScheduler` arbitrates with it on
 every wake-up, and :func:`reference_mode` builds every controller with
-it -- and every memory system with the plain writeback poll -- for the
-full-run comparisons.  Nothing in the simulator calls them.
+it for the full-run comparisons.  Nothing in the simulator calls them.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.obs.stalls import (
     TRP,
     WRITE_DRAIN,
 )
-from repro.sim.system import MemorySystem
 
 
 def ensure_mode(rank, mode: IOMode) -> bool:
@@ -229,27 +227,14 @@ class ReferenceScheduler(Scheduler):
         return self._scan.choose_reference(now, queue)
 
 
-def plain_writeback_poll(self: MemorySystem) -> None:
-    """`MemorySystem._writeback_poll` without its futility gate: every
-    poll re-lowers the blocked writeback and retries it."""
-    self.wb_polls += 1
-    self._writeback_poll_scheduled = False
-    self._drain_writebacks()
-
-
 @contextmanager
 def reference_mode():
     """Inside the block every new `MemoryController` arbitrates with
-    :class:`ReferenceScheduler` and every `MemorySystem` polls blocked
-    writebacks without the futility gate: the plain polling the wait
-    memo, the shared-half memos and the gate must be indistinguishable
-    from."""
+    :class:`ReferenceScheduler`: the plain polling the wait memo and the
+    shared-half memos must be indistinguishable from."""
     scheduler = dram_controller.Scheduler
-    gated_poll = MemorySystem._writeback_poll
     dram_controller.Scheduler = ReferenceScheduler
-    MemorySystem._writeback_poll = plain_writeback_poll
     try:
         yield
     finally:
         dram_controller.Scheduler = scheduler
-        MemorySystem._writeback_poll = gated_poll

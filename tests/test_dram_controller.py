@@ -28,7 +28,7 @@ def read(mapper, addr, done, **kw):
     return Request(
         addr=mapper.decode(addr),
         type=RequestType.READ,
-        on_complete=lambda r, t: done.append((r.req_id, t)),
+        on_complete=lambda r, t: done.append((r, t)),
         **kw,
     )
 
@@ -37,7 +37,7 @@ def write(mapper, addr, done, **kw):
     return Request(
         addr=mapper.decode(addr),
         type=RequestType.WRITE,
-        on_complete=lambda r, t: done.append((r.req_id, t)),
+        on_complete=lambda r, t: done.append((r, t)),
         **kw,
     )
 
@@ -96,8 +96,8 @@ class TestBasicTiming:
         mc.submit(r_conflict)  # older, needs PRE+ACT
         mc.submit(r_hit)  # younger, row hit
         k.run()
-        finish = {rid: t for rid, t in done}
-        assert finish[r_hit.req_id] < finish[r_conflict.req_id]
+        finish = dict(done)
+        assert finish[r_hit] < finish[r_conflict]
 
 
 class TestWrites:

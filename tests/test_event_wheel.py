@@ -8,8 +8,8 @@ stream is identical to the plain polling of the reference scheduler
 streams, cycle counts and stall ledgers match exactly.  The fuzzed
 battery in ``test_vectorized.py`` replays controller-level traces under
 both modes; this file locks down the rest -- full-system equivalence
-under backpressure, the stale-wakeup guard, the writeback-poll futility
-gate, and the O(commands)-not-O(cycles) event count on idle-gap
+under backpressure (blocked writebacks included), the stale-wakeup
+guard, and the O(commands)-not-O(cycles) event count on idle-gap
 workloads.
 """
 
@@ -32,8 +32,8 @@ from .test_vectorized import lockstep_scans
 
 
 def _run(scheme, query_name, tables, reference=False, **ctrl):
-    """Run one query, under the reference scheduler and the plain
-    writeback poll when ``reference`` is set."""
+    """Run one query, under the reference scheduler when ``reference``
+    is set."""
     obs = Observation()
     config = dataclasses.replace(
         SystemConfig(), controller=ControllerConfig(**ctrl),
@@ -266,7 +266,7 @@ def test_wait_memo_belongs_to_its_queue():
     assert mc.scheduler.peek_hits == 0
 
 
-# ------------------------------------------------- writeback futility
+# ------------------------------------------------- writeback polls
 
 def test_no_writeback_polls_when_queue_never_blocks(tables):
     """Writeback polling is demand-driven in both modes: a run whose
@@ -295,40 +295,6 @@ def test_blocked_writebacks_drain_identically(tables):
         assert (
             wheel.metrics["sys.wb_polls"] == poll.metrics["sys.wb_polls"]
         )
-        assert poll.metrics["sys.wb_polls_futile"] == 0
-
-
-def test_writeback_futility_gate_skips_relowering():
-    """While no controller issue frees a queue slot, every poll is
-    provably futile: the gate must re-arm without re-lowering the
-    blocked line, and resume draining the moment a slot-freed
-    notification arrives."""
-    from repro.core.registry import make_scheme
-    from repro.sim.system import MemorySystem
-
-    kernel = Kernel()
-    system = MemorySystem(kernel, make_scheme("baseline"))
-    lowered = []
-    real_lower = system.scheme.lower_write
-    system.scheme.lower_write = lambda line: (
-        lowered.append(line) or real_lower(line)
-    )
-    # block admission outright: the poll chain can never succeed
-    system._can_accept_all = lambda requests: False
-    system._pending_writebacks.append(0)
-    system._drain_writebacks()
-    assert system._writeback_poll_scheduled
-    assert lowered == [0]  # the initial blocked attempt lowered once
-    kernel.run(until=100)
-    assert system.wb_polls == system.wb_polls_futile > 3
-    assert lowered == [0]  # every futile poll skipped the re-lower
-    # a slot-freed notification re-arms the next poll as a real attempt
-    del system._can_accept_all  # restore the class method
-    system._on_slot_freed(None)
-    kernel.run(until=200)
-    assert not system._pending_writebacks
-    assert lowered == [0, 0]  # exactly one real re-lower drained it
-    assert system.wb_polls > system.wb_polls_futile
 
 
 # ----------------------------------------------- wakeup efficiency

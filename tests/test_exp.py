@@ -148,6 +148,55 @@ class TestDesignPoints:
         }
 
 
+def _simulation(point):
+    """What a point simulates: its identity without its key (and without
+    the observability-only timeline fields)."""
+    workload = point.workload
+    return (point.kind, point.scheme,
+            workload.digest if workload is not None else None,
+            point.gather_factor, point.timing,
+            json.dumps(to_jsonable(point.config), sort_keys=True),
+            point.check, point.params)
+
+
+def test_no_spec_simulates_one_run_twice():
+    """The engine dedupes points only through the result cache, so two
+    points of one spec that simulate the same run cost two simulations
+    on a cold sweep.  No harness's spec may hold such a pair."""
+    from repro.harness.figure13 import build_figure13_spec
+    from repro.harness.figure14 import (
+        build_figure14a_spec,
+        build_figure14b_spec,
+    )
+    from repro.harness.figure15 import (
+        build_projectivity_spec,
+        build_record_size_spec,
+        build_selectivity_spec,
+    )
+    from repro.harness.kernels import build_kernel_spec
+    from repro.harness.salp import build_salp_spec
+
+    specs = [
+        build_figure12_spec(64, 128),
+        build_figure13_spec(64, 128),
+        build_figure14a_spec(64, 128),
+        build_figure14b_spec(64, 128),
+        build_selectivity_spec(8, n_ta=64),
+        build_projectivity_spec(0.5, n_ta=64),
+        build_record_size_spec(1 << 16),
+        build_salp_spec(64, 128),
+        build_kernel_spec(),
+    ]
+    repeats = {}
+    for spec in specs:
+        first = {}
+        for point in spec.points:
+            key = first.setdefault(_simulation(point), point.key)
+            if key != point.key:
+                repeats.setdefault(spec.name, []).append((key, point.key))
+    assert repeats == {}
+
+
 class TestDigests:
     def test_digest_is_stable(self):
         a, b = _tiny_spec().points[0], _tiny_spec().points[0]

@@ -7,7 +7,7 @@ factor -- the reproduction's acceptance criteria.
 
 import pytest
 
-from repro.harness.figure12 import build_figure12_spec
+from repro.harness.figure12 import ideal_store
 from repro.workloads import geomean, make_tables
 from repro.imdb import by_name
 from repro.sim import run_query
@@ -81,8 +81,7 @@ class TestGranularity:
 
 def figure12_ideal(qname):
     """The store Figure 12's ``ideal`` series runs for ``qname``."""
-    spec = build_figure12_spec(N_TA, N_TB, queries=[qname])
-    return next(p.scheme for p in spec.points if p.key == ("ideal", qname))
+    return ideal_store(by_name()[qname])
 
 
 class TestIdealEnvelope:

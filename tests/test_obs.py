@@ -300,11 +300,6 @@ class TestRunArtifacts:
         assert manifest["created"] == iso_utc(manifest["created_unix"])
         time.strptime(manifest["created"], "%Y-%m-%dT%H:%M:%SZ")
 
-    def test_artifacts_shortcut_param(self, tmp_path):
-        run_query("SAM-en", _small_query(), make_tables(128, 128),
-                  artifacts=str(tmp_path))
-        assert list(tmp_path.glob("run-*.json"))
-
     def test_trace_jsonl_export(self, run, tmp_path):
         obs, _result = run
         recorder = obs.timeline_recorder

@@ -1,4 +1,4 @@
-"""Tests for the query-planner IR: logical plan -> physical plan -> ops.
+"""Tests for the query-planner IR: query -> physical plan -> ops.
 
 The plan *shapes* (operator tree + per-operator access mode) are pinned
 as goldens for every registered scheme x every built-in query.  Schemes
@@ -12,7 +12,7 @@ from repro.core.registry import GATHER_FACTORS, available_schemes, make_scheme
 from repro.harness.figure14 import GRANULARITY_TO_GATHER
 from repro.workloads import make_tables
 from repro.imdb import by_name
-from repro.imdb.plan import LogicalPlan, PhysicalPlan, logical_plan
+from repro.imdb.plan import PhysicalPlan
 from repro.imdb.planner import plan_for
 from repro.obs import Observation
 from repro.sim.runner import run_query
@@ -168,19 +168,6 @@ class TestPlanShapes:
             assert d["scheme"] == scheme
             assert d["mode"] == plan.mode
             assert d["root"]["op"] == plan.root.op
-
-    def test_logical_plan_carries_the_query(self):
-        query = by_name()["Q3"]
-        logical = logical_plan(query)
-        assert isinstance(logical, LogicalPlan)
-        assert logical.query == "Q3"
-        ops = [n.op for n in logical.root.walk()]
-        assert ops[0] == "aggregate" and ops[-1] == "scan"
-
-    def test_physical_plan_links_logical(self, tables):
-        plan = plan_for("SAM-en", by_name()["Q1"], tables)
-        assert plan.logical is not None
-        assert plan.logical.query == "Q1"
 
 
 class TestIdealChoice:

@@ -9,14 +9,12 @@ chip counts and random payloads -- and that the fast FR-FCFS scheduler
 reference scheduler of ``scheduler_oracle.py`` on fuzzed traces.
 """
 
-import itertools
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import repro.dram.commands as dram_commands
 from repro.check.fuzz import SALP_SCHEMES, generate_case, run_case
 from repro.dram import datapath as dp
 from repro.dram import iobuffer as io
@@ -227,14 +225,14 @@ def _command_stream(case, reference=False):
     controller's stall attribution."""
     from repro.obs.stalls import StallLedger
 
-    # req_ids must line up between the two replays
-    dram_commands._request_ids = itertools.count()
+    # requests are labelled by their admission number, which both
+    # replays assign alike: they admit the same requests in one order
     log = []
 
     def on_command(now, command, request, **operands):
         log.append((
             now, command.value,
-            None if request is None else request.req_id,
+            None if request is None else request._seq,
             tuple(sorted(operands.items())),
         ))
 
@@ -257,8 +255,8 @@ def _decision(choice, now):
         return None
     request, command, earliest, reason = choice
     if earliest <= now:
-        return (request.req_id, command)
-    return (request.req_id, command, earliest, reason)
+        return (request._seq, command)
+    return (request._seq, command, earliest, reason)
 
 
 def lockstep_scans(monkeypatch):

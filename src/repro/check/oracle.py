@@ -8,11 +8,12 @@ timing simulator:
   (:func:`reference_line`) until written, so the expected bytes of *any*
   strided gather are computable without running the simulator.
 * :class:`PlanValidator` -- a differential re-derivation of request
-  lowering.  It hooks the scheme's ``plan_observer`` and, for every
-  gather plan the memory system admits, independently recomputes the
-  expected request multiset (row-grouped SAM-IO/en gathers, SAM-sub /
-  RC-NVM synthetic column-rows, GS-DRAM row groups plus embedded-ECC
-  companions) and the exact (line, sector) fill set, then compares.
+  lowering.  A checked run hooks its ``on_plan`` onto the memory
+  system's ``plan_observer``; for every gather plan the memory system
+  admits, it independently recomputes the expected request multiset
+  (row-grouped SAM-IO/en gathers, SAM-sub / RC-NVM synthetic
+  column-rows, GS-DRAM row groups plus embedded-ECC companions) and the
+  exact (line, sector) fill set, then compares.
 * :class:`DataOracle` -- bit-exact datapath checks: strided gathers
   through :class:`~repro.dram.datapath.RankDatapath` must return the
   same bytes a software strided read would load, chipkill codewords must
@@ -161,9 +162,9 @@ def _request_sig(request) -> _Sig:
 class PlanValidator(_MismatchCollector):
     """Differential check of one scheme's gather lowering.
 
-    Install with :meth:`attach` on a *private copy* of the scheme (the
-    runner copies before attaching, so shared scheme instances stay
-    observer-free).  ``on_plan`` fires once per admitted gather plan.
+    ``on_plan`` fires once per admitted gather plan: a checked run sets
+    it as its :class:`~repro.sim.system.MemorySystem`'s
+    ``plan_observer``, so the design object itself carries no hook.
     """
 
     #: scheme families whose lowering the oracle re-derives
@@ -177,10 +178,6 @@ class PlanValidator(_MismatchCollector):
         super().__init__(registry, strict)
         self.scheme = scheme
         self.plans_seen = 0
-
-    def attach(self) -> "PlanValidator":
-        self.scheme.plan_observer = self.on_plan
-        return self
 
     # ------------------------------------------- plan-vs-lowering footprint
 
@@ -451,7 +448,7 @@ class KernelOracle(_MismatchCollector):
                 f"generator's element accesses (missing {missing}, "
                 f"extra {extra})",
             )
-        expected_result = workload.expected_result(placements)
+        expected_result = workload.expected_result()
         if build.result != expected_result:
             self._mismatch(
                 "kernel-result", name,

@@ -11,21 +11,19 @@ Commands mirror the paper's artefacts:
   vs masa, the Figure-14-style sensitivity grid;
 * ``table1``      -- the qualitative comparison matrix;
 * ``reliability`` -- the fault-injection matrix;
-* ``query``       -- run one SQL statement on a chosen design
-  (``--explain`` prints the physical plan instead of simulating);
-* ``explain``     -- show the planner's operator tree for a statement;
-* ``trace``       -- ``trace report`` runs one statement with the
-  cycle-level timeline recorder attached and prints per-bank
-  utilization / row-hit-rate tables plus the stall breakdown;
+* ``query``       -- run one SQL statement on a chosen design;
+* ``explain``     -- show the planner's operator tree for a statement
+  without simulating it;
 * ``schemes``     -- list the available designs.
 
 Every figure/table command also speaks JSON (``--json``) and can drop
 its payload into an artifacts directory (``--artifacts DIR``); ``query``
 additionally offers ``--stats`` (metrics registry dump), ``--profile``
 (phase-span flamegraph), ``--stalls`` (cycle-accounting stall
-attribution) and ``--timeline`` (command-level timeline report; Chrome
-trace-event and JSONL command-log export with ``--artifacts``).  Sweep
-commands accept ``--timeline`` to record every simulated point.
+attribution) and ``--timeline`` (command-level timeline report with
+per-bank utilization and row-hit rates; Chrome trace-event and JSONL
+command-log export with ``--artifacts``).  Sweep commands accept
+``--timeline`` to record every simulated point.
 """
 
 from __future__ import annotations
@@ -235,44 +233,32 @@ def _cmd_reliability(args) -> int:
     )
 
 
-def _explain_one(scheme_name, query, tables, gather_factor, as_json):
-    from .imdb.planner import plan_for
-
-    plan = plan_for(scheme_name, query, tables,
-                    gather_factor=gather_factor)
-    if as_json:
-        return plan.to_dict()
-    return plan.explain()
-
-
 def _cmd_explain(args) -> int:
     from .core.registry import available_schemes, stride_gather
+    from .imdb.planner import plan_for
     from .workloads import make_tables
     from .imdb.sql import parse
 
     query = parse(args.sql, name="cli")
     tables = make_tables(args.ta, args.tb)
     schemes = available_schemes() if args.all_schemes else [args.scheme]
-
-    def gather_for(name):
-        # stride-less designs reject an explicit gather factor; with
-        # --all-schemes the flag only applies where it is meaningful
-        if args.all_schemes:
-            return stride_gather(name, args.gather)
-        return args.gather
-
+    # stride-less designs reject an explicit gather factor; with
+    # --all-schemes the flag only applies where it is meaningful
+    plans = {
+        name: plan_for(name, query, tables, gather_factor=(
+            stride_gather(name, args.gather) if args.all_schemes
+            else args.gather))
+        for name in schemes
+    }
     if args.json:
-        payload = {
-            name: _explain_one(name, query, tables, gather_for(name), True)
-            for name in schemes
-        }
+        payload = {name: plan.to_dict() for name, plan in plans.items()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    blocks = []
-    for name in schemes:
-        tree = _explain_one(name, query, tables, gather_for(name), False)
-        blocks.append(f"-- {name} --\n{tree}" if args.all_schemes else tree)
-    print("\n\n".join(blocks))
+    print("\n\n".join(
+        f"-- {name} --\n{plan.explain()}" if args.all_schemes
+        else plan.explain()
+        for name, plan in plans.items()
+    ))
     return 0
 
 
@@ -284,13 +270,6 @@ def _cmd_query(args) -> int:
 
     query = parse(args.sql, name="cli")
     tables = make_tables(args.ta, args.tb)
-    if args.explain:
-        # plan only -- no simulation
-        out = _explain_one(args.scheme, query, tables, args.gather,
-                           args.json)
-        print(json.dumps(out, indent=2, sort_keys=True) if args.json
-              else out)
-        return 0
     observe = Observation(timeline=args.timeline,
                           artifacts_dir=args.artifacts)
     result = run_query(args.scheme, query, tables,
@@ -322,7 +301,7 @@ def _cmd_query(args) -> int:
         print(observe.registry.render())
     if args.profile:
         print()
-        print(observe.profiler.render())
+        print(result.spans.render())
     if args.stalls and not args.json:
         from .obs import render_stall_report
 
@@ -338,26 +317,6 @@ def _cmd_query(args) -> int:
         tables = make_tables(args.ta, args.tb)
         base = run_query("baseline", query, tables)
         print(f"speedup  : {base.cycles / result.cycles:.2f}x over baseline")
-    return 0
-
-
-def _cmd_trace_report(args) -> int:
-    from .workloads import make_tables
-    from .imdb.sql import parse
-    from .obs import Observation, render_stall_report
-    from .sim.runner import run_query
-
-    query = parse(args.sql, name="cli")
-    tables = make_tables(args.ta, args.tb)
-    observe = Observation(timeline=True, artifacts_dir=args.artifacts)
-    result = run_query(args.scheme, query, tables,
-                       gather_factor=args.gather, observe=observe)
-    print(observe.timeline_recorder.report())
-    print()
-    print("stall attribution (cycles):")
-    print(render_stall_report(result.stalls["per_core"]))
-    if observe.manifest_path is not None:
-        print(f"wrote {observe.manifest_path}", file=sys.stderr)
     return 0
 
 
@@ -584,10 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="attach the repro.check protocol checker and "
                         "plan oracle (a violation aborts the run)")
-    p.add_argument("--explain", action="store_true",
-                   help="print the physical plan (operator tree with "
-                        "access modes, footprints and cost estimates) "
-                        "instead of simulating")
     p.add_argument("--stalls", action="store_true",
                    help="print the cycle-accounting stall attribution "
                         "(per-core busy / stall-reason breakdown)")
@@ -598,24 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_args(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser(
-        "trace", help="cycle-level timeline tooling")
-    trace_sub = p.add_subparsers(dest="trace_command", required=True)
-    t = trace_sub.add_parser(
-        "report", help="run one statement with the timeline recorder and "
-                       "print per-bank utilization, row-hit-rate and "
-                       "stall-attribution tables")
-    t.add_argument("sql", help="e.g. 'SELECT SUM(f9) FROM Ta WHERE "
-                               "f10 > 7500'")
-    t.add_argument("--scheme", default="SAM-en")
-    t.add_argument("--gather", type=int, default=None,
-                   choices=GATHER_FACTORS, help="gather factor")
-    _add_size_args(t)
-    t.add_argument("--artifacts", metavar="DIR", default=None,
-                   help="also write the run manifest, Chrome trace-event "
-                        "JSON and timeline JSONL into DIR")
-    t.set_defaults(func=_cmd_trace_report)
 
     p = sub.add_parser(
         "explain", help="show the physical query plan without running it")

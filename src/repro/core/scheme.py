@@ -91,13 +91,6 @@ class AccessScheme(abc.ABC):
     #: arithmetic bit-identical)
     salp_row_derate: float = 1.0
 
-    #: optional gather-plan observer, called as
-    #: ``(kind, element_addrs, plan)`` with ``kind`` in {"read", "write"}
-    #: once per *admitted* plan (repro.check.PlanValidator hook).  Set it
-    #: only on a private copy of the scheme -- shared instances must stay
-    #: observer-free so parallel sweeps don't cross-talk.
-    plan_observer = None
-
     def __init__(
         self,
         geometry: Optional[Geometry] = None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..kernel import Kernel
-from ..obs.stalls import MEM_WAIT, QUEUE_FULL
+from ..obs.stalls import MEM_WAIT, QUEUE_FULL, CoreStallLog
 from .ops import Compute, GatherLoad, GatherStore, Load, MemOp, Store
 
 
@@ -53,10 +53,10 @@ class Core:
         self._ready_time = 0.0  # local issue clock, in memory cycles
         self._done = False
         self._advance_scheduled = False
-        #: optional obs.stalls.CoreStallLog; when attached, every cycle
-        #: between run() and the last completion lands in exactly one
-        #: busy/blocked interval (the stall attributor relies on that)
-        self.stall_log = None
+        #: every cycle between run() and the last completion lands in
+        #: exactly one busy/blocked interval (the stall attributor relies
+        #: on that)
+        self.stall_log = CoreStallLog(core_id)
         # Statistics
         self.loads = 0
         self.stores = 0
@@ -110,8 +110,7 @@ class Core:
         self._advance_scheduled = False
         now = self.kernel.now
         self._ready_time = max(self._ready_time, float(now))
-        if self.stall_log is not None:
-            self.stall_log.close_block(now)
+        self.stall_log.close_block(now)
         while self._pc < len(self._ops):
             if self._ready_time > now:
                 self._catch_up(now)
@@ -150,7 +149,7 @@ class Core:
         self._done = True
         if self._inflight == 0:
             self.finish_cycle = now
-        elif self.stall_log is not None:
+        else:
             # op stream exhausted, misses still draining
             self.stall_log.open_block(now, MEM_WAIT)
 
@@ -158,17 +157,15 @@ class Core:
         """Sleep until the fractional issue clock catches up; that whole
         window is busy time (issue bandwidth / compute)."""
         wake = math.ceil(self._ready_time)
-        if self.stall_log is not None:
-            self.stall_log.note_busy(now, wake)
+        self.stall_log.note_busy(now, wake)
         self._schedule_advance(wake)
 
     def _note_blocked(self, now: int) -> None:
         """A handler made no progress.  Only ``_retry_later`` schedules an
         advance from inside a handler, so a pending schedule distinguishes
         queue backpressure from an exhausted-MLP wait."""
-        if self.stall_log is not None:
-            reason = QUEUE_FULL if self._advance_scheduled else MEM_WAIT
-            self.stall_log.open_block(now, reason)
+        reason = QUEUE_FULL if self._advance_scheduled else MEM_WAIT
+        self.stall_log.open_block(now, reason)
 
     # --------------------------------------------------------- op handlers
 

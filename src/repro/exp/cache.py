@@ -86,17 +86,11 @@ def source_digest(root: Optional[Path] = None) -> str:
 
 def point_digest(point: SweepPoint, source: Optional[str] = None) -> str:
     """Stable content hash identifying one sweep point's outcome."""
-    jsonable = to_jsonable(point)
-    # observability-only knobs do not change the simulated outcome, so
-    # they stay out of the identity (a timeline-on rerun hits the same
-    # cached payload instead of resimulating)
-    for observability_field in ("timeline", "timeline_dir"):
-        jsonable.pop(observability_field, None)
     workload = point.workload
     payload = {
         "cache_schema": CACHE_SCHEMA_VERSION,
         "source": source if source is not None else source_digest(),
-        "point": jsonable,
+        "point": to_jsonable(point),
         # the workload's own content digest covers its concrete type and
         # canonicalized parameters (two families could share field names)
         "workload_type": type(workload).__name__ if workload else None,

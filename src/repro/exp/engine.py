@@ -38,18 +38,28 @@ Key = Tuple[str, ...]
 
 
 # --------------------------------------------------------------------------
-# Point executors (must stay module-level: worker processes import them)
+# Point execution (must stay module-level: worker processes import it)
 # --------------------------------------------------------------------------
 
-def _execute_workload(point: SweepPoint) -> object:
-    """Run a query or kernel point through the workload-generic runner."""
+def execute_point(point: SweepPoint, timeline: bool = False,
+                  timeline_dir: Optional[str] = None) -> object:
+    """Run one sweep point to completion (in whichever process).
+
+    ``timeline`` records a workload point's cycle-level timeline, and
+    ``timeline_dir`` receives its Chrome trace-event export.
+    """
+    if point.kind == "reliability":
+        from ..harness.reliability import evaluate_design
+
+        return evaluate_design(
+            point.scheme,
+            trials=int(point.param("trials", 500)),
+            seed=int(point.param("seed", 0)),
+        )
+    from ..obs import Observation
     from ..sim.runner import run_workload
 
-    observe = None
-    if point.timeline:
-        from ..obs import Observation
-
-        observe = Observation(timeline=True)
+    observe = Observation(timeline=True) if timeline else None
     result = run_workload(
         point.workload,
         point.scheme,
@@ -59,47 +69,27 @@ def _execute_workload(point: SweepPoint) -> object:
         check=point.check,
         observe=observe,
     )
-    if observe is not None and point.timeline_dir:
+    if observe is not None and timeline_dir:
         from ..obs.artifacts import ArtifactWriter, _slug
 
-        ArtifactWriter(point.timeline_dir).write_timeline(
+        ArtifactWriter(timeline_dir).write_timeline(
             observe.timeline_recorder,
             f"point-{_slug('-'.join(point.key))}",
         )
     return result
 
 
-def _execute_reliability(point: SweepPoint) -> object:
-    from ..harness.reliability import evaluate_design
-
-    return evaluate_design(
-        point.scheme,
-        trials=int(point.param("trials", 500)),
-        seed=int(point.param("seed", 0)),
-    )
-
-
-_EXECUTORS = {
-    "query": _execute_workload,
-    "kernel": _execute_workload,
-    "reliability": _execute_reliability,
-}
-
-
-def execute_point(point: SweepPoint) -> object:
-    """Run one sweep point to completion (in whichever process)."""
-    return _EXECUTORS[point.kind](point)
-
-
-def _pool_worker(item: Tuple[int, SweepPoint]) -> Tuple[int, object, float]:
+def _pool_worker(
+    item: Tuple[int, SweepPoint, bool, Optional[str]]
+) -> Tuple[int, object, float]:
     """Pool entry: returns (spec index, payload, worker wall seconds)."""
-    index, point = item
+    index, point, timeline, timeline_dir = item
     start = time.perf_counter()
     with warnings.catch_warnings():
         # diagnostics-by-warning (near-runaway etc.) stay visible in the
         # parent's serial path; in workers they would interleave rawly
         warnings.simplefilter("ignore", RuntimeWarning)
-        payload = execute_point(point)
+        payload = execute_point(point, timeline, timeline_dir)
     return index, payload, time.perf_counter() - start
 
 
@@ -189,6 +179,12 @@ class SweepEngine:
     One engine instance may run several specs (Figure 15 runs nine
     panels); ``history`` keeps every :class:`SweepRun` for roll-up into a
     single sweep manifest, and ``registry`` counts across all of them.
+
+    ``timeline`` records a cycle-level timeline for every workload point
+    the engine simulates (exported into ``timeline_dir`` when set).  It
+    observes without changing a result, so it is no part of a point's
+    cache digest: cached points stay hits and come back without
+    ``timeline.*`` metrics.
     """
 
     def __init__(
@@ -223,17 +219,6 @@ class SweepEngine:
             points = tuple(
                 dataclasses.replace(p, check=True)
                 if p.workload is not None and not p.check else p
-                for p in points
-            )
-        if self.timeline:
-            # timeline recording is observability-only (excluded from the
-            # cache digest): cached points stay hits and simply come back
-            # without timeline data
-            points = tuple(
-                dataclasses.replace(
-                    p, timeline=True, timeline_dir=self.timeline_dir
-                )
-                if p.workload is not None and not p.timeline else p
                 for p in points
             )
         payloads: List[Optional[object]] = [None] * len(points)
@@ -283,7 +268,8 @@ class SweepEngine:
         for i in pending:
             point = points[i]
             start = time.perf_counter()
-            payloads[i] = execute_point(point)
+            payloads[i] = execute_point(point, self.timeline,
+                                        self.timeline_dir)
             outcomes[i] = PointOutcome(point.key, False,
                                        time.perf_counter() - start)
 
@@ -295,7 +281,8 @@ class SweepEngine:
             "fork" if "fork" in methods else None
         )
         jobs = min(self.jobs, len(pending))
-        items = [(i, points[i]) for i in pending]
+        items = [(i, points[i], self.timeline, self.timeline_dir)
+                 for i in pending]
         with ctx.Pool(processes=jobs) as pool:
             # unordered: completions land as they finish, the index puts
             # them back in spec order (determinism is by construction --

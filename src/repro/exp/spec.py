@@ -49,7 +49,7 @@ __all__ = [
     "standard_tables",
 ]
 
-#: sweep-point kinds with a registered executor (see repro.exp.engine)
+#: sweep-point kinds :func:`repro.exp.engine.execute_point` runs
 POINT_KINDS = ("query", "kernel", "reliability")
 
 #: kinds executed through :func:`repro.sim.runner.run_workload`
@@ -67,6 +67,10 @@ class SweepPoint:
     :func:`repro.sim.runner.run_workload`, ``"reliability"`` runs a
     fault-injection campaign.  ``params`` carries kind-specific extras as
     a sorted tuple of pairs (kept hashable for caching).
+
+    The whole record is the point's cache identity.  A cycle-level
+    timeline observes a run without changing its outcome, so it is set
+    on the :class:`~repro.exp.SweepEngine`, not on the point.
     """
 
     key: Tuple[str, ...]
@@ -80,15 +84,6 @@ class SweepPoint:
     #: attached (strict: a violation aborts the sweep); part of the cache
     #: digest, so checked and unchecked payloads never alias
     check: bool = False
-    #: record a cycle-level timeline for this point (observability only:
-    #: excluded from the cache digest, so flipping it neither invalidates
-    #: cached results nor forks new cache entries -- a warm hit may
-    #: therefore come back without ``timeline.*`` metrics; use
-    #: ``--no-cache`` to force a recorded run)
-    timeline: bool = False
-    #: directory for the point's Chrome trace-event export (None keeps
-    #: the timeline in metrics digests only); excluded from the digest
-    timeline_dir: Optional[str] = None
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:

@@ -54,7 +54,7 @@ class QueryExecutor:
         cost: Optional[CostModel] = None,
     ) -> None:
         self.tables = tables
-        self.planner = Planner(scheme, config, tables, placements, cost)
+        self.planner = Planner(scheme, tables, placements, cost)
         self.lowering = Lowering(scheme, config, tables, placements, cost)
 
     # ------------------------------------------------------------ dispatch

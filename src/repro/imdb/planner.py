@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.scheme import AccessScheme, Placement
-from ..sim.config import SystemConfig
 from .plan import CostModel, PhysicalNode, PhysicalPlan, selected_mask
 from .query import (
     AggregateQuery,
@@ -60,13 +59,11 @@ class Planner:
     def __init__(
         self,
         scheme: AccessScheme,
-        config: SystemConfig,
         tables: Dict[str, Table],
         placements: Dict[str, Placement],
         cost: Optional[CostModel] = None,
     ) -> None:
         self.scheme = scheme
-        self.config = config
         self.tables = tables
         self.placements = placements
         self.cost = cost or CostModel()
@@ -528,19 +525,15 @@ def plan_for(
     scheme,
     query: Query,
     tables: Dict[str, Table],
-    config: Optional[SystemConfig] = None,
     cost: Optional[CostModel] = None,
     gather_factor: Optional[int] = None,
 ) -> PhysicalPlan:
     """Plan ``query`` for ``scheme`` (a name or an ``AccessScheme``)
     without running a simulation -- the EXPLAIN path."""
     from ..core.registry import make_scheme
-    from ..sim.config import SystemConfig as _Config
     from ..sim.runner import allocate_placements
 
     if isinstance(scheme, str):
         scheme = make_scheme(scheme, gather_factor=gather_factor)
-    config = config or _Config()
     placements = allocate_placements(scheme, tables)
-    planner = Planner(scheme, config, tables, placements, cost)
-    return planner.plan(query)
+    return Planner(scheme, tables, placements, cost).plan(query)

@@ -5,10 +5,10 @@ One :class:`Observation` bundles everything a run can record:
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   fixed-bucket histograms) -- cheap enough to stay on by default and the
   single source the power model and harnesses read from,
-* a :class:`~repro.obs.spans.SpanProfiler` tagging the run's phases,
 * an always-on ring buffer of the last issued DRAM commands (stall
   forensics),
-* an always-on :class:`~repro.obs.stalls.StallAttributor` accounting
+* an always-on :class:`~repro.obs.stalls.StallAttributor` that overlays
+  the controller's wait ledger on each core's own stall log, accounting
   every core cycle to busy / a stall-taxonomy reason,
 * an optional :class:`~repro.obs.timeline.TimelineRecorder` capturing
   the full command/row/bus/refresh timeline for Perfetto export and
@@ -22,7 +22,9 @@ methods *are* the ring append, the stall ledger's ``note`` and the
 read-latency histogram's ``observe``, so the default run adds no
 wrapper call per event.  ``run_query(..., observe=Observation(...))``
 threads the bundle through the stack; calling ``run_query`` with no
-observation still gets default metrics, spans and the stall ring.
+observation still gets default metrics and the stall ring.  The runner
+wires every recorder onto the run it builds and returns the run's phase
+:class:`~repro.obs.spans.Span` tree on the result (``result.spans``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .diagnostics import (
     build_stall_report,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import Span, SpanProfiler
+from .spans import Span
 from .stalls import (
     STALL_REASONS,
     StallAttributor,
@@ -70,7 +72,6 @@ __all__ = [
     "STALL_REASONS",
     "SimulationStallError",
     "Span",
-    "SpanProfiler",
     "StallAttributor",
     "StallReport",
     "TIMELINE_SCHEMA_VERSION",
@@ -100,13 +101,12 @@ class Observation:
         timeline: bool = False,
     ) -> None:
         self.registry = MetricsRegistry()
-        self.profiler = SpanProfiler()
         #: request a TimelineRecorder (the runner attaches it as a second
         #: probe); off by default
         self.timeline = timeline
         self.timeline_recorder = None  # set by the runner when timeline=True
-        #: always-on cycle accounting: controller waits + per-core
-        #: busy/blocked intervals -> the per-run stall breakdown
+        #: always-on cycle accounting: the controller's waits, overlaid
+        #: on each core's busy/blocked log -> the per-run stall breakdown
         self.stalls = StallAttributor()
         self.artifacts_dir = artifacts_dir
         #: last-N issued commands, always on, for stall forensics

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import fields, is_dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 
 class Counter:
@@ -191,8 +191,7 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------ publishing
 
-    def publish_struct(self, prefix: str, struct: object,
-                       only: Optional[Iterable[str]] = None) -> None:
+    def publish_struct(self, prefix: str, struct: object) -> None:
         """Publish every numeric field of a stats dataclass (or mapping)
         as ``<prefix>.<field>`` counters."""
         if is_dataclass(struct) and not isinstance(struct, type):
@@ -202,10 +201,7 @@ class MetricsRegistry:
             items = list(struct.items())
         else:
             raise TypeError(f"cannot publish {type(struct).__name__}")
-        wanted = set(only) if only is not None else None
         for key, value in items:
-            if wanted is not None and key not in wanted:
-                continue
             if isinstance(value, bool) or not isinstance(
                 value, (int, float)
             ):

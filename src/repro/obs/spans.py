@@ -1,27 +1,24 @@
-"""Phase-span profiler: nested time spans over a simulation run.
+"""Phase spans: the nested time intervals of one simulation run.
 
-A :class:`SpanProfiler` tags the phases of a run (allocate -> build ->
-execute -> flush/drain) with nested :class:`Span` records.  Every span
-carries *two* clocks:
+The runner tags the phases of a run (allocate -> build -> execute ->
+flush/drain) with nested :class:`Span` records under one root.  A phase
+span carries *two* clocks:
 
 * host wall-time (``perf_counter``), which is what the allocate/build
   phases consume, and
-* the simulated kernel clock in memory cycles (via the profiler's
-  ``clock`` callable), which is what the execute/drain phases consume.
+* the simulated kernel clock in memory cycles, which is what the
+  execute/drain phases consume.
 
-Synthetic spans can be attached after the fact (per-core activity and
-per-bank busy windows are only known once the run finishes) with
-:meth:`SpanProfiler.add`.  :meth:`SpanProfiler.render` prints a
-flamegraph-style indented text summary; :meth:`Span.to_dict` feeds the
-JSON run manifest.
+Per-core activity and per-bank busy windows are only known once the run
+finishes; the runner adds them under ``execute`` as cycles-only spans.
+:meth:`Span.render` prints a flamegraph-style indented text summary;
+:meth:`Span.to_dict` feeds the JSON run manifest.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -62,98 +59,23 @@ class Span:
             out["children"] = [c.to_dict() for c in self.children]
         return out
 
-
-class SpanProfiler:
-    """Builds a span tree; also usable as plain begin/end bracket pairs."""
-
-    def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
-        #: returns the current simulated time; swap in ``kernel.now`` once
-        #: a kernel exists (spans opened earlier read cycle 0).
-        self.clock: Callable[[], int] = clock or (lambda: 0)
-        self.roots: List[Span] = []
-        self._stack: List[Span] = []
-
-    # ------------------------------------------------------------ recording
-
-    def begin(self, name: str, **meta: object) -> Span:
-        span = Span(
-            name,
-            start_cycle=self.clock(),
-            wall_start=time.perf_counter(),
-            meta=meta,
-        )
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-        return span
-
-    def end(self, span: Optional[Span] = None) -> None:
-        if not self._stack:
-            raise RuntimeError("no open span to end")
-        top = self._stack.pop()
-        if span is not None and span is not top:
-            raise RuntimeError(
-                f"span nesting error: closing {span.name!r} "
-                f"but {top.name!r} is open"
-            )
-        top.end_cycle = self.clock()
-        top.wall_end = time.perf_counter()
-
-    @contextmanager
-    def span(self, name: str, **meta: object) -> Iterator[Span]:
-        opened = self.begin(name, **meta)
-        try:
-            yield opened
-        finally:
-            self.end(opened)
-
-    def add(
-        self,
-        parent: Span,
-        name: str,
-        start_cycle: int,
-        end_cycle: int,
-        **meta: object,
-    ) -> Span:
-        """Attach a synthetic (cycles-only) span under ``parent``, e.g. a
-        per-bank busy window reconstructed after the run."""
-        span = Span(name, start_cycle=start_cycle, end_cycle=end_cycle,
-                    meta=meta)
-        parent.children.append(span)
-        return span
-
-    # ------------------------------------------------------------- reading
-
-    @property
-    def root(self) -> Optional[Span]:
-        return self.roots[0] if self.roots else None
-
-    def to_dict(self) -> List[Dict[str, object]]:
-        return [r.to_dict() for r in self.roots]
-
     def render(self, width: int = 32) -> str:
-        """Flamegraph-style text: indentation is depth, bar length is the
-        span's share of its root (wall time when known, cycles for
-        synthetic spans)."""
-        if not self.roots:
-            return "(no spans)"
+        """Flamegraph-style text: indentation is depth, bar length is a
+        span's share of this one (wall time when known, cycles for
+        cycles-only spans)."""
         lines = [
             f"{'span'.ljust(34)} {'share'.ljust(width)}"
             f" {'wall':>9} {'cycles':>12}"
         ]
 
-        def frac_of(span: Span, root: Span) -> float:
-            if span.wall_start is not None and root.wall_s > 0:
-                return span.wall_s / root.wall_s
-            if root.cycles > 0:
-                return span.cycles / root.cycles
-            return 0.0
-
-        def visit(span: Span, root: Span, depth: int) -> None:
-            frac = min(1.0, frac_of(span, root))
-            bar = "#" * int(round(frac * width))
+        def visit(span: Span, depth: int) -> None:
+            if span.wall_start is not None and self.wall_s > 0:
+                frac = span.wall_s / self.wall_s
+            elif self.cycles > 0:
+                frac = span.cycles / self.cycles
+            else:
+                frac = 0.0
+            bar = "#" * int(round(min(1.0, frac) * width))
             label = ("  " * depth + span.name)[:34]
             wall = f"{span.wall_s * 1e3:8.1f}ms" if span.wall_start \
                 else " " * 10
@@ -162,8 +84,7 @@ class SpanProfiler:
                 f" {wall:>9} {span.cycles:>12}"
             )
             for child in span.children:
-                visit(child, root, depth + 1)
+                visit(child, depth + 1)
 
-        for root in self.roots:
-            visit(root, root, 0)
+        visit(self, 0)
         return "\n".join(lines)

@@ -8,8 +8,8 @@ completion is classified into exactly one bucket, so that per-core
 holds *by construction* (the conservation is enforced by a tier-1 test,
 not merely reported).  Three cooperating pieces feed the accounting:
 
-* :class:`CoreStallLog` -- each core records its own busy intervals
-  (issue bandwidth + compute) and blocked intervals (MLP slots
+* :class:`CoreStallLog` -- each core owns one and records its busy
+  intervals (issue bandwidth + compute) and blocked intervals (MLP slots
   exhausted, controller queue backpressure) as it executes.  Intervals
   are coalesced on append, so a million-op stream costs a handful of
   tuples, not a tuple per op.
@@ -21,8 +21,8 @@ not merely reported).  Three cooperating pieces feed the accounting:
   SAM's tMOD_IO mode switches.  Cycles where the controller *issued* a
   command leave no ledger entry and therefore classify as
   ``dram_service`` (the memory system was making progress).
-* :class:`StallAttributor` -- owns one ledger plus one log per core and
-  overlays the ledger onto each core's memory-blocked windows to
+* :class:`StallAttributor` -- owns the ledger and overlays it onto each
+  core's memory-blocked windows (read from the core's own log) to
   produce the per-core reason breakdown.
 
 The reason names are plain strings; :mod:`repro.dram.controller` imports
@@ -196,44 +196,36 @@ class StallLedger:
 
 
 class StallAttributor:
-    """One ledger + one log per core; produces the per-core breakdown."""
+    """The controller's wait ledger; overlays it on each core's own
+    :class:`CoreStallLog` (``core.stall_log``) to produce the per-core
+    breakdown."""
 
     def __init__(self) -> None:
         self.ledger = StallLedger()
-        self.core_logs: Dict[int, CoreStallLog] = {}
-
-    def core_log(self, core_id: int) -> CoreStallLog:
-        log = self.core_logs.get(core_id)
-        if log is None:
-            log = CoreStallLog(core_id)
-            self.core_logs[core_id] = log
-        return log
 
     def attribute(self, cores) -> Dict[int, Dict[str, int]]:
         """Per-core ``{reason: cycles}``; includes ``total`` (the core's
         start->finish window) so conservation is checkable downstream."""
         out: Dict[int, Dict[str, int]] = {}
         for core in cores:
-            log = self.core_logs.get(core.core_id)
+            log = core.stall_log
             finish = (core.finish_cycle if core.finish_cycle is not None
                       else core.start_cycle)
             total = max(0, finish - core.start_cycle)
-            breakdown: Dict[str, int] = {BUSY: 0}
-            if log is not None:
-                log.close_block(finish)  # a core may end mid-block
-                breakdown[BUSY] = log.busy_cycles
-                mem_windows: List[Tuple[int, int]] = []
-                for start, end, reason in log.blocks:
-                    if reason == MEM_WAIT:
-                        mem_windows.append((start, end))
-                    else:
-                        breakdown[reason] = (
-                            breakdown.get(reason, 0) + (end - start)
-                        )
-                if mem_windows:
-                    # one monotone sweep of the ledger per core instead
-                    # of a bisect + rescan per blocked interval
-                    self.ledger.overlay_windows(mem_windows, breakdown)
+            log.close_block(finish)  # a core may end mid-block
+            breakdown: Dict[str, int] = {BUSY: log.busy_cycles}
+            mem_windows: List[Tuple[int, int]] = []
+            for start, end, reason in log.blocks:
+                if reason == MEM_WAIT:
+                    mem_windows.append((start, end))
+                else:
+                    breakdown[reason] = (
+                        breakdown.get(reason, 0) + (end - start)
+                    )
+            if mem_windows:
+                # one monotone sweep of the ledger per core instead of a
+                # bisect + rescan per blocked interval
+                self.ledger.overlay_windows(mem_windows, breakdown)
             accounted = sum(breakdown.values())
             if accounted != total:
                 # by-construction this should be zero; surfaced (never

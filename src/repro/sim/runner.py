@@ -12,12 +12,15 @@ thin wrapper that constructs a :class:`~repro.workloads.QueryWorkload`
 -- its parameter list cannot drift from the core's because it *is* the
 core's.
 
-Every run is observed: a :class:`repro.obs.Observation` (created on
-demand when the caller does not pass one) records phase spans, publishes
-all statistics into a metrics registry -- the source the harnesses read
-from -- keeps a ring of recently issued DRAM commands for stall
-forensics, and can write a JSON run manifest plus a JSONL command trace
-into an artifacts directory.  A wedged simulation raises
+Every run is observed, and the runner wires each observer onto the run
+it builds.  It stamps the phase spans itself (``result.spans``).  A
+:class:`repro.obs.Observation` (created on demand when the caller does
+not pass one) rides the memory controller as a probe: it publishes all
+statistics into a metrics registry, the source the harnesses read from,
+and keeps a ring of recently issued DRAM commands for stall forensics.
+Each core keeps its own stall log, and with ``check`` a plan validator
+rides the memory system.  With an artifacts directory the run writes a
+JSON manifest plus a JSONL command trace.  A wedged simulation raises
 :class:`repro.obs.SimulationStallError` carrying per-bank state, queue
 occupancies and the last commands instead of a bare string; a livelocked
 one does so once it exhausts an event budget scaled to its op count.
@@ -25,8 +28,10 @@ one does so once it exhausts an event budget scaled to its op count.
 
 from __future__ import annotations
 
+import time
 import warnings
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from ..core.registry import make_scheme
 from ..core.scheme import AccessScheme, Placement, TablePlacement
@@ -35,6 +40,7 @@ from ..kernel import Kernel, SimulationError
 from ..obs import (
     Observation,
     SimulationStallError,
+    Span,
     build_stall_report,
     merge_breakdown,
 )
@@ -97,15 +103,27 @@ def allocate_placements(
     return placements
 
 
-def _attach_observers(
-    system: MemorySystem, obs: Observation, cores: List[Core]
-) -> None:
+@contextmanager
+def _phase(name: str, kernel: Kernel, parent: Optional[Span] = None,
+           **meta: object) -> Iterator[Span]:
+    """A span around the block, stamped with both clocks: the kernel's
+    simulated cycle and host wall time."""
+    span = Span(name, start_cycle=kernel.now,
+                wall_start=time.perf_counter(), meta=meta)
+    if parent is not None:
+        parent.children.append(span)
+    try:
+        yield span
+    finally:
+        span.end_cycle = kernel.now
+        span.wall_end = time.perf_counter()
+
+
+def _attach_observers(system: MemorySystem, obs: Observation) -> None:
     """Attach the observation (and its timeline) as controller probes."""
     controller = system.controller
     controller.attach(obs)
     controller.metrics = obs.registry
-    for core in cores:
-        core.stall_log = obs.stalls.core_log(core.core_id)
     if obs.timeline:
         from ..obs.timeline import TimelineRecorder
 
@@ -133,38 +151,32 @@ def _stall(
 
 
 def _add_activity_spans(
-    obs: Observation,
-    execute_span,
-    cores: List[Core],
-    system: MemorySystem,
+    execute_span: Span, cores: List[Core], system: MemorySystem
 ) -> None:
-    """Reconstruct per-core and per-bank activity windows as spans."""
-    profiler = obs.profiler
+    """Reconstruct per-core and per-bank activity windows as cycles-only
+    spans under ``execute``."""
+    windows = execute_span.children
     for core in cores:
-        profiler.add(
-            execute_span,
+        windows.append(Span(
             f"core{core.core_id}",
-            core.start_cycle,
-            core.finish_cycle
+            start_cycle=core.start_cycle,
+            end_cycle=core.finish_cycle
             if core.finish_cycle is not None else core.start_cycle,
-            loads=core.loads,
-            stores=core.stores,
-            gathers=core.gathers,
-            misses=core.misses,
-        )
+            meta={"loads": core.loads, "stores": core.stores,
+                  "gathers": core.gathers, "misses": core.misses},
+        ))
     for rank_id, rank in enumerate(system.controller.channel.ranks):
         for bank_id, bank in enumerate(rank.banks):
             if bank.first_act_cycle < 0:
                 continue
-            profiler.add(
-                execute_span,
+            windows.append(Span(
                 f"rank{rank_id}/bank{bank_id}",
-                bank.first_act_cycle,
-                bank.last_act_cycle,
-                activations=bank.activations,
-                row_hits=bank.row_hits,
-                row_conflicts=bank.row_conflicts,
-            )
+                start_cycle=bank.first_act_cycle,
+                end_cycle=bank.last_act_cycle,
+                meta={"activations": bank.activations,
+                      "row_hits": bank.row_hits,
+                      "row_conflicts": bank.row_conflicts},
+            ))
 
 
 def _publish_metrics(
@@ -231,17 +243,20 @@ def _attribute_stalls(obs: Observation, cores: List[Core]) -> Dict:
     return {"per_core": per_core, "merged": merged}
 
 
-def _finish_timeline(obs: Observation, cycles: int) -> None:
+def _finish_timeline(obs: Observation, cycles: int,
+                     cores: List[Core]) -> None:
     """Close the timeline, add the core lanes, publish its digest."""
     timeline = obs.timeline_recorder
     if timeline is None:
         return
     timeline.finalize(cycles)
-    for core_id, log in sorted(obs.stalls.core_logs.items()):
+    for core in cores:
+        log = core.stall_log
         for start, end in log.busy:
-            timeline.add_core_span(core_id, start, end, "busy")
+            timeline.add_core_span(core.core_id, start, end, "busy")
         for start, end, reason in log.blocks:
-            timeline.add_core_span(core_id, start, end, f"stall:{reason}")
+            timeline.add_core_span(core.core_id, start, end,
+                                   f"stall:{reason}")
     for key, value in timeline.digest().items():
         obs.registry.gauge(f"timeline.{key}").set(value)
 
@@ -288,12 +303,18 @@ def run_workload(
 
     ``check`` attaches the :mod:`repro.check` correctness tooling: a
     strict :class:`~repro.check.TimingProtocolChecker` on the memory
-    controller and a :class:`~repro.check.PlanValidator` on a private
-    copy of the scheme, plus the workload's own build oracle (the plan
+    controller and a :class:`~repro.check.PlanValidator` on the memory
+    system's plan hook, plus the workload's own build oracle (the plan
     footprint diff for queries, the :class:`~repro.check.KernelOracle`
     access/expected-bytes diff for kernels).  Any protocol violation or
     oracle mismatch aborts the run with a structured exception;
     ``check.*`` counters land in the run's metrics.
+
+    A ``scheme`` name builds a fresh design for this run, which is what
+    every harness, CLI path and perfbench point passes.  A caller-owned
+    :class:`~repro.core.scheme.AccessScheme` instance is used as-is, so
+    the run state a design keeps (GS-DRAM-ecc's read and write counters)
+    carries from one run into the next, checked or not.
 
     ``observe`` threads a caller-owned :class:`repro.obs.Observation`
     through the run (enable tracing, choose an artifacts directory);
@@ -315,33 +336,26 @@ def run_workload(
         tables = workload.materialize()
     validator = None
     if check:
-        import copy
-
         from ..check import PlanValidator, TimingProtocolChecker
 
-        # private copy: the observer must not leak into shared/cached
-        # scheme instances (parallel sweeps reuse them across points)
-        scheme = copy.copy(scheme)
-        validator = PlanValidator(
-            scheme, registry=obs.registry, strict=True
-        ).attach()
-    profiler = obs.profiler
+        validator = PlanValidator(scheme, registry=obs.registry, strict=True)
 
     kernel = Kernel()
-    profiler.clock = lambda: kernel.now
     events = 0
     span_name = "run_query" if workload.kind == "query" else "run_kernel"
-    with profiler.span(span_name, scheme=scheme.name, query=workload.name):
-        with profiler.span("allocate"):
+    with _phase(span_name, kernel, scheme=scheme.name,
+                query=workload.name) as root:
+        with _phase("allocate", kernel, root):
             system = MemorySystem(kernel, scheme, config)
-            if check:
+            if validator is not None:
+                system.plan_observer = validator.on_plan
                 TimingProtocolChecker(
                     scheme.timing, scheme.geometry,
                     registry=obs.registry, strict=True,
                     salp=scheme.salp_mode,
                 ).attach(system.controller)
             placements = allocate_placements(scheme, tables)
-        with profiler.span("build"):
+        with _phase("build", kernel, root):
             build = workload.build(scheme, config, tables, placements,
                                    cost=cost)
             if validator is not None:
@@ -357,8 +371,8 @@ def run_workload(
             ]
             for core, ops in zip(cores, build.ops_per_core):
                 core.run(ops)
-        _attach_observers(system, obs, cores)
-        with profiler.span("execute") as execute_span:
+        _attach_observers(system, obs)
+        with _phase("execute", kernel, root) as execute_span:
             try:
                 events += kernel.run(max_events=limit)
             except SimulationStallError:
@@ -376,7 +390,7 @@ def run_workload(
                 )
             occupancy = system.hierarchy.occupancy()
         # Account the writeback tail: flush dirty lines, drain the queues.
-        with profiler.span("flush_drain"):
+        with _phase("flush_drain", kernel, root):
             system.flush_caches()
             try:
                 events += kernel.run(max_events=limit)
@@ -389,13 +403,13 @@ def run_workload(
             if not system.fully_drained:
                 raise _stall("memory system failed to drain", kernel,
                              system, cores, scheme, workload.name, obs)
-        _add_activity_spans(obs, execute_span, cores, system)
+        _add_activity_spans(execute_span, cores, system)
 
     cycles = kernel.now
     _publish_metrics(obs, system, cores, cycles, events, limit, scheme,
                      occupancy, kernel=kernel)
     stalls = _attribute_stalls(obs, cores)
-    _finish_timeline(obs, cycles)
+    _finish_timeline(obs, cycles, cores)
     power = PowerModel(
         scheme.power_config, scheme.timing, scheme.geometry
     ).evaluate(system.controller.stats, cycles)
@@ -425,7 +439,7 @@ def run_workload(
         bus_utilization=_bus_utilization(obs, busy, cycles, scheme,
                                          workload.name),
         metrics=obs.registry.as_dict(),
-        spans=profiler.root,
+        spans=root,
         stalls=stalls,
         config=config,
         plan=build.plan,

@@ -71,6 +71,11 @@ class MemorySystem:
         #: writeback poll events fired
         self.wb_polls = 0
         self.outstanding_writes = 0
+        #: optional gather-plan observer, called as
+        #: ``(kind, element_addrs, plan)`` with ``kind`` in {"read",
+        #: "write"} once per *admitted* plan (the runner sets it to a
+        #: :class:`repro.check.PlanValidator`'s ``on_plan`` on checked runs)
+        self.plan_observer: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------ utilities
 
@@ -167,10 +172,10 @@ class MemorySystem:
         if not self._can_accept_all(plan.requests):
             return False
         self.stats.gathers += 1
-        if self.scheme.plan_observer is not None:
+        if self.plan_observer is not None:
             # after admission: a rejected plan is re-lowered on retry and
             # would otherwise be observed (and validated) twice
-            self.scheme.plan_observer("read", element_addrs, plan)
+            self.plan_observer("read", element_addrs, plan)
         self._submit_plan(
             plan.requests,
             lambda: self._finish_gather(core, plan, callback),
@@ -209,8 +214,8 @@ class MemorySystem:
         if not self._can_accept_all(plan.requests):
             return False
         self.stats.gather_stores += 1
-        if self.scheme.plan_observer is not None:
-            self.scheme.plan_observer("write", element_addrs, plan)
+        if self.plan_observer is not None:
+            self.plan_observer("write", element_addrs, plan)
         for line, mask in plan.fills:
             # keep caches coherent: update sectors that are resident
             self.write_hit(core, line, mask)

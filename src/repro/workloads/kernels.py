@@ -102,20 +102,6 @@ def _chunks(seq, size):
         yield seq[start : start + size]
 
 
-def _store_bytes(addr: int, size: int) -> bytes:
-    """Deterministic payload a kernel stores at ``addr``.
-
-    Kernels never read their write footprints back (the generator
-    invariant that makes :meth:`KernelWorkload.expected_result`
-    order-independent), so any address-derived pattern works -- it only
-    has to be reproducible so the oracle's functional memory and the
-    simulated datapath agree.
-    """
-    return hashlib.blake2b(
-        addr.to_bytes(8, "little"), digest_size=size, salt=b"store"
-    ).digest()
-
-
 def _validate_strided(p: Dict[str, int]) -> int:
     """Common stride/elem validation; returns fields per record."""
     stride, elem = p["stride"], p["elem"]
@@ -308,6 +294,39 @@ def _expand(kernel: str, params: Tuple[Tuple[str, int], ...],
     return KERNELS[kernel].generate(dict(params), seed)
 
 
+#: address-space spacing of the arrays in the result digest's layout
+_DIGEST_REGION = 1 << 33
+
+
+@lru_cache(maxsize=256)
+def _result_digest(kernel: str, params: Tuple[Tuple[str, int], ...],
+                   seed: int) -> str:
+    """Digest over every read element's reference bytes, in program
+    order, with each array laid out row-major in a region of its own.
+
+    The layout is the kernel's, not a design's, so every design computes
+    the same digest.  Generators keep read and write footprints
+    disjoint, so no read sees a store however per-core streams
+    interleave, and the stores need no model.
+    """
+    from ..check.oracle import FunctionalMemory
+
+    program = _expand(kernel, params, seed)
+    layout = {
+        spec.name: (region * _DIGEST_REGION, spec.schema.record_bytes)
+        for region, spec in enumerate(program.arrays)
+    }
+    memory = FunctionalMemory()
+    h = hashlib.blake2b(digest_size=16)
+    for kind, array, elems, elem, _strided in program.groups:
+        if kind != "read":
+            continue
+        base, pitch = layout[array]
+        for record, offset in elems:
+            h.update(memory.read(base + record * pitch + offset, elem))
+    return f"kernel:{h.hexdigest()}"
+
+
 @dataclass(frozen=True)
 class KernelWorkload(Workload):
     """One parameterized micro-kernel from the generator registry.
@@ -414,25 +433,11 @@ class KernelWorkload(Workload):
             for record, offset in elems:
                 yield kind, placement.addr_of(record, offset), elem
 
-    def expected_result(self, placements: "Dict[str, Placement]") -> str:
+    def expected_result(self) -> str:
         """The expected-bytes model: a digest over every read element's
-        functional-memory content, in program order.
-
-        Generators keep read and write footprints disjoint, so each
-        read's bytes are the deterministic reference pattern no matter
-        how per-core streams interleave in the simulator -- the digest is
-        well-defined for the placed addresses of any scheme.
-        """
-        from ..check.oracle import FunctionalMemory
-
-        memory = FunctionalMemory()
-        h = hashlib.blake2b(digest_size=16)
-        for kind, addr, size in self.accesses(placements):
-            if kind == "read":
-                h.update(memory.read(addr, size))
-            else:
-                memory.write(addr, _store_bytes(addr, size))
-        return f"kernel:{h.hexdigest()}"
+        reference bytes, the same on every design (computed once per
+        kernel; see :func:`_result_digest`)."""
+        return _result_digest(self.kernel, self.params, self.seed)
 
     # ------------------------------------------------------------- lowering
 
@@ -468,7 +473,7 @@ class KernelWorkload(Workload):
             ops_per_core[index % config.cores].extend(ops)
         return WorkloadBuild(
             ops_per_core=ops_per_core,
-            result=self.expected_result(placements),
+            result=self.expected_result(),
             selected_records=program.reads,
         )
 

@@ -35,6 +35,7 @@ from repro.dram.geometry import Geometry
 from repro.dram.timing import preset
 from repro.workloads import make_tables
 from repro.imdb import by_name
+from repro.obs import Observation
 from repro.sim import run_query
 
 T = preset("DDR4-2400")
@@ -247,6 +248,24 @@ class TestKnownGood:
         result = run_query(design, query, make_tables(64, 64), check=True)
         assert result.metrics["check.commands"] > 0
         assert "check.violations" not in result.metrics
+
+    def test_check_does_not_outlive_its_run_on_a_caller_owned_scheme(self):
+        """The plan check hooks the run's memory system, not the design
+        object, so a caller's SAM-en instance runs unchecked afterwards
+        exactly like a fresh one."""
+        query = by_name()["Q3"]
+        scheme = make_scheme("SAM-en")
+        checked = Observation()
+        run_query(scheme, query, make_tables(64, 64), observe=checked,
+                  check=True)
+        plans = checked.registry.value("check.plans")
+        assert plans > 0
+        unchecked = run_query(scheme, query, make_tables(64, 64))
+        # a hook left on the design would feed the checked run's validator
+        assert checked.registry.value("check.plans") == plans
+        assert not [m for m in unchecked.metrics if m.startswith("check.")]
+        fresh = run_query("SAM-en", query, make_tables(64, 64))
+        assert unchecked.cycles == fresh.cycles
 
     def test_refresh_traffic_is_legal(self):
         case = FuzzCase(

@@ -25,9 +25,8 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         ["kernels"],
         ["query", "SELECT f1 FROM Ta"],
-        ["trace", "report", "SELECT f1 FROM Ta"],
         ["explain", "SELECT f1 FROM Ta"],
-    ], ids=["kernels", "query", "trace-report", "explain"])
+    ], ids=["kernels", "query", "explain"])
     def test_gather_rejects_unsimulatable_factor(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--gather", "3"])

@@ -149,8 +149,7 @@ class TestDesignPoints:
 
 
 def _simulation(point):
-    """What a point simulates: its identity without its key (and without
-    the observability-only timeline fields)."""
+    """What a point simulates: its identity without its key."""
     workload = point.workload
     return (point.kind, point.scheme,
             workload.digest if workload is not None else None,

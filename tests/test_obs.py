@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics registry, span profiler,
+"""Tests for the observability layer: metrics registry, phase spans,
 run artifacts and stall diagnostics."""
 
 import json
@@ -20,7 +20,7 @@ from repro.obs import (
 )
 from repro.obs.artifacts import ArtifactWriter
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.spans import SpanProfiler
+from repro.obs.spans import Span
 from repro.sim.runner import run_query
 
 
@@ -174,55 +174,49 @@ def test_histogram_bucket_matches_linear_scan(bounds, values):
 # ----------------------------------------------------------------- spans
 
 
-class TestSpanProfiler:
-    def test_nesting(self):
-        prof = SpanProfiler()
-        with prof.span("outer"):
-            with prof.span("inner"):
-                pass
-        assert prof.root.name == "outer"
-        assert [c.name for c in prof.root.children] == ["inner"]
+class TestSpan:
+    def test_run_builds_phase_tree(self):
+        result = run_query("SAM-en", _small_query(), make_tables(128, 128))
+        root = result.spans
+        assert root.name == "run_query"
+        assert root.meta == {"scheme": "SAM-en", "query": "t"}
+        assert [c.name for c in root.children] == [
+            "allocate", "build", "execute", "flush_drain"]
+        # every phase carries both clocks; the cycle clock is the kernel's
+        assert (root.start_cycle, root.end_cycle) == (0, result.cycles)
+        assert all(c.wall_start is not None for c in root.children)
+        assert sum(c.wall_s for c in root.children) <= root.wall_s
+        execute = root.children[2]
+        windows = execute.children
+        assert [w.name for w in windows[:4]] == [
+            "core0", "core1", "core2", "core3"]
+        assert sum(w.meta["loads"] for w in windows[:4]) == \
+            result.core_stats["loads"]
+        banks = windows[4:]
+        assert banks and all(w.name.startswith("rank") for w in banks)
+        assert all(w.wall_start is None for w in windows)  # cycles only
 
-    def test_cycle_clock(self):
-        t = {"now": 10}
-        prof = SpanProfiler(clock=lambda: t["now"])
-        span = prof.begin("work")
-        t["now"] = 50
-        prof.end(span)
-        assert span.cycles == 40
-
-    def test_mismatched_end_raises(self):
-        prof = SpanProfiler()
-        a = prof.begin("a")
-        prof.begin("b")
-        with pytest.raises(RuntimeError):
-            prof.end(a)
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            SpanProfiler().end()
-
-    def test_synthetic_spans(self):
-        prof = SpanProfiler()
-        with prof.span("run") as run:
-            pass
-        prof.add(run, "bank0", 5, 25, activations=3)
-        child = run.children[0]
-        assert child.cycles == 20 and child.meta["activations"] == 3
+    def test_cycles_only_span(self):
+        span = Span("bank0", start_cycle=5, end_cycle=25,
+                    meta={"activations": 3})
+        assert span.cycles == 20 and span.wall_s == 0.0
+        assert Span("open", start_cycle=5).cycles == 0
 
     def test_render_and_dict(self):
-        prof = SpanProfiler()
-        with prof.span("run"):
-            with prof.span("phase"):
-                pass
-        text = prof.render()
-        assert "run" in text and "phase" in text
-        tree = prof.to_dict()
-        assert tree[0]["name"] == "run"
-        assert tree[0]["children"][0]["name"] == "phase"
-
-    def test_render_empty(self):
-        assert SpanProfiler().render() == "(no spans)"
+        root = Span("run", 0, 40, wall_start=1.0, wall_end=1.5)
+        root.children.append(Span("phase", 0, 10, wall_start=1.0,
+                                  wall_end=1.25))
+        root.children.append(Span("bank0", 10, 30))
+        lines = root.render().splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [
+            "run", "phase", "bank0"]
+        # bars are shares of the root: wall time for the phase, cycles
+        # for the cycles-only window -- half the width each
+        assert lines[1].count("#") == 32
+        assert lines[2].count("#") == lines[3].count("#") == 16
+        tree = root.to_dict()
+        assert tree["name"] == "run"
+        assert [c["name"] for c in tree["children"]] == ["phase", "bank0"]
 
 
 # ------------------------------------------------------------- artifacts

@@ -249,9 +249,10 @@ class TestAttributorUnit:
             core_id = 0
             start_cycle = 0
             finish_cycle = 10
+            stall_log = CoreStallLog(0)
 
         attr = StallAttributor()
-        log = attr.core_log(0)
+        log = FakeCore.stall_log
         log.note_busy(0, 4)
         log.open_block(4, MEM_WAIT)
         attr.ledger.note(4, 7, TRCD)
@@ -268,9 +269,10 @@ class TestAttributorUnit:
             core_id = 1
             start_cycle = 0
             finish_cycle = 10
+            stall_log = CoreStallLog(1)
 
         attr = StallAttributor()
-        log = attr.core_log(1)
+        log = FakeCore.stall_log
         log.note_busy(0, 4)  # cycles 4..10 never logged as anything
         out = attr.attribute([FakeCore()])
         assert out[1]["unaccounted"] == 6

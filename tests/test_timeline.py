@@ -1,5 +1,6 @@
 """Tests for the cycle-level timeline recorder, its Chrome trace-event
-export, and the timeline's exclusion from the sweep cache identity."""
+export, and the sweep engine's timeline, which stays out of the cache
+identity."""
 
 import dataclasses
 import json
@@ -15,6 +16,7 @@ from repro.dram import (
     Request,
     RequestType,
 )
+from repro.exp import ExperimentSpec, ResultCache, SweepEngine
 from repro.exp.cache import point_digest
 from repro.exp.spec import SweepPoint, standard_tables
 from repro.workloads import make_tables
@@ -274,13 +276,23 @@ class TestCacheIdentity:
             **kw,
         )
 
-    def test_timeline_flags_do_not_change_digest(self):
-        base = self._point()
-        flagged = dataclasses.replace(
-            base, timeline=True, timeline_dir="/tmp/somewhere"
-        )
-        assert point_digest(base, source="s") == \
-            point_digest(flagged, source="s")
+    def test_timeline_engine_hits_untimed_cache(self, tmp_path):
+        spec = ExperimentSpec("t", (self._point(),))
+        key = ("SAM-en", "Q3")
+        cache = ResultCache(tmp_path / "cache")
+        cold = SweepEngine(cache=cache).run(spec)
+        traces = tmp_path / "traces"
+        warm = SweepEngine(cache=cache, timeline=True,
+                           timeline_dir=str(traces)).run(spec)
+        assert (cold.executed, warm.executed) == (1, 0)
+        assert warm.cycles(key) == cold.cycles(key)
+        assert not traces.exists()  # a hit simulates nothing to record
+        # without a cache the same engine records and exports the point
+        recorded = SweepEngine(timeline=True,
+                               timeline_dir=str(traces)).run(spec)
+        assert recorded.cycles(key) == cold.cycles(key)
+        assert recorded[key].metrics["timeline.events"] > 0
+        assert (traces / "point-SAM-en-Q3.timeline.json").exists()
 
     def test_check_flag_still_forks_digest(self):
         base = self._point()

@@ -13,37 +13,27 @@ SAM-en stays at or near the best design in every panel.
 import pytest
 
 from conftest import emit
-from repro.harness.figure15 import (
-    run_projectivity_sweep,
-    run_record_size_sweep,
-    run_selectivity_sweep,
-)
+from repro.harness.figure15 import PROJECTIVITIES, run_figure15
 
 N_TA = 256
-SELS = (0.25, 1.0)
-PROJS = (8, 64, 128)
+
+
+def _panels(benchmark, keys):
+    result = benchmark.pedantic(lambda: run_figure15(keys, N_TA),
+                                rounds=1, iterations=1)
+    for key, panel in result.panels.items():
+        emit(f"Figure 15({key})", panel.render())
+    return result.panels
 
 
 def test_fig15_abc_selectivity(benchmark):
-    def run():
-        return {
-            "a(8 fields)": run_selectivity_sweep(8, N_TA,
-                                                 selectivities=SELS),
-            "b(64 fields)": run_selectivity_sweep(64, N_TA,
-                                                  selectivities=SELS),
-            "c(128 fields)": run_selectivity_sweep(128, N_TA,
-                                                   selectivities=SELS),
-        }
-
-    panels = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, panel in panels.items():
-        emit(f"Figure 15({name[0]})", panel.render())
+    panels = _panels(benchmark, ["a", "b", "c"])
 
     # (a) low projectivity: SAM-en well above 1 at every selectivity
-    a = panels["a(8 fields)"].points
+    a = panels["a"].points
     assert all(per["SAM-en"] > 1.5 for per in a.values())
     # (c) full projectivity: advantage shrinks toward the row store
-    c = panels["c(128 fields)"].points
+    c = panels["c"].points
     assert max(per["SAM-en"] for per in c.values()) < max(
         per["SAM-en"] for per in a.values()
     )
@@ -54,37 +44,16 @@ def test_fig15_abc_selectivity(benchmark):
 
 
 def test_fig15_def_projectivity(benchmark):
-    def run():
-        return {
-            "d(10%)": run_projectivity_sweep(0.10, N_TA,
-                                             projectivities=PROJS),
-            "f(100%)": run_projectivity_sweep(1.00, N_TA,
-                                              projectivities=PROJS),
-        }
-
-    panels = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, panel in panels.items():
-        emit(f"Figure 15({name[0]})", panel.render())
+    panels = _panels(benchmark, ["d", "f"])
 
     # speedup declines as projectivity grows (the baseline's home turf)
     for panel in panels.values():
-        series = [panel.points[p]["SAM-en"] for p in PROJS]
+        series = [panel.points[p]["SAM-en"] for p in PROJECTIVITIES]
         assert series[0] > series[-1]
 
 
 def test_fig15_gh_aggregate(benchmark):
-    def run():
-        return {
-            "g": run_selectivity_sweep(8, N_TA, selectivities=SELS,
-                                       aggregate=True),
-            "h": run_projectivity_sweep(1.00, N_TA,
-                                        projectivities=PROJS,
-                                        aggregate=True),
-        }
-
-    panels = benchmark.pedantic(run, rounds=1, iterations=1)
-    for name, panel in panels.items():
-        emit(f"Figure 15({name})", panel.render())
+    panels = _panels(benchmark, ["g", "h"])
 
     # (g): aggregate processing relieves RC-NVM's field switching -- the
     # gap to SAM-en narrows (paper: "nearly the same")
@@ -96,9 +65,7 @@ def test_fig15_gh_aggregate(benchmark):
 
 def test_fig15_i_record_size(benchmark):
     panel = benchmark.pedantic(
-        lambda: run_record_size_sweep(
-            n_bytes_total=256 * 1024, record_fields=(8, 128, 1024)
-        ),
+        lambda: run_figure15(["i"], n_bytes_total=256 * 1024).panels["i"],
         rounds=1,
         iterations=1,
     )

@@ -4,15 +4,16 @@ GS-DRAM does not."""
 import pytest
 
 from conftest import emit
-from repro.harness.reliability import render_reliability, run_reliability
+from repro.harness.reliability import run_reliability
 
 
 def test_reliability_matrix(benchmark):
-    rows = benchmark.pedantic(
+    result = benchmark.pedantic(
         lambda: run_reliability(trials=400), rounds=1, iterations=1
     )
     emit("Reliability under injected faults (strided accesses)",
-         render_reliability(trials=400))
+         result.render())
+    rows = result.rows
 
     for design in ("baseline", "SAM-sub", "SAM-IO", "SAM-en",
                    "GS-DRAM-ecc", "RC-NVM-wd"):

@@ -35,6 +35,7 @@ from functools import partial
 from typing import List, Optional
 
 from .core.registry import GATHER_FACTORS
+from .harness.figure15 import FIG15_PANELS
 
 
 def _add_size_args(parser: argparse.ArgumentParser) -> None:
@@ -118,18 +119,13 @@ def _emit(args, name: str, payload, text_fn) -> int:
     return 0
 
 
-def _sweep(args, name: str, run, payload=None, text=None) -> int:
+def _sweep(args, name: str, run) -> int:
     """Every sweep command: build the engine from the shared flags, get
-    the result of ``run(engine=engine)``, emit it and finish the sweep.
-    ``payload``/``text`` shape the result; by default its ``payload()``
-    and ``render()``."""
+    the result of ``run(engine=engine)``, emit its ``payload()`` and
+    ``render()`` and finish the sweep."""
     engine = _make_engine(args)
     result = run(engine=engine)
-    code = _emit(
-        args, name,
-        payload(result) if payload else result.payload(),
-        (lambda: text(result)) if text else result.render,
-    )
+    code = _emit(args, name, result.payload(), result.render)
     _finish_sweep(args, name, engine)
     return code
 
@@ -173,29 +169,12 @@ def _cmd_figure14c(args) -> int:
 
 
 def _cmd_figure15(args) -> int:
-    from .harness.figure15 import FIG15_DESIGNS, FIG15_PANELS
+    from .harness.figure15 import run_figure15
 
-    selected = args.panels or list(FIG15_PANELS)
-    for key in selected:
-        if key not in FIG15_PANELS:
-            print(f"unknown panel {key!r} (have {sorted(FIG15_PANELS)})",
-                  file=sys.stderr)
-            return 2
-    return _sweep(
-        args, "figure15",
-        # only the chosen panels are simulated
-        lambda engine: {
-            key: FIG15_PANELS[key](args.ta, FIG15_DESIGNS, engine=engine)
-            for key in selected
-        },
-        payload=lambda panels: {
-            "kind": "figure15",
-            "panels": {key: panels[key].payload() for key in selected},
-        },
-        text=lambda panels: "\n\n".join(
-            panels[key].render() for key in selected
-        ),
-    )
+    # only the chosen panels are simulated
+    return _sweep(args, "figure15", partial(
+        run_figure15, panels=args.panels or list(FIG15_PANELS), n_ta=args.ta,
+    ))
 
 
 def _cmd_salp(args) -> int:
@@ -224,13 +203,10 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_reliability(args) -> int:
-    from .harness.reliability import render_rows, rows_payload, run_reliability
+    from .harness.reliability import run_reliability
 
-    return _sweep(
-        args, "reliability", partial(run_reliability, trials=args.trials),
-        payload=lambda rows: rows_payload(rows, args.trials),
-        text=render_rows,
-    )
+    return _sweep(args, "reliability",
+                  partial(run_reliability, trials=args.trials))
 
 
 def _cmd_explain(args) -> int:
@@ -459,8 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure14c)
 
     p = sub.add_parser("figure15", help="parametric query sweeps")
-    _add_size_args(p)
+    # every panel but (i) sizes Ta; Tb is fixed at 64 records
+    p.add_argument("--ta", type=int, default=512,
+                   help="records in the wide table Ta")
     p.add_argument("--panels", nargs="*", default=None,
+                   choices=list(FIG15_PANELS),
                    help="panels a..i (default: all)")
     _add_sweep_args(p)
     p.set_defaults(func=_cmd_figure15)

@@ -176,9 +176,9 @@ class SweepRun:
 class SweepEngine:
     """Executes experiment specs with caching and optional parallelism.
 
-    One engine instance may run several specs (Figure 15 runs nine
-    panels); ``history`` keeps every :class:`SweepRun` for roll-up into a
-    single sweep manifest, and ``registry`` counts across all of them.
+    One engine instance may run several specs; ``history`` keeps every
+    :class:`SweepRun` for roll-up into a single sweep manifest, and
+    ``registry`` counts across all of them.
 
     ``timeline`` records a cycle-level timeline for every workload point
     the engine simulates (exported into ``timeline_dir`` when set).  It

@@ -8,19 +8,14 @@ from .figure14 import (
     run_figure14c,
     render_figure14c,
 )
-from .figure15 import (
-    FIG15_DESIGNS,
-    run_projectivity_sweep,
-    run_record_size_sweep,
-    run_selectivity_sweep,
-)
+from .figure15 import FIG15_DESIGNS, Figure15Result, run_figure15
 from .kernels import (
     KERNEL_DESIGNS,
     KernelSweepResult,
     build_kernel_spec,
     run_kernel_sweep,
 )
-from .reliability import render_reliability, run_reliability
+from .reliability import ReliabilityResult, run_reliability
 from .report import bar_chart, grouped_bar_chart, sweep_chart
 
 __all__ = [
@@ -33,14 +28,13 @@ __all__ = [
     "run_figure14c",
     "render_figure14c",
     "FIG15_DESIGNS",
-    "run_projectivity_sweep",
-    "run_record_size_sweep",
-    "run_selectivity_sweep",
+    "Figure15Result",
+    "run_figure15",
     "KERNEL_DESIGNS",
     "KernelSweepResult",
     "build_kernel_spec",
     "run_kernel_sweep",
-    "render_reliability",
+    "ReliabilityResult",
     "run_reliability",
     "bar_chart",
     "grouped_bar_chart",

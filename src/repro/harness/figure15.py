@@ -9,28 +9,24 @@ series being the better of the row store and the column store per point:
 (h)     aggregate query, projectivity sweep at 100% selected
 (i)     record-size sweep at 100% projectivity and selectivity
 
-Each panel is one :class:`~repro.exp.ExperimentSpec` -- the keys are
-``(series, x)`` pairs over the panel's x-axis -- and ``FIG15_PANELS``
-maps each panel key to its runner.  ``repro figure15`` runs the chosen
-panels on one :class:`~repro.exp.SweepEngine`, so a whole figure sweeps
-in parallel and caches as a unit.
+``FIG15_PANELS`` holds each panel as data: its query family, swept axis
+and fixed value.  The chosen panels are one
+:class:`~repro.exp.ExperimentSpec` keyed ``(series, query name)``, so a
+run that two panels plot (panel (a)'s 10% point is panel (d)'s 8-field
+point) is one sweep point, simulated once, and :func:`run_figure15`
+shapes every panel from that one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exp import (
-    ExperimentSpec,
-    SweepEngine,
-    SweepPoint,
-    TableSpec,
-    standard_tables,
-)
+from ..exp import (ExperimentSpec, SweepEngine, TableSpec, design_points,
+                   standard_tables)
 from ..imdb.queries import aggregate_query, arithmetic_query
 from ..imdb.query import Predicate, SelectQuery
+from ..imdb.schema import FIELD_BYTES
 from ..workloads import QueryWorkload
 
 #: The representative designs of Figure 15.
@@ -40,6 +36,22 @@ FIG15_DESIGNS = ("RC-NVM-wd", "GS-DRAM-ecc", "SAM-en")
 SELECTIVITIES = (0.1, 0.25, 0.5, 0.75, 1.0)
 PROJECTIVITIES = (4, 8, 16, 32, 64, 128)
 RECORD_FIELDS = (2, 8, 32, 128, 512, 1024)  # 16B .. 8KB records
+
+#: The nine panels: key -> (query family, swept axis, fixed value).  A
+#: selectivity sweep fixes the fields projected, the others the
+#: fraction of records selected.
+FIG15_PANELS: Dict[str, Tuple[str, str, float]] = {
+    "a": ("arithmetic", "selectivity", 8),
+    "b": ("arithmetic", "selectivity", 64),
+    "c": ("arithmetic", "selectivity", 128),
+    "d": ("arithmetic", "projectivity", 0.10),
+    "e": ("arithmetic", "projectivity", 0.50),
+    "f": ("arithmetic", "projectivity", 1.00),
+    "g": ("aggregate", "selectivity", 8),
+    "h": ("aggregate", "projectivity", 1.00),
+    # panel (i) holds its table footprint constant instead of sizing Ta
+    "i": ("arithmetic", "record size", 1.00),
+}
 
 
 @dataclass
@@ -72,179 +84,108 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _panel_spec(name: str, series: Sequence[str], axis,
-                x_name: str) -> ExperimentSpec:
-    """One panel as data: a point per (series, x), x-major and keyed
-    ``(series, str(x))``; ``axis`` pairs each x value with its workload."""
-    return ExperimentSpec(name, tuple(
-        SweepPoint(key=(s, str(x)), scheme=s, workload=workload)
-        for x, workload in axis
-        for s in series
-    ), normalize=f"divide by baseline cycles per {x_name}")
+@dataclass
+class Figure15Result:
+    """The chosen panels by key, in the order they were asked for."""
+
+    panels: Dict[str, SweepResult] = field(default_factory=dict)
+
+    def payload(self) -> Dict[str, object]:
+        """Machine-readable form (``--json`` / artifact export)."""
+        return {
+            "kind": "figure15",
+            "panels": {key: p.payload() for key, p in self.panels.items()},
+        }
+
+    def render(self) -> str:
+        return "\n\n".join(p.render() for p in self.panels.values())
 
 
-def _shape_panel(run, panel: SweepResult, xs: Sequence[object],
-                 designs: Sequence[str]) -> SweepResult:
-    """Speedups vs baseline; ideal = best of row store and column store."""
-    names = [str(x) for x in xs]
-    speedups = run.speedups(designs, names)
-    cycles = run.table(["baseline", "column-store"], names)
-    for x, name in zip(xs, names):
-        per = {design: speedups[design][name] for design in designs}
-        row, col = cycles["baseline"][name], cycles["column-store"][name]
-        per["ideal"] = row / min(row, col)
-        panel.points[x] = per
-    return panel
+def _record_size_workload(fields: int, selectivity: float,
+                          n_bytes_total: int) -> QueryWorkload:
+    """Panel (i)'s query over every field of ``fields``-field records.
 
-
-def build_selectivity_spec(
-    projected: int,
-    n_ta: int = 1024,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    selectivities: Sequence[float] = SELECTIVITIES,
-    aggregate: bool = False,
-) -> ExperimentSpec:
-    """Panels (a)-(c)/(g) as data: vary selectivity at fixed projectivity."""
-    maker = aggregate_query if aggregate else arithmetic_query
-    kind = "aggregate" if aggregate else "arithmetic"
-    tables = standard_tables(n_ta, 64)
-    return _panel_spec(
-        f"figure15-sel-{kind}-p{projected}",
-        ("baseline", "column-store", *designs),
-        [(sel, QueryWorkload(query=maker(projected, sel), tables=tables))
-         for sel in selectivities],
-        "selectivity",
-    )
-
-
-def run_selectivity_sweep(
-    projected: int,
-    n_ta: int = 1024,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    selectivities: Sequence[float] = SELECTIVITIES,
-    aggregate: bool = False,
-    engine: Optional[SweepEngine] = None,
-) -> SweepResult:
-    """Panels (a)-(c) and (g): vary selectivity at fixed projectivity."""
-    engine = engine or SweepEngine()
-    run = engine.run(build_selectivity_spec(
-        projected, n_ta, designs, selectivities, aggregate
-    ))
-    kind = "aggregate" if aggregate else "arithmetic"
-    panel = SweepResult(
-        f"{kind}, {projected} fields projected", "selectivity"
-    )
-    return _shape_panel(run, panel, selectivities, designs)
-
-
-def build_projectivity_spec(
-    selectivity: float,
-    n_ta: int = 1024,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    projectivities: Sequence[int] = PROJECTIVITIES,
-    aggregate: bool = False,
-) -> ExperimentSpec:
-    """Panels (d)-(f)/(h) as data: vary projectivity at fixed selectivity."""
-    maker = aggregate_query if aggregate else arithmetic_query
-    kind = "aggregate" if aggregate else "arithmetic"
-    tables = standard_tables(n_ta, 64)
-    return _panel_spec(
-        f"figure15-proj-{kind}-s{selectivity:g}",
-        ("baseline", "column-store", *designs),
-        [(proj, QueryWorkload(query=maker(proj, selectivity), tables=tables))
-         for proj in projectivities],
-        "projectivity",
-    )
-
-
-def run_projectivity_sweep(
-    selectivity: float,
-    n_ta: int = 1024,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    projectivities: Sequence[int] = PROJECTIVITIES,
-    aggregate: bool = False,
-    engine: Optional[SweepEngine] = None,
-) -> SweepResult:
-    """Panels (d)-(f) and (h): vary projectivity at fixed selectivity."""
-    engine = engine or SweepEngine()
-    run = engine.run(build_projectivity_spec(
-        selectivity, n_ta, designs, projectivities, aggregate
-    ))
-    kind = "aggregate" if aggregate else "arithmetic"
-    panel = SweepResult(
-        f"{kind}, {selectivity:.0%} records selected", "fields projected"
-    )
-    return _shape_panel(run, panel, projectivities, designs)
-
-
-def build_record_size_spec(
-    n_bytes_total: int = 1 << 20,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    record_fields: Sequence[int] = RECORD_FIELDS,
-) -> ExperimentSpec:
-    """Panel (i) as data: vary record size at constant table footprint.
-
-    Each x-axis value carries its *own* table recipes (fewer records as
-    they grow); table data is deterministic in (schema, records, seed),
-    so worker processes rebuild identical tables.
+    The table footprint stays ``n_bytes_total`` (fewer records as they
+    grow); table data is deterministic in (schema, records, seed), so
+    worker processes rebuild identical tables.
     """
-    axis = []
-    for fields in record_fields:
-        ta = TableSpec("Ta", fields, 1, 3)  # for record_bytes only
-        n_records = max(8, n_bytes_total // ta.schema.record_bytes)
-        tables = (
-            TableSpec("Ta", fields, n_records, 3),
-            TableSpec("Tb", 16, 64, 4),
-        )
-        query = SelectQuery(
-            f"Arith[rs={fields}]",
-            "Ta",
-            tuple(range(fields)),
-            Predicate.where(0, "<", 1.0),
-        )
-        axis.append((fields, QueryWorkload(query=query, tables=tables)))
-    return _panel_spec("figure15-record-size", ("baseline", *designs),
-                       axis, "record size")
+    n_records = max(8, n_bytes_total // (fields * FIELD_BYTES))
+    query = SelectQuery(f"Arith[rs={fields}]", "Ta", tuple(range(fields)),
+                        Predicate.where(0, "<", selectivity))
+    return QueryWorkload(query=query, tables=(
+        TableSpec("Ta", fields, n_records, 3), TableSpec("Tb", 16, 64, 4),
+    ))
 
 
-def run_record_size_sweep(
-    n_bytes_total: int = 1 << 20,
+def _panel(key: str, n_ta: int, designs: Sequence[str], n_bytes_total: int
+           ) -> Tuple[SweepResult, Tuple[str, ...], List[tuple]]:
+    """Panel ``key`` before shaping: its empty result, the series it
+    plots and its ``(x, workload)`` pairs."""
+    family, axis, fixed = FIG15_PANELS[key]
+    maker = aggregate_query if family == "aggregate" else arithmetic_query
+    tables = standard_tables(n_ta, 64)
+    series = ("baseline", "column-store", *designs)
+    if axis == "selectivity":
+        return (SweepResult(f"{family}, {fixed} fields projected", axis),
+                series,
+                [(sel, QueryWorkload(query=maker(fixed, sel), tables=tables))
+                 for sel in SELECTIVITIES])
+    if axis == "projectivity":
+        return (SweepResult(f"{family}, {fixed:.0%} records selected",
+                            "fields projected"),
+                series,
+                [(proj, QueryWorkload(query=maker(proj, fixed), tables=tables))
+                 for proj in PROJECTIVITIES])
+    # the row store is ideal at 100% projectivity and selectivity
+    return (SweepResult(f"{family}, all fields projected, {fixed:.0%} "
+                        "selected", "record size (8B)"),
+            ("baseline", *designs),
+            [(fields, _record_size_workload(fields, fixed, n_bytes_total))
+             for fields in RECORD_FIELDS])
+
+
+def build_figure15_spec(
+    panels: Sequence[str] = tuple(FIG15_PANELS),
+    n_ta: int = 1024,
     designs: Sequence[str] = FIG15_DESIGNS,
-    record_fields: Sequence[int] = RECORD_FIELDS,
-    engine: Optional[SweepEngine] = None,
-) -> SweepResult:
-    """Panel (i): vary record size at 100% projectivity and selectivity.
+    n_bytes_total: int = 1 << 20,
+) -> ExperimentSpec:
+    """The chosen panels as data: a point per (series, query), keyed
+    ``(series, workload.name)``, so a run several panels plot is one
+    point.  ``n_bytes_total`` is panel (i)'s table footprint."""
+    points = {}
+    for key in panels:
+        _, series, axis = _panel(key, n_ta, designs, n_bytes_total)
+        for point in design_points(series, [w for _, w in axis]):
+            points.setdefault(point.key, point)
+    return ExperimentSpec("figure15", tuple(points.values()),
+                          normalize="divide by baseline cycles per query")
 
-    The table footprint is held constant (fewer records as they grow),
-    matching the paper's fixed-table-size sweep.
+
+def run_figure15(
+    panels: Sequence[str] = tuple(FIG15_PANELS),
+    n_ta: int = 1024,
+    designs: Sequence[str] = FIG15_DESIGNS,
+    n_bytes_total: int = 1 << 20,
+    engine: Optional[SweepEngine] = None,
+) -> Figure15Result:
+    """Regenerate the chosen panels of Figure 15 from one sweep.
+
+    ``engine`` chooses parallelism and caching; the default runs
+    serially without a cache.
     """
     engine = engine or SweepEngine()
-    run = engine.run(build_record_size_spec(
-        n_bytes_total, designs, record_fields
-    ))
-    panel = SweepResult(
-        "arithmetic, all fields projected, 100% selected", "record size (8B)"
-    )
-    speedups = run.speedups(designs, [str(f) for f in record_fields])
-    for fields in record_fields:
-        point = {design: speedups[design][str(fields)] for design in designs}
-        point["ideal"] = 1.0  # row store is ideal at 100%/100%
-        panel.points[fields] = point
-    return panel
-
-
-#: The nine panels: key -> runner(n_ta, designs, engine=...).
-FIG15_PANELS: Dict[str, Callable[..., SweepResult]] = {
-    "a": partial(run_selectivity_sweep, 8),
-    "b": partial(run_selectivity_sweep, 64),
-    "c": partial(run_selectivity_sweep, 128),
-    "d": partial(run_projectivity_sweep, 0.10),
-    "e": partial(run_projectivity_sweep, 0.50),
-    "f": partial(run_projectivity_sweep, 1.00),
-    "g": partial(run_selectivity_sweep, 8, aggregate=True),
-    "h": partial(run_projectivity_sweep, 1.00, aggregate=True),
-    # panel (i) holds its table footprint constant instead of sizing Ta
-    "i": lambda n_ta, designs, engine: run_record_size_sweep(
-        designs=designs, engine=engine),
-}
-
+    run = engine.run(build_figure15_spec(panels, n_ta, designs,
+                                         n_bytes_total))
+    result = Figure15Result()
+    for key in panels:
+        panel, series, axis = _panel(key, n_ta, designs, n_bytes_total)
+        speedups = run.speedups(series[1:], [w.name for _, w in axis])
+        column = speedups.get("column-store")
+        for x, workload in axis:
+            per = {d: speedups[d][workload.name] for d in designs}
+            # ideal: the better of the row store and the column store
+            per["ideal"] = max(1.0, column[workload.name]) if column else 1.0
+            panel.points[x] = per
+        result.panels[key] = panel
+    return result

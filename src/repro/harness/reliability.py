@@ -12,7 +12,7 @@ Two complementary analyses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence
 
 from ..core.registry import make_scheme
@@ -105,42 +105,39 @@ def build_reliability_spec(
     )
 
 
+@dataclass
+class ReliabilityResult:
+    """The reliability matrix: one row per design, in display order."""
+
+    rows: Dict[str, ReliabilityRow]
+    trials: int
+
+    def payload(self) -> Dict[str, object]:
+        """Machine-readable form (``--json`` / artifact export)."""
+        return {
+            "kind": "reliability",
+            "trials": self.trials,
+            "designs": {name: asdict(row) for name, row in self.rows.items()},
+        }
+
+    def render(self) -> str:
+        lines = ["design        codewords-intact  chip-fault  dq-fault  "
+                 "double-chip"]
+        lines += [
+            f"{r.design:13s} {str(r.strided_codewords_intact):>14}"
+            f"  {r.chip_fault_protection:9.1%} {r.dq_fault_protection:9.1%}"
+            f" {r.double_chip_protection:11.1%}"
+            for r in self.rows.values()
+        ]
+        return "\n".join(lines)
+
+
 def run_reliability(
     trials: int = 500,
     engine: Optional[SweepEngine] = None,
-) -> Dict[str, ReliabilityRow]:
+) -> ReliabilityResult:
     engine = engine or SweepEngine()
     run = engine.run(build_reliability_spec(trials))
-    return {d: run[("reliability", d)] for d in RELIABILITY_DESIGNS}
-
-
-def rows_payload(rows: Dict[str, ReliabilityRow],
-                 trials: int) -> Dict[str, object]:
-    """Machine-readable reliability matrix (``--json`` / artifacts)."""
-    from dataclasses import asdict
-
-    return {
-        "kind": "reliability",
-        "trials": trials,
-        "designs": {name: asdict(row) for name, row in rows.items()},
-    }
-
-
-def render_rows(rows: Dict[str, ReliabilityRow]) -> str:
-    lines = [
-        "design        codewords-intact  chip-fault  dq-fault  double-chip"
-    ]
-    for row in rows.values():
-        lines.append(
-            f"{row.design:13s} {str(row.strided_codewords_intact):>14}"
-            f"  {row.chip_fault_protection:9.1%} {row.dq_fault_protection:9.1%}"
-            f" {row.double_chip_protection:11.1%}"
-        )
-    return "\n".join(lines)
-
-
-def render_reliability(
-    trials: int = 500,
-    engine: Optional[SweepEngine] = None,
-) -> str:
-    return render_rows(run_reliability(trials, engine=engine))
+    return ReliabilityResult(
+        {d: run[("reliability", d)] for d in RELIABILITY_DESIGNS}, trials
+    )

@@ -53,11 +53,12 @@ def selected_mask(table: Table,
     mask = np.ones(table.n_records, dtype=bool)
     for conj in predicate.conjuncts:
         column = table.column(conj.field)
+        # round: selectivity * range can land just under a SQL literal
         if conj.op == ">":
-            threshold = int(PREDICATE_RANGE * (1.0 - conj.selectivity))
+            threshold = round(PREDICATE_RANGE * (1.0 - conj.selectivity))
             mask &= column > threshold
         elif conj.op == "<":
-            threshold = int(PREDICATE_RANGE * conj.selectivity)
+            threshold = round(PREDICATE_RANGE * conj.selectivity)
             mask &= column < threshold
         else:  # equality: pick a value hitting ~selectivity
             span = max(1, int(PREDICATE_RANGE * conj.selectivity))

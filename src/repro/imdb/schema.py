@@ -56,12 +56,6 @@ class Table:
             dtype=np.int64,
         )
 
-    def selectivity_threshold(self, selectivity: float) -> int:
-        """Threshold x such that ``field > x`` selects ~``selectivity``."""
-        if not 0.0 <= selectivity <= 1.0:
-            raise ValueError("selectivity must be in [0, 1]")
-        return int(round(PREDICATE_RANGE * (1.0 - selectivity)))
-
     def column(self, field: int) -> np.ndarray:
         return self.values[:, field]
 

@@ -120,6 +120,15 @@ class Observation:
         self.on_read_latency = self.registry.histogram(
             "dram.read_latency_cycles", _LATENCY_BUCKETS
         ).observe
+        self._claimed = False
+
+    def claim(self) -> None:
+        """Take this observation for one run; a second run raises, as its
+        numbers would add onto the first run's."""
+        if self._claimed:
+            raise ValueError("an Observation records one run; pass a "
+                             "fresh one to each run")
+        self._claimed = True
 
     # Probe method: one tuple append per DRAM command (commands are
     # orders of magnitude rarer than kernel events).

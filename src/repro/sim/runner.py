@@ -317,21 +317,24 @@ def run_workload(
     carries from one run into the next, checked or not.
 
     ``observe`` threads a caller-owned :class:`repro.obs.Observation`
-    through the run (enable tracing, choose an artifacts directory);
-    without one, default-on metrics, spans and the stall ring are still
-    recorded.  ``max_events`` overrides the runaway-simulation safety
-    valve, an event budget scaled to the build's op count.
+    through the run (enable tracing, choose an artifacts directory); it
+    records one run, so one handed to a second run raises ``ValueError``
+    before anything is simulated.  Without one, default-on metrics,
+    spans and the stall ring are still recorded.  ``max_events``
+    overrides the runaway-simulation safety valve, an event budget
+    scaled to the build's op count.
     ``timing`` forces a base-timing preset by name (substrate swap) via
     :meth:`~repro.core.scheme.AccessScheme.with_timing`; together with a
     string ``scheme`` this keeps the whole entry point picklable, which
     is what lets :mod:`repro.exp` run sweep points in worker processes.
     """
+    obs = observe if observe is not None else Observation()
+    obs.claim()
     if isinstance(scheme, str):
         scheme = make_scheme(scheme, gather_factor=gather_factor)
     if timing is not None:
         scheme = scheme.with_timing(timing)
     config = config or SystemConfig()
-    obs = observe if observe is not None else Observation()
     if tables is None:
         tables = workload.materialize()
     validator = None

@@ -75,8 +75,9 @@ class TestCommands:
         assert "Gmean" in capsys.readouterr().out
 
     def test_figure15_unknown_panel(self, capsys):
-        code = main(["figure15", "--ta", "64", "--panels", "z"])
-        assert code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["figure15", "--ta", "64", "--panels", "z"])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("pair,message", [
         pytest.param("tRCD=abc", "tRCD wants an integer, got 'abc'",
@@ -93,14 +94,18 @@ class TestCommands:
             main(["check", "fuzz", "--cases", "2", "--inject", pair])
 
     def test_figure15_runs_only_chosen_panels(self, tmp_path, capsys):
-        code = main(["figure15", "--ta", "64", "--panels", "a", "--json",
-                     "--no-cache", "--artifacts", str(tmp_path)])
-        assert code == 0
-        assert list(json.loads(capsys.readouterr().out)["panels"]) == ["a"]
-        manifest = json.loads((tmp_path / "figure15.sweep.json").read_text())
         # panel (a): five selectivities x (row store, column store and
-        # the three Figure 15 designs)
-        assert manifest["totals"]["points"] == 25
+        # the three Figure 15 designs); panel (d)'s six projectivities at
+        # 10% share (a)'s 8-field, 10% query, which is simulated once
+        for panels, points in ((["a"], 25), (["a", "d"], 50)):
+            code = main(["figure15", "--ta", "64", "--panels", *panels,
+                         "--json", "--no-cache", "--artifacts", str(tmp_path)])
+            assert code == 0
+            out = json.loads(capsys.readouterr().out)
+            assert list(out["panels"]) == panels
+            totals = json.loads(
+                (tmp_path / "figure15.sweep.json").read_text())["totals"]
+            assert totals["points"] == totals["executed"] == points
 
 
 class TestJsonOutput:

@@ -159,19 +159,16 @@ def _simulation(point):
 
 
 def test_no_spec_simulates_one_run_twice():
-    """The engine dedupes points only through the result cache, so two
-    points of one spec that simulate the same run cost two simulations
-    on a cold sweep.  No harness's spec may hold such a pair."""
+    """The engine simulates every point of a spec, and a point's cache
+    digest hashes its key too, so two differently keyed points that
+    simulate the same run cost two simulations, cold or warm.  No
+    harness's spec may hold such a pair."""
     from repro.harness.figure13 import build_figure13_spec
     from repro.harness.figure14 import (
         build_figure14a_spec,
         build_figure14b_spec,
     )
-    from repro.harness.figure15 import (
-        build_projectivity_spec,
-        build_record_size_spec,
-        build_selectivity_spec,
-    )
+    from repro.harness.figure15 import build_figure15_spec
     from repro.harness.kernels import build_kernel_spec
     from repro.harness.salp import build_salp_spec
 
@@ -180,9 +177,7 @@ def test_no_spec_simulates_one_run_twice():
         build_figure13_spec(64, 128),
         build_figure14a_spec(64, 128),
         build_figure14b_spec(64, 128),
-        build_selectivity_spec(8, n_ta=64),
-        build_projectivity_spec(0.5, n_ta=64),
-        build_record_size_spec(1 << 16),
+        build_figure15_spec(n_ta=64),
         build_salp_spec(64, 128),
         build_kernel_spec(),
     ]

@@ -10,8 +10,9 @@ from repro.harness.figure14 import (
     run_figure14c,
 )
 from repro.harness.figure15 import (
-    run_record_size_sweep,
-    run_selectivity_sweep,
+    RECORD_FIELDS,
+    SELECTIVITIES,
+    run_figure15,
 )
 from repro.harness.reliability import run_reliability
 from repro.workloads import geomean, make_tables
@@ -105,37 +106,34 @@ class TestFigure14:
 
 
 class TestFigure15:
-    def test_selectivity_sweep_shape(self):
-        panel = run_selectivity_sweep(
-            8, n_ta=128, designs=["SAM-en"], selectivities=(0.25, 1.0)
-        )
-        assert set(panel.points) == {0.25, 1.0}
-        for per in panel.points.values():
+    @pytest.fixture(scope="class")
+    def panel_a(self):
+        return run_figure15(["a"], n_ta=128, designs=["SAM-en"]).panels["a"]
+
+    def test_selectivity_sweep_shape(self, panel_a):
+        assert set(panel_a.points) == set(SELECTIVITIES)
+        for per in panel_a.points.values():
             assert "SAM-en" in per and "ideal" in per
 
     def test_record_size_sweep(self):
-        panel = run_record_size_sweep(
-            n_bytes_total=64 * 1024,
-            designs=["SAM-en"],
-            record_fields=(8, 128),
-        )
-        assert set(panel.points) == {8, 128}
+        result = run_figure15(["i"], designs=["SAM-en"],
+                              n_bytes_total=64 * 1024)
+        assert set(result.panels["i"].points) == set(RECORD_FIELDS)
 
-    def test_render(self):
-        panel = run_selectivity_sweep(
-            8, n_ta=128, designs=["SAM-en"], selectivities=(1.0,)
-        )
-        assert "selectivity" in panel.render()
+    def test_render(self, panel_a):
+        assert "selectivity" in panel_a.render()
 
 
 class TestReliability:
-    def test_gs_dram_unprotected(self):
-        rows = run_reliability(trials=50)
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_reliability(trials=50).rows
+
+    def test_gs_dram_unprotected(self, rows):
         assert not rows["GS-DRAM"].strided_codewords_intact
         assert rows["GS-DRAM"].chip_fault_protection == 0.0
 
-    def test_sam_fully_protected(self):
-        rows = run_reliability(trials=50)
+    def test_sam_fully_protected(self, rows):
         for design in ("SAM-sub", "SAM-IO", "SAM-en"):
             assert rows[design].strided_codewords_intact
             assert rows[design].chip_fault_protection == 1.0

@@ -40,12 +40,6 @@ class TestSchema:
         b = Table(TB, 100, seed=3)
         assert np.array_equal(a.values, b.values)
 
-    def test_selectivity_threshold(self):
-        t = Table(TB, 10_000, seed=1)
-        thr = t.selectivity_threshold(0.25)
-        frac = (t.column(10) > thr).mean()
-        assert abs(frac - 0.25) < 0.02
-
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             Table(TB, 0)

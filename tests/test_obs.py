@@ -337,6 +337,33 @@ class TestRunArtifacts:
 # ----------------------------------------------------------- probe stream
 
 
+class TestOneObservationPerRun:
+    def test_second_run_raises_before_simulating(self):
+        from repro.imdb import by_name
+
+        obs = Observation()
+        tables = make_tables(64, 64)
+        run_query("SAM-en", by_name()["Q3"], tables, observe=obs)
+        reads = obs.registry.value("dram.reads")
+        latency = obs.registry.as_dict()["dram.read_latency_cycles"]
+        with pytest.raises(ValueError, match="one run"):
+            run_query("SAM-en", by_name()["Q3"], tables, observe=obs)
+        # the refused run added nothing to the first run's numbers
+        assert obs.registry.value("dram.reads") == reads
+        assert obs.registry.as_dict()["dram.read_latency_cycles"] == latency
+
+    def test_a_run_that_raised_used_its_observation(self):
+        obs = Observation()
+        with pytest.raises(SimulationStallError):
+            run_query("SAM-en", _small_query(), make_tables(128, 128),
+                      observe=obs, max_events=200)
+        ring = list(obs.ring)
+        with pytest.raises(ValueError, match="one run"):
+            run_query("SAM-en", _small_query(), make_tables(128, 128),
+                      observe=obs)
+        assert list(obs.ring) == ring
+
+
 class TestProbeStream:
     """The ring is a controller probe: it sees every precharge, including
     the closed-page auto-precharges and the refresh-path PREs."""

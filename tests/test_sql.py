@@ -221,3 +221,31 @@ class TestEndToEnd:
         b = run_query("baseline", builtin, make_tables(128, 128))
         assert a.result == b.result
         assert a.cycles == b.cycles
+
+
+class TestLiteralSemantics:
+    def test_comparison_literals_select_what_sql_says(self):
+        """Every ``>``/``<`` literal over the field range selects exactly
+        the rows numpy's comparison does (a literal that travels as a
+        selectivity must not lose a unit: ``f10 > 71`` once also kept
+        the rows holding 71)."""
+        import numpy as np
+
+        from repro.imdb.plan import selected_mask
+        from repro.imdb.schema import PREDICATE_RANGE, TB, Table
+
+        table = Table(TB, PREDICATE_RANGE, seed=1)
+        # every field value once, shuffled
+        table.values[:, 10] = np.random.default_rng(1).permutation(
+            PREDICATE_RANGE)
+        column = table.column(10)
+        wrong = [
+            (op, literal)
+            for literal in range(PREDICATE_RANGE + 1)
+            for op, expected in ((">", column > literal),
+                                 ("<", column < literal))
+            if not np.array_equal(selected_mask(table, parse(
+                f"SELECT f1 FROM Tb WHERE f10 {op} {literal}").predicate),
+                expected)
+        ]
+        assert wrong == []

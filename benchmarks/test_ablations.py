@@ -18,7 +18,7 @@ from repro.core.sam import SAMEnScheme
 from repro.dram.timing import DDR4_2400
 from repro.workloads import make_tables
 from repro.imdb import by_name
-from repro.imdb.executor import CostModel
+from repro.imdb.plan import CostModel
 from repro.power.model import PowerModel
 from repro.sim import run_query
 

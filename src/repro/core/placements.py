@@ -22,8 +22,6 @@ where the performance differences between the designs come from:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..dram.address import DecodedAddress
 from .scheme import AccessScheme, Placement, TablePlacement
 
@@ -101,11 +99,6 @@ class VerticalPlacement(Placement):
     @property
     def partition_granularity(self) -> int:
         return self.group
-
-    def gather_group(self, record: int) -> Tuple[int, int]:
-        first = record - record % self.group
-        size = min(self.group, self.table.n_records - first)
-        return first, size
 
     def addr_of(self, record: int, offset: int) -> int:
         if not 0 <= record < self.table.n_records:

@@ -66,7 +66,7 @@ class AccessScheme(abc.ABC):
 
     #: True when one gather burst can only cover elements inside a single
     #: DRAM row (SAM-IO/en sub-row stride, GS-DRAM intra-row shift); the
-    #: executor derates the effective gather factor for huge records.
+    #: planner derates the effective gather factor for huge records.
     gather_within_row: bool = False
 
     #: False for fine-granularity (sub-ranked) designs whose fetches bring
@@ -273,11 +273,6 @@ class Placement(abc.ABC):
         """Smallest record chunk that keeps parallel workers on separate
         banks (vertical placements stack a whole group in one bank)."""
         return self.scheme.gather_factor
-
-    def gather_group(self, record: int) -> Tuple[int, int]:
-        """(first record, size) of the stride group containing ``record``."""
-        g = self.scheme.gather_factor
-        return (record - record % g, min(g, self.table.n_records))
 
     def element_addrs(self, first_record: int, count: int,
                       offset: int) -> List[int]:

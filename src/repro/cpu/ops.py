@@ -1,6 +1,7 @@
-"""Memory-operation stream: what a query executor hands to a core.
+"""Memory-operation stream: what a workload's lowering hands to a core.
 
-The executor lowers a query plan into a per-core sequence of these ops.
+A query's lowering turns its physical plan into a per-core sequence of
+these ops.
 Addresses are physical (the scheme's placement already applied).  Strided
 ops carry the element addresses of one gather group -- the hardware
 realization (one stride-mode burst, a column-subarray access, a GS-DRAM

@@ -1,8 +1,8 @@
-"""In-memory database workload: schemas, queries, planner, executor."""
+"""In-memory database workload: schemas, queries, plans, ground truth."""
 
-from .executor import CostModel, QueryExecutor
+from .executor import ground_truth
 from .lowering import Lowering
-from .plan import PhysicalNode, PhysicalPlan, selected_mask
+from .plan import CostModel, PhysicalNode, PhysicalPlan, selected_mask
 from .planner import Planner, join_matches, plan_for
 from .queries import (
     aggregate_query,
@@ -27,7 +27,7 @@ from .sql import SQLError, parse
 
 __all__ = [
     "CostModel",
-    "QueryExecutor",
+    "ground_truth",
     "Lowering",
     "PhysicalNode",
     "PhysicalPlan",

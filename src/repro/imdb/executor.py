@@ -1,33 +1,22 @@
-"""Query execution: plan -> lower -> per-core op streams + results.
+"""Query ground truth: the answer a query computes over the table data.
 
-The executor is a thin orchestrator over the planning IR:
-
-* :mod:`repro.imdb.plan` defines the physical plan nodes,
-* :mod:`repro.imdb.planner` chooses the access mode per operator
-  (strided vs plain, the paper's Figure 15 crossover) and costs it,
-* :mod:`repro.imdb.lowering` turns the chosen plan into memory ops.
-
-What stays here is the part simulation cannot outsource: the *ground
-truth*.  The executor computes the actual query answer from the table
-data (and applies updates/inserts), so correctness of every scheme's
-access plan is checkable -- a plan that skips data the query needs would
-produce the wrong answer in tests.  A build is the workload layer's
-:class:`~repro.workloads.base.WorkloadBuild`, so
-:class:`~repro.workloads.query.QueryWorkload` hands it on unchanged.
+Simulation cannot outsource this part.  :func:`ground_truth` computes the
+actual query answer from the table data (and applies updates), so
+correctness of every scheme's access plan is checkable -- a plan that
+skips data the query needs would produce the wrong answer in tests.  Its
+mask is what the :class:`~repro.imdb.planner.Planner` and the
+:class:`~repro.imdb.lowering.Lowering` read the selection from;
+:class:`~repro.workloads.query.QueryWorkload` chains the three.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.scheme import AccessScheme, Placement
-from ..sim.config import SystemConfig
-from ..workloads.base import WorkloadBuild
-from .lowering import Lowering
-from .plan import CostModel, selected_mask
-from .planner import Planner, join_matches
+from .plan import selected_mask
+from .planner import join_matches
 from .query import (
     AggregateQuery,
     InsertQuery,
@@ -38,121 +27,45 @@ from .query import (
 )
 from .schema import Table
 
-__all__ = ["CostModel", "QueryExecutor"]
+__all__ = ["ground_truth"]
 
 
-class QueryExecutor:
-    """Plans and lowers queries for one scheme over one set of placed
-    tables, and computes the ground-truth answers."""
+def ground_truth(
+    query: Query, tables: Dict[str, Table]
+) -> Tuple[Optional[np.ndarray], object, int]:
+    """``(mask, answer, selected records)`` of ``query`` over ``tables``.
 
-    def __init__(
-        self,
-        scheme: AccessScheme,
-        config: SystemConfig,
-        tables: Dict[str, Table],
-        placements: Dict[str, Placement],
-        cost: Optional[CostModel] = None,
-    ) -> None:
-        self.tables = tables
-        self.planner = Planner(scheme, tables, placements, cost)
-        self.lowering = Lowering(scheme, config, tables, placements, cost)
-
-    # ------------------------------------------------------------ dispatch
-
-    def build(self, query: Query) -> WorkloadBuild:
-        if isinstance(query, SelectQuery):
-            return self._build_select(query)
-        if isinstance(query, AggregateQuery):
-            return self._build_aggregate(query)
-        if isinstance(query, UpdateQuery):
-            return self._build_update(query)
-        if isinstance(query, InsertQuery):
-            return self._build_insert(query)
-        if isinstance(query, JoinQuery):
-            return self._build_join(query)
-        raise TypeError(f"unknown query {query!r}")
-
-    # --------------------------------------------------------------- SELECT
-
-    def _build_select(self, query: SelectQuery) -> WorkloadBuild:
-        table = self.tables[query.table]
-        selected = selected_mask(table, query.predicate)
-        n = table.n_records
-        if query.limit is not None:
-            n = min(n, query.limit)
-            selected = selected.copy()
-            selected[n:] = False
-
-        plan = self.planner.plan(query, selected=selected)
-        ops_per_core = self.lowering.lower(query, plan, selected=selected)
-
-        rows = np.flatnonzero(selected[:n])
-        if query.projected is None:
-            result = (len(rows), int(table.values[rows].sum()) if len(rows)
-                      else 0)
-        else:
-            cols = list(query.projected)
-            data = table.values[np.ix_(rows, cols)] if len(rows) else None
-            result = (
-                len(rows),
-                int(data.sum()) if data is not None else 0,
-            )
-        return WorkloadBuild(ops_per_core, result, int(len(rows)), plan)
-
-    # ------------------------------------------------------------ AGGREGATE
-
-    def _build_aggregate(self, query: AggregateQuery) -> WorkloadBuild:
-        table = self.tables[query.table]
-        selected = selected_mask(table, query.predicate)
-
-        plan = self.planner.plan(query, selected=selected)
-        ops_per_core = self.lowering.lower(query, plan, selected=selected)
-
-        rows = np.flatnonzero(selected)
-        sums = {
-            f: int(table.column(f)[rows].sum()) if len(rows) else 0
-            for f in query.fields
-        }
-        if query.func == "AVG" and len(rows):
-            result = {f: sums[f] / len(rows) for f in query.fields}
-        else:
-            result = sums
-        return WorkloadBuild(ops_per_core, result, int(len(rows)), plan)
-
-    # --------------------------------------------------------------- UPDATE
-
-    def _build_update(self, query: UpdateQuery) -> WorkloadBuild:
-        table = self.tables[query.table]
-        selected = selected_mask(table, query.predicate)
-
-        plan = self.planner.plan(query, selected=selected)
-        ops_per_core = self.lowering.lower(query, plan, selected=selected)
-
-        rows = np.flatnonzero(selected)
-        for f, v in query.assignments:
-            table.values[rows, f] = v
-        return WorkloadBuild(ops_per_core, int(len(rows)), int(len(rows)),
-                             plan)
-
-    # --------------------------------------------------------------- INSERT
-
-    def _build_insert(self, query: InsertQuery) -> WorkloadBuild:
-        plan = self.planner.plan(query)
-        ops_per_core = self.lowering.lower(query, plan)
-        n = plan.node("insert").records
-        return WorkloadBuild(ops_per_core, n, n, plan)
-
-    # ----------------------------------------------------------------- JOIN
-
-    def _build_join(self, query: JoinQuery) -> WorkloadBuild:
-        build = self.tables[query.build_table]
-        probe = self.tables[query.probe_table]
+    The mask is the selection, cut off at the LIMIT; a join's is its
+    probe-side matches, and an insert has none.  An update's assignments
+    are applied to ``tables``.
+    """
+    if isinstance(query, InsertQuery):
+        n = tables[query.table].n_records
+        n = min(query.n_records or n, n)
+        return None, n, n
+    if isinstance(query, JoinQuery):
         matches, probe_match = join_matches(
-            build, probe, query.key_field, query.extra_compare_field
+            tables[query.build_table], tables[query.probe_table],
+            query.key_field, query.extra_compare_field,
         )
-
-        plan = self.planner.plan(query, probe_match=probe_match)
-        ops_per_core = self.lowering.lower(
-            query, plan, probe_match=probe_match
-        )
-        return WorkloadBuild(ops_per_core, matches, matches, plan)
+        return probe_match, matches, matches
+    table = tables[query.table]
+    mask = selected_mask(table, query.predicate)
+    if isinstance(query, SelectQuery) and query.limit is not None:
+        mask[query.limit:] = False
+    rows = np.flatnonzero(mask)
+    if isinstance(query, UpdateQuery):
+        for field, value in query.assignments:
+            table.values[rows, field] = value
+        answer: object = len(rows)
+    elif isinstance(query, AggregateQuery):
+        sums = {f: int(table.column(f)[rows].sum()) for f in query.fields}
+        answer = sums
+        if query.func == "AVG" and len(rows):
+            answer = {f: total / len(rows) for f, total in sums.items()}
+    elif query.projected is None:
+        answer = (len(rows), int(table.values[rows].sum()))
+    else:
+        answer = (len(rows),
+                  int(table.values[np.ix_(rows, query.projected)].sum()))
+    return mask, answer, len(rows)

@@ -7,7 +7,10 @@ stride-capable designs, or plain loads/stores otherwise.  It makes *no*
 decisions: every access mode, footprint and batch size is read off the
 physical plan the :class:`~repro.imdb.planner.Planner` chose, which is
 what lets the :class:`repro.check.PlanValidator` diff the emitted
-requests against the plan's declared footprints.
+requests against the plan's declared footprints.  Its inputs are the
+plan and the ground-truth selection mask alone: table names, field
+counts and a ``SELECT *``'s whole-record reads come from the plan's
+nodes, never from the query.
 """
 
 from __future__ import annotations
@@ -20,14 +23,6 @@ from ..core.scheme import AccessScheme, Placement
 from ..cpu.ops import Compute, GatherLoad, GatherStore, Load, MemOp, Store
 from ..sim.config import SystemConfig
 from .plan import CostModel, PhysicalNode, PhysicalPlan
-from .query import (
-    AggregateQuery,
-    InsertQuery,
-    JoinQuery,
-    Query,
-    SelectQuery,
-    UpdateQuery,
-)
 from .schema import Table
 
 
@@ -170,19 +165,21 @@ class Lowering:
                     continue
                 ops.append(Load(placement.addr_of(r, offset), size))
 
-    def _record_read(
+    def _record_access(
         self,
         ops: List[MemOp],
         placement: Placement,
         table: Table,
         record: int,
+        access: type = Load,
         skip_line: Optional[int] = None,
     ) -> None:
-        """Row-mode read of one whole record.
+        """Row-mode read (or, with ``access=Store``, write) of one whole
+        record.
 
-        Contiguous placements read line by line; a column-major placement
-        must touch every field region separately -- the reason the pure
-        column store collapses on row-preferring queries.
+        Contiguous placements access it line by line; a column-major
+        placement must touch every field region separately -- the reason
+        the pure column store collapses on row-preferring queries.
         """
         rb = table.schema.record_bytes
         if placement.contiguous_records:
@@ -191,104 +188,98 @@ class Lowering:
                         and offset // self.line_bytes == skip_line):
                     continue
                 size = min(self.line_bytes, rb - offset)
-                ops.append(Load(placement.addr_of(record, offset), size))
+                ops.append(access(placement.addr_of(record, offset), size))
             return
         fb = table.schema.field_bytes
         for f in range(table.schema.n_fields):
             off = table.schema.field_offset(f)
             if skip_line is not None and off // self.line_bytes == skip_line:
                 continue
-            ops.append(Load(placement.addr_of(record, off), fb))
+            ops.append(access(placement.addr_of(record, off), fb))
 
     # ------------------------------------------------------------ dispatch
 
     def lower(
         self,
-        query: Query,
         plan: PhysicalPlan,
         selected: Optional[np.ndarray] = None,
-        probe_match: Optional[np.ndarray] = None,
     ) -> List[List[MemOp]]:
-        """Per-core op streams realizing ``plan`` for ``query``."""
-        if isinstance(query, SelectQuery):
-            if plan.mode == "row":
-                return self._lower_select_row(query, plan, selected)
-            return self._lower_select_column(query, plan, selected)
-        if isinstance(query, AggregateQuery):
-            return self._lower_aggregate(query, plan, selected)
-        if isinstance(query, UpdateQuery):
-            return self._lower_update(query, plan, selected)
-        if isinstance(query, InsertQuery):
-            return self._lower_insert(query, plan)
-        if isinstance(query, JoinQuery):
-            return self._lower_join(query, plan, probe_match)
-        raise TypeError(f"unknown query {query!r}")
+        """Per-core op streams realizing ``plan``.
 
-    # --------------------------------------------------------------- SELECT
+        ``selected`` is the ground-truth mask: the selected records of a
+        scan, a join's probe-side matches, ``None`` for an insert.
+        """
+        if plan.root.op == "join":
+            return self._lower_join(plan, selected)
+        if plan.root.op == "insert":
+            return self._lower_insert(plan)
+        if plan.mode == "row":
+            return self._lower_rows(plan, selected)
+        return self._lower_scan(plan, selected)
 
-    def _lower_select_column(self, query: SelectQuery, plan: PhysicalPlan,
-                             selected: np.ndarray) -> List[List[MemOp]]:
-        table = self.tables[query.table]
-        placement = self.placements[query.table]
+    # -------------------------------------------------------- column scans
+
+    def _lower_scan(self, plan: PhysicalPlan,
+                    selected: np.ndarray) -> List[List[MemOp]]:
+        """A column-mode SELECT, aggregate or UPDATE: per batch, the
+        filter's access and predicate compute, then the root operator's
+        access and compute over the selected records."""
+        out = plan.root
+        table = self.tables[out.table]
+        placement = self.placements[out.table]
         filter_node = plan.node("filter")
-        out_node = plan.node("project") or plan.node("materialize")
-        n = out_node.records
+        per_value = (self.cost.aggregate_value if out.op == "aggregate"
+                     else self.cost.project_field)
+        lines = max(1, table.schema.record_bytes // self.line_bytes)
         ops_per_core = []
-        for segments in self.partition(n, plan.batch_records, placement):
+        for segments in self.partition(out.records, plan.batch_records,
+                                       placement):
+            if out.op == "aggregate":
+                # Aggregates process each field independently over the
+                # whole chunk (field-at-a-time): this is what relieves
+                # RC-NVM's column-to-column switching in Figure 15(g)/(h).
+                segments = self.coalesce(segments)
             ops: List[MemOp] = []
             for bs, be in segments:
-                size = be - bs
                 if filter_node is not None:
                     self._field_access(
                         ops, placement, table, bs, be, filter_node, None
                     )
-                    ops.append(
-                        Compute(
-                            self._cycles(self.cost.predicate_eval * size)
-                        )
-                    )
+                    ops.append(Compute(
+                        self._cycles(self.cost.predicate_eval * (be - bs))
+                    ))
                 nsel = int(selected[bs:be].sum())
                 if nsel == 0:
                     continue
-                if query.projected is None:
-                    # SELECT *: fall back to row reads of selected records
+                if out.op == "materialize":
+                    # SELECT *: row reads of the selected records
                     for r in range(bs, be):
                         if selected[r]:
-                            self._record_read(ops, placement, table, r)
-                    lines = table.schema.record_bytes // self.line_bytes
-                    ops.append(
-                        Compute(
-                            self._cycles(
-                                self.cost.materialize_line
-                                * max(1, lines) * nsel
-                            )
-                        )
-                    )
+                            self._record_access(ops, placement, table, r)
+                    cycles = self.cost.materialize_line * lines * nsel
                 else:
+                    # strided updates sload the target sectors, patch and
+                    # sstore them back; plain ones store selected fields
                     self._field_access(
-                        ops, placement, table, bs, be, out_node, selected
+                        ops, placement, table, bs, be, out, selected
                     )
-                    ops.append(
-                        Compute(
-                            self._cycles(
-                                self.cost.project_field
-                                * nsel * len(query.projected)
-                            )
-                        )
-                    )
+                    cycles = per_value * nsel * len(out.fields)
+                ops.append(Compute(self._cycles(cycles)))
             ops_per_core.append(ops)
         return ops_per_core
 
-    def _lower_select_row(self, query: SelectQuery, plan: PhysicalPlan,
-                          selected: np.ndarray) -> List[List[MemOp]]:
-        table = self.tables[query.table]
-        placement = self.placements[query.table]
+    # ------------------------------------------------------------ row mode
+
+    def _lower_rows(self, plan: PhysicalPlan,
+                    selected: np.ndarray) -> List[List[MemOp]]:
+        out = plan.root
+        table = self.tables[out.table]
+        placement = self.placements[out.table]
         filter_node = plan.node("filter")
-        mat_node = plan.node("materialize")
-        n = mat_node.records
         lines = max(1, table.schema.record_bytes // self.line_bytes)
         ops_per_core = []
-        for segments in self.partition(n, plan.batch_records, placement):
+        for segments in self.partition(out.records, plan.batch_records,
+                                       placement):
             ops: List[MemOp] = []
             for r in (r for bs, be in segments for r in range(bs, be)):
                 if filter_node is not None:
@@ -299,126 +290,27 @@ class Lowering:
                     )
                     if not selected[r]:
                         continue
-                    self._record_read(
-                        ops, placement, table, r,
-                        skip_line=mat_node.skip_line,
-                    )
-                else:
-                    self._record_read(ops, placement, table, r)
+                self._record_access(ops, placement, table, r,
+                                    skip_line=out.skip_line)
                 ops.append(
-                    Compute(
-                        self._cycles(self.cost.materialize_line * lines)
-                    )
-                )
-            ops_per_core.append(ops)
-        return ops_per_core
-
-    # ------------------------------------------------------------ AGGREGATE
-
-    def _lower_aggregate(self, query: AggregateQuery, plan: PhysicalPlan,
-                         selected: np.ndarray) -> List[List[MemOp]]:
-        table = self.tables[query.table]
-        placement = self.placements[query.table]
-        filter_node = plan.node("filter")
-        agg_node = plan.node("aggregate")
-        ops_per_core = []
-        for segments in self.partition(table.n_records, plan.batch_records, placement):
-            ops: List[MemOp] = []
-            # Aggregates process each field independently over the whole
-            # chunk (field-at-a-time): this is what relieves RC-NVM's
-            # column-to-column switching in Figure 15(g)/(h).
-            for bs, be in self.coalesce(segments):
-                size = be - bs
-                if filter_node is not None:
-                    self._field_access(
-                        ops, placement, table, bs, be, filter_node, None
-                    )
-                    ops.append(
-                        Compute(self._cycles(self.cost.predicate_eval * size))
-                    )
-                nsel = int(selected[bs:be].sum())
-                if nsel == 0:
-                    continue
-                self._field_access(
-                    ops, placement, table, bs, be, agg_node, selected
-                )
-                ops.append(
-                    Compute(
-                        self._cycles(
-                            self.cost.aggregate_value
-                            * nsel * len(query.fields)
-                        )
-                    )
-                )
-            ops_per_core.append(ops)
-        return ops_per_core
-
-    # --------------------------------------------------------------- UPDATE
-
-    def _lower_update(self, query: UpdateQuery, plan: PhysicalPlan,
-                      selected: np.ndarray) -> List[List[MemOp]]:
-        table = self.tables[query.table]
-        placement = self.placements[query.table]
-        filter_node = plan.node("filter")
-        write_node = plan.node("update")
-        write_fields = [f for f, _v in query.assignments]
-        ops_per_core = []
-        for segments in self.partition(table.n_records, plan.batch_records, placement):
-            ops: List[MemOp] = []
-            for bs, be in segments:
-                size = be - bs
-                self._field_access(
-                    ops, placement, table, bs, be, filter_node, None
-                )
-                ops.append(
-                    Compute(self._cycles(self.cost.predicate_eval * size))
-                )
-                nsel = int(selected[bs:be].sum())
-                if nsel == 0:
-                    continue
-                # strided: sload the target sectors, patch, sstore them
-                # back; otherwise per-field stores of selected records
-                self._field_access(
-                    ops, placement, table, bs, be, write_node, selected
-                )
-                ops.append(
-                    Compute(
-                        self._cycles(
-                            self.cost.project_field * nsel
-                            * len(write_fields)
-                        )
-                    )
+                    Compute(self._cycles(self.cost.materialize_line * lines))
                 )
             ops_per_core.append(ops)
         return ops_per_core
 
     # --------------------------------------------------------------- INSERT
 
-    def _lower_insert(self, query: InsertQuery,
-                      plan: PhysicalPlan) -> List[List[MemOp]]:
-        table = self.tables[query.table]
-        insert_node = plan.node("insert")
-        placement = self.placements[insert_node.table]
-        n = insert_node.records
-        rb = table.schema.record_bytes
-        lines = max(1, rb // self.line_bytes)
+    def _lower_insert(self, plan: PhysicalPlan) -> List[List[MemOp]]:
+        out = plan.root
+        table = self.tables[dict(out.detail)["base_table"]]
+        placement = self.placements[out.table]
+        lines = max(1, table.schema.record_bytes // self.line_bytes)
         ops_per_core = []
-        for segments in self.partition(n, plan.batch_records, placement):
+        for segments in self.partition(out.records, plan.batch_records,
+                                       placement):
             ops: List[MemOp] = []
             for r in (r for bs, be in segments for r in range(bs, be)):
-                if placement.contiguous_records:
-                    for offset in range(0, rb, self.line_bytes):
-                        size = min(self.line_bytes, rb - offset)
-                        ops.append(
-                            Store(placement.addr_of(r, offset), size)
-                        )
-                else:
-                    fb = table.schema.field_bytes
-                    for f in range(table.schema.n_fields):
-                        off = table.schema.field_offset(f)
-                        ops.append(
-                            Store(placement.addr_of(r, off), fb)
-                        )
+                self._record_access(ops, placement, table, r, Store)
                 ops.append(
                     Compute(self._cycles(self.cost.insert_line * lines))
                 )
@@ -427,15 +319,15 @@ class Lowering:
 
     # ----------------------------------------------------------------- JOIN
 
-    def _lower_join(self, query: JoinQuery, plan: PhysicalPlan,
+    def _lower_join(self, plan: PhysicalPlan,
                     probe_match: np.ndarray) -> List[List[MemOp]]:
-        build = self.tables[query.build_table]
-        probe = self.tables[query.probe_table]
-        build_pl = self.placements[query.build_table]
-        probe_pl = self.placements[query.probe_table]
         build_node = plan.node("hash-build")
         probe_node = plan.node("hash-probe")
         project_node = plan.node("project")
+        build = self.tables[build_node.table]
+        probe = self.tables[probe_node.table]
+        build_pl = self.placements[build_node.table]
+        probe_pl = self.placements[probe_node.table]
 
         ops_per_core = []
         build_parts = self.partition(build.n_records, plan.batch_records, build_pl)

@@ -1,19 +1,17 @@
 """Cost-based planner: query + scheme -> costed :class:`PhysicalPlan`.
 
-This module owns every access-mode decision the executor used to make
-inline: the effective gather factor under DRAM-row constraints, the
-sector/line footprint geometry, the batch size, and the row-vs-strided
-cost comparison behind the paper's Figure 15 crossover.  The planner
-enumerates the candidate access modes per operator, estimates burst
-costs, and emits a frozen :class:`PhysicalPlan` that
-:mod:`repro.imdb.lowering` turns into memory ops without re-deriving
+This module owns every access-mode decision: the effective gather factor
+under DRAM-row constraints, the sector/line footprint geometry, the batch
+size, and the row-vs-strided cost comparison behind the paper's Figure 15
+crossover.  The planner enumerates the candidate access modes per
+operator, estimates burst costs, and emits a frozen :class:`PhysicalPlan`
+that :mod:`repro.imdb.lowering` turns into memory ops without re-deriving
 anything.
 
-The stride decision (`stride_worthwhile`) keeps the exact arithmetic of
-the original executor heuristic -- the decomposed per-operator estimates
+The stride decision (`stride_worthwhile`) compares the per-record costs
+of `candidate_costs`; the decomposed per-operator estimates
 (`est_bursts`) are for EXPLAIN output and run manifests, never for the
-mode decision itself, so plans (and therefore simulated cycles) are
-bit-identical to the pre-IR executor.
+mode decision itself.
 """
 
 from __future__ import annotations
@@ -130,9 +128,8 @@ class Planner:
     ) -> Tuple[float, float]:
         """(column cost, row cost) in estimated bursts per record.
 
-        The exact arithmetic of the original mode heuristic -- the
-        comparison is last-ulp sensitive, so the expressions are kept
-        verbatim rather than rebuilt from the per-operator estimates.
+        The comparison is last-ulp sensitive, so these expressions are
+        not rebuilt from the per-operator estimates.
         """
         g_eff = self.effective_gather(table)
         g = self.scheme.gather_factor
@@ -286,13 +283,12 @@ class Planner:
         self,
         query: Query,
         selected: Optional[np.ndarray] = None,
-        probe_match: Optional[np.ndarray] = None,
     ) -> PhysicalPlan:
         """The chosen physical plan for ``query`` under this scheme.
 
-        ``selected``/``probe_match`` are the ground-truth masks when the
-        caller (the executor) already computed them; left ``None``, the
-        planner derives them itself (the EXPLAIN path).
+        ``selected`` is the ground-truth mask (a join's probe-side
+        matches) when the caller already computed it; left ``None``, the
+        planner derives it itself (the EXPLAIN path).
         """
         if isinstance(query, SelectQuery):
             root, mode = self._plan_select(query, selected)
@@ -303,7 +299,7 @@ class Planner:
         elif isinstance(query, InsertQuery):
             root, mode = self._plan_insert(query)
         elif isinstance(query, JoinQuery):
-            root, mode = self._plan_join(query, probe_match)
+            root, mode = self._plan_join(query, selected)
         else:
             raise TypeError(f"unknown query {query!r}")
         return PhysicalPlan(
@@ -324,8 +320,6 @@ class Planner:
         n = table.n_records
         if query.limit is not None:
             n = min(n, query.limit)
-            selected = selected.copy()
-            selected[n:] = False
         pred_fields = list(query.predicate.fields) if query.predicate else []
         detail = ((("limit", query.limit),) if query.limit is not None
                   else ())

@@ -9,7 +9,8 @@ equality matches (~1%) for the updates.  Q9/Q10's two-conjunct filters use
 
 from __future__ import annotations
 
-from typing import Dict, List
+import random
+from typing import Dict, List, Tuple
 
 from .query import (
     AggregateQuery,
@@ -89,6 +90,17 @@ def by_name() -> Dict[str, Query]:
     return {q.name: q for q in all_queries()}
 
 
+def _sampled_fields(count: int, n_table_fields: int,
+                    seed: int) -> Tuple[int, ...]:
+    """``count`` distinct fields out of 1 .. ``n_table_fields - 1`` in a
+    fixed pseudo-random pattern (the paper projects fields "in a random
+    manner"; field 0 carries the predicate)."""
+    candidates = list(range(1, n_table_fields))
+    rng = random.Random(seed)
+    return tuple(sorted(rng.sample(candidates,
+                                   min(count, len(candidates)))))
+
+
 def arithmetic_query(
     projected_fields: int,
     selectivity: float,
@@ -96,19 +108,11 @@ def arithmetic_query(
     seed: int = 7,
 ) -> SelectQuery:
     """Figure 15's arithmetic query: SELECT fi + fj + ... FROM Ta WHERE
-    f0 < x, with ``projected_fields`` chosen in a fixed pseudo-random
-    pattern (the paper projects fields "in a random manner")."""
-    import random
-
-    rng = random.Random(seed)
-    candidates = [f for f in range(1, n_table_fields)]
-    fields = tuple(sorted(rng.sample(candidates,
-                                     min(projected_fields,
-                                         len(candidates)))))
+    f0 < x."""
     return SelectQuery(
         f"Arith[p={projected_fields},s={selectivity:.2f}]",
         "Ta",
-        fields,
+        _sampled_fields(projected_fields, n_table_fields, seed),
         Predicate.where(0, "<", selectivity),
     )
 
@@ -120,17 +124,10 @@ def aggregate_query(
     seed: int = 7,
 ) -> AggregateQuery:
     """Figure 15's aggregate query: SELECT AVG(fi), ..., AVG(fj)."""
-    import random
-
-    rng = random.Random(seed)
-    candidates = [f for f in range(1, n_table_fields)]
-    fields = tuple(sorted(rng.sample(candidates,
-                                     min(projected_fields,
-                                         len(candidates)))))
     return AggregateQuery(
         f"Aggr[p={projected_fields},s={selectivity:.2f}]",
         "Ta",
         "AVG",
-        fields,
+        _sampled_fields(projected_fields, n_table_fields, seed),
         Predicate.where(0, "<", selectivity),
     )

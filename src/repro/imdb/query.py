@@ -17,8 +17,9 @@ from typing import Optional, Tuple, Union
 class Conjunct:
     """One comparison in a WHERE clause.
 
-    ``selectivity`` is the fraction of records the comparison keeps; the
-    executor resolves it to a concrete threshold against the table data.
+    ``selectivity`` is the fraction of records the comparison keeps;
+    :func:`~repro.imdb.plan.selected_mask` resolves it to a concrete
+    threshold against the table data.
     ``op`` is one of ``>``, ``<``, ``==``.
     """
 

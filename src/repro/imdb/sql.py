@@ -13,7 +13,8 @@ Covers exactly the statement shapes the paper evaluates:
 
 Comparison literals are against the synthetic value domain
 ``[0, PREDICATE_RANGE)`` and are translated into the selectivities the
-executor works with (``f10 > 7500`` keeps 25% of records).
+planner and the ground truth work with (``f10 > 7500`` keeps 25% of
+records; ``>=`` and ``<=`` become ``>`` and ``<`` one unit over).
 """
 
 from __future__ import annotations
@@ -169,10 +170,16 @@ class _Parser:
             raise SQLError(f"expected a comparison operator, got {op!r}",
                            pos=at)
         value = self.number("a literal value")
-        if op in (">", ">="):
+        # integer fields: f >= v is f > v-1 and f <= v is f < v+1; f >= 0
+        # keeps every row, which a ">" selectivity cannot say
+        if op == ">=":
+            op, value = (">", value - 1) if value else ("<", PREDICATE_RANGE)
+        elif op == "<=":
+            op, value = "<", value + 1
+        if op == ">":
             selectivity = max(0.0, (PREDICATE_RANGE - value) / PREDICATE_RANGE)
             return Conjunct(field, ">", min(1.0, selectivity))
-        if op in ("<", "<="):
+        if op == "<":
             return Conjunct(field, "<", min(1.0, value / PREDICATE_RANGE))
         return Conjunct(field, "==", max(1, value) / PREDICATE_RANGE
                         if value < PREDICATE_RANGE else 1.0)

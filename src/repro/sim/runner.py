@@ -2,7 +2,7 @@
 
 This is the reproduction's equivalent of the paper's gem5+NVMain stack:
 it allocates the workload's tables through the scheme's placement,
-lowers the workload into per-core op streams (the relational executor
+lowers the workload into per-core op streams (the planner and lowering
 for queries, the generator registry for micro-kernels), runs the cores
 against the cycle-level memory system, flushes dirty state, and reports
 time, command counts and energy.
@@ -53,7 +53,7 @@ from ..power.model import PowerModel
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..imdb.executor import CostModel
+    from ..imdb.plan import CostModel
     from ..imdb.query import Query
     from ..imdb.schema import Table
     from ..workloads import Workload

@@ -167,7 +167,7 @@ class MemorySystem:
         if plan is None:
             raise RuntimeError(
                 f"scheme {self.scheme.name} cannot lower strided loads; "
-                "the executor should emit Load ops instead"
+                "the lowering should emit Load ops instead"
             )
         if not self._can_accept_all(plan.requests):
             return False
@@ -209,7 +209,7 @@ class MemorySystem:
         if plan is None:
             raise RuntimeError(
                 f"scheme {self.scheme.name} cannot lower strided stores; "
-                "the executor should emit Store ops instead"
+                "the lowering should emit Store ops instead"
             )
         if not self._can_accept_all(plan.requests):
             return False

@@ -1,11 +1,10 @@
 """The relational workload family: one ``repro.imdb`` query as a Workload.
 
-``QueryWorkload`` is a behavior-identical wrapper around the existing
-planner/lowering path -- :meth:`build` returns the
-:class:`WorkloadBuild` of :class:`~repro.imdb.executor.QueryExecutor`
-as is, so a query run through the workload layer produces exactly the
-op streams, plan and ground-truth result the pre-IR ``run_query``
-produced.
+:meth:`QueryWorkload.build` computes the query's ground truth
+(:func:`~repro.imdb.executor.ground_truth`), has the
+:class:`~repro.imdb.planner.Planner` choose the physical plan for that
+mask, and has the :class:`~repro.imdb.lowering.Lowering` turn the plan
+into per-core op streams.
 """
 
 from __future__ import annotations
@@ -72,7 +71,13 @@ class QueryWorkload(Workload):
         placements: "Dict[str, Placement]",
         cost: Optional[object] = None,
     ) -> WorkloadBuild:
-        from ..imdb.executor import QueryExecutor
+        from ..imdb.executor import ground_truth
+        from ..imdb.lowering import Lowering
+        from ..imdb.planner import Planner
 
-        executor = QueryExecutor(scheme, config, tables, placements, cost)
-        return executor.build(self.query)
+        mask, answer, selected = ground_truth(self.query, tables)
+        plan = Planner(scheme, tables, placements, cost).plan(self.query, mask)
+        ops = Lowering(scheme, config, tables, placements, cost).lower(
+            plan, mask
+        )
+        return WorkloadBuild(ops, answer, selected, plan)

@@ -47,7 +47,7 @@ class TestCommands:
         assert "SAM-sub" in capsys.readouterr().out
 
     def test_reliability(self, capsys):
-        assert main(["reliability", "--trials", "20"]) == 0
+        assert main(["reliability", "--trials", "20", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "GS-DRAM" in out and "False" in out
 
@@ -68,7 +68,7 @@ class TestCommands:
         code = main(
             [
                 "figure12", "--ta", "64", "--tb", "64",
-                "--designs", "SAM-en", "--queries", "Q3",
+                "--designs", "SAM-en", "--queries", "Q3", "--no-cache",
             ]
         )
         assert code == 0
@@ -130,6 +130,7 @@ class TestJsonOutput:
             [
                 "figure12", "--ta", "64", "--tb", "64",
                 "--designs", "SAM-en", "--queries", "Q3", "--json",
+                "--no-cache",
             ]
         )
         assert code == 0

@@ -1,4 +1,4 @@
-"""Tests for the IMDB layer: schemas, queries, and the executor."""
+"""Tests for the IMDB layer: schemas, queries, and query builds."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from repro.core import make_scheme
 from repro.cpu.ops import Compute, GatherLoad, GatherStore, Load, Store
 from repro.imdb import (
     CostModel,
-    QueryExecutor,
+    Lowering,
+    Planner,
     TA,
     TB,
     Table,
@@ -23,6 +24,7 @@ from repro.imdb import (
 from repro.imdb.query import Conjunct, Predicate, SelectQuery
 from repro.sim.config import SystemConfig
 from repro.sim.runner import allocate_placements
+from repro.workloads import QueryWorkload
 
 
 class TestSchema:
@@ -102,8 +104,8 @@ def build(scheme_name, query, n_ta=64, n_tb=64):
     config = SystemConfig()
     tables = {"Ta": Table(TA, n_ta, seed=1), "Tb": Table(TB, n_tb, seed=2)}
     placements = allocate_placements(scheme, tables)
-    executor = QueryExecutor(scheme, config, tables, placements)
-    return executor.build(query), tables
+    return QueryWorkload(query).build(scheme, config, tables,
+                                      placements), tables
 
 
 class TestExecutor:
@@ -191,9 +193,10 @@ class TestExecutor:
         config = SystemConfig()
         tables = {"Ta": Table(TA, 100, seed=1), "Tb": Table(TB, 64, seed=2)}
         placements = allocate_placements(scheme, tables)
-        ex = QueryExecutor(scheme, config, tables, placements)
-        parts = ex.lowering.partition(
-            100, ex.planner.batch_records(), placements["Ta"]
+        lowering = Lowering(scheme, config, tables, placements)
+        planner = Planner(scheme, tables, placements)
+        parts = lowering.partition(
+            100, planner.batch_records(), placements["Ta"]
         )
         covered = sorted(
             r for segs in parts for bs, be in segs for r in range(bs, be)
@@ -206,20 +209,18 @@ class TestExecutor:
         tables = {"Ta": Table(TA, 1024, seed=1),
                   "Tb": Table(TB, 64, seed=2)}
         placements = allocate_placements(scheme, tables)
-        ex = QueryExecutor(scheme, config, tables, placements)
-        parts = ex.lowering.partition(
-            1024, ex.planner.batch_records(), placements["Ta"]
+        lowering = Lowering(scheme, config, tables, placements)
+        planner = Planner(scheme, tables, placements)
+        parts = lowering.partition(
+            1024, planner.batch_records(), placements["Ta"]
         )
         # chunk boundaries respect the vertical group (64 records)
         starts = [segs[0][0] for segs in parts if segs]
         assert all(s % 64 == 0 for s in starts)
 
     def test_selected_mask_matches_selectivity(self):
-        scheme = make_scheme("baseline")
         tables = {"Ta": Table(TA, 4096, seed=1),
                   "Tb": Table(TB, 64, seed=2)}
-        placements = allocate_placements(scheme, tables)
-        ex = QueryExecutor(scheme, SystemConfig(), tables, placements)
         mask = selected_mask(tables["Ta"], Predicate.where(10, ">", 0.25))
         assert abs(mask.mean() - 0.25) < 0.03
 

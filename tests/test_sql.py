@@ -225,10 +225,10 @@ class TestEndToEnd:
 
 class TestLiteralSemantics:
     def test_comparison_literals_select_what_sql_says(self):
-        """Every ``>``/``<`` literal over the field range selects exactly
-        the rows numpy's comparison does (a literal that travels as a
-        selectivity must not lose a unit: ``f10 > 71`` once also kept
-        the rows holding 71)."""
+        """Every ``>``/``<``/``>=``/``<=`` literal over the field range
+        selects exactly the rows numpy's comparison does (a literal that
+        travels as a selectivity must not lose a unit: ``f10 > 71`` once
+        also kept the rows holding 71, and ``f10 >= 71`` dropped them)."""
         import numpy as np
 
         from repro.imdb.plan import selected_mask
@@ -243,7 +243,9 @@ class TestLiteralSemantics:
             (op, literal)
             for literal in range(PREDICATE_RANGE + 1)
             for op, expected in ((">", column > literal),
-                                 ("<", column < literal))
+                                 ("<", column < literal),
+                                 (">=", column >= literal),
+                                 ("<=", column <= literal))
             if not np.array_equal(selected_mask(table, parse(
                 f"SELECT f1 FROM Tb WHERE f10 {op} {literal}").predicate),
                 expected)

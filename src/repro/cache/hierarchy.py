@@ -10,7 +10,8 @@ sizes are the design's (a 64-byte line in codeword-sized sectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from operator import itemgetter
+from typing import List, Sequence, Tuple
 
 from .sector import Eviction, SectorCache
 
@@ -55,34 +56,42 @@ class CacheHierarchy:
             return 0
         hit, missing2 = self.l2.lookup(line_addr, missing)
         if hit:
-            l1.fill(line_addr, missing)
+            l1.fill_clean(line_addr, missing)
             return 0
         hit, missing3 = self.llc.lookup(line_addr, missing2)
         if hit:
-            self.l2.fill(line_addr, missing)
-            l1.fill(line_addr, missing)
+            self.l2.fill_clean(line_addr, missing)
+            l1.fill_clean(line_addr, missing)
             return 0
         return missing3
 
     def fill_from_memory(self, core: int, line_addr: int,
                          sector_mask: int) -> List[Eviction]:
-        """Install fetched sectors in all levels; returns dirty victims."""
-        return self.fill_lines_from_memory(core, ((line_addr, sector_mask),))
+        """Install fetched sectors in all levels, LLC -> L2 -> L1; returns
+        the dirty victims in eviction order."""
+        llc = self.llc.fill_clean(line_addr, sector_mask)
+        l2 = self.l2.fill_clean(line_addr, sector_mask)
+        l1 = self.l1[core % len(self.l1)].fill_clean(line_addr, sector_mask)
+        if llc is None and l2 is None and l1 is None:
+            return []
+        return [victim for victim in (llc, l2, l1) if victim is not None]
 
     def fill_lines_from_memory(
-        self, core: int, fills: Iterable[Tuple[int, int]]
+        self, core: int, fills: Sequence[Tuple[int, int]]
     ) -> List[Eviction]:
-        """Install ``(line_addr, sector_mask)`` fills in order, each one
-        LLC -> L2 -> L1; returns the dirty victims in eviction order."""
-        levels = (self.llc.fill, self.l2.fill,
-                  self.l1[core % len(self.l1)].fill)
-        evictions = []
-        for line_addr, sector_mask in fills:
-            for fill in levels:
-                victim = fill(line_addr, sector_mask)
-                if victim is not None and victim.dirty_mask:
-                    evictions.append(victim)
-        return evictions
+        """Install ``(line_addr, sector_mask)`` fills as if in order, each
+        one LLC -> L2 -> L1; returns the dirty victims in that eviction
+        order.  A level's fills touch only that level, so each level
+        takes the whole batch at once and its victims are merged back by
+        fill, then level."""
+        victims = (self.llc.fill_lines(fills) + self.l2.fill_lines(fills)
+                   + self.l1[core % len(self.l1)].fill_lines(fills))
+        if not victims:
+            return []
+        # a stable sort of the level-major list keeps LLC, L2, L1 order
+        # among one fill's victims
+        victims.sort(key=itemgetter(0))
+        return [victim for _, victim in victims]
 
     # -------------------------------------------------------------- writes
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, Dict, List, Optional, Tuple
+from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
 
 
 def full_mask(sectors: int) -> int:
@@ -157,6 +157,58 @@ class SectorCache:
             sector_mask |= sector_mask << self.sectors
         cache_set[line_addr] = state | sector_mask
         return evicted
+
+    def fill_clean(self, line_addr: int,
+                   sector_mask: int) -> Optional[Eviction]:
+        """:meth:`fill` of clean sectors that returns the victim only when
+        it is dirty, so a clean eviction allocates nothing."""
+        cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
+        state = cache_set.pop(line_addr, None)
+        if state is None:
+            state = 0
+            if len(cache_set) >= self.ways:
+                victim_addr = next(iter(cache_set))
+                dirty_mask = cache_set.pop(victim_addr) >> self.sectors
+                stats = self.stats
+                stats.evictions += 1
+                if dirty_mask:
+                    stats.writebacks += 1
+                    cache_set[line_addr] = sector_mask
+                    return Eviction(victim_addr, dirty_mask)
+        cache_set[line_addr] = state | sector_mask
+        return None
+
+    def fill_lines(
+        self, fills: Iterable[Tuple[int, int]]
+    ) -> List[Tuple[int, Eviction]]:
+        """:meth:`fill_clean` of each ``(line_addr, sector_mask)`` in
+        order; returns the dirty victims as ``(index of the fill that
+        evicted it, victim)``."""
+        sets = self._sets
+        line_bytes = self.line_bytes
+        num_sets = self.num_sets
+        ways = self.ways
+        sectors = self.sectors
+        evictions = 0
+        dirty = []
+        for index, (line_addr, sector_mask) in enumerate(fills):
+            cache_set = sets[(line_addr // line_bytes) % num_sets]
+            state = cache_set.pop(line_addr, None)
+            if state is None:
+                if len(cache_set) >= ways:
+                    victim_addr = next(iter(cache_set))
+                    dirty_mask = cache_set.pop(victim_addr) >> sectors
+                    evictions += 1
+                    if dirty_mask:
+                        dirty.append(
+                            (index, Eviction(victim_addr, dirty_mask)))
+                cache_set[line_addr] = sector_mask
+            else:
+                cache_set[line_addr] = state | sector_mask
+        stats = self.stats
+        stats.evictions += evictions
+        stats.writebacks += len(dirty)
+        return dirty
 
     def write_resident(self, line_addr: int, sector_mask: int) -> bool:
         """Write sectors into a resident line: they become valid and

@@ -108,6 +108,13 @@ class AccessScheme(abc.ABC):
         )
         self.sectors_per_line = line // self.sector_bytes
         self._line_offset_mask = line - 1
+        # an address's (row, rank, bank) bits, the fields above the
+        # channel: ``(addr >> shift) & mask`` names its DRAM row, wrapped
+        # as the decode wraps it, since ``rows_per_bank`` is a power of two
+        m = self.mapper
+        self._row_key_shift = m.offset_bits + m.column_bits + m.channel_bits
+        self._row_key_mask = (1 << (m.bank_bits + m.rank_bits
+                                    + m.row_bits)) - 1
 
     # ------------------------------------------------------------ metadata
 
@@ -219,15 +226,19 @@ class AccessScheme(abc.ABC):
         """The elements grouped by DRAM row, for gathers that cannot cross
         one (SAM-IO/en, GS-DRAM): ``(first, addrs)`` per (rank, bank, row)
         in order of each row's first element, with ``first`` that
-        element's decode.  Each element is decoded once."""
+        element's decode.  Only each row's first element is decoded; a
+        negative element raises the decoder's ``ValueError``."""
         decode = self.mapper.decode
-        groups: Dict[tuple, Tuple[DecodedAddress, List[int]]] = {}
+        shift = self._row_key_shift
+        mask = self._row_key_mask
+        groups: Dict[int, Tuple[DecodedAddress, List[int]]] = {}
         for addr in element_addrs:
-            decoded = decode(addr)
-            key = decoded[1:4]  # (rank, bank, row)
+            if addr < 0:
+                decode(addr)  # raises ValueError
+            key = (addr >> shift) & mask
             group = groups.get(key)
             if group is None:
-                groups[key] = (decoded, [addr])
+                groups[key] = (decode(addr), [addr])
             else:
                 group[1].append(addr)
         return groups.values()

@@ -86,6 +86,7 @@ class Kernel:
         ``max_events`` guards against runaway simulations.
         """
         queue = self._queue
+        pop = heapq.heappop
         executed = 0
         while queue:
             if until is not None and queue[0][0] > until:
@@ -94,6 +95,10 @@ class Kernel:
                 raise SimulationError(
                     f"exceeded {max_events} events at t={self.now}"
                 )
-            self.step()
+            # :meth:`step`, inline
+            when, _seq, callback = pop(queue)
+            self.now = when
+            self.events += 1
+            callback()
             executed += 1
         return executed

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
-from ..core.scheme import AccessScheme, GatherPlan
+from ..core.scheme import AccessScheme
 from ..dram.controller import MemoryController
 from ..kernel import Kernel
 from .config import SystemConfig
@@ -86,10 +87,17 @@ class MemorySystem:
         return line, cache.sector_mask_for(addr, size)
 
     def gather_cached(self, core: int, element_addrs: Sequence[int]) -> bool:
-        """True when every element of a gather group is already cached."""
+        """True when every element of a gather group is already cached.
+
+        Each element probes its own sector, the one a gather's fill
+        installs (:meth:`AccessScheme._sector_fills`), in element order:
+        a probe moves LRU state that other cores share, so the first miss
+        ends the walk."""
+        low = self.line_bytes - 1
+        sector_bytes = self.scheme.sector_bytes
+        lookup = self.hierarchy.lookup
         for addr in element_addrs:
-            line, mask = self.sectorize(addr, self.scheme.sector_bytes)
-            if self.hierarchy.lookup(core, line, mask):
+            if lookup(core, addr & ~low, 1 << ((addr & low) // sector_bytes)):
                 return False
         return True
 
@@ -133,7 +141,7 @@ class MemorySystem:
         entry.waiters.append(callback)
         self.stats.demand_fetches += 1
         self._submit_plan(
-            requests, lambda: self._finish_fetch(core, line, fill_mask),
+            requests, partial(self._finish_fetch, core, line, fill_mask),
             core=core,
         )
         return True
@@ -178,15 +186,15 @@ class MemorySystem:
             self.plan_observer("read", element_addrs, plan)
         self._submit_plan(
             plan.requests,
-            lambda: self._finish_gather(core, plan, callback),
+            partial(self._finish_gather, core, plan.fills, callback),
             core=core,
         )
         return True
 
-    def _finish_gather(self, core: int, plan: GatherPlan,
+    def _finish_gather(self, core: int, fills: Sequence[Tuple[int, int]],
                        callback: Callable[[], None]) -> None:
         self._push_writebacks(
-            self.hierarchy.fill_lines_from_memory(core, plan.fills)
+            self.hierarchy.fill_lines_from_memory(core, fills)
         )
         callback()
 
@@ -225,9 +233,9 @@ class MemorySystem:
     # ----------------------------------------------------------- writebacks
 
     def _push_writebacks(self, evictions) -> None:
+        """Queue the hierarchy's dirty victims and drain what fits."""
         for ev in evictions:
-            if ev.dirty_mask:
-                self._pending_writebacks.append(ev.line_addr)
+            self._pending_writebacks.append(ev.line_addr)
         self._drain_writebacks()
 
     def _drain_writebacks(self) -> None:
@@ -281,7 +289,10 @@ class MemorySystem:
     # ------------------------------------------------------------ plumbing
 
     def _can_accept_all(self, requests) -> bool:
-        reads = sum(1 for r in requests if r.is_read)
+        reads = 0
+        for request in requests:
+            if request.is_read:
+                reads += 1
         writes = len(requests) - reads
         cfg = self.controller.config
         return (
@@ -294,20 +305,32 @@ class MemorySystem:
     def _submit_plan(self, requests,
                      callback: Optional[Callable[[], None]],
                      core: Optional[int] = None) -> None:
-        remaining = len(requests)
+        if len(requests) == 1:
+            # the common plan: its one completion is the plan's, so it
+            # needs no counter
+            on_complete = partial(self._request_done, callback)
+        else:
+            remaining = len(requests)
 
-        def _one_done(_req, _time) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if not _req.is_read:
-                self.outstanding_writes -= 1
-            if remaining == 0 and callback is not None:
-                callback()
-            self._drain_writebacks()
+            def on_complete(request, time) -> None:
+                nonlocal remaining
+                remaining -= 1
+                self._request_done(callback if remaining == 0 else None,
+                                   request, time)
 
         for request in requests:
-            request.on_complete = _one_done
+            request.on_complete = on_complete
             request.source_core = core
             if not request.is_read:
                 self.outstanding_writes += 1
             self.controller.submit(request)
+
+    def _request_done(self, callback: Optional[Callable[[], None]],
+                      request, _time) -> None:
+        """One request of a plan completed; ``callback`` is the plan's
+        when this was its last request."""
+        if not request.is_read:
+            self.outstanding_writes -= 1
+        if callback is not None:
+            callback()
+        self._drain_writebacks()

@@ -367,3 +367,59 @@ def test_gather_fill_matches_reference(geometry, sectors, ops):
                                  getattr(ref, op)(core, line, mask)), op
         assert_same_levels(fast, ref)
     assert fast.flush_dirty() == ref.flush_dirty()
+
+
+#: (operation, fills): a batch of clean fills, one clean fill, or dirty
+#: fills that leave victims for the batches to write back
+sector_fill_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("fill_lines",) * 3 + ("fill_clean", "fill_dirty",
+                                               "lookup")),
+        st.lists(st.tuples(line_indices, st.integers(0, 255)),
+                 min_size=1, max_size=8),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@given(
+    sets=st.integers(1, 4),
+    ways=st.integers(1, 4),
+    sectors=st.sampled_from((4, 8)),
+    ops=sector_fill_ops,
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_fill_matches_reference(sets, ways, sectors, ops):
+    """``fill_lines`` does what the reference's ``fill`` does line by
+    line: it returns the dirty victims, each with the index of the fill
+    that evicted it, and leaves the same counters and occupancy;
+    ``fill_clean`` returns the victim only when it is dirty."""
+    fast = SectorCache(sets * ways * 64, ways, sectors=sectors)
+    ref = ReferenceSectorCache(sets * ways * 64, ways, sectors=sectors)
+    for op, fills in ops:
+        fills = [(idx * 64, mask & full_mask(sectors))
+                 for idx, mask in fills]
+        if op == "fill_lines":
+            expected = []
+            for index, (line, mask) in enumerate(fills):
+                victim = ref.fill(line, mask)
+                if victim is not None and victim.dirty_mask:
+                    expected.append((index, victim))
+            assert fast.fill_lines(fills) == expected
+        elif op == "fill_clean":
+            line, mask = fills[0]
+            victim = ref.fill(line, mask)
+            if victim is not None and not victim.dirty_mask:
+                victim = None
+            assert fast.fill_clean(line, mask) == victim
+        elif op == "fill_dirty":
+            for line, mask in fills:
+                assert fast.fill(line, mask, True) == ref.fill(line, mask,
+                                                               True)
+        else:
+            line, mask = fills[0]
+            assert fast.lookup(line, mask) == ref.lookup(line, mask)
+        assert fast.stats == ref.stats
+        assert fast.occupancy() == ref.occupancy()
+    assert fast.flush() == ref.flush()

@@ -1,6 +1,8 @@
 """Tests for the access schemes: placements, lowering, traits, areas."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     FIGURE12_DESIGNS,
@@ -10,6 +12,7 @@ from repro.core import (
 )
 from repro.core.compare import COLUMNS, ROWS, comparison_matrix, render_table
 from repro.core.sam import SAMEnScheme
+from repro.dram.address import DecodedAddress
 from repro.dram.commands import IOMode, RequestType, RowKind
 
 
@@ -165,12 +168,12 @@ class TestLowering:
 
     @pytest.mark.parametrize("name",
                              ["SAM-IO", "SAM-en", "GS-DRAM", "GS-DRAM-ecc"])
-    def test_row_gather_groups_by_row_decoding_each_element_once(
+    def test_row_gather_groups_by_row_decoding_each_row_once(
             self, name, monkeypatch):
         """Row-resident gathers group their elements by DRAM row in order
-        of each row's first element, decode every element exactly once,
-        and address each group's burst with its first element's decode;
-        fills follow the groups."""
+        of each row's first element, decode only that first element, and
+        address each group's burst with its decode; fills follow the
+        groups."""
         s = make_scheme(name)
         row2 = 2 * 8192 * 16 * 2  # row 2 of the same bank
         addrs = [80, row2 + 80, 144, row2 + 144]
@@ -179,7 +182,7 @@ class TestLowering:
         monkeypatch.setattr(s.mapper, "decode",
                             lambda a: decoded.append(a) or decode(a))
         plan = s.lower_gather_read(addrs)
-        assert decoded == addrs
+        assert decoded == [80, row2 + 80]
         bursts = [r for r in plan.requests if r.gather > 1]
         assert [r.addr for r in bursts] == [decode(80), decode(row2 + 80)]
         assert [r.gather for r in bursts] == [2, 2]
@@ -187,6 +190,38 @@ class TestLowering:
         assert plan.fills == [
             (a - a % 64, 1 << (a % 64 // s.sector_bytes)) for a in grouped
         ]
+
+    @given(data=st.data(),
+           name=st.sampled_from(("SAM-IO", "SAM-en", "GS-DRAM",
+                                 "GS-DRAM-ecc")))
+    @settings(max_examples=200, deadline=None)
+    def test_row_groups_match_a_decode_keyed_reference(self, data, name):
+        """The row groups come from address bits, not decodes: the same
+        groups in the same order, with the same ``first`` decode, as
+        grouping each element by its decode's (rank, bank, row).  The
+        elements span ranks, banks and rows past ``rows_per_bank``, which
+        the decode wraps; a negative element raises wherever it sits."""
+        s = make_scheme(name)
+        m, g = s.mapper, s.geometry
+        rows = (0, 1, g.rows_per_bank - 1, g.rows_per_bank,
+                2 * g.rows_per_bank + 1)
+        element = st.builds(
+            DecodedAddress,
+            st.integers(0, g.channels - 1), st.integers(0, g.ranks - 1),
+            st.sampled_from((0, 1, g.banks - 1)), st.sampled_from(rows),
+            st.integers(0, g.lines_per_row - 1),
+            st.integers(0, g.cacheline_bytes - 1),
+        ).map(m.encode)
+        addrs = data.draw(st.lists(element, min_size=1, max_size=16))
+        expected = {}
+        for addr in addrs:
+            decoded = m.decode(addr)
+            expected.setdefault(decoded[1:4], (decoded, []))[1].append(addr)
+        assert list(s._row_groups(addrs)) == list(expected.values())
+        at = data.draw(st.integers(0, len(addrs)))
+        bad = addrs[:at] + [-data.draw(st.integers(1, 1 << 40))] + addrs[at:]
+        with pytest.raises(ValueError, match="negative address"):
+            s._row_groups(bad)
 
     def test_demand_read_early_restart_follows_critical_word_first(self):
         assert SAMEnScheme().lower_read(0)[0].early_restart

@@ -210,3 +210,53 @@ def test_property_peek_and_pending_track_the_queue(delays, stops):
     assert k.run() == len(delays) - before
     assert ran == sorted(delays)
     assert k.events == len(delays)
+
+
+#: one event's script: its delay and the delays of the events it
+#: schedules when it runs, so callbacks schedule more events
+_scripts = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12),
+              st.lists(st.integers(min_value=0, max_value=12), max_size=3)),
+    min_size=1, max_size=30,
+)
+
+
+def _scripted_kernel(script):
+    """A kernel whose events log ``(tag, now, events)`` when they run.
+    Event ``t`` then schedules one new event per delay in
+    ``script[t % len(script)][1]``, up to ``3 * len(script)`` events in
+    all."""
+    k = Kernel()
+    log = []
+    next_tag = len(script)
+
+    def event(tag):
+        nonlocal next_tag
+        log.append((tag, k.now, k.events))
+        for delay in script[tag % len(script)][1]:
+            if next_tag < 3 * len(script):
+                k.schedule(delay, lambda t=next_tag: event(t))
+                next_tag += 1
+
+    for tag, (delay, _children) in enumerate(script):
+        k.schedule(delay, lambda t=tag: event(t))
+    return k, log
+
+
+@given(_scripts, st.one_of(st.none(), st.integers(min_value=0, max_value=40)))
+@settings(max_examples=60, deadline=None)
+def test_property_run_dispatches_like_a_step_loop(script, until):
+    """run() dispatches events inline; it calls the same callbacks in the
+    same order, at the same ``now`` and ``events``, as a loop of step()
+    calls with the same ``until`` cut-off."""
+    fast, fast_log = _scripted_kernel(script)
+    executed = fast.run(until=until)
+    ref, ref_log = _scripted_kernel(script)
+    steps = 0
+    while ref.pending() and (until is None or ref.peek() <= until):
+        assert ref.step()
+        steps += 1
+    assert fast_log == ref_log
+    assert executed == steps == len(ref_log)
+    assert (fast.now, fast.events, fast.pending(), fast.peek()) == (
+        ref.now, ref.events, ref.pending(), ref.peek())

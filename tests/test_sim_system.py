@@ -102,6 +102,23 @@ class TestMemorySystem:
         # but other sectors of those lines are still invalid
         assert system.hierarchy.lookup(0, 1024, 0b11111111) != 0
 
+    @pytest.mark.parametrize("gather_factor", (2, 4))
+    @pytest.mark.parametrize("offset", (8, 40))
+    def test_gather_of_sub_sector_elements_is_cached_after_its_fill(
+            self, gather_factor, offset):
+        """At gather factors 2 and 4 a sector holds 32 or 16 bytes, so an
+        8-byte element need not start its sector.  The probe asks for the
+        element's own sector, the one the gather's fill installs: it
+        neither spills into the next sector nor raises at the line's
+        end."""
+        kernel, system = make_system("SAM-en", gather_factor=gather_factor)
+        done = []
+        addrs = [i * 1024 + offset for i in range(gather_factor)]
+        assert system.issue_gather(0, addrs, lambda: done.append(1))
+        kernel.run()
+        assert done == [1]
+        assert system.gather_cached(0, addrs)
+
     def test_streaming_store(self):
         kernel, system = make_system()
         assert system.issue_store_line(0, 0)
@@ -257,6 +274,15 @@ class TestRunner:
             "SAM-en", by_name()["Q3"], self.tables(), gather_factor=4
         )
         assert r.cycles > 0
+
+    @pytest.mark.parametrize("gather_factor", (2, 4))
+    def test_checked_kernel_at_a_small_gather_factor(self, gather_factor):
+        """mxv's vector elements sit at 8-byte offsets inside 16- and
+        32-byte sectors; a checked run gathers and re-probes them."""
+        r = run_workload(KernelWorkload.from_spec("mxv[n=32]", seed=1),
+                         "SAM-en", gather_factor=gather_factor, check=True)
+        assert r.metrics["check.plans"] > 0
+        assert "check.violations" not in r.metrics
 
     def test_livelocked_run_fails_within_its_event_budget(self, monkeypatch):
         """A controller that never sees its banks move issues nothing and

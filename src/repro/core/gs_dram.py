@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..area.overhead import AreaReport, gs_dram_area, gs_dram_ecc_area
-from ..dram.commands import Request, RequestType
+from ..dram.commands import READ, WRITE, Request, RequestType
 from ..power.model import PowerConfig
 from .placements import SegmentPlacement
 from .scheme import (
@@ -65,7 +65,7 @@ class GSDRAMScheme(AccessScheme):
                 req_type: RequestType) -> GatherPlan:
         """Group elements by DRAM row; one access per row-resident group
         (the intra-row shift cannot cross a row)."""
-        critical = req_type is RequestType.READ
+        critical = req_type is READ
         requests = []
         fills = []
         for first, addrs in self._row_groups(element_addrs):
@@ -87,12 +87,12 @@ class GSDRAMScheme(AccessScheme):
     def lower_gather_read(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.READ)
+        return self._gather(element_addrs, READ)
 
     def lower_gather_write(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.WRITE)
+        return self._gather(element_addrs, WRITE)
 
 
 class GSDRAMEccScheme(GSDRAMScheme):
@@ -144,12 +144,12 @@ class GSDRAMEccScheme(GSDRAMScheme):
     def _ecc_requests(self, decoded, req_type) -> List[Request]:
         ecc_addr = self._ecc_line_for(decoded)
         requests = [
-            Request(addr=ecc_addr, type=RequestType.READ, critical=True)
+            Request(addr=ecc_addr, type=READ, critical=True)
         ]
-        if req_type is RequestType.WRITE:
+        if req_type is WRITE:
             # scattered ECC updates: read-modify-write of the ECC words
             requests.append(
-                Request(addr=ecc_addr, type=RequestType.WRITE, critical=False)
+                Request(addr=ecc_addr, type=WRITE, critical=False)
             )
         return requests
 
@@ -161,7 +161,7 @@ class GSDRAMEccScheme(GSDRAMScheme):
             requests.append(
                 Request(
                     addr=self._ecc_line_for(decoded),
-                    type=RequestType.READ,
+                    type=READ,
                     critical=True,
                 )
             )
@@ -174,9 +174,9 @@ class GSDRAMEccScheme(GSDRAMScheme):
             decoded = self.mapper.decode(line_addr)
             ecc_addr = self._ecc_line_for(decoded)
             requests.append(
-                Request(addr=ecc_addr, type=RequestType.READ, critical=False)
+                Request(addr=ecc_addr, type=READ, critical=False)
             )
             requests.append(
-                Request(addr=ecc_addr, type=RequestType.WRITE, critical=False)
+                Request(addr=ecc_addr, type=WRITE, critical=False)
             )
         return requests

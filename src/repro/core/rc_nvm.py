@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..area.overhead import AreaReport, rc_nvm_bit_area, rc_nvm_wd_area
-from ..dram.commands import Request, RequestType, RowKind
+from ..dram.commands import COLUMN, READ, WRITE, Request, RequestType
 from ..dram.timing import TimingParams, preset
 from ..power.model import PowerConfig
 from .placements import VerticalPlacement
@@ -89,22 +89,22 @@ class _RCNVMBase(AccessScheme):
         request = Request(
             addr=synthetic,
             type=req_type,
-            row_kind=RowKind.COLUMN,
+            row_kind=COLUMN,
             gather=len(element_addrs),
             internal_bursts=self.internal_per_gather,
-            critical=req_type is RequestType.READ,
+            critical=req_type is READ,
         )
         return GatherPlan([request], self._sector_fills(element_addrs))
 
     def lower_gather_read(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.READ)
+        return self._gather(element_addrs, READ)
 
     def lower_gather_write(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.WRITE)
+        return self._gather(element_addrs, WRITE)
 
 
 class RCNVMWordScheme(_RCNVMBase):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..area.overhead import AreaReport, sam_en_area, sam_io_area, sam_sub_area
-from ..dram.commands import IOMode, Request, RequestType, RowKind
+from ..dram.commands import COLUMN, READ, STRIDE, WRITE, Request, RequestType
 from ..power.model import PowerConfig
 from .placements import RowMajorPlacement, VerticalPlacement
 from .scheme import (
@@ -46,7 +46,7 @@ class _SAMRowGatherMixin:
         element_addrs: Sequence[int],
         req_type: RequestType,
     ) -> GatherPlan:
-        critical = req_type is RequestType.READ
+        critical = req_type is READ
         requests: List[Request] = []
         fills = []
         for first, addrs in self._row_groups(element_addrs):
@@ -55,7 +55,7 @@ class _SAMRowGatherMixin:
                     Request(
                         addr=first,
                         type=req_type,
-                        io_mode=IOMode.STRIDE,
+                        io_mode=STRIDE,
                         gather=len(addrs),
                         critical=critical,
                     )
@@ -70,14 +70,14 @@ class _SAMRowGatherMixin:
     def lower_gather_read(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.READ)
+        return self._gather(element_addrs, READ)
 
     def lower_gather_write(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
         # A strided element is a whole chipkill codeword, so a strided
         # store needs no read-modify-write (Section 4.1).
-        return self._gather(element_addrs, RequestType.WRITE)
+        return self._gather(element_addrs, WRITE)
 
 
 class SAMIOScheme(_SAMRowGatherMixin, AccessScheme):
@@ -226,18 +226,18 @@ class SAMSubScheme(AccessScheme):
         request = Request(
             addr=synthetic,
             type=req_type,
-            row_kind=RowKind.COLUMN,
+            row_kind=COLUMN,
             gather=len(element_addrs),
-            critical=req_type is RequestType.READ,
+            critical=req_type is READ,
         )
         return GatherPlan([request], self._sector_fills(element_addrs))
 
     def lower_gather_read(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.READ)
+        return self._gather(element_addrs, READ)
 
     def lower_gather_write(
         self, element_addrs: Sequence[int]
     ) -> Optional[GatherPlan]:
-        return self._gather(element_addrs, RequestType.WRITE)
+        return self._gather(element_addrs, WRITE)

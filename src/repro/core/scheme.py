@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..area.overhead import AreaReport
 from ..dram.address import AddressMapper, DecodedAddress
-from ..dram.commands import IOMode, Request, RequestType, RowKind
+from ..dram.commands import READ, WRITE, Request
 from ..dram.geometry import Geometry
 from ..dram.timing import TimingParams, preset
 from ..power.model import PowerConfig
@@ -180,7 +180,7 @@ class AccessScheme(abc.ABC):
         return [
             Request(
                 addr=self.mapper.decode(line_addr),
-                type=RequestType.READ,
+                type=READ,
                 early_restart=self._critical_word_first,
             )
         ]
@@ -190,7 +190,7 @@ class AccessScheme(abc.ABC):
         return [
             Request(
                 addr=self.mapper.decode(line_addr),
-                type=RequestType.WRITE,
+                type=WRITE,
                 critical=False,
             )
         ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List
 
 from ..area.overhead import AreaReport
-from ..dram.commands import Request, RequestType
+from ..dram.commands import READ, WRITE, Request
 from ..dram.geometry import DEFAULT_GEOMETRY
 from .placements import RowMajorPlacement
 from .scheme import (
@@ -88,7 +88,7 @@ class SubRankScheme(AccessScheme):
             requests.append(
                 Request(
                     addr=self.mapper.decode(addr),
-                    type=RequestType.READ,
+                    type=READ,
                     subrank=self.subrank_of(addr),
                 )
             )
@@ -101,7 +101,7 @@ class SubRankScheme(AccessScheme):
         return [
             Request(
                 addr=self.mapper.decode(line_addr + s * SUBRANK_CHUNK),
-                type=RequestType.READ,
+                type=READ,
                 subrank=s,
             )
             for s in range(SUBRANKS)
@@ -111,7 +111,7 @@ class SubRankScheme(AccessScheme):
         return [
             Request(
                 addr=self.mapper.decode(line_addr + s * SUBRANK_CHUNK),
-                type=RequestType.WRITE,
+                type=WRITE,
                 subrank=s,
                 critical=False,
             )

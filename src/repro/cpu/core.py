@@ -104,12 +104,14 @@ class Core:
         if self._advance_scheduled:
             return
         self._advance_scheduled = True
-        self.kernel.schedule_at(max(when, self.kernel.now), self._advance)
+        now = self.kernel.now
+        self.kernel.schedule_at(now if now > when else when, self._advance)
 
     def _advance(self) -> None:
         self._advance_scheduled = False
         now = self.kernel.now
-        self._ready_time = max(self._ready_time, float(now))
+        if now > self._ready_time:
+            self._ready_time = float(now)
         self.stall_log.close_block(now)
         while self._pc < len(self._ops):
             if self._ready_time > now:

@@ -66,13 +66,16 @@ class SubarrayState:
         t = self.timing
         self.open_row = row
         self.last_act = now
-        self.next_pre = max(self.next_pre, now + t.tRAS)
+        ready = now + t.tRAS
+        if ready > self.next_pre:
+            self.next_pre = ready
         self.next_act = FOREVER  # must precharge before the next ACT
 
     def issue_pre(self, now: int) -> None:
         t = self.timing
         self.open_row = None
-        self.next_act = max(0, now + t.tRP)
+        ready = now + t.tRP
+        self.next_act = ready if ready > 0 else 0
 
 
 class BankState:
@@ -226,7 +229,9 @@ class BankState:
         self.last_act_cycle = now
         self.open_subs[sub.sub_id] = now
         self.designated = sub.sub_id  # newest ACT owns the global SAs
-        self.next_any_act = max(self.next_any_act, now + self.timing.tRA)
+        ready = now + self.timing.tRA
+        if ready > self.next_any_act:
+            self.next_any_act = ready
 
     def issue_read(self, now: int, extra_internal: int = 0,
                    sub: Optional[SubarrayState] = None) -> None:
@@ -240,8 +245,12 @@ class BankState:
             sub = self.subarrays[self.designated]
         # CAS spacing binds the shared column path; read-to-precharge
         # recovery binds only the accessed subarray
-        self.col_next = max(self.col_next, now + t.tCCD_L + tail)
-        sub.next_pre = max(sub.next_pre, now + t.tRTP + tail)
+        ready = now + t.tCCD_L + tail
+        if ready > self.col_next:
+            self.col_next = ready
+        ready = now + t.tRTP + tail
+        if ready > sub.next_pre:
+            sub.next_pre = ready
 
     def issue_write(self, now: int, extra_internal: int = 0,
                     sub: Optional[SubarrayState] = None) -> None:
@@ -250,10 +259,13 @@ class BankState:
         tail = extra_internal * t.tCCD_L
         if sub is None:
             sub = self.subarrays[self.designated]
-        self.col_next = max(self.col_next, now + t.tCCD_L + tail)
+        ready = now + t.tCCD_L + tail
+        if ready > self.col_next:
+            self.col_next = ready
         # write recovery: data lands at now+CWL..now+CWL+tBL, then tWR
-        sub.next_pre = max(sub.next_pre,
-                           now + t.CWL + t.tBL + t.tWR + tail)
+        ready = now + t.CWL + t.tBL + t.tWR + tail
+        if ready > sub.next_pre:
+            sub.next_pre = ready
 
     def issue_pre(self, now: int,
                   sub: Optional[SubarrayState] = None) -> None:
@@ -274,8 +286,11 @@ class BankState:
         self.version += 1
         self.sa_sels += 1
         self.designated = sub.sub_id
-        self.next_sa_sel = max(self.next_sa_sel, now + t.tSA_SEL)
-        self.col_next = max(self.col_next, now + t.tSA_SEL)
+        ready = now + t.tSA_SEL
+        if ready > self.next_sa_sel:
+            self.next_sa_sel = ready
+        if ready > self.col_next:
+            self.col_next = ready
 
     def force_close(self, now: int) -> None:
         """Close every open subarray as part of a refresh."""

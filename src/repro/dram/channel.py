@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .commands import Command, RequestType
+from .commands import RD, Command, RequestType
 from .geometry import Geometry
 from .rank import RankState
 from .timing import TimingParams
@@ -49,6 +49,8 @@ class ChannelState:
     commands_issued: int = 0
 
     def __post_init__(self) -> None:
+        #: sub-bus units a full-width burst books
+        self._full_burst_units = self.timing.tBL * self.geometry.subranks
         if not self.ranks:
             self.ranks = [
                 RankState(self.timing, self.geometry, salp=self.salp)
@@ -68,10 +70,10 @@ class ChannelState:
             return 0
         t = self.timing
         gap = 0
-        if last[0] != rank:
-            gap = max(gap, t.tRTR)
-        if last[1] != req_type:
-            gap = max(gap, t.tRTW)
+        if last[0] != rank and t.tRTR > gap:
+            gap = t.tRTR
+        if last[1] is not req_type and t.tRTW > gap:
+            gap = t.tRTW
         return gap
 
     def earliest_cas_for_bus(
@@ -88,7 +90,7 @@ class ChannelState:
         transfer in flight).
         """
         t = self.timing
-        latency = t.CL if cmd is Command.RD else t.CWL
+        latency = t.CL if cmd is RD else t.CWL
         gap_after = self._gap_after
         last = self.subbus_last
         earliest_data = self.data_free + gap_after(self.last_full, rank,
@@ -103,20 +105,21 @@ class ChannelState:
                     + gap_after(last.get(subrank), rank, req_type))
             if data > earliest_data:
                 earliest_data = data
-        return max(0, earliest_data - latency)
+        earliest = earliest_data - latency
+        return earliest if earliest > 0 else 0
 
     def issue_cas(self, now: int, cmd: Command, rank: int,
                   req_type: RequestType,
                   subrank: Optional[int] = None) -> int:
         """Record a CAS issue; returns the cycle its data transfer ends."""
         t = self.timing
-        latency = t.CL if cmd is Command.RD else t.CWL
+        latency = t.CL if cmd is RD else t.CWL
         data_start = now + latency
         data_end = data_start + t.tBL
         if subrank is None:
             self.data_free = data_end
             self.last_full = (rank, req_type)
-            self.data_busy_subbus_cycles += t.tBL * self.geometry.subranks
+            self.data_busy_subbus_cycles += self._full_burst_units
         else:
             self.subbus_free[subrank] = data_end
             self.subbus_last[subrank] = (rank, req_type)

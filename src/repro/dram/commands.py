@@ -56,6 +56,29 @@ class RowKind(enum.Enum):
     COLUMN = "column"  # column-wise subarray activation (SAM-sub / RC-NVM)
 
 
+# The members the per-event paths read, each bound once at module scope.
+# On Python 3.10 and 3.11 the enum metaclass defines ``__getattr__``, so
+# every ``Command.RD`` takes the interpreter's slow attribute-hook path
+# (over ten times the cost of a module global); the scheduler, controller,
+# channel and request lowering import these names and compare with
+# ``is``.  A member's name string is ``member._value_``: ``.value`` is a
+# Python-level descriptor.
+ACT = Command.ACT
+ACT_COL = Command.ACT_COL
+PRE = Command.PRE
+RD = Command.RD
+WR = Command.WR
+REF = Command.REF
+MRS = Command.MRS
+SA_SEL = Command.SA_SEL
+READ = RequestType.READ
+WRITE = RequestType.WRITE
+X4 = IOMode.X4
+STRIDE = IOMode.STRIDE
+ROW = RowKind.ROW
+COLUMN = RowKind.COLUMN
+
+
 @dataclass(eq=False)
 class Request:
     """One burst-granularity memory request.  Requests compare by
@@ -90,8 +113,8 @@ class Request:
 
     addr: DecodedAddress
     type: RequestType
-    io_mode: IOMode = IOMode.X4
-    row_kind: RowKind = RowKind.ROW
+    io_mode: IOMode = X4
+    row_kind: RowKind = ROW
     gather: int = 1
     internal_bursts: int = 0
     critical: bool = True
@@ -124,11 +147,7 @@ class Request:
     is_read: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.is_read = self.type is RequestType.READ
-
-    @property
-    def is_gather(self) -> bool:
-        return self.gather > 1
+        self.is_read = self.type is READ
 
     def row_id(self) -> tuple:
         """The (kind, row-or-column index) this request needs open."""

@@ -27,7 +27,19 @@ from ..kernel import Kernel
 from ..obs.stalls import CCD_BUS, REFRESH, WRITE_DRAIN
 from .bank import FOREVER
 from .channel import ChannelState
-from .commands import Command, IOMode, Request
+from .commands import (
+    ACT,
+    ACT_COL,
+    MRS,
+    PRE,
+    RD,
+    REF,
+    SA_SEL,
+    STRIDE,
+    WR,
+    Command,
+    Request,
+)
 from .geometry import Geometry
 from .scheduler import Scheduler
 from .timing import TimingParams
@@ -119,6 +131,11 @@ class MemoryController:
         self.timing = timing
         self.geometry = geometry or Geometry()
         self.config = config or ControllerConfig()
+        #: the closed-page policy's auto-precharge rides on every CAS
+        self._closed_page = self.config.page_policy == "closed"
+        #: a critical-word-first read completes this much before its
+        #: burst ends
+        self._half_burst = timing.tBL // 2
         # subarray-level-parallelism mode: "none" (one-subarray,
         # one-open-row banks), "salp1", "salp2" or "masa"
         self.channel = ChannelState(timing, self.geometry, salp=salp)
@@ -229,7 +246,9 @@ class MemoryController:
     # ------------------------------------------------------ scheduling core
 
     def _schedule_wakeup(self, when: int) -> None:
-        when = max(when, self.kernel.now)
+        now = self.kernel.now
+        if now > when:
+            when = now
         if self._wakeup_at is not None and self._wakeup_at <= when:
             # the pending earlier wake-up stands
             return
@@ -251,12 +270,18 @@ class MemoryController:
         # the later event still fires; acting on it would fork a second
         # self-perpetuating wake-up chain.)  Superseded events are never
         # cancelled.
-        if self._wakeup_at != self.kernel.now:
+        now = self.kernel.now
+        if self._wakeup_at != now:
             return
         self._wakeup_at = None
-        next_time = self._try_issue(self.kernel.now)
+        next_time = self._try_issue(now)
         if next_time is not None:
-            self._schedule_wakeup(next_time)
+            # `_schedule_wakeup` inline: `_try_issue` submits nothing and
+            # probes may not, so no wake-up is armed to supersede
+            if now > next_time:
+                next_time = now
+            self._wakeup_at = next_time
+            self.kernel.schedule_at(next_time, self._wake)
 
     def _try_issue(self, now: int) -> Optional[int]:
         """Issue at most one command; return the next wake-up time."""
@@ -290,7 +315,9 @@ class MemoryController:
             # binding constraint is
             reason = WRITE_DRAIN
         if earliest > now:
-            wake = min(earliest, self._refresh_at)
+            wake = self._refresh_at
+            if earliest < wake:
+                wake = earliest
             for probe in self._on_wait:
                 probe(now, wake, reason)
             return wake
@@ -322,97 +349,107 @@ class MemoryController:
     def _issue(
         self, now: int, request: Request, command: Command, queue: List[Request]
     ) -> None:
+        if command is RD or command is WR:
+            self._issue_cas(now, request, command, queue)
+            return
         rank = request._rank
         bank = request._bank
         pre_sub = subarray = None
-        if command is Command.PRE:
+        if command is PRE:
             # resolved before the probes: the checker needs the PRE's
             # subarray operand (a PRE names the subarray it closes)
             pre_sub = self.scheduler.pre_target(request)
             subarray = pre_sub.sub_id
-        elif command is Command.ACT or command is Command.ACT_COL:
+        elif command is ACT or command is ACT_COL:
             subarray = request._sub.sub_id  # the subarray it opens
         self.channel.occupy_command_bus(now)
         self.scheduler.moved(command)
         for probe in self._on_command:
             probe(now, command, request, subarray=subarray)
 
-        if command is Command.MRS:
+        if command is MRS:
             rank.issue_mode_switch(now, request.io_mode)
             self.stats.mode_switches += 1
             return
-        if command is Command.SA_SEL:
+        if command is SA_SEL:
             bank.issue_sa_sel(now, request._sub)
             self.stats.sa_sels += 1
             return
-        if command is Command.PRE:
+        if command is PRE:
             bank.issue_pre(now, pre_sub)
             self.stats.precharges += 1
             self.stats.row_conflicts += 1
             bank.row_conflicts += 1
             return
-        if command is Command.ACT or command is Command.ACT_COL:
-            bank.issue_act(now, request.row_id(), request._sub)
-            rank.issue_act(now, request.addr.bank_group)
-            if command is Command.ACT_COL:
-                self.stats.col_acts += 1
-            else:
-                self.stats.acts += 1
-            self.stats.row_misses += 1
-            bank.row_misses += 1
-            return
-
-        # Column command: the request completes.
-        if command is Command.RD:
-            bank.issue_read(now, request.internal_bursts, request._sub)
+        # ACT or ACT_COL
+        bank.issue_act(now, request.row_id(), request._sub)
+        rank.issue_act(now, request.addr.bank_group)
+        if command is ACT_COL:
+            self.stats.col_acts += 1
         else:
-            bank.issue_write(now, request.internal_bursts, request._sub)
-            rank.issue_write(now)
+            self.stats.acts += 1
+        self.stats.row_misses += 1
+        bank.row_misses += 1
+
+    def _issue_cas(
+        self, now: int, request: Request, command: Command, queue: List[Request]
+    ) -> None:
+        """Issue ``request``'s column command (RD or WR): its data burst,
+        the closed-page auto-precharge, and its completion."""
+        self.channel.occupy_command_bus(now)
+        self.scheduler.moved(command)
+        for probe in self._on_command:
+            probe(now, command, request, subarray=None)
+        bank = request._bank
+        sub = request._sub
+        bursts = request.internal_bursts
+        if command is RD:
+            bank.issue_read(now, bursts, sub)
+        else:
+            bank.issue_write(now, bursts, sub)
+            request._rank.issue_write(now)
         data_end = self.channel.issue_cas(
             now, command, request.addr.rank, request.type, request.subrank
         )
-        if self.config.page_policy == "closed":
+        stats = self.stats
+        if self._closed_page:
             # auto-precharge (RDA/WRA): the row closes once tRTP/tWR allow
-            sub = request._sub
             pre_at = sub.next_pre
             for probe in self._on_command:
-                probe(pre_at, Command.PRE, request, implicit=True,
+                probe(pre_at, PRE, request, implicit=True,
                       subarray=sub.sub_id)
             bank.issue_pre(pre_at, sub)
-            self.stats.precharges += 1
-        self._account_cas(request, command)
-        self.stats.row_hits += 1
+            stats.precharges += 1
+        stats.internal_bursts += bursts
+        if command is RD:
+            stats.reads += 1
+            if request.gather > 1:
+                stats.gather_reads += 1
+            if request.io_mode is STRIDE:
+                stats.stride_mode_reads += 1
+        else:
+            stats.writes += 1
+            if request.gather > 1:
+                stats.gather_writes += 1
+        stats.row_hits += 1
         bank.row_hits += 1
         queue.remove(request)
         self.scheduler.retire(request)
-        # critical-word-first: the demanded word lands mid-burst, so the
-        # waiting load restarts before the burst completes
         complete_at = data_end
-        if request.early_restart and request.is_read and request.critical:
-            complete_at = data_end - self.timing.tBL // 2
         if request.is_read:
-            self.stats.read_latency_total += complete_at - request.arrival
-            self.stats.read_count_for_latency += 1
+            # critical-word-first: the demanded word lands mid-burst, so
+            # the waiting load restarts before the burst completes
+            if request.early_restart and request.critical:
+                complete_at -= self._half_burst
+            latency = complete_at - request.arrival
+            stats.read_latency_total += latency
+            stats.read_count_for_latency += 1
             for probe in self._on_read_latency:
-                probe(complete_at - request.arrival)
+                probe(latency)
         if request.on_complete is not None:
             self.kernel.schedule_at(
                 complete_at, partial(request.on_complete, request, complete_at)
             )
-
-    def _account_cas(self, request: Request, command: Command) -> None:
-        s = self.stats
-        s.internal_bursts += request.internal_bursts
-        if command is Command.RD:
-            s.reads += 1
-            if request.is_gather:
-                s.gather_reads += 1
-            if request.io_mode is IOMode.STRIDE:
-                s.stride_mode_reads += 1
-        else:
-            s.writes += 1
-            if request.is_gather:
-                s.gather_writes += 1
 
     def _issue_refresh_step(self, now: int, rank_id: int) -> Optional[int]:
         """Progress the pending refresh of ``rank_id`` by one command."""
@@ -431,7 +468,7 @@ class MemoryController:
                 if ready <= now:
                     self.channel.occupy_command_bus(now)
                     for probe in self._on_command:
-                        probe(now, Command.PRE, None, rank=rank_id,
+                        probe(now, PRE, None, rank=rank_id,
                               bank=bank_id, subarray=sub.sub_id)
                     bank.issue_pre(now, sub)
                     self.stats.precharges += 1
@@ -440,9 +477,9 @@ class MemoryController:
             return soonest
         self.channel.occupy_command_bus(now)
         for probe in self._on_command:
-            probe(now, Command.REF, None, rank=rank_id)
+            probe(now, REF, None, rank=rank_id)
         rank.issue_refresh(now)
-        self.scheduler.moved(Command.REF)
+        self.scheduler.moved(REF)
         self.stats.refreshes += 1
         self._next_refresh[rank_id] += self.timing.tREFI
         self._refresh_at = min(self._next_refresh)

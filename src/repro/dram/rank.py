@@ -48,12 +48,18 @@ class RankState:
     def earliest_act(self, bank_group: int) -> int:
         """Earliest ACT issue time given tRRD, tFAW and refresh."""
         t = self.timing
-        earliest = max(self.next_act_any, self.busy_until)
+        earliest = self.next_act_any
+        if self.busy_until > earliest:
+            earliest = self.busy_until
         if self.last_act_time > -(1 << 30):
             spacing = t.tRRD_L if bank_group == self.last_act_group else t.tRRD_S
-            earliest = max(earliest, self.last_act_time + spacing)
+            paced = self.last_act_time + spacing
+            if paced > earliest:
+                earliest = paced
         if len(self.act_window) >= 4:
-            earliest = max(earliest, self.act_window[0] + t.tFAW)
+            window = self.act_window[0] + t.tFAW
+            if window > earliest:
+                earliest = window
         return earliest
 
     def issue_act(self, now: int, bank_group: int) -> None:
@@ -66,7 +72,9 @@ class RankState:
     def issue_write(self, now: int) -> None:
         t = self.timing
         # write-to-read turnaround within this rank
-        self.next_read = max(self.next_read, now + t.CWL + t.tBL + t.tWTR)
+        ready = now + t.CWL + t.tBL + t.tWTR
+        if ready > self.next_read:
+            self.next_read = ready
 
     def issue_mode_switch(self, now: int, mode: IOMode) -> None:
         t = self.timing

@@ -58,7 +58,19 @@ from ..obs.stalls import (
 )
 from .bank import SubarrayState
 from .channel import ChannelState
-from .commands import Command, Request, RowKind
+from .commands import (
+    ACT,
+    ACT_COL,
+    MRS,
+    PRE,
+    RD,
+    REF,
+    ROW,
+    SA_SEL,
+    WR,
+    Command,
+    Request,
+)
 
 
 class _Slot:
@@ -94,13 +106,14 @@ class _Slot:
         self.bank = request._bank
         self.version = -1
         addr = request.addr
-        self.cas = Command.RD if request.is_read else Command.WR
-        self.act = (Command.ACT if request.row_kind is RowKind.ROW
-                    else Command.ACT_COL)
+        self.cas = RD if request.is_read else WR
+        self.act = ACT if request.row_kind is ROW else ACT_COL
         # the data-bus fit depends on the pins, ACT pacing on the bank
-        # group; a key for one command never serves another
-        self.cas_key = (self.cas.value, addr.rank, request.subrank)
-        self.act_key = (self.act.value, addr.rank, addr.bank_group)
+        # group; a key for one command never serves another.  Keys hold
+        # the command's name, not the member: hashing a member runs
+        # Enum's Python-level ``__hash__``.
+        self.cas_key = (self.cas._value_, addr.rank, request.subrank)
+        self.act_key = (self.act._value_, addr.rank, addr.bank_group)
         self.cas_group = (addr.rank, addr.bank_group)
 
 
@@ -151,9 +164,11 @@ class Scheduler:
         self._admitted += 1
         # `_entry_terms` reads exactly these request fields (the subarray
         # fixes rank, bank and bank group); the subrank picks the shared
-        # half.  The subarray object outlives every slot naming it.
-        key = (id(sub), request.row_kind, request.addr.row, request.is_read,
-               request.io_mode, request.subrank)
+        # half.  The subarray object outlives every slot naming it.  The
+        # key names the row kind and I/O mode: hashing a member runs
+        # Enum's Python-level ``__hash__``.
+        key = (id(sub), request.row_kind._value_, request.addr.row,
+               request.is_read, request.io_mode._value_, request.subrank)
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = _Slot(key, request)
@@ -236,8 +251,8 @@ class Scheduler:
             start = soonest = 0
             future = tie_switch = tie_cas = tie_other = None
         last_group = self._last_cas_group
-        mrs = Command.MRS
-        sa_sel = Command.SA_SEL
+        mrs = MRS
+        sa_sel = SA_SEL
         for index in range(start, len(order)):
             slot = order[index]
             if slot.version != slot.bank.version:
@@ -299,11 +314,11 @@ class Scheduler:
     def moved(self, command: Command) -> None:
         """``command`` issued: drop the shared halves it can have moved
         (see the module docstring)."""
-        if command is Command.RD or command is Command.WR:
+        if command is RD or command is WR:
             self._cas_memo.clear()
-        elif command is Command.ACT or command is Command.ACT_COL:
+        elif command is ACT or command is ACT_COL:
             self._row_memo.clear()
-        elif command is Command.MRS or command is Command.REF:
+        elif command is MRS or command is REF:
             self._cas_memo.clear()
             self._row_memo.clear()
 
@@ -328,9 +343,8 @@ class Scheduler:
             slot.shared_key = slot.act_key
             return
         # an MRS waits on the bus drain, a PRE or SA_SEL on refresh only
-        slot.memo = (self._cas_memo if command is Command.MRS
-                     else self._row_memo)
-        slot.shared_key = (command.value, request.addr.rank,
+        slot.memo = self._cas_memo if command is MRS else self._row_memo
+        slot.shared_key = (command._value_, request.addr.rank,
                            request.addr.bank_group)
 
     def _entry_terms(
@@ -360,7 +374,7 @@ class Scheduler:
         tRAS + tRP >= tRA after the last one."""
         if rank.io_mode is not request.io_mode:
             # no bank gate: the rank gates and the bus drain bind an MRS
-            return (Command.MRS, 0, MODE_SWITCH)
+            return (MRS, 0, MODE_SWITCH)
         sub = request._sub
         open_row = sub.open_row
         if open_row is None:
@@ -368,9 +382,8 @@ class Scheduler:
             if victim is not None:
                 # the bank is at its open-subarray capacity: close the
                 # oldest open subarray before activating this one
-                return (Command.PRE, bank.subarrays[victim].next_pre, TRAS)
-            cmd = (Command.ACT if request.row_kind is RowKind.ROW
-                   else Command.ACT_COL)
+                return (PRE, bank.subarrays[victim].next_pre, TRAS)
+            cmd = ACT if request.row_kind is ROW else ACT_COL
             ready = sub.next_act
             shared = bank.next_any_act  # shared row-logic re-arm
             if shared > ready:
@@ -382,10 +395,10 @@ class Scheduler:
         if (open_row[1] != request.addr.row
                 or open_row[0] is not request.row_kind):
             # row conflict within this subarray: precharge it first
-            return (Command.PRE, sub.next_pre, TRAS)
+            return (PRE, sub.next_pre, TRAS)
         if bank.designated == sub.sub_id:
             # column command to the globally connected subarray
-            cmd = Command.RD if request.is_read else Command.WR
+            cmd = RD if request.is_read else WR
             ready = sub.last_act + self.timing.tRCD
             column = bank.col_next
             if column > ready:
@@ -394,10 +407,10 @@ class Scheduler:
         if self.salp == "masa":
             # right row open in an undesignated subarray: switch the
             # global sense-amp connection first
-            return (Command.SA_SEL, bank.next_sa_sel, SUBARRAY)
+            return (SA_SEL, bank.next_sa_sel, SUBARRAY)
         # SALP-2 cannot re-connect an undesignated subarray (only an ACT
         # designates): close it and re-activate
-        return (Command.PRE, sub.next_pre, TRAS)
+        return (PRE, sub.next_pre, TRAS)
 
     def _shared_terms(
         self, command: Command, request: Request, rank
@@ -410,9 +423,8 @@ class Scheduler:
         bus occupancy) and depends on the request only through its rank
         and its bank group (ACT) or subrank and direction (CAS)."""
         busy = rank.busy_until
-        if command is Command.RD or command is Command.WR:
-            gate = (rank.next_read if command is Command.RD
-                    else rank.next_write)
+        if command is RD or command is WR:
+            gate = rank.next_read if command is RD else rank.next_write
             if gate <= busy:
                 gate, tag = busy, REFRESH
             elif gate == rank.next_act_any:
@@ -424,14 +436,14 @@ class Scheduler:
             if bus > gate:
                 return (bus, CCD_BUS)
             return (gate, tag)
-        if command is Command.ACT or command is Command.ACT_COL:
+        if command is ACT or command is ACT_COL:
             gate = rank.earliest_act(request.addr.bank_group)
             if gate == busy:
                 return (gate, REFRESH)
             if gate == rank.next_act_any:
                 return (gate, MODE_SWITCH)
             return (gate, TFAW)  # tFAW window or tRRD spacing
-        if command is Command.MRS:
+        if command is MRS:
             # An MRS can issue once the rank's in-flight CAS work is done
             # and the data bus has drained (the switch flips DQ drivers).
             return (max(busy, rank.next_read, rank.next_write,

@@ -35,7 +35,7 @@ def ground_truth(
 ) -> Tuple[Optional[np.ndarray], object, int]:
     """``(mask, answer, selected records)`` of ``query`` over ``tables``.
 
-    The mask is the selection, cut off at the LIMIT; a join's is its
+    The mask is the selection, cut after its LIMIT-th row; a join's is its
     probe-side matches, and an insert has none.  An update's assignments
     are applied to ``tables``.
     """
@@ -52,7 +52,8 @@ def ground_truth(
     table = tables[query.table]
     mask = selected_mask(table, query.predicate)
     if isinstance(query, SelectQuery) and query.limit is not None:
-        mask[query.limit:] = False
+        # LIMIT caps the rows returned: keep the first ``limit`` matches
+        mask[np.flatnonzero(mask)[query.limit:]] = False
     rows = np.flatnonzero(mask)
     if isinstance(query, UpdateQuery):
         for field, value in query.assignments:

@@ -51,6 +51,19 @@ def join_matches(build: Table, probe: Table, key: int,
     return matches, probe_match
 
 
+def limit_scan(selected: np.ndarray, limit: int) -> int:
+    """Records a SELECT with a LIMIT scans: up to and including the one
+    that holds its ``limit``-th selected row, or the whole table when
+    fewer rows are selected.  ``selected`` may be cut after that row
+    already (the ground truth's mask) or not (the EXPLAIN path's)."""
+    if limit <= 0:
+        return 0
+    rows = np.flatnonzero(selected)
+    if len(rows) < limit:
+        return len(selected)
+    return int(rows[limit - 1]) + 1
+
+
 class Planner:
     """Chooses the physical plan for one scheme over placed tables."""
 
@@ -319,7 +332,7 @@ class Planner:
             selected = selected_mask(table, query.predicate)
         n = table.n_records
         if query.limit is not None:
-            n = min(n, query.limit)
+            n = limit_scan(selected, query.limit)
         pred_fields = list(query.predicate.fields) if query.predicate else []
         detail = ((("limit", query.limit),) if query.limit is not None
                   else ())

@@ -131,17 +131,19 @@ class Observation:
         self._claimed = True
 
     # Probe method: one tuple append per DRAM command (commands are
-    # orders of magnitude rarer than kernel events).
+    # orders of magnitude rarer than kernel events).  The ring keeps the
+    # command's name, read as ``_value_``: ``.value`` is a Python-level
+    # descriptor.
     def on_command(self, cycle, command, request, *, rank=None, bank=None,
                    subarray=None, implicit=False) -> None:
         if request is not None:
             self.ring.append((
-                cycle, command.value, request.addr.rank,
+                cycle, command._value_, request.addr.rank,
                 request.addr.bank, request.addr.row,
             ))
         else:
             self.ring.append((
-                cycle, command.value,
+                cycle, command._value_,
                 -1 if rank is None else rank,
                 -1 if bank is None else bank,
                 -1,

@@ -146,7 +146,9 @@ PINNED_OP_STREAMS = {
     'SELECT * FROM Ta WHERE f10 > 9000': 'c9226cee27a59cfa',
     'SELECT * FROM Tb LIMIT 40': '6008365583f09b95',
     'SELECT f3, f4 FROM Ta': 'e8a04112f4d85c09',
-    'SELECT f3, f3, f5 FROM Ta WHERE f10 > 5000 AND f9 < 8000 LIMIT 50': '3610a26fcafc371a',
+    # re-pinned when LIMIT came to cap the rows returned, not the
+    # records scanned: the plan scans to the 50th match
+    'SELECT f3, f3, f5 FROM Ta WHERE f10 > 5000 AND f9 < 8000 LIMIT 50': 'd7fa69e44f4bb07f',
     'SELECT SUM(f9) FROM Ta': 'ae0af8ba83331630',
     'SELECT AVG(f1), AVG(f2) FROM Tb WHERE f10 < 5000': '1698a1e11b8c4f54',
     'UPDATE Ta SET f3 = 7 WHERE f10 > 9000': '875eb61d2a445233',

@@ -251,3 +251,83 @@ class TestLiteralSemantics:
                 expected)
         ]
         assert wrong == []
+
+
+class TestLimitSemantics:
+    """A SELECT's LIMIT caps the rows returned, not the records scanned:
+    with a WHERE, the scan runs to the record that holds the LIMIT-th
+    match (``SELECT f3 FROM Ta WHERE f10 > 5000 LIMIT 100`` once
+    returned only the matches among records 0-99)."""
+
+    N_TA = 2048
+
+    @staticmethod
+    def _build(sql, scheme="SAM-en", n_ta=N_TA):
+        from repro.core.registry import make_scheme
+        from repro.sim.config import SystemConfig
+        from repro.sim.runner import allocate_placements
+        from repro.workloads import QueryWorkload, make_tables
+
+        scheme = make_scheme(scheme)
+        tables = make_tables(n_ta, 64)
+        placements = allocate_placements(scheme, tables)
+        query = parse(sql, name="limit")
+        build = QueryWorkload(query).build(scheme, SystemConfig(), tables,
+                                           placements)
+        return build, tables["Ta"]
+
+    @staticmethod
+    def _scan(plan):
+        return next(n for n in plan.root.walk() if n.op == "scan").records
+
+    @pytest.mark.parametrize("sql,fields", (
+        ("SELECT f3 FROM Ta WHERE f10 > 5000 LIMIT 100", [3]),
+        ("SELECT * FROM Ta WHERE f10 > 5000 LIMIT 100", None),
+    ))
+    def test_limit_with_where_returns_the_first_matches(self, sql, fields):
+        import numpy as np
+
+        build, ta = self._build(sql)
+        matches = np.flatnonzero(ta.column(10) > 5000)
+        assert len(matches) > 100  # the table holds more rows than asked
+        first = matches[:100]
+        values = (ta.values[first] if fields is None
+                  else ta.values[np.ix_(first, fields)])
+        assert build.selected_records == 100
+        assert build.result == (100, int(values.sum()))
+        # the plan scans up to and including the 100th match
+        assert self._scan(build.plan) == first[-1] + 1
+
+    def test_explain_plans_the_same_scan(self):
+        """The EXPLAIN path derives its own uncut mask; it must plan the
+        scan the run plans from the ground truth's cut one."""
+        from repro.imdb.planner import plan_for
+        from repro.workloads import make_tables
+
+        for sql in ("SELECT f3 FROM Ta WHERE f10 > 5000 LIMIT 100",
+                    "SELECT * FROM Ta WHERE f10 > 5000 LIMIT 100",
+                    "SELECT * FROM Ta LIMIT 48"):
+            build, _ta = self._build(sql)
+            explain = plan_for("SAM-en", parse(sql, name="limit"),
+                               make_tables(self.N_TA, 64))
+            assert explain.to_dict() == build.plan.to_dict(), sql
+
+    def test_limit_above_the_match_count_returns_every_match(self):
+        import numpy as np
+
+        build, ta = self._build("SELECT f3 FROM Ta WHERE f10 > 9900 "
+                                "LIMIT 1000")
+        matches = np.flatnonzero(ta.column(10) > 9900)
+        assert 0 < len(matches) < 1000
+        assert build.selected_records == len(matches)
+        assert build.result == (len(matches),
+                                int(ta.values[matches, 3].sum()))
+        assert self._scan(build.plan) == self.N_TA  # the whole table
+
+    @pytest.mark.parametrize("limit", (48, 100, 4096))
+    def test_limit_without_where_is_unchanged(self, limit):
+        build, ta = self._build(f"SELECT * FROM Ta LIMIT {limit}")
+        n = min(self.N_TA, limit)
+        assert build.selected_records == n
+        assert build.result == (n, int(ta.values[:n].sum()))
+        assert self._scan(build.plan) == n

@@ -103,13 +103,6 @@ class CacheHierarchy:
             self._dirty_all(core, line_addr, sector_mask)
         return missing
 
-    def complete_write_fill(self, core: int, line_addr: int,
-                            sector_mask: int) -> List[Eviction]:
-        """Fill after a write miss, marking the written sectors dirty."""
-        evictions = self.fill_from_memory(core, line_addr, sector_mask)
-        self._dirty_all(core, line_addr, sector_mask)
-        return evictions
-
     # ------------------------------------------------------------ internals
 
     def _dirty_all(self, core: int, line_addr: int, sector_mask: int) -> None:

@@ -87,10 +87,6 @@ class SectorCache:
 
     # ------------------------------------------------------------- helpers
 
-    def _set_for(self, line_addr: int) -> Dict[int, int]:
-        index = (line_addr // self.line_bytes) % self.num_sets
-        return self._sets[index]
-
     def sector_mask_for(self, addr: int, size: int) -> int:
         """Mask of sectors covering ``[addr, addr + size)`` within a line."""
         if size <= 0:
@@ -127,40 +123,10 @@ class SectorCache:
         stats.hits += 1
         return True, 0
 
-    def mark_dirty(self, line_addr: int, sector_mask: int) -> bool:
-        """Set dirty bits on a resident line; returns False if not present.
-        The line keeps its LRU position."""
-        cache_set = self._set_for(line_addr)
-        state = cache_set.get(line_addr)
-        if state is None or (state & sector_mask) != sector_mask:
-            return False
-        cache_set[line_addr] = state | sector_mask << self.sectors
-        return True
-
-    def fill(self, line_addr: int, sector_mask: int,
-             dirty: bool = False) -> Optional[Eviction]:
-        """Install sectors of a line, evicting LRU if needed."""
-        cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
-        state = cache_set.pop(line_addr, None)
-        evicted = None
-        if state is None:
-            state = 0
-            if len(cache_set) >= self.ways:
-                victim_addr = next(iter(cache_set))
-                dirty_mask = cache_set.pop(victim_addr) >> self.sectors
-                stats = self.stats
-                stats.evictions += 1
-                if dirty_mask:
-                    stats.writebacks += 1
-                evicted = Eviction(victim_addr, dirty_mask)
-        if dirty:
-            sector_mask |= sector_mask << self.sectors
-        cache_set[line_addr] = state | sector_mask
-        return evicted
-
     def fill_clean(self, line_addr: int,
                    sector_mask: int) -> Optional[Eviction]:
-        """:meth:`fill` of clean sectors that returns the victim only when
+        """Install clean sectors of a line as its most recently used,
+        evicting the LRU line of a full set.  Returns the victim only when
         it is dirty, so a clean eviction allocates nothing."""
         cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
         state = cache_set.pop(line_addr, None)
@@ -220,19 +186,6 @@ class SectorCache:
             return False
         cache_set[line_addr] = state | sector_mask | sector_mask << self.sectors
         return True
-
-    def invalidate(self, line_addr: int) -> Optional[Eviction]:
-        """Drop a line; returns its dirty state for writeback."""
-        state = self._set_for(line_addr).pop(line_addr, None)
-        if state is None:
-            return None
-        dirty_mask = state >> self.sectors
-        if dirty_mask:
-            self.stats.writebacks += 1
-        return Eviction(line_addr, dirty_mask)
-
-    def resident(self, line_addr: int) -> bool:
-        return line_addr in self._set_for(line_addr)
 
     def occupancy(self) -> Dict[str, int]:
         """Resident/dirty line counts (observability snapshots)."""

@@ -140,11 +140,11 @@ def _cmd_figure12(args) -> int:
 
 
 def _cmd_figure13(args) -> int:
-    from .harness.figure13 import run_figure13
+    from .harness.figure13 import FIGURE13_DESIGNS, run_figure13
 
-    designs = args.designs or ["baseline", "SAM-sub", "SAM-IO", "SAM-en"]
     return _sweep(args, "figure13", partial(
-        run_figure13, n_ta=args.ta, n_tb=args.tb, designs=designs,
+        run_figure13, n_ta=args.ta, n_tb=args.tb,
+        designs=args.designs or FIGURE13_DESIGNS,
     ))
 
 

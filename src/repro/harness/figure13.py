@@ -14,10 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..core.registry import FIGURE12_DESIGNS
 from ..exp import ExperimentSpec, SweepEngine, design_points, standard_tables
 from ..workloads import QueryWorkload
 from ..imdb.queries import by_name
+
+#: The designs Figure 13 compares: the row store, the three SAM designs
+#: and the two strided designs the paper contrasts them with.
+FIGURE13_DESIGNS = (
+    "baseline", "SAM-sub", "SAM-IO", "SAM-en", "GS-DRAM-ecc", "RC-NVM-wd",
+)
 
 #: Figure 13's query classes.
 CLASSES = {
@@ -61,7 +66,7 @@ class Figure13Result:
 def build_figure13_spec(
     n_ta: int = 1024,
     n_tb: int = 2048,
-    designs: Optional[Sequence[str]] = None,
+    designs: Sequence[str] = FIGURE13_DESIGNS,
 ) -> ExperimentSpec:
     """Figure 13 as data: one point per (design, query); the query
     classes partition the benchmark, so (design, query) keys are unique."""
@@ -72,8 +77,7 @@ def build_figure13_spec(
         for names in CLASSES.values()
         for qname in names
     ]
-    points = design_points(designs or ("baseline", *FIGURE12_DESIGNS),
-                           workloads)
+    points = design_points(designs, workloads)
     return ExperimentSpec(
         "figure13", tuple(points),
         normalize="baseline class energy / design class energy",
@@ -83,12 +87,11 @@ def build_figure13_spec(
 def run_figure13(
     n_ta: int = 1024,
     n_tb: int = 2048,
-    designs: Optional[Sequence[str]] = None,
+    designs: Sequence[str] = FIGURE13_DESIGNS,
     engine: Optional[SweepEngine] = None,
 ) -> Figure13Result:
     """Regenerate Figure 13."""
     engine = engine or SweepEngine()
-    designs = list(designs or ("baseline", *FIGURE12_DESIGNS))
     run = engine.run(build_figure13_spec(n_ta, n_tb, designs))
     power: Dict[str, Dict[str, Dict[str, float]]] = {}
     eff: Dict[str, Dict[str, float]] = {}

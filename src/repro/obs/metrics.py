@@ -1,14 +1,16 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
-One :class:`MetricsRegistry` per run is the canonical read path for every
-number a simulation produces.  The cycle-level hot loops keep accumulating
-into their plain dataclass fields (``CommandStats``, ``SystemStats``, the
-core counters) because attribute increments are the cheapest thing pure
-Python can do; at the end of a run the runner *publishes* those structs
-into the registry under stable, namespaced metric names
-(``dram.reads``, ``core.hits``, ``sim.cycles`` ...), and everything
-downstream -- the power model, the harnesses, the artifact writer -- reads
-from the registry rather than from scattered structs.
+One :class:`MetricsRegistry` per run holds every number a simulation
+produces under a stable, namespaced name.  The cycle-level hot loops keep
+accumulating into their plain dataclass fields (``CommandStats``,
+``SystemStats``, the core counters) because attribute increments are the
+cheapest thing pure Python can do; at the end of a run the runner
+*publishes* those structs into the registry (``dram.reads``,
+``core.hits``, ``sim.cycles`` ...).  The registry feeds the run manifest
+(``RunResult.metrics``), ``query --stats`` and perfbench's counters.  The
+power model and the figure harnesses read the run's own fields instead
+(``RunResult.cycles``, ``power``, ``memory_stats``, ``stalls``), and the
+sweep engine counts its points in a registry of its own.
 
 Histograms use fixed upper bounds chosen at creation time so ``observe``
 is one binary search with no allocation; they are cheap enough to leave on

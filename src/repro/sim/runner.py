@@ -16,8 +16,9 @@ Every run is observed, and the runner wires each observer onto the run
 it builds.  It stamps the phase spans itself (``result.spans``).  A
 :class:`repro.obs.Observation` (created on demand when the caller does
 not pass one) rides the memory controller as a probe: it publishes all
-statistics into a metrics registry, the source the harnesses read from,
-and keeps a ring of recently issued DRAM commands for stall forensics.
+statistics into a metrics registry, the source of the run manifest,
+``query --stats`` and perfbench's counters, and keeps a ring of recently
+issued DRAM commands for stall forensics.
 Each core keeps its own stall log, and with ``check`` a plan validator
 rides the memory system.  With an artifacts directory the run writes a
 JSON manifest plus a JSONL command trace.  A wedged simulation raises

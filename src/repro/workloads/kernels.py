@@ -140,27 +140,6 @@ def _row_group(kind: str, array: str, record: int, n_fields: int,
 
 # --------------------------------------------------------------- generators
 
-def _gen_stream(mode: str):
-    def generate(p: Dict[str, int], seed: int) -> KernelProgram:
-        p = dict(p, stride=p["elem"])
-        _validate_strided(p)
-        n, elem = p["n"], p["elem"]
-        arrays = [_array("A", 1, n, seed, field_bytes=elem)]
-        groups: List[Group] = []
-        if mode == "copy":
-            arrays.append(_array("B", 1, n, seed + 1, field_bytes=elem))
-            for chunk in _chunks(list(range(n)), _GROUP_RECORDS):
-                elems = tuple((r, 0) for r in chunk)
-                groups.append(("read", "A", elems, elem, False))
-                groups.append(("write", "B", elems, elem, False))
-        else:
-            kind = "read" if mode == "read" else "write"
-            groups.extend(_linear_groups(kind, "A", n, elem, False))
-        return KernelProgram(tuple(arrays), tuple(groups))
-
-    return generate
-
-
 def _gen_strided(mode: str):
     def generate(p: Dict[str, int], seed: int) -> KernelProgram:
         n_fields = _validate_strided(p)
@@ -182,6 +161,12 @@ def _gen_strided(mode: str):
         return KernelProgram(tuple(arrays), tuple(groups))
 
     return generate
+
+
+def _gen_stream(mode: str):
+    """:func:`_gen_strided` at a stride of one element: unit stride."""
+    strided = _gen_strided(mode)
+    return lambda p, seed: strided(dict(p, stride=p["elem"]), seed)
 
 
 def _gen_mxv(p: Dict[str, int], seed: int) -> KernelProgram:

@@ -16,6 +16,12 @@ def small_cache(sectors=4, ways=2, sets=4):
     )
 
 
+def fill_dirty(cache, line_addr, sector_mask):
+    """Install sectors and write them, as a write miss's fill does."""
+    cache.fill_clean(line_addr, sector_mask)
+    assert cache.write_resident(line_addr, sector_mask)
+
+
 class TestSectorCache:
     def test_cold_miss(self):
         c = small_cache()
@@ -24,14 +30,14 @@ class TestSectorCache:
 
     def test_fill_then_hit(self):
         c = small_cache()
-        c.fill(0, 0b1111)
+        c.fill_clean(0, 0b1111)
         hit, missing = c.lookup(0, 0b0110)
         assert hit and missing == 0
 
     def test_partial_sector_fill(self):
         """A strided fill validates only its sector (Section 5.1.1)."""
         c = small_cache()
-        c.fill(0, 0b0010)
+        c.fill_clean(0, 0b0010)
         hit, missing = c.lookup(0, 0b0010)
         assert hit
         hit, missing = c.lookup(0, 0b0001)
@@ -41,31 +47,36 @@ class TestSectorCache:
     def test_incremental_sector_fills_accumulate(self):
         c = small_cache()
         for s in range(4):
-            c.fill(0, 1 << s)
+            c.fill_clean(0, 1 << s)
         hit, _ = c.lookup(0, full_mask(4))
         assert hit
 
     def test_lru_eviction(self):
         c = small_cache(ways=2, sets=1)
-        c.fill(0, 0b1111)
-        c.fill(64, 0b1111)
+        fill_dirty(c, 0, 0b1111)
+        fill_dirty(c, 64, 0b1111)
         c.lookup(0, 0b0001)  # touch line 0 -> line 64 is LRU
-        victim = c.fill(128, 0b1111)
+        victim = c.fill_clean(128, 0b1111)
         assert victim is not None and victim.line_addr == 64
 
     def test_dirty_eviction_reports_writeback(self):
         c = small_cache(ways=1, sets=1)
-        c.fill(0, 0b1111, dirty=True)
-        victim = c.fill(64, 0b1111)
+        fill_dirty(c, 0, 0b1111)
+        victim = c.fill_clean(64, 0b1111)
         assert victim.dirty_mask == 0b1111
         assert c.stats.writebacks == 1
 
-    def test_mark_dirty_requires_valid_sectors(self):
+    def test_write_resident_requires_a_resident_line(self):
+        """A write into a line that is not cached changes nothing; into a
+        resident line, its sectors become valid and dirty."""
         c = small_cache()
-        assert not c.mark_dirty(0, 0b0001)
-        c.fill(0, 0b0001)
-        assert c.mark_dirty(0, 0b0001)
-        assert not c.mark_dirty(0, 0b0010)  # sector not valid
+        assert not c.write_resident(0, 0b0001)
+        assert c.occupancy()["lines"] == 0
+        c.fill_clean(0, 0b0001)
+        assert c.write_resident(0, 0b0010)
+        assert c.lookup(0, 0b0011) == (True, 0)
+        assert [(e.line_addr, e.dirty_mask) for e in c.flush()] == [
+            (0, 0b0010)]
 
     def test_sector_mask_for(self):
         c = small_cache(sectors=4)
@@ -85,20 +96,13 @@ class TestSectorCache:
         assert c.sector_bytes == 8
         assert c.sector_mask_for(24, 8) == 1 << 3
 
-    def test_invalidate(self):
-        c = small_cache()
-        c.fill(0, 0b1111, dirty=True)
-        ev = c.invalidate(0)
-        assert ev.dirty_mask == 0b1111
-        assert not c.resident(0)
-
     def test_flush(self):
         c = small_cache()
-        c.fill(0, 0b1111, dirty=True)
-        c.fill(64, 0b1111)
+        fill_dirty(c, 0, 0b1111)
+        c.fill_clean(64, 0b1111)
         dirty = c.flush()
         assert len(dirty) == 1 and dirty[0].line_addr == 0
-        assert not c.resident(64)
+        assert c.lookup(64, 0b0001) == (False, 0b0001)
 
     def test_flush_returns_victims_in_ascending_set_order(self):
         """Sets are built on first touch, so their creation order follows
@@ -107,8 +111,8 @@ class TestSectorCache:
         end-of-run writebacks drain in."""
         c = small_cache(ways=2, sets=4)
         for index in (3, 2, 1, 0):
-            c.fill(index * 64, 0b1111, dirty=True)
-            c.fill((index + 4) * 64, 0b0011, dirty=True)
+            fill_dirty(c, index * 64, 0b1111)
+            fill_dirty(c, (index + 4) * 64, 0b0011)
         assert [(e.line_addr // 64, e.dirty_mask) for e in c.flush()] == [
             (0, 0b1111), (4, 0b0011), (1, 0b1111), (5, 0b0011),
             (2, 0b1111), (6, 0b0011), (3, 0b1111), (7, 0b0011),
@@ -117,7 +121,7 @@ class TestSectorCache:
 
     def test_hit_rate_stat(self):
         c = small_cache()
-        c.fill(0, 0b1111)
+        c.fill_clean(0, 0b1111)
         c.lookup(0, 1)
         c.lookup(64, 1)
         assert c.stats.hit_rate == 0.5
@@ -190,9 +194,13 @@ class TestHierarchy:
         assert h.write(0, 0, 0b0001) == 0b0001
         assert h.llc.stats.misses == 1
 
-    def test_complete_write_fill(self):
+    def test_write_after_its_fill_dirties_the_written_sectors(self):
+        """A write miss completes as the cores do it: the fetched sectors
+        are installed, then the write hits and dirties them."""
         h = self.make()
-        h.complete_write_fill(0, 0, 0b0011)
+        assert h.write(0, 0, 0b0011) == 0b0011
+        h.fill_from_memory(0, 0, 0b0011)
+        assert h.write(0, 0, 0b0011) == 0
         dirty = h.flush_dirty()
         assert dirty and dirty[0].dirty_mask == 0b0011
 
@@ -223,16 +231,15 @@ class TestHierarchy:
 #: few enough distinct lines that writes and lookups often hit
 line_indices = st.integers(0, 11)
 
-#: (operation, line index, sector mask, dirty flag); a mask is cut down to
-#: the cache's sectors before use.  Flushes are drawn rarely, so that sets
+#: (operation, line index, sector mask); a mask is cut down to the
+#: cache's sectors before use.  Flushes are drawn rarely, so that sets
 #: fill up and evict between them.
 cache_ops = st.lists(
     st.tuples(
-        st.sampled_from(("lookup", "fill", "mark_dirty", "invalidate",
-                         "resident") * 4 + ("flush",)),
+        st.sampled_from(("lookup", "fill_clean", "write_resident") * 4
+                        + ("flush",)),
         line_indices,
         st.integers(0, 255),
-        st.booleans(),
     ),
     min_size=20,
     max_size=80,
@@ -241,7 +248,7 @@ cache_ops = st.lists(
 hierarchy_ops = st.lists(
     st.tuples(
         st.sampled_from(("lookup", "write", "fill_from_memory",
-                         "complete_write_fill") * 4 + ("flush_dirty",)),
+                         "write_miss") * 4 + ("flush_dirty",)),
         st.integers(0, 1),  # core
         line_indices,
         st.integers(0, 255),
@@ -261,21 +268,37 @@ hierarchy_ops = st.lists(
 def test_sector_cache_matches_reference(sets, ways, sectors, ops):
     fast = SectorCache(sets * ways * 64, ways, sectors=sectors)
     ref = ReferenceSectorCache(sets * ways * 64, ways, sectors=sectors)
-    for op, line_idx, mask, dirty in ops:
+    for op, line_idx, mask in ops:
         line = line_idx * 64
         mask &= full_mask(sectors)
-        if op == "fill":
-            args = (line, mask, dirty)
-        elif op == "flush":
-            args = ()
-        elif op in ("invalidate", "resident"):
-            args = (line,)
+        if op == "flush":
+            assert fast.flush() == ref.flush()
+        elif op == "lookup":
+            assert fast.lookup(line, mask) == ref.lookup(line, mask)
+        elif op == "fill_clean":
+            assert fast.fill_clean(line, mask) == dirty_only(
+                ref.fill(line, mask))
         else:
-            args = (line, mask)
-        assert getattr(fast, op)(*args) == getattr(ref, op)(*args), op
+            assert fast.write_resident(line, mask) == ref_write_resident(
+                ref, line, mask)
         assert fast.stats == ref.stats
         assert fast.occupancy() == ref.occupancy()
     assert fast.flush() == ref.flush()
+
+
+def dirty_only(victim):
+    """A reference fill's victim as :meth:`SectorCache.fill_clean`
+    reports it: only when it is dirty."""
+    return victim if victim is not None and victim.dirty_mask else None
+
+
+def ref_write_resident(ref, line, mask):
+    """:meth:`SectorCache.write_resident` on the reference, as the
+    reference hierarchy dirties each level that holds the line."""
+    if not ref.resident(line):
+        return False
+    ref.fill(line, mask, dirty=True)
+    return True
 
 
 #: ``(sets, ways)`` of L1, L2 and the LLC
@@ -298,9 +321,22 @@ def lockstep_hierarchies(geometry, sectors):
             ReferenceCacheHierarchy(cfg, per_core_l1=2, sectors=sectors))
 
 
+def apply(hierarchy, op, *args):
+    """Run ``op`` on either hierarchy.  ``write_miss`` is a write miss as
+    the cores complete it: the fetched sectors are installed, then the
+    write hits and dirties them."""
+    if op == "write_miss":
+        return (hierarchy.fill_from_memory(*args),
+                hierarchy.write(*args))
+    return getattr(hierarchy, op)(*args)
+
+
 def probe_matches(op, mine, theirs):
     """A probe (``lookup``, ``write``) returns the reference's missing
     mask; every other operation returns what the reference returns."""
+    if op == "write_miss":
+        return (mine[0] == theirs[0]
+                and probe_matches("write", mine[1], theirs[1]))
     if op in ("lookup", "write"):
         theirs = theirs.missing_mask
     return mine == theirs
@@ -322,20 +358,20 @@ def test_hierarchy_matches_reference(geometry, sectors, ops):
         args = (core, line_idx * 64, mask & full_mask(sectors))
         if op == "flush_dirty":
             args = ()
-        assert probe_matches(op, getattr(fast, op)(*args),
-                             getattr(ref, op)(*args)), op
+        assert probe_matches(op, apply(fast, op, *args),
+                             apply(ref, op, *args)), op
         assert_same_levels(fast, ref)
     assert fast.flush_dirty() == ref.flush_dirty()
 
 
 #: (operation, core, fills): a gather completion installs all of its
 #: ``(line index, sector mask)`` fills, whose lines repeat and share sets;
-#: a write or write-miss fill takes the first, and leaves lines dirty so
-#: that later gathers evict dirty victims at every level
+#: a write or write miss takes the first, and leaves lines dirty so that
+#: later gathers evict dirty victims at every level
 gather_ops = st.lists(
     st.tuples(
         st.sampled_from(("fill_lines_from_memory",) * 2
-                        + ("write", "complete_write_fill")),
+                        + ("write", "write_miss")),
         st.integers(0, 1),
         st.lists(st.tuples(line_indices, st.integers(0, 255)),
                  min_size=1, max_size=8),
@@ -363,14 +399,15 @@ def test_gather_fill_matches_reference(geometry, sectors, ops):
             assert fast.fill_lines_from_memory(core, fills) == expected
         else:
             line, mask = fills[0]
-            assert probe_matches(op, getattr(fast, op)(core, line, mask),
-                                 getattr(ref, op)(core, line, mask)), op
+            assert probe_matches(op, apply(fast, op, core, line, mask),
+                                 apply(ref, op, core, line, mask)), op
         assert_same_levels(fast, ref)
     assert fast.flush_dirty() == ref.flush_dirty()
 
 
 #: (operation, fills): a batch of clean fills, one clean fill, or dirty
-#: fills that leave victims for the batches to write back
+#: fills (a clean fill, then a write into it) that leave victims for the
+#: batches to write back
 sector_fill_ops = st.lists(
     st.tuples(
         st.sampled_from(("fill_lines",) * 3 + ("fill_clean", "fill_dirty",
@@ -409,14 +446,13 @@ def test_batched_fill_matches_reference(sets, ways, sectors, ops):
             assert fast.fill_lines(fills) == expected
         elif op == "fill_clean":
             line, mask = fills[0]
-            victim = ref.fill(line, mask)
-            if victim is not None and not victim.dirty_mask:
-                victim = None
-            assert fast.fill_clean(line, mask) == victim
+            assert fast.fill_clean(line, mask) == dirty_only(
+                ref.fill(line, mask))
         elif op == "fill_dirty":
             for line, mask in fills:
-                assert fast.fill(line, mask, True) == ref.fill(line, mask,
-                                                               True)
+                assert fast.fill_clean(line, mask) == dirty_only(
+                    ref.fill(line, mask, True))
+                assert fast.write_resident(line, mask)
         else:
             line, mask = fills[0]
             assert fast.lookup(line, mask) == ref.lookup(line, mask)

@@ -138,7 +138,9 @@ def test_sector_cache_invariants(operations):
     state is packed as ``valid | dirty << sectors``."""
     cache = SectorCache(size_bytes=8 * 64, ways=2, sectors=4)
     for line_idx, mask, dirty in operations:
-        cache.fill(line_idx * 64, mask, dirty=dirty)
+        cache.fill_clean(line_idx * 64, mask)
+        if dirty:
+            assert cache.write_resident(line_idx * 64, mask)
         for cache_set in cache._sets.values():
             for state in cache_set.values():
                 valid_mask = state & full_mask(cache.sectors)

@@ -151,7 +151,8 @@ class TestMemorySystem:
     def test_eviction_writebacks_reach_memory(self):
         kernel, system = make_system()
         # dirty a line, then evict it by fetching its whole LLC set
-        system.hierarchy.complete_write_fill(0, 0, 0b1111)
+        system.hierarchy.fill_from_memory(0, 0, 0b1111)
+        assert system.hierarchy.write(0, 0, 0b1111) == 0
         llc = system.hierarchy.llc
         sets = llc.num_sets
         for i in range(1, llc.ways + 1):

@@ -44,25 +44,36 @@ class CacheHierarchy:
                               name="L2")
         self.llc = SectorCache(c.llc_bytes, c.llc_ways, line_bytes, sectors,
                                name="LLC")
+        #: ``(line_addr, sector_mask)`` of an access: every level holds
+        #: the design's line in the same sectors
+        self.locate = self.llc.locate
 
     # --------------------------------------------------------------- reads
 
     def lookup(self, core: int, line_addr: int, sector_mask: int) -> int:
         """Probe L1 -> L2 -> LLC; fill upper levels on a lower-level hit.
-        Returns the sectors to fetch from memory, 0 on a hit."""
+        Returns the sectors to fetch from memory, 0 on a hit.  A level
+        without the line misses whatever the mask, so the next level is
+        probed for the same sectors."""
         l1 = self.l1[core % len(self.l1)]
-        hit, missing = l1.lookup(line_addr, sector_mask)
-        if hit:
-            return 0
-        hit, missing2 = self.l2.lookup(line_addr, missing)
-        if hit:
-            l1.fill_clean(line_addr, missing)
-            return 0
-        hit, missing3 = self.llc.lookup(line_addr, missing2)
-        if hit:
-            self.l2.fill_clean(line_addr, missing)
-            l1.fill_clean(line_addr, missing)
-            return 0
+        missing = l1.lookup(line_addr, sector_mask)
+        if not missing:
+            if missing is not None:
+                return 0
+            missing = sector_mask
+        missing2 = self.l2.lookup(line_addr, missing)
+        if not missing2:
+            if missing2 is not None:
+                l1.fill_clean(line_addr, missing)
+                return 0
+            missing2 = missing
+        missing3 = self.llc.lookup(line_addr, missing2)
+        if not missing3:
+            if missing3 is not None:
+                self.l2.fill_clean(line_addr, missing)
+                l1.fill_clean(line_addr, missing)
+                return 0
+            return missing2
         return missing3
 
     def fill_from_memory(self, core: int, line_addr: int,
@@ -96,20 +107,18 @@ class CacheHierarchy:
     # -------------------------------------------------------------- writes
 
     def write(self, core: int, line_addr: int, sector_mask: int) -> int:
-        """Write-allocate, write-back: marks sectors dirty when resident,
-        otherwise returns the sectors to fetch (read-for-ownership)."""
+        """Write-allocate, write-back: on a hit the sectors become valid
+        and dirty at every level holding the line, otherwise returns the
+        sectors to fetch (read-for-ownership)."""
         missing = self.lookup(core, line_addr, sector_mask)
         if not missing:
-            self._dirty_all(core, line_addr, sector_mask)
+            self.l1[core % len(self.l1)].write_resident(line_addr,
+                                                        sector_mask)
+            self.l2.write_resident(line_addr, sector_mask)
+            self.llc.write_resident(line_addr, sector_mask)
         return missing
 
     # ------------------------------------------------------------ internals
-
-    def _dirty_all(self, core: int, line_addr: int, sector_mask: int) -> None:
-        """Validate and dirty the sectors at every level holding the line."""
-        self.l1[core % len(self.l1)].write_resident(line_addr, sector_mask)
-        self.l2.write_resident(line_addr, sector_mask)
-        self.llc.write_resident(line_addr, sector_mask)
 
     def occupancy(self) -> dict:
         """Per-level residency snapshot, keyed by cache name."""

@@ -50,8 +50,8 @@ class SectorCache:
     """One cache level with per-sector valid/dirty bits and LRU sets.
 
     Sector masks passed in must lie within ``full_mask(sectors)``, as
-    :meth:`sector_mask_for` builds them; a higher bit would alias a
-    dirty bit of the packed line state.
+    :meth:`locate` builds them; a higher bit would alias a dirty bit of
+    the packed line state.
     """
 
     def __init__(
@@ -87,8 +87,9 @@ class SectorCache:
 
     # ------------------------------------------------------------- helpers
 
-    def sector_mask_for(self, addr: int, size: int) -> int:
-        """Mask of sectors covering ``[addr, addr + size)`` within a line."""
+    def locate(self, addr: int, size: int) -> Tuple[int, int]:
+        """``(line_addr, sector_mask)``: the line holding ``[addr, addr +
+        size)`` and the mask of its sectors that the access covers."""
         if size <= 0:
             raise ValueError("size must be positive")
         offset = addr % self.line_bytes
@@ -96,16 +97,21 @@ class SectorCache:
             raise ValueError("access crosses a line boundary")
         first = offset // self.sector_bytes
         last = (offset + size - 1) // self.sector_bytes
-        return (2 << last) - (1 << first)
+        return addr - offset, (2 << last) - (1 << first)
+
+    def sector_mask_for(self, addr: int, size: int) -> int:
+        """Mask of sectors covering ``[addr, addr + size)`` within a line."""
+        return self.locate(addr, size)[1]
 
     # -------------------------------------------------------------- access
 
-    def lookup(self, line_addr: int, sector_mask: int) -> Tuple[bool, int]:
+    def lookup(self, line_addr: int, sector_mask: int) -> Optional[int]:
         """Probe without filling.
 
-        Returns ``(hit, missing_mask)``: hit is True when every requested
-        sector is valid; ``missing_mask`` lists the sectors that must be
-        fetched.  Updates LRU on any touch of a resident line.
+        Returns the requested sectors that are not valid, 0 on a hit, or
+        None when the line is absent: then all of ``sector_mask`` must be
+        fetched, and the probe misses even for an empty mask.  Updates
+        LRU on any touch of a resident line.
         """
         stats = self.stats
         stats.accesses += 1
@@ -113,15 +119,15 @@ class SectorCache:
         state = cache_set.pop(line_addr, None)
         if state is None:
             stats.misses += 1
-            return False, sector_mask
+            return None
         cache_set[line_addr] = state
         missing = sector_mask & ~state
         if missing:
             stats.misses += 1
             stats.partial_hits += 1
-            return False, missing
+            return missing
         stats.hits += 1
-        return True, 0
+        return 0
 
     def fill_clean(self, line_addr: int,
                    sector_mask: int) -> Optional[Eviction]:

@@ -145,13 +145,13 @@ _Sig = Tuple
 
 def _request_sig(request) -> _Sig:
     return (
-        request.type.value,
+        request.type._value_,
         request.addr.rank,
         request.addr.bank,
-        request.row_kind.value,
+        request.row_kind._value_,
         request.addr.row,
         request.addr.column,
-        request.io_mode.value,
+        request.io_mode._value_,
         request.gather,
         request.internal_bursts,
         request.subrank,

@@ -36,7 +36,25 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..dram.commands import Command, IOMode, Request, RequestType, RowKind
+from ..dram.commands import (
+    ACT,
+    ACT_COL,
+    MRS,
+    PRE,
+    RD,
+    READ,
+    REF,
+    ROW,
+    SA_SEL,
+    WR,
+    WRITE,
+    X4,
+    Command,
+    IOMode,
+    Request,
+    RequestType,
+    RowKind,
+)
 from ..dram.geometry import Geometry
 from ..dram.timing import TimingParams
 
@@ -282,26 +300,26 @@ class TimingProtocolChecker:
             subrank = request.subrank
             io_mode = request.io_mode
             internal_bursts = request.internal_bursts
-            if row is None and command is not Command.MRS:
+            if row is None and command is not MRS:
                 row = request.row_id()
         if rank is None:
             raise TypeError("on_command needs a request or an explicit rank")
         if bank is None:
             bank = -1
         if isinstance(row, int):
-            row = (RowKind.ROW, row)
+            row = (ROW, row)
         if io_mode is None:
-            io_mode = IOMode.X4
+            io_mode = X4
 
         self.commands_seen += 1
         if self.registry is not None:
             self.registry.counter("check.commands").inc()
         self.window.append(CommandRecord(
             cycle=cycle,
-            command=command.value,
+            command=command._value_,
             rank=rank,
             bank=bank,
-            row=(row[0].value, row[1]) if row is not None else None,
+            row=(row[0]._value_, row[1]) if row is not None else None,
             subrank=subrank,
             implicit=implicit,
         ))
@@ -313,7 +331,7 @@ class TimingProtocolChecker:
         rk = self._ranks[rank]
         bk = self._banks[rank][bank] if 0 <= bank < self.geometry.banks \
             else None
-        if command is not Command.REF and bk is None:
+        if command is not REF and bk is None:
             self._violate("bank-range", cycle, command, rank, bank,
                           f"bank {bank} outside 0..{self.geometry.banks - 1}")
             return
@@ -325,21 +343,22 @@ class TimingProtocolChecker:
                 f"command bus carries one command per cycle; previous "
                 f"command at {self._last_command_at}",
             )
-            self._last_command_at = max(self._last_command_at, cycle)
+            if cycle > self._last_command_at:
+                self._last_command_at = cycle
             self._check_shadow_sync(cycle, command, rank, bank, bk)
 
-        if command in (Command.ACT, Command.ACT_COL):
-            self._on_act(cycle, command, rank, bank, rk, bk, row)
-        elif command in (Command.RD, Command.WR):
+        if command is RD or command is WR:
             self._on_cas(cycle, command, rank, bank, rk, bk, row,
                          subrank, io_mode, internal_bursts)
-        elif command is Command.PRE:
+        elif command is ACT or command is ACT_COL:
+            self._on_act(cycle, command, rank, bank, rk, bk, row)
+        elif command is PRE:
             self._on_pre(cycle, rank, bank, rk, bk, implicit, subarray)
-        elif command is Command.REF:
+        elif command is REF:
             self._on_ref(cycle, rank, rk)
-        elif command is Command.MRS:
+        elif command is MRS:
             self._on_mrs(cycle, rank, bank, rk, io_mode)
-        elif command is Command.SA_SEL:
+        elif command is SA_SEL:
             self._on_sa_sel(cycle, rank, bank, rk, bk, row)
         else:  # pragma: no cover - future command kinds
             self._violate("unknown-command", cycle, command, rank, bank,
@@ -456,7 +475,7 @@ class TimingProtocolChecker:
     def _on_pre(self, cycle, rank, bank, rk, bk, implicit,
                 sub_id=None) -> None:
         t = self.timing
-        command = Command.PRE
+        command = PRE
         if self.salp != "none":
             if sub_id is None:
                 # hand-built streams may omit the operand; a PRE with
@@ -495,13 +514,14 @@ class TimingProtocolChecker:
                           f"PRE at {cycle} inside refresh blackout "
                           f"(until {rk.blackout_until})")
         target.open_row = None
-        target.pre_at = max(target.pre_at, cycle)
+        if cycle > target.pre_at:
+            target.pre_at = cycle
         if sub_id is not None and bk.designated == sub_id:
             bk.designated = None
 
     def _on_ref(self, cycle, rank, rk) -> None:
         t = self.timing
-        command = Command.REF
+        command = REF
         open_banks = [
             i for i, bk in enumerate(self._banks[rank])
             if bk.open_row is not None
@@ -519,15 +539,15 @@ class TimingProtocolChecker:
             bk.designated = None
             for sub in bk.subs.values():
                 sub.open_row = None
-        rk.blackout_until = max(rk.blackout_until, cycle + t.tRFC)
+        if cycle + t.tRFC > rk.blackout_until:
+            rk.blackout_until = cycle + t.tRFC
 
     # --------------------------------------------------------- column rules
 
     def _on_cas(self, cycle, command, rank, bank, rk, bk, row, subrank,
                 io_mode, internal_bursts) -> None:
         t = self.timing
-        req_type = (RequestType.READ if command is Command.RD
-                    else RequestType.WRITE)
+        req_type = READ if command is RD else WRITE
         sub_id = self._sub_id_of(row)
         if sub_id is None:
             target = bk
@@ -580,7 +600,7 @@ class TimingProtocolChecker:
                 f"CAS at {cycle} < same-chip CAS@"
                 f"{rk.cas_by_chipset[chipset]} + tCCD_S({t.tCCD_S})",
             )
-        if command is Command.RD:
+        if command is RD:
             self._require(cycle >= rk.wtr_until, "tWTR", cycle, command,
                           rank, bank,
                           f"RD at {cycle} inside write-to-read turnaround "
@@ -596,29 +616,30 @@ class TimingProtocolChecker:
         if io_mode is not rk.io_mode:
             self._violate(
                 "io-mode", cycle, command, rank, bank,
-                f"request needs {io_mode.value} but the rank is in "
-                f"{rk.io_mode.value}",
+                f"request needs {io_mode._value_} but the rank is in "
+                f"{rk.io_mode._value_}",
             )
         self._check_data_bus(cycle, command, rank, bank, req_type, subrank)
 
         tail = internal_bursts * t.tCCD_L
         bk.cas_at = cycle  # shared column path, whatever the subarray
         bk.cas_tail = tail
-        if command is Command.RD:
+        if command is RD:
             target.rd_at = cycle
             target.rd_tail = tail
         else:
             target.wr_at = cycle
             target.wr_tail = tail
-            rk.wtr_until = max(rk.wtr_until,
-                               cycle + t.CWL + t.tBL + t.tWTR)
+            wtr_until = cycle + t.CWL + t.tBL + t.tWTR
+            if wtr_until > rk.wtr_until:
+                rk.wtr_until = wtr_until
         rk.cas_by_chipset[subrank] = cycle
 
     # --------------------------------------------------------- subarray rules
 
     def _on_sa_sel(self, cycle, rank, bank, rk, bk, row) -> None:
         t = self.timing
-        command = Command.SA_SEL
+        command = SA_SEL
         self._require(self.salp == "masa", "sa-sel-mode", cycle, command,
                       rank, bank,
                       f"SA_SEL only exists under MASA (mode is "
@@ -651,7 +672,7 @@ class TimingProtocolChecker:
         Because each pin group is checked separately, this also proves
         sub-bus occupancy never exceeds the physical pin count."""
         t = self.timing
-        latency = t.CL if command is Command.RD else t.CWL
+        latency = t.CL if command is RD else t.CWL
         start = cycle + latency
         end = start + t.tBL
         if subrank is not None and not (
@@ -723,7 +744,7 @@ class TimingProtocolChecker:
 
     def _on_mrs(self, cycle, rank, bank, rk, io_mode) -> None:
         t = self.timing
-        command = Command.MRS
+        command = MRS
         self._require(cycle >= rk.blackout_until, "tRFC", cycle, command,
                       rank, bank,
                       f"MRS at {cycle} inside refresh blackout "
@@ -744,7 +765,8 @@ class TimingProtocolChecker:
                 f"{self._bus_full[1]}",
             )
         rk.io_mode = io_mode
-        rk.mrs_until = max(rk.mrs_until, cycle + t.tMOD_IO)
+        if cycle + t.tMOD_IO > rk.mrs_until:
+            rk.mrs_until = cycle + t.tMOD_IO
 
     # -------------------------------------------------------------- summary
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence
 
 from ..kernel import Kernel
@@ -112,55 +113,45 @@ class Core:
         now = self.kernel.now
         if now > self._ready_time:
             self._ready_time = float(now)
-        self.stall_log.close_block(now)
-        while self._pc < len(self._ops):
-            if self._ready_time > now:
-                self._catch_up(now)
+        if self.stall_log.open_start is not None:
+            self.stall_log.close_block(now)
+        ops = self._ops
+        while self._ready_time <= now:
+            if self._pc >= len(ops):
+                self._done = True
+                if self._inflight == 0:
+                    self.finish_cycle = now
+                else:
+                    # op stream exhausted, misses still draining
+                    self.stall_log.open_block(now, MEM_WAIT)
                 return
-            op = self._ops[self._pc]
-            if isinstance(op, Compute):
+            op = ops[self._pc]
+            kind = type(op)
+            if kind is Load:
+                progressed = self._do_load(op)
+            elif kind is Store:
+                progressed = self._do_store(op)
+            elif kind is Compute:
                 self._ready_time += op.cycles
                 self._pc += 1
                 continue
-            if isinstance(op, Load):
-                if not self._do_load(op):
-                    self._note_blocked(now)
-                    return
-                continue
-            if isinstance(op, GatherLoad):
-                if not self._do_gather_load(op):
-                    self._note_blocked(now)
-                    return
-                continue
-            if isinstance(op, Store):
-                if not self._do_store(op):
-                    self._note_blocked(now)
-                    return
-                continue
-            if isinstance(op, GatherStore):
-                if not self._do_gather_store(op):
-                    self._note_blocked(now)
-                    return
-                continue
-            raise TypeError(f"unknown op {op!r}")
-        if self._ready_time > now:
-            # trailing compute: the core is busy until its local clock
-            # catches up, so the run must not end before then
-            self._catch_up(now)
-            return
-        self._done = True
-        if self._inflight == 0:
-            self.finish_cycle = now
-        else:
-            # op stream exhausted, misses still draining
-            self.stall_log.open_block(now, MEM_WAIT)
-
-    def _catch_up(self, now: int) -> None:
-        """Sleep until the fractional issue clock catches up; that whole
-        window is busy time (issue bandwidth / compute)."""
+            elif kind is GatherLoad:
+                progressed = self._do_gather_load(op)
+            elif kind is GatherStore:
+                progressed = self._do_gather_store(op)
+            else:
+                raise TypeError(f"unknown op {op!r}")
+            if not progressed:
+                self._note_blocked(now)
+                return
+        # The fractional issue clock ran ahead (issue bandwidth, compute,
+        # or a trailing compute the run must not end before): sleep until
+        # it catches up; that whole window is busy time.
         wake = math.ceil(self._ready_time)
         self.stall_log.note_busy(now, wake)
-        self._schedule_advance(wake)
+        if not self._advance_scheduled:
+            self._advance_scheduled = True
+            self.kernel.schedule_at(wake, self._advance)
 
     def _note_blocked(self, now: int) -> None:
         """A handler made no progress.  Only ``_retry_later`` schedules an
@@ -186,8 +177,10 @@ class Core:
 
     def _do_load(self, op: Load) -> bool:
         self.loads += 1
-        line, mask = self.system.sectorize(op.addr, op.size)
-        missing = self.system.hierarchy.lookup(self.core_id, line, mask)
+        system = self.system
+        hierarchy = system.hierarchy
+        line, mask = hierarchy.locate(op.addr, op.size)
+        missing = hierarchy.lookup(self.core_id, line, mask)
         if not missing:
             self.hits += 1
             self._ready_time += self.config.issue_cycles
@@ -196,9 +189,7 @@ class Core:
         self.misses += 1
         if self._inflight >= self.config.mlp:
             return False  # a completion will reschedule us
-        if not self.system.issue_fetch(
-            self.core_id, line, missing, self._on_fill
-        ):
+        if not system.issue_fetch(self.core_id, line, missing, self._on_fill):
             self.loads -= 1
             self.misses -= 1
             return self._retry_later()
@@ -230,29 +221,25 @@ class Core:
 
     def _do_store(self, op: Store) -> bool:
         self.stores += 1
-        line, mask = self.system.sectorize(op.addr, op.size)
-        full_line = op.size >= self.system.line_bytes
-        if full_line:
-            if not self.system.issue_store_line(self.core_id, line):
+        system = self.system
+        hierarchy = system.hierarchy
+        line, mask = hierarchy.locate(op.addr, op.size)
+        if op.size >= system.line_bytes:
+            if not system.issue_store_line(self.core_id, line):
                 self.stores -= 1
                 return self._retry_later()
-            self._ready_time += self.config.issue_cycles
-            self._pc += 1
-            return True
-        if self.system.write_hit(self.core_id, line, mask):
-            self._ready_time += self.config.issue_cycles
-            self._pc += 1
-            return True
-        # write-allocate: fetch for ownership, then mark dirty
-        if self._inflight >= self.config.mlp:
-            self.stores -= 1
-            return False
-        if not self.system.issue_fetch(
-            self.core_id, line, mask, self._make_rfo_callback(line, mask)
-        ):
-            self.stores -= 1
-            return self._retry_later()
-        self._inflight += 1
+        elif hierarchy.write(self.core_id, line, mask):
+            # write-allocate: fetch for ownership, then write
+            if self._inflight >= self.config.mlp:
+                self.stores -= 1
+                return False
+            if not system.issue_fetch(
+                self.core_id, line, mask,
+                partial(self._on_write_fill, line, mask),
+            ):
+                self.stores -= 1
+                return self._retry_later()
+            self._inflight += 1
         self._ready_time += self.config.issue_cycles
         self._pc += 1
         return True
@@ -270,13 +257,14 @@ class Core:
 
     def _on_fill(self) -> None:
         self._inflight -= 1
-        self._schedule_advance(self.kernel.now)
-        if self.finished:
-            self.finish_cycle = self.kernel.now
+        now = self.kernel.now
+        if not self._advance_scheduled:
+            self._advance_scheduled = True
+            self.kernel.schedule_at(now, self._advance)
+        if self._done and self._inflight == 0:
+            self.finish_cycle = now
 
-    def _make_rfo_callback(self, line: int, mask: int):
-        def _done() -> None:
-            self.system.write_hit(self.core_id, line, mask)
-            self._on_fill()
-
-        return _done
+    def _on_write_fill(self, line: int, mask: int) -> None:
+        """A write-allocate fetch filled: the store writes into the line."""
+        self.system.hierarchy.write(self.core_id, line, mask)
+        self._on_fill()

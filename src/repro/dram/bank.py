@@ -152,17 +152,6 @@ class BankState:
 
     # ------------------------------------------------------- subarray access
 
-    def sub_id_for(self, row_index: int) -> int:
-        """Subarray holding ``row_index`` (0 in a one-subarray bank).
-
-        Synthetic column-row identities (SAM-sub) exceed the physical row
-        range, so the index is folded modulo the subarray count -- the
-        same deterministic mapping the protocol checker applies.
-        """
-        if self.n_subarrays == 1:
-            return 0
-        return (row_index // self.rows_per_subarray) % self.n_subarrays
-
     def sub(self, sub_id: int) -> SubarrayState:
         """The subarray state for ``sub_id``, created on first touch."""
         state = self.subarrays.get(sub_id)
@@ -173,7 +162,19 @@ class BankState:
         return state
 
     def sub_for_row(self, row_index: int) -> SubarrayState:
-        return self.sub(self.sub_id_for(row_index))
+        """The state of the subarray holding ``row_index`` (the one
+        subarray of a one-subarray bank), created on first touch.
+
+        Synthetic column-row identities (SAM-sub) exceed the physical row
+        range, so the index is folded modulo the subarray count -- the
+        same deterministic mapping the protocol checker applies.
+        """
+        if self.n_subarrays == 1:
+            sub_id = 0
+        else:
+            sub_id = (row_index // self.rows_per_subarray) % self.n_subarrays
+        state = self.subarrays.get(sub_id)
+        return state if state is not None else self.sub(sub_id)
 
     @property
     def open_capacity(self) -> int:

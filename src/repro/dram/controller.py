@@ -173,25 +173,22 @@ class MemoryController:
     def submit(self, request: Request) -> None:
         """Accept a request.  Raises :class:`QueueFullError` if the relevant
         queue is full; callers should consult :meth:`can_accept` first."""
-        if not self.can_accept(request):
-            kind = "read" if request.is_read else "write"
-            capacity = (
-                self.config.read_queue_capacity
-                if request.is_read
-                else self.config.write_queue_capacity
-            )
+        if request.is_read:
+            queue = self.read_queue
+            capacity = self.config.read_queue_capacity
+        else:
+            queue = self.write_queue
+            capacity = self.config.write_queue_capacity
+        now = self.kernel.now
+        if len(queue) >= capacity:
             if self.metrics is not None:
                 self.metrics.counter("controller.queue_full_rejects").inc()
-            raise QueueFullError(
-                kind, capacity, request.source_core, self.kernel.now
-            )
-        request.arrival = self.kernel.now
+            raise QueueFullError("read" if request.is_read else "write",
+                                 capacity, request.source_core, now)
+        request.arrival = now
         self.scheduler.admit(request)
-        if request.is_read:
-            self.read_queue.append(request)
-        else:
-            self.write_queue.append(request)
-        self._schedule_wakeup(self.kernel.now)
+        queue.append(request)
+        self._schedule_wakeup(now)
 
     def can_accept(self, request: Request) -> bool:
         if request.is_read:

@@ -23,6 +23,7 @@ implementation detail.  :meth:`Kernel.peek` reports the next deadline.
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Callable, List, Optional, Tuple
 
 #: A queued event: ``(when, seq, callback)``.  ``seq`` is unique, so heap
@@ -57,7 +58,7 @@ class Kernel:
             raise SimulationError(
                 f"cannot schedule at {when}, current time is {self.now}"
             )
-        heapq.heappush(self._queue, (when, self._seq, callback))
+        heappush(self._queue, (when, self._seq, callback))
         self._seq += 1
 
     def peek(self) -> Optional[int]:

@@ -80,17 +80,19 @@ class CoreStallLog:
 
     The core calls :meth:`note_busy` when it schedules a catch-up to its
     local issue clock, :meth:`open_block` when an op handler could not
-    make progress, and :meth:`close_block` on re-entry.  Appends coalesce
+    make progress, and :meth:`close_block` on re-entry while a block is
+    open.  Appends coalesce
     with the previous interval when contiguous.
     """
 
-    __slots__ = ("core_id", "busy", "blocks", "_open_start", "_open_reason")
+    __slots__ = ("core_id", "busy", "blocks", "open_start", "_open_reason")
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
         self.busy: List[List[int]] = []  # [start, end]
         self.blocks: List[List[object]] = []  # [start, end, reason]
-        self._open_start: Optional[int] = None
+        #: cycle the open block began, None while no block is open
+        self.open_start: Optional[int] = None
         self._open_reason: str = MEM_WAIT
 
     def note_busy(self, start: int, end: int) -> None:
@@ -103,15 +105,15 @@ class CoreStallLog:
         self.busy.append([start, end])
 
     def open_block(self, now: int, reason: str) -> None:
-        if self._open_start is None:
-            self._open_start = now
+        if self.open_start is None:
+            self.open_start = now
             self._open_reason = reason
 
     def close_block(self, now: int) -> None:
-        start = self._open_start
+        start = self.open_start
         if start is None:
             return
-        self._open_start = None
+        self.open_start = None
         if now <= start:
             return
         blocks = self.blocks

@@ -12,7 +12,7 @@ provides the services the cores use:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -23,10 +23,16 @@ from ..kernel import Kernel
 from .config import SystemConfig
 
 
-@dataclass
 class _MSHREntry:
-    pending_mask: int
-    waiters: List[Callable[[], None]] = field(default_factory=list)
+    """A line in flight: the sectors its fetches will fill and the
+    completions waiting on them."""
+
+    __slots__ = ("pending_mask", "waiters")
+
+    def __init__(self, pending_mask: int,
+                 waiters: List[Callable[[], None]]) -> None:
+        self.pending_mask = pending_mask
+        self.waiters = waiters
 
 
 @dataclass
@@ -67,6 +73,8 @@ class MemorySystem:
         )
         self.stats = SystemStats()
         self._mshr: Dict[int, _MSHREntry] = {}
+        #: a whole-line fetch's fill: every sector of the line
+        self._line_mask = (1 << scheme.sectors_per_line) - 1
         self._pending_writebacks: Deque[int] = deque()
         self._writeback_poll_scheduled = False
         #: writeback poll events fired
@@ -79,12 +87,6 @@ class MemorySystem:
         self.plan_observer: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------ utilities
-
-    def sectorize(self, addr: int, size: int) -> Tuple[int, int]:
-        """(line_addr, sector_mask) covering ``[addr, addr+size)``."""
-        line = addr - addr % self.line_bytes
-        cache = self.hierarchy.llc
-        return line, cache.sector_mask_for(addr, size)
 
     def gather_cached(self, core: int, element_addrs: Sequence[int]) -> bool:
         """True when every element of a gather group is already cached.
@@ -101,10 +103,6 @@ class MemorySystem:
                 return False
         return True
 
-    def write_hit(self, core: int, line: int, mask: int) -> bool:
-        """Try to mark sectors dirty in place; False when not resident."""
-        return not self.hierarchy.write(core, line, mask)
-
     # -------------------------------------------------------------- fetches
 
     def issue_fetch(
@@ -117,28 +115,27 @@ class MemorySystem:
         every sector regardless of the sectors the requester asked for;
         ``mask`` only matters for the requester's own wake-up.
         """
-        whole = self.scheme.fetch_fills_whole_line
+        scheme = self.scheme
+        whole = scheme.fetch_fills_whole_line
         entry = self._mshr.get(line)
-        if entry is not None and (
-            whole or (mask & ~entry.pending_mask) == 0
-        ):
+        if entry is not None and (whole or not mask & ~entry.pending_mask):
             entry.waiters.append(callback)
             self.stats.merged_fetches += 1
             return True
         if whole:
-            requests = self.scheme.lower_read(line)
-            fill_mask = (1 << self.hierarchy.llc.sectors) - 1
+            requests = scheme.lower_read(line)
+            fill_mask = self._line_mask
         else:
             # fine-granularity designs fetch only the requested sectors
-            requests = self.scheme.lower_read_sectors(line, mask)
+            requests = scheme.lower_read_sectors(line, mask)
             fill_mask = mask
         if not self._can_accept_all(requests):
             return False
         if entry is None:
-            entry = _MSHREntry(pending_mask=0)
-            self._mshr[line] = entry
-        entry.pending_mask |= fill_mask
-        entry.waiters.append(callback)
+            self._mshr[line] = _MSHREntry(fill_mask, [callback])
+        else:
+            entry.pending_mask |= fill_mask
+            entry.waiters.append(callback)
         self.stats.demand_fetches += 1
         self._submit_plan(
             requests, partial(self._finish_fetch, core, line, fill_mask),
@@ -148,18 +145,18 @@ class MemorySystem:
 
     def _finish_fetch(self, core: int, line: int, fill_mask: int) -> None:
         entry = self._mshr.get(line)
-        if entry is not None:
-            entry.pending_mask &= ~fill_mask
-            if entry.pending_mask == 0:
-                self._mshr.pop(line, None)
-                waiters = entry.waiters
-            else:
-                waiters = entry.waiters
-                entry.waiters = []
+        if entry is None:
+            waiters = ()
         else:
-            waiters = []
+            waiters = entry.waiters
+            entry.pending_mask &= ~fill_mask
+            if entry.pending_mask:
+                entry.waiters = []
+            else:
+                del self._mshr[line]
         evictions = self.hierarchy.fill_from_memory(core, line, fill_mask)
-        self._push_writebacks(evictions)
+        if evictions or self._pending_writebacks:
+            self._push_writebacks(evictions)
         for waiter in waiters:
             waiter()
 
@@ -193,9 +190,9 @@ class MemorySystem:
 
     def _finish_gather(self, core: int, fills: Sequence[Tuple[int, int]],
                        callback: Callable[[], None]) -> None:
-        self._push_writebacks(
-            self.hierarchy.fill_lines_from_memory(core, fills)
-        )
+        evictions = self.hierarchy.fill_lines_from_memory(core, fills)
+        if evictions or self._pending_writebacks:
+            self._push_writebacks(evictions)
         callback()
 
     # --------------------------------------------------------------- stores
@@ -226,7 +223,7 @@ class MemorySystem:
             self.plan_observer("write", element_addrs, plan)
         for line, mask in plan.fills:
             # keep caches coherent: update sectors that are resident
-            self.write_hit(core, line, mask)
+            self.hierarchy.write(core, line, mask)
         self._submit_plan(plan.requests, None, core=core)
         return True
 
@@ -289,16 +286,19 @@ class MemorySystem:
     # ------------------------------------------------------------ plumbing
 
     def _can_accept_all(self, requests) -> bool:
+        controller = self.controller
+        cfg = controller.config
+        if len(requests) == 1:
+            if requests[0].is_read:
+                return len(controller.read_queue) < cfg.read_queue_capacity
+            return len(controller.write_queue) < cfg.write_queue_capacity
         reads = 0
         for request in requests:
             if request.is_read:
                 reads += 1
-        writes = len(requests) - reads
-        cfg = self.controller.config
         return (
-            len(self.controller.read_queue) + reads
-            <= cfg.read_queue_capacity
-            and len(self.controller.write_queue) + writes
+            len(controller.read_queue) + reads <= cfg.read_queue_capacity
+            and len(controller.write_queue) + len(requests) - reads
             <= cfg.write_queue_capacity
         )
 
@@ -333,4 +333,5 @@ class MemorySystem:
             self.outstanding_writes -= 1
         if callback is not None:
             callback()
-        self._drain_writebacks()
+        if self._pending_writebacks:
+            self._drain_writebacks()

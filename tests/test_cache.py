@@ -25,31 +25,36 @@ def fill_dirty(cache, line_addr, sector_mask):
 class TestSectorCache:
     def test_cold_miss(self):
         c = small_cache()
-        hit, missing = c.lookup(0, 0b0001)
-        assert not hit and missing == 0b0001
+        assert c.lookup(0, 0b0001) is None
+        assert c.stats.misses == 1
+
+    def test_absent_line_misses_an_empty_mask(self):
+        """A probe returns None for an absent line, so a mask of no
+        sectors still misses there; a resident line hits it."""
+        c = small_cache()
+        assert c.lookup(0, 0) is None
+        c.fill_clean(0, 0b0001)
+        assert c.lookup(0, 0) == 0
+        assert (c.stats.misses, c.stats.hits) == (1, 1)
 
     def test_fill_then_hit(self):
         c = small_cache()
         c.fill_clean(0, 0b1111)
-        hit, missing = c.lookup(0, 0b0110)
-        assert hit and missing == 0
+        assert c.lookup(0, 0b0110) == 0
 
     def test_partial_sector_fill(self):
         """A strided fill validates only its sector (Section 5.1.1)."""
         c = small_cache()
         c.fill_clean(0, 0b0010)
-        hit, missing = c.lookup(0, 0b0010)
-        assert hit
-        hit, missing = c.lookup(0, 0b0001)
-        assert not hit and missing == 0b0001
+        assert c.lookup(0, 0b0010) == 0
+        assert c.lookup(0, 0b0001) == 0b0001
         assert c.stats.partial_hits == 1
 
     def test_incremental_sector_fills_accumulate(self):
         c = small_cache()
         for s in range(4):
             c.fill_clean(0, 1 << s)
-        hit, _ = c.lookup(0, full_mask(4))
-        assert hit
+        assert c.lookup(0, full_mask(4)) == 0
 
     def test_lru_eviction(self):
         c = small_cache(ways=2, sets=1)
@@ -74,7 +79,7 @@ class TestSectorCache:
         assert c.occupancy()["lines"] == 0
         c.fill_clean(0, 0b0001)
         assert c.write_resident(0, 0b0010)
-        assert c.lookup(0, 0b0011) == (True, 0)
+        assert c.lookup(0, 0b0011) == 0
         assert [(e.line_addr, e.dirty_mask) for e in c.flush()] == [
             (0, 0b0010)]
 
@@ -102,7 +107,7 @@ class TestSectorCache:
         c.fill_clean(64, 0b1111)
         dirty = c.flush()
         assert len(dirty) == 1 and dirty[0].line_addr == 0
-        assert c.lookup(64, 0b0001) == (False, 0b0001)
+        assert c.lookup(64, 0b0001) is None
 
     def test_flush_returns_victims_in_ascending_set_order(self):
         """Sets are built on first touch, so their creation order follows
@@ -189,6 +194,11 @@ class TestHierarchy:
         dirty = h.flush_dirty()
         assert any(e.line_addr == 0 for e in dirty)
 
+    def test_empty_mask_misses_every_level_of_an_absent_line(self):
+        h = self.make()
+        assert h.lookup(0, 0, 0) == 0
+        assert [c.stats.misses for c in (h.l1[0], h.l2, h.llc)] == [1, 1, 1]
+
     def test_write_miss_reports_fetch(self):
         h = self.make()
         assert h.write(0, 0, 0b0001) == 0b0001
@@ -274,7 +284,7 @@ def test_sector_cache_matches_reference(sets, ways, sectors, ops):
         if op == "flush":
             assert fast.flush() == ref.flush()
         elif op == "lookup":
-            assert fast.lookup(line, mask) == ref.lookup(line, mask)
+            assert fast.lookup(line, mask) == ref_lookup(ref, line, mask)
         elif op == "fill_clean":
             assert fast.fill_clean(line, mask) == dirty_only(
                 ref.fill(line, mask))
@@ -284,6 +294,15 @@ def test_sector_cache_matches_reference(sets, ways, sectors, ops):
         assert fast.stats == ref.stats
         assert fast.occupancy() == ref.occupancy()
     assert fast.flush() == ref.flush()
+
+
+def ref_lookup(ref, line, mask):
+    """The reference's probe as :meth:`SectorCache.lookup` reports it:
+    None for an absent line, else the missing sectors (0 on a hit)."""
+    resident = ref.resident(line)
+    hit, missing = ref.lookup(line, mask)
+    assert hit == (resident and not missing)
+    return missing if resident else None
 
 
 def dirty_only(victim):
@@ -455,7 +474,7 @@ def test_batched_fill_matches_reference(sets, ways, sectors, ops):
                 assert fast.write_resident(line, mask)
         else:
             line, mask = fills[0]
-            assert fast.lookup(line, mask) == ref.lookup(line, mask)
+            assert fast.lookup(line, mask) == ref_lookup(ref, line, mask)
         assert fast.stats == ref.stats
         assert fast.occupancy() == ref.occupancy()
     assert fast.flush() == ref.flush()

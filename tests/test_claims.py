@@ -13,8 +13,12 @@ at 64 records).  Two claims hold only on larger tables and read payloads
 named after the command that made them: Figure 14(a)'s SAM-sub vs
 RC-NVM-wd ratio (``figure14a-ta256-tb512``) and Figure 15(g)'s RC-NVM-wd
 vs SAM-en gap (``figure15-ta256-g``); EXPERIMENTS.md records both at the
-smaller size.  JSON keys are strings, so a claim that orders the points
-of a panel converts its x values back to numbers.
+smaller size.  Figure 14(a)'s "RC-NVM-wd trails SAM" rows read the
+256/512 payload too: at 64/128 RC-NVM-wd runs below the row store, so
+they would hold even with SAM's stride mode removed, while at 256/512
+RC-NVM-wd leads the row store and only SAM's mechanism puts SAM ahead.
+JSON keys are strings, so a claim that orders the points of a panel
+converts its x values back to numbers.
 """
 
 import json
@@ -194,13 +198,13 @@ CLAIMS = [
     ("figure14a-ta256-tb512", "RC-NVM-wd and SAM-sub perform nearly the "
                               "same on the same substrate",
      sub_rc_ratio_close),
-    ("figure14a", "RC-NVM-wd trails SAM-IO on DRAM",
+    ("figure14a-ta256-tb512", "RC-NVM-wd trails SAM-IO on DRAM",
      lambda f: f["speedups"]["DRAM"]["SAM-IO"]
      > f["speedups"]["DRAM"]["RC-NVM-wd"]),
-    ("figure14a", "RC-NVM-wd trails SAM-IO on NVM",
+    ("figure14a-ta256-tb512", "RC-NVM-wd trails SAM-IO on NVM",
      lambda f: f["speedups"]["NVM"]["SAM-IO"]
      > f["speedups"]["NVM"]["RC-NVM-wd"]),
-    ("figure14a", "RC-NVM-wd trails SAM-en on DRAM",
+    ("figure14a-ta256-tb512", "RC-NVM-wd trails SAM-en on DRAM",
      lambda f: f["speedups"]["DRAM"]["SAM-en"]
      > f["speedups"]["DRAM"]["RC-NVM-wd"]),
     ("figure14a", "DRAM timing beats NVM timing for every design",

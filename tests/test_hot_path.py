@@ -1,10 +1,12 @@
 """Guard for the per-event path: the controller wake-up, the FR-FCFS scan,
-command issue, the bank, rank and channel gates, the core's advance and
-the command ring.
+command issue, the bank, rank and channel gates, a core's op through the
+sector caches and the MSHR to its fill, the event queue, the command
+ring, and the timing checker and plan oracle of a checked run.
 
-These functions run once per simulated event or command, and three
-per-access costs that cProfile cannot show (an attribute read is not a
-call, so the time lands in the caller's own time) are kept out of them:
+These functions run once per simulated event, memory op or command, and
+three per-access costs that cProfile cannot show (an attribute read is
+not a call, so the time lands in the caller's own time) are kept out of
+them:
 
 * a member read through its enum class (``Command.RD``): on Python 3.10
   and 3.11 the enum metaclass defines ``__getattr__``, which sends every
@@ -24,13 +26,20 @@ import inspect
 
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.sector import SectorCache
+from repro.check import oracle
+from repro.check.oracle import PlanValidator
+from repro.check.protocol import TimingProtocolChecker
 from repro.cpu.core import Core
 from repro.dram.bank import BankState
 from repro.dram.channel import ChannelState
 from repro.dram.controller import MemoryController
 from repro.dram.rank import RankState
 from repro.dram.scheduler import Scheduler, _Slot
+from repro.kernel import Kernel
 from repro.obs import Observation
+from repro.sim.system import MemorySystem
 
 #: (class, method names) of every per-event function
 PER_EVENT = (
@@ -42,8 +51,23 @@ PER_EVENT = (
     (ChannelState, ("_gap_after", "earliest_cas_for_bus", "issue_cas")),
     (BankState, ("issue_act", "issue_read", "issue_write")),
     (RankState, ("earliest_act",)),
-    (Core, ("_advance", "_schedule_advance")),
+    (Core, ("_advance", "_schedule_advance", "_do_load", "_do_store",
+            "_do_gather_load", "_do_gather_store", "_on_fill",
+            "_on_write_fill")),
+    (MemorySystem, ("issue_fetch", "_finish_fetch", "_finish_gather",
+                    "_submit_plan", "_request_done")),
+    (CacheHierarchy, ("lookup", "write", "fill_from_memory",
+                      "fill_lines_from_memory")),
+    (SectorCache, ("locate", "lookup", "fill_clean", "fill_lines",
+                   "write_resident")),
+    (Kernel, ("schedule_at",)),
     (Observation, ("on_command",)),
+    (TimingProtocolChecker, ("on_command", "_check_shadow_sync", "_on_act",
+                             "_on_pre", "_on_ref", "_on_cas", "_on_sa_sel",
+                             "_on_mrs", "_check_data_bus", "on_data_burst",
+                             "_require", "_sub_id_of", "_sub_shadow")),
+    (PlanValidator, ("on_plan", "_check_fills")),
+    (oracle, ("_request_sig",)),
 )
 
 ENUMS = {"Command", "RowKind", "RequestType", "IOMode"}
@@ -78,9 +102,11 @@ def _violations(function) -> dict:
 
 
 def _functions():
-    for cls, names in PER_EVENT:
+    for owner, names in PER_EVENT:
+        # a module's functions are named by the module's last component
+        prefix = owner.__name__.rpartition(".")[2]
         for name in names:
-            yield f"{cls.__name__}.{name}", getattr(cls, name)
+            yield f"{prefix}.{name}", getattr(owner, name)
 
 
 @pytest.mark.parametrize("qualname,function", list(_functions()))

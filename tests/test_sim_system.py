@@ -2,10 +2,11 @@
 
 import dataclasses
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.core import make_scheme
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.ops import Compute, GatherLoad, GatherStore, Load, Store
@@ -68,8 +69,9 @@ class TestMemorySystem:
             HierarchyConfig(sectors=line_bytes // 16)
 
     def test_sectorize(self):
+        """An access's line and sector mask, as the cores locate it."""
         _, system = make_system()
-        line, mask = system.sectorize(100, 8)
+        line, mask = system.hierarchy.locate(100, 8)
         assert line == 64 and mask == 0b0100  # bytes 36..44 -> sector 2
 
     def test_fetch_fills_whole_line(self):
@@ -169,6 +171,60 @@ class TestMemorySystem:
         assert not system.fully_drained
         kernel.run()
         assert system.fully_drained
+
+
+class _ProbeLog(CacheHierarchy):
+    """A hierarchy on which every probe hits and is recorded as its
+    ``(line_addr, sector_mask)``."""
+
+    def __init__(self, sectors):
+        super().__init__(sectors=sectors)
+        self.probes = []
+
+    def lookup(self, core, line_addr, sector_mask):
+        self.probes.append((line_addr, sector_mask))
+        return 0
+
+    write = lookup
+
+
+@pytest.mark.parametrize("sectors", (4, 8))
+def test_core_locates_accesses_as_sector_mask_for(sectors):
+    """A core's load or store probes the line and the sector mask that
+    :meth:`SectorCache.sector_mask_for` gives, for every offset and size
+    within a line (a full-line store names the line), and raises the same
+    error wherever ``sector_mask_for`` raises: a non-positive size or an
+    access that crosses a line."""
+    hierarchy = _ProbeLog(sectors)
+    cache = hierarchy.llc
+    full = (1 << sectors) - 1
+
+    def streaming_store(core, line):
+        hierarchy.probes.append((line, full))
+        return True
+
+    system = SimpleNamespace(hierarchy=hierarchy, line_bytes=64,
+                             issue_store_line=streaming_store)
+    ops, expected = [], []
+    for addr in (*range(64), 64 * 1001 + 24):
+        for size in range(-1, 66):
+            for op in (Load(addr, size), Store(addr, size)):
+                try:
+                    mask = cache.sector_mask_for(addr, size)
+                except ValueError as exc:
+                    kernel = Kernel()
+                    Core(kernel, 0, system).run([op])
+                    with pytest.raises(ValueError, match=str(exc)):
+                        kernel.run()
+                    continue
+                ops.append(op)
+                expected.append((addr - addr % 64, mask))
+    kernel = Kernel()
+    core = Core(kernel, 0, system)
+    core.run(ops)
+    kernel.run()
+    assert core.finished
+    assert hierarchy.probes == expected
 
 
 class TestCore:

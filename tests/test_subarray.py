@@ -57,7 +57,7 @@ def test_none_mode_is_single_subarray():
     bank = BankState(T)
     assert bank.n_subarrays == 1
     assert bank.open_capacity == 1
-    assert bank.sub_id_for(123456) == 0
+    assert bank.sub_for_row(123456).sub_id == 0
 
 
 def test_subarrays_created_lazily():
@@ -70,7 +70,7 @@ def test_subarrays_created_lazily():
 def test_synthetic_rows_fold_into_range():
     bank = make_bank("masa")
     huge = SUBS * ROWS_PER_SUB * 7 + 3 * ROWS_PER_SUB
-    assert bank.sub_id_for(huge) == 3
+    assert bank.sub_for_row(huge).sub_id == 3
 
 
 # -------------------------------------------- default (one-subarray) bank

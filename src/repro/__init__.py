@@ -10,8 +10,8 @@ Public API tour:
 * ``repro.imdb`` -- the benchmark tables and queries of Table 3.
 * ``repro.dram`` -- the cycle-level DDR4/RRAM substrate and the
   functional chip datapath that proves the gather semantics.
-* ``repro.ecc`` -- chipkill codecs (SSC, SSC-DSD), SEC-DED, layouts,
-  fault injection.
+* ``repro.ecc`` -- chipkill codecs (SSC, SSC-DSD), layouts, fault
+  injection.
 * ``repro.harness`` -- regenerates every table and figure of the paper.
 """
 

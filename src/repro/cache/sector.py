@@ -24,20 +24,6 @@ def full_mask(sectors: int) -> int:
     return (1 << sectors) - 1
 
 
-@dataclass
-class CacheStats:
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    partial_hits: int = 0  # line present but some requested sectors invalid
-    evictions: int = 0
-    writebacks: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-
 @dataclass(frozen=True)
 class Eviction:
     """A victim line pushed out by a fill."""
@@ -83,7 +69,6 @@ class SectorCache:
         # set is created on first touch, since a run touches a fraction
         # of an 8 MB LLC's sets
         self._sets: DefaultDict[int, Dict[int, int]] = defaultdict(dict)
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------- helpers
 
@@ -113,21 +98,12 @@ class SectorCache:
         fetched, and the probe misses even for an empty mask.  Updates
         LRU on any touch of a resident line.
         """
-        stats = self.stats
-        stats.accesses += 1
         cache_set = self._sets[(line_addr // self.line_bytes) % self.num_sets]
         state = cache_set.pop(line_addr, None)
         if state is None:
-            stats.misses += 1
             return None
         cache_set[line_addr] = state
-        missing = sector_mask & ~state
-        if missing:
-            stats.misses += 1
-            stats.partial_hits += 1
-            return missing
-        stats.hits += 1
-        return 0
+        return sector_mask & ~state
 
     def fill_clean(self, line_addr: int,
                    sector_mask: int) -> Optional[Eviction]:
@@ -141,10 +117,7 @@ class SectorCache:
             if len(cache_set) >= self.ways:
                 victim_addr = next(iter(cache_set))
                 dirty_mask = cache_set.pop(victim_addr) >> self.sectors
-                stats = self.stats
-                stats.evictions += 1
                 if dirty_mask:
-                    stats.writebacks += 1
                     cache_set[line_addr] = sector_mask
                     return Eviction(victim_addr, dirty_mask)
         cache_set[line_addr] = state | sector_mask
@@ -161,7 +134,6 @@ class SectorCache:
         num_sets = self.num_sets
         ways = self.ways
         sectors = self.sectors
-        evictions = 0
         dirty = []
         for index, (line_addr, sector_mask) in enumerate(fills):
             cache_set = sets[(line_addr // line_bytes) % num_sets]
@@ -170,16 +142,12 @@ class SectorCache:
                 if len(cache_set) >= ways:
                     victim_addr = next(iter(cache_set))
                     dirty_mask = cache_set.pop(victim_addr) >> sectors
-                    evictions += 1
                     if dirty_mask:
                         dirty.append(
                             (index, Eviction(victim_addr, dirty_mask)))
                 cache_set[line_addr] = sector_mask
             else:
                 cache_set[line_addr] = state | sector_mask
-        stats = self.stats
-        stats.evictions += evictions
-        stats.writebacks += len(dirty)
         return dirty
 
     def write_resident(self, line_addr: int, sector_mask: int) -> bool:
@@ -219,6 +187,5 @@ class SectorCache:
                 dirty_mask = state >> sectors
                 if dirty_mask:
                     out.append(Eviction(line_addr, dirty_mask))
-                    self.stats.writebacks += 1
         self._sets.clear()
         return out

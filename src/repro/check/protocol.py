@@ -235,11 +235,6 @@ class TimingProtocolChecker:
         if self.strict or len(self.violations) >= self.max_violations:
             raise ProtocolError(violation)
 
-    def _require(self, ok: bool, rule: str, cycle: int, command: Command,
-                 rank: int, bank: int, message: str) -> None:
-        if not ok:
-            self._violate(rule, cycle, command, rank, bank, message)
-
     # ----------------------------------------------------------- subarrays
 
     @property
@@ -337,14 +332,14 @@ class TimingProtocolChecker:
             return
 
         if not implicit:
-            self._require(
-                cycle > self._last_command_at, "command-bus", cycle,
-                command, rank, bank,
-                f"command bus carries one command per cycle; previous "
-                f"command at {self._last_command_at}",
-            )
             if cycle > self._last_command_at:
                 self._last_command_at = cycle
+            else:
+                self._violate(
+                    "command-bus", cycle, command, rank, bank,
+                    f"command bus carries one command per cycle; previous "
+                    f"command at {self._last_command_at}",
+                )
             self._check_shadow_sync(cycle, command, rank, bank, bk)
 
         if command is RD or command is WR:
@@ -419,47 +414,46 @@ class TimingProtocolChecker:
             target = self._sub_shadow(bk, sub_id)
             open_subs = [i for i, s in bk.subs.items()
                          if s.open_row is not None]
-            self._require(
-                len(open_subs) < self._capacity or sub_id in open_subs,
-                "salp-capacity", cycle, command, rank, bank,
-                f"ACT on subarray {sub_id} with {open_subs} already open "
-                f"({self.salp} allows {self._capacity})",
+            if len(open_subs) >= self._capacity and sub_id not in open_subs:
+                self._violate(
+                    "salp-capacity", cycle, command, rank, bank,
+                    f"ACT on subarray {sub_id} with {open_subs} already open "
+                    f"({self.salp} allows {self._capacity})",
+                )
+            if cycle < bk.bank_act_at + t.tRA:
+                self._violate("tRA", cycle, command, rank, bank,
+                              f"ACT at {cycle} < bank ACT@{bk.bank_act_at} + "
+                              f"tRA({t.tRA})")
+        if target.open_row is not None:
+            self._violate(
+                "act-on-open", cycle, command, rank, bank,
+                f"{'subarray ' + str(sub_id) if sub_id is not None else 'bank'} "
+                f"already has {target.open_row} open",
             )
-            self._require(
-                cycle >= bk.bank_act_at + t.tRA, "tRA", cycle, command,
-                rank, bank,
-                f"ACT at {cycle} < bank ACT@{bk.bank_act_at} + "
-                f"tRA({t.tRA})",
+        if cycle < target.pre_at + t.tRP:
+            self._violate(
+                "tRP", cycle, command, rank, bank,
+                f"ACT at {cycle} < PRE@{target.pre_at} + tRP({t.tRP})",
             )
-        self._require(target.open_row is None, "act-on-open", cycle,
-                      command, rank, bank,
-                      f"{'subarray ' + str(sub_id) if sub_id is not None else 'bank'} "
-                      f"already has {target.open_row} open")
-        self._require(cycle >= target.pre_at + t.tRP, "tRP", cycle, command,
-                      rank, bank,
-                      f"ACT at {cycle} < PRE@{target.pre_at} + tRP({t.tRP})")
-        self._require(cycle >= rk.blackout_until, "tRFC", cycle, command,
-                      rank, bank,
-                      f"ACT at {cycle} inside refresh blackout "
-                      f"(until {rk.blackout_until})")
-        self._require(cycle >= rk.mrs_until, "tMOD_IO", cycle, command,
-                      rank, bank,
-                      f"ACT at {cycle} inside MRS stall "
-                      f"(until {rk.mrs_until})")
+        if cycle < rk.blackout_until:
+            self._violate("tRFC", cycle, command, rank, bank,
+                          f"ACT at {cycle} inside refresh blackout "
+                          f"(until {rk.blackout_until})")
+        if cycle < rk.mrs_until:
+            self._violate("tMOD_IO", cycle, command, rank, bank,
+                          f"ACT at {cycle} inside MRS stall "
+                          f"(until {rk.mrs_until})")
         group = bank // self.geometry.banks_per_group
         if rk.last_act_at > _NEVER:
             spacing = (t.tRRD_L if group == rk.last_act_group
                        else t.tRRD_S)
-            self._require(
-                cycle >= rk.last_act_at + spacing, "tRRD", cycle, command,
-                rank, bank,
-                f"ACT at {cycle} < ACT@{rk.last_act_at} + "
-                f"tRRD({spacing})",
-            )
-        if len(rk.acts) == 4:
-            self._require(
-                cycle >= rk.acts[0] + t.tFAW, "tFAW", cycle, command,
-                rank, bank,
+            if cycle < rk.last_act_at + spacing:
+                self._violate("tRRD", cycle, command, rank, bank,
+                              f"ACT at {cycle} < ACT@{rk.last_act_at} + "
+                              f"tRRD({spacing})")
+        if len(rk.acts) == 4 and cycle < rk.acts[0] + t.tFAW:
+            self._violate(
+                "tFAW", cycle, command, rank, bank,
                 f"fifth ACT at {cycle} inside the four-activate window "
                 f"opened at {rk.acts[0]} (tFAW={t.tFAW})",
             )
@@ -487,30 +481,30 @@ class TimingProtocolChecker:
             target = self._sub_shadow(bk, sub_id)
         else:
             target = bk
-        self._require(target.open_row is not None, "pre-on-closed", cycle,
-                      command, rank, bank,
-                      "PRE on an already-closed "
-                      + ("subarray " + str(sub_id) if sub_id is not None
-                         else "bank"))
-        self._require(cycle >= target.act_at + t.tRAS, "tRAS", cycle,
-                      command, rank, bank,
-                      f"PRE at {cycle} < ACT@{target.act_at} "
-                      f"+ tRAS({t.tRAS})")
-        self._require(
-            cycle >= target.rd_at + t.tRTP + target.rd_tail, "tRTP", cycle,
-            command, rank, bank,
-            f"PRE at {cycle} < RD@{target.rd_at} + tRTP({t.tRTP}) "
-            f"+ tail({target.rd_tail})",
-        )
+        if target.open_row is None:
+            self._violate("pre-on-closed", cycle, command, rank, bank,
+                          "PRE on an already-closed "
+                          + ("subarray " + str(sub_id) if sub_id is not None
+                             else "bank"))
+        if cycle < target.act_at + t.tRAS:
+            self._violate("tRAS", cycle, command, rank, bank,
+                          f"PRE at {cycle} < ACT@{target.act_at} "
+                          f"+ tRAS({t.tRAS})")
+        if cycle < target.rd_at + t.tRTP + target.rd_tail:
+            self._violate(
+                "tRTP", cycle, command, rank, bank,
+                f"PRE at {cycle} < RD@{target.rd_at} + tRTP({t.tRTP}) "
+                f"+ tail({target.rd_tail})",
+            )
         wr_ready = target.wr_at + t.CWL + t.tBL + t.tWR + target.wr_tail
-        self._require(
-            cycle >= wr_ready, "tWR", cycle, command, rank, bank,
-            f"PRE at {cycle} < WR@{target.wr_at} + CWL + tBL + tWR "
-            f"(ready {wr_ready})",
-        )
-        if not implicit:
-            self._require(cycle >= rk.blackout_until, "tRFC", cycle,
-                          command, rank, bank,
+        if cycle < wr_ready:
+            self._violate(
+                "tWR", cycle, command, rank, bank,
+                f"PRE at {cycle} < WR@{target.wr_at} + CWL + tBL + tWR "
+                f"(ready {wr_ready})",
+            )
+        if not implicit and cycle < rk.blackout_until:
+            self._violate("tRFC", cycle, command, rank, bank,
                           f"PRE at {cycle} inside refresh blackout "
                           f"(until {rk.blackout_until})")
         target.open_row = None
@@ -527,13 +521,13 @@ class TimingProtocolChecker:
             if bk.open_row is not None
             or any(s.open_row is not None for s in bk.subs.values())
         ]
-        self._require(not open_banks, "ref-open-bank", cycle, command,
-                      rank, -1,
-                      f"REF with banks {open_banks} still open")
-        self._require(cycle >= rk.blackout_until, "tRFC", cycle, command,
-                      rank, -1,
-                      f"REF at {cycle} inside previous refresh blackout "
-                      f"(until {rk.blackout_until})")
+        if open_banks:
+            self._violate("ref-open-bank", cycle, command, rank, -1,
+                          f"REF with banks {open_banks} still open")
+        if cycle < rk.blackout_until:
+            self._violate("tRFC", cycle, command, rank, -1,
+                          f"REF at {cycle} inside previous refresh blackout "
+                          f"(until {rk.blackout_until})")
         for bk in self._banks[rank]:
             bk.open_row = None
             bk.designated = None
@@ -556,18 +550,16 @@ class TimingProtocolChecker:
             # tCCD spacing binds the bank's shared column path, and the
             # target must own the global sense amps
             target = self._sub_shadow(bk, sub_id)
-            self._require(
-                bk.designated == sub_id, "cas-undesignated", cycle,
-                command, rank, bank,
-                f"column command to subarray {sub_id} but subarray "
-                f"{bk.designated} drives the global sense amps",
-            )
-            self._require(
-                cycle >= bk.sa_sel_at + t.tSA_SEL, "tSA_SEL", cycle,
-                command, rank, bank,
-                f"CAS at {cycle} < SA_SEL@{bk.sa_sel_at} + "
-                f"tSA_SEL({t.tSA_SEL})",
-            )
+            if bk.designated != sub_id:
+                self._violate(
+                    "cas-undesignated", cycle, command, rank, bank,
+                    f"column command to subarray {sub_id} but subarray "
+                    f"{bk.designated} drives the global sense amps",
+                )
+            if cycle < bk.sa_sel_at + t.tSA_SEL:
+                self._violate("tSA_SEL", cycle, command, rank, bank,
+                              f"CAS at {cycle} < SA_SEL@{bk.sa_sel_at} + "
+                              f"tSA_SEL({t.tSA_SEL})")
         if target.open_row is None:
             self._violate("cas-on-closed", cycle, command, rank, bank,
                           "column command with no open row")
@@ -576,16 +568,16 @@ class TimingProtocolChecker:
                 "cas-row-mismatch", cycle, command, rank, bank,
                 f"column command needs {row} but {target.open_row} is open",
             )
-        self._require(cycle >= target.act_at + t.tRCD, "tRCD", cycle,
-                      command, rank, bank,
-                      f"CAS at {cycle} < ACT@{target.act_at} "
-                      f"+ tRCD({t.tRCD})")
-        self._require(
-            cycle >= bk.cas_at + t.tCCD_L + bk.cas_tail, "tCCD_L", cycle,
-            command, rank, bank,
-            f"CAS at {cycle} < CAS@{bk.cas_at} + tCCD_L({t.tCCD_L}) "
-            f"+ tail({bk.cas_tail})",
-        )
+        if cycle < target.act_at + t.tRCD:
+            self._violate("tRCD", cycle, command, rank, bank,
+                          f"CAS at {cycle} < ACT@{target.act_at} "
+                          f"+ tRCD({t.tRCD})")
+        if cycle < bk.cas_at + t.tCCD_L + bk.cas_tail:
+            self._violate(
+                "tCCD_L", cycle, command, rank, bank,
+                f"CAS at {cycle} < CAS@{bk.cas_at} + tCCD_L({t.tCCD_L}) "
+                f"+ tail({bk.cas_tail})",
+            )
         # tCCD_S on shared chips: a full-width CAS uses every chip of the
         # rank, a sub-rank CAS only its own chip set.
         if subrank is None:
@@ -594,25 +586,24 @@ class TimingProtocolChecker:
             chipsets = [cs for cs in rk.cas_by_chipset
                         if cs is None or cs == subrank]
         for chipset in chipsets:
-            self._require(
-                cycle >= rk.cas_by_chipset[chipset] + t.tCCD_S, "tCCD_S",
-                cycle, command, rank, bank,
-                f"CAS at {cycle} < same-chip CAS@"
-                f"{rk.cas_by_chipset[chipset]} + tCCD_S({t.tCCD_S})",
-            )
-        if command is RD:
-            self._require(cycle >= rk.wtr_until, "tWTR", cycle, command,
-                          rank, bank,
+            if cycle < rk.cas_by_chipset[chipset] + t.tCCD_S:
+                self._violate(
+                    "tCCD_S", cycle, command, rank, bank,
+                    f"CAS at {cycle} < same-chip CAS@"
+                    f"{rk.cas_by_chipset[chipset]} + tCCD_S({t.tCCD_S})",
+                )
+        if command is RD and cycle < rk.wtr_until:
+            self._violate("tWTR", cycle, command, rank, bank,
                           f"RD at {cycle} inside write-to-read turnaround "
                           f"(until {rk.wtr_until})")
-        self._require(cycle >= rk.blackout_until, "tRFC", cycle, command,
-                      rank, bank,
-                      f"CAS at {cycle} inside refresh blackout "
-                      f"(until {rk.blackout_until})")
-        self._require(cycle >= rk.mrs_until, "tMOD_IO", cycle, command,
-                      rank, bank,
-                      f"CAS at {cycle} inside MRS stall "
-                      f"(until {rk.mrs_until})")
+        if cycle < rk.blackout_until:
+            self._violate("tRFC", cycle, command, rank, bank,
+                          f"CAS at {cycle} inside refresh blackout "
+                          f"(until {rk.blackout_until})")
+        if cycle < rk.mrs_until:
+            self._violate("tMOD_IO", cycle, command, rank, bank,
+                          f"CAS at {cycle} inside MRS stall "
+                          f"(until {rk.mrs_until})")
         if io_mode is not rk.io_mode:
             self._violate(
                 "io-mode", cycle, command, rank, bank,
@@ -640,10 +631,10 @@ class TimingProtocolChecker:
     def _on_sa_sel(self, cycle, rank, bank, rk, bk, row) -> None:
         t = self.timing
         command = SA_SEL
-        self._require(self.salp == "masa", "sa-sel-mode", cycle, command,
-                      rank, bank,
-                      f"SA_SEL only exists under MASA (mode is "
-                      f"{self.salp!r})")
+        if self.salp != "masa":
+            self._violate("sa-sel-mode", cycle, command, rank, bank,
+                          f"SA_SEL only exists under MASA (mode is "
+                          f"{self.salp!r})")
         if self.salp == "none":
             return  # no subarray state to update
         sub_id = self._sub_id_of(row)
@@ -652,17 +643,17 @@ class TimingProtocolChecker:
                           "SA_SEL carries no row to derive its subarray")
             return
         sub = self._sub_shadow(bk, sub_id)
-        self._require(sub.open_row is not None, "sa-sel-on-closed", cycle,
-                      command, rank, bank,
-                      f"SA_SEL designating closed subarray {sub_id}")
-        self._require(cycle >= bk.sa_sel_at + t.tSA_SEL, "tSA_SEL", cycle,
-                      command, rank, bank,
-                      f"SA_SEL at {cycle} < SA_SEL@{bk.sa_sel_at} + "
-                      f"tSA_SEL({t.tSA_SEL})")
-        self._require(cycle >= rk.blackout_until, "tRFC", cycle, command,
-                      rank, bank,
-                      f"SA_SEL at {cycle} inside refresh blackout "
-                      f"(until {rk.blackout_until})")
+        if sub.open_row is None:
+            self._violate("sa-sel-on-closed", cycle, command, rank, bank,
+                          f"SA_SEL designating closed subarray {sub_id}")
+        if cycle < bk.sa_sel_at + t.tSA_SEL:
+            self._violate("tSA_SEL", cycle, command, rank, bank,
+                          f"SA_SEL at {cycle} < SA_SEL@{bk.sa_sel_at} + "
+                          f"tSA_SEL({t.tSA_SEL})")
+        if cycle < rk.blackout_until:
+            self._violate("tRFC", cycle, command, rank, bank,
+                          f"SA_SEL at {cycle} inside refresh blackout "
+                          f"(until {rk.blackout_until})")
         bk.designated = sub_id
         bk.sa_sel_at = cycle
 
@@ -745,22 +736,21 @@ class TimingProtocolChecker:
     def _on_mrs(self, cycle, rank, bank, rk, io_mode) -> None:
         t = self.timing
         command = MRS
-        self._require(cycle >= rk.blackout_until, "tRFC", cycle, command,
-                      rank, bank,
-                      f"MRS at {cycle} inside refresh blackout "
-                      f"(until {rk.blackout_until})")
-        self._require(cycle >= rk.mrs_until, "tMOD_IO", cycle, command,
-                      rank, bank,
-                      f"MRS at {cycle} inside previous MRS stall "
-                      f"(until {rk.mrs_until})")
-        self._require(cycle >= rk.wtr_until, "mrs-busy", cycle, command,
-                      rank, bank,
-                      f"MRS at {cycle} before in-flight writes complete "
-                      f"(until {rk.wtr_until})")
-        if self._bus_full is not None:
-            self._require(
-                cycle >= self._bus_full[1], "mrs-during-burst", cycle,
-                command, rank, bank,
+        if cycle < rk.blackout_until:
+            self._violate("tRFC", cycle, command, rank, bank,
+                          f"MRS at {cycle} inside refresh blackout "
+                          f"(until {rk.blackout_until})")
+        if cycle < rk.mrs_until:
+            self._violate("tMOD_IO", cycle, command, rank, bank,
+                          f"MRS at {cycle} inside previous MRS stall "
+                          f"(until {rk.mrs_until})")
+        if cycle < rk.wtr_until:
+            self._violate("mrs-busy", cycle, command, rank, bank,
+                          f"MRS at {cycle} before in-flight writes complete "
+                          f"(until {rk.wtr_until})")
+        if self._bus_full is not None and cycle < self._bus_full[1]:
+            self._violate(
+                "mrs-during-burst", cycle, command, rank, bank,
                 f"MRS at {cycle} while the full-width bus is busy until "
                 f"{self._bus_full[1]}",
             )

@@ -2,8 +2,9 @@
 
 The memory controller of Table 2 uses the ``rw:rk:bk:ch:cl:offset`` order
 (most-significant field first).  :class:`AddressMapper` turns a flat byte
-address into a :class:`DecodedAddress` and back.  The stride-mode remapping
-of Figure 10 lives in :mod:`repro.vm.stride_mapping`; this module only
+address into a :class:`DecodedAddress` and back.  Figure 10's stride-mode
+OS remapping is not modeled: the runs address physical memory, which
+:mod:`repro.core.placements` lays out from Figure 11, so this module only
 implements the controller-side interleaving.
 """
 

@@ -1,6 +1,5 @@
-"""ECC substrate: SEC-DED, chipkill (SSC / SSC-DSD), layouts, injection."""
+"""ECC substrate: chipkill (SSC / SSC-DSD), layouts, injection."""
 
-from . import hamming
 from .chipkill import (
     ChipAlignedSSC,
     CorrectionReport,
@@ -29,7 +28,6 @@ from .layout import (
 from .rs import DecodeFailure, DecodeResult, ReedSolomon
 
 __all__ = [
-    "hamming",
     "ChipAlignedSSC",
     "CorrectionReport",
     "sector_chip_symbols",

@@ -16,7 +16,6 @@ from .kernels import (
     run_kernel_sweep,
 )
 from .reliability import ReliabilityResult, run_reliability
-from .report import bar_chart, grouped_bar_chart, sweep_chart
 
 __all__ = [
     "Figure12Result",
@@ -36,7 +35,4 @@ __all__ = [
     "run_kernel_sweep",
     "ReliabilityResult",
     "run_reliability",
-    "bar_chart",
-    "grouped_bar_chart",
-    "sweep_chart",
 ]

@@ -4,8 +4,9 @@ the packed-int line state.
 :class:`ReferenceSectorCache` keeps each line's valid and dirty masks in a
 :class:`ReferenceLineState` and each set as an ``OrderedDict`` in LRU
 order; :class:`ReferenceCacheHierarchy` builds its levels from it.  Both
-are kept verbatim, only renamed, so ``test_cache.py`` can drive them in
-lockstep with :mod:`repro.cache` and assert every return value, counter,
+are kept verbatim, only renamed and without their hit and miss
+counters, so ``test_cache.py`` can drive them in lockstep with
+:mod:`repro.cache` and assert every return value, resident line,
 eviction and flush order.  Nothing in the simulator calls them.
 
 The hierarchy's probe result, :class:`LookupResult`, and its per-level
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import DefaultDict, Dict, List, Optional, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
-from repro.cache.sector import CacheStats, Eviction
+from repro.cache.sector import Eviction
 
 #: hit latencies of L1, L2 and the LLC in memory-controller cycles, as
 #: the hierarchy configuration used to carry them
@@ -67,7 +68,6 @@ class ReferenceSectorCache:
         # first; a set is created on first touch, since a run touches a
         # fraction of an 8 MB LLC's sets
         self._sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------- helpers
 
@@ -98,19 +98,14 @@ class ReferenceSectorCache:
         sector is valid; ``missing_mask`` lists the sectors that must be
         fetched.  Updates LRU on any touch of a resident line.
         """
-        self.stats.accesses += 1
         cache_set = self._set_for(line_addr)
         state = cache_set.get(line_addr)
         if state is None:
-            self.stats.misses += 1
             return False, sector_mask
         cache_set.move_to_end(line_addr)
         missing = sector_mask & ~state.valid_mask
         if missing:
-            self.stats.misses += 1
-            self.stats.partial_hits += 1
             return False, missing
-        self.stats.hits += 1
         return True, 0
 
     def mark_dirty(self, line_addr: int, sector_mask: int) -> bool:
@@ -130,9 +125,6 @@ class ReferenceSectorCache:
         if state is None:
             if len(cache_set) >= self.ways:
                 victim_addr, victim = cache_set.popitem(last=False)
-                self.stats.evictions += 1
-                if victim.dirty_mask:
-                    self.stats.writebacks += 1
                 evicted = Eviction(victim_addr, victim.dirty_mask)
             state = ReferenceLineState()
             cache_set[line_addr] = state
@@ -148,8 +140,6 @@ class ReferenceSectorCache:
         state = cache_set.pop(line_addr, None)
         if state is None:
             return None
-        if state.dirty_mask:
-            self.stats.writebacks += 1
         return Eviction(line_addr, state.dirty_mask)
 
     def resident(self, line_addr: int) -> bool:
@@ -178,7 +168,6 @@ class ReferenceSectorCache:
             for line_addr, state in self._sets[index].items():
                 if state.dirty_mask:
                     out.append(Eviction(line_addr, state.dirty_mask))
-                    self.stats.writebacks += 1
         self._sets.clear()
         return out
 

@@ -22,11 +22,26 @@ def fill_dirty(cache, line_addr, sector_mask):
     assert cache.write_resident(line_addr, sector_mask)
 
 
+def record_probes(hierarchy):
+    """Wrap every level's ``lookup`` so that each probe appends ``(level
+    name, result)`` to the returned list: which levels a hierarchy probe
+    reached, and what each answered."""
+    probes = []
+    for cache in (*hierarchy.l1, hierarchy.l2, hierarchy.llc):
+        def lookup(line_addr, sector_mask, name=cache.name,
+                   probe=cache.lookup):
+            result = probe(line_addr, sector_mask)
+            probes.append((name, result))
+            return result
+        cache.lookup = lookup
+    return probes
+
+
 class TestSectorCache:
     def test_cold_miss(self):
         c = small_cache()
         assert c.lookup(0, 0b0001) is None
-        assert c.stats.misses == 1
+        assert c.occupancy()["lines"] == 0  # a probe does not allocate
 
     def test_absent_line_misses_an_empty_mask(self):
         """A probe returns None for an absent line, so a mask of no
@@ -35,7 +50,6 @@ class TestSectorCache:
         assert c.lookup(0, 0) is None
         c.fill_clean(0, 0b0001)
         assert c.lookup(0, 0) == 0
-        assert (c.stats.misses, c.stats.hits) == (1, 1)
 
     def test_fill_then_hit(self):
         c = small_cache()
@@ -48,7 +62,6 @@ class TestSectorCache:
         c.fill_clean(0, 0b0010)
         assert c.lookup(0, 0b0010) == 0
         assert c.lookup(0, 0b0001) == 0b0001
-        assert c.stats.partial_hits == 1
 
     def test_incremental_sector_fills_accumulate(self):
         c = small_cache()
@@ -69,7 +82,7 @@ class TestSectorCache:
         fill_dirty(c, 0, 0b1111)
         victim = c.fill_clean(64, 0b1111)
         assert victim.dirty_mask == 0b1111
-        assert c.stats.writebacks == 1
+        assert c.flush() == []  # the victim left, and its successor is clean
 
     def test_write_resident_requires_a_resident_line(self):
         """A write into a line that is not cached changes nothing; into a
@@ -124,13 +137,6 @@ class TestSectorCache:
         ]
         assert c.occupancy()["lines"] == 0
 
-    def test_hit_rate_stat(self):
-        c = small_cache()
-        c.fill_clean(0, 0b1111)
-        c.lookup(0, 1)
-        c.lookup(64, 1)
-        assert c.stats.hit_rate == 0.5
-
     @pytest.mark.parametrize("geometry", [
         dict(size_bytes=100, ways=3),
         dict(size_bytes=0, ways=2),
@@ -155,37 +161,42 @@ class TestHierarchy:
 
     def test_miss_everywhere(self):
         h = self.make()
+        probes = record_probes(h)
         assert h.lookup(0, 0, 0b0001) == 0b0001
-        assert h.llc.stats.misses == 1
+        assert probes == [("L1[0]", None), ("L2", None), ("LLC", None)]
 
     def test_fill_hits_l1(self):
         h = self.make()
         h.fill_from_memory(0, 0, 0b1111)
+        probes = record_probes(h)
         assert h.lookup(0, 0, 0b0001) == 0
-        assert h.l1[0].stats.hits == 1 and h.l2.stats.accesses == 0
+        assert probes == [("L1[0]", 0)]  # an L1 hit never probes L2
 
     def test_private_l1(self):
         h = self.make()
         h.fill_from_memory(0, 0, 0b1111)
+        probes = record_probes(h)
         # other core: L1 miss, L2 hit
         assert h.lookup(1, 0, 0b0001) == 0
-        assert h.l1[1].stats.misses == 1 and h.l2.stats.hits == 1
+        assert probes == [("L1[1]", None), ("L2", 0)]
 
     def test_l2_hit_fills_l1(self):
         h = self.make()
         h.fill_from_memory(0, 0, 0b1111)
+        probes = record_probes(h)
         h.lookup(1, 0, 0b0001)
         assert h.lookup(1, 0, 0b0001) == 0
-        assert h.l1[1].stats.hits == 1 and h.l2.stats.accesses == 1
+        assert probes == [("L1[1]", None), ("L2", 0), ("L1[1]", 0)]
 
     def test_llc_capacity_backs_l1(self):
         h = self.make()
         # fill enough lines to overflow L1 (16 lines) but not LLC
         for i in range(64):
             h.fill_from_memory(0, i * 64, 0b1111)
+        probes = record_probes(h)
         assert h.lookup(0, 0, 0b0001) == 0
-        assert h.l1[0].stats.misses == 1
-        assert h.l2.stats.hits + h.llc.stats.hits == 1
+        assert probes[0] == ("L1[0]", None)
+        assert [result for _, result in probes[1:]] in ([0], [None, 0])
 
     def test_write_hit_marks_dirty(self):
         h = self.make()
@@ -196,13 +207,15 @@ class TestHierarchy:
 
     def test_empty_mask_misses_every_level_of_an_absent_line(self):
         h = self.make()
+        probes = record_probes(h)
         assert h.lookup(0, 0, 0) == 0
-        assert [c.stats.misses for c in (h.l1[0], h.l2, h.llc)] == [1, 1, 1]
+        assert probes == [("L1[0]", None), ("L2", None), ("LLC", None)]
 
     def test_write_miss_reports_fetch(self):
         h = self.make()
+        probes = record_probes(h)
         assert h.write(0, 0, 0b0001) == 0b0001
-        assert h.llc.stats.misses == 1
+        assert probes == [("L1[0]", None), ("L2", None), ("LLC", None)]
 
     def test_write_after_its_fill_dirties_the_written_sectors(self):
         """A write miss completes as the cores do it: the fetched sectors
@@ -224,18 +237,19 @@ class TestHierarchy:
         ))
         h.fill_from_memory(0, 0, 0b1111)
         h.fill_from_memory(0, 64, 0b1111)
+        probes = record_probes(h)
         assert h.write(0, 0, 0b0001) == 0
-        assert h.l1[0].stats.hits == 1
+        assert probes == [("L1[0]", 0)]
         assert h.fill_from_memory(0, 128, 0b1111) == []
         assert h.lookup(0, 0, 0b0001) == 0
-        assert h.l1[0].stats.hits == 2
+        assert probes == [("L1[0]", 0), ("L1[0]", 0)]
 
 
 # ---------------------------------------------------------------------------
 # Lockstep against the reference cache of ``cache_oracle.py``: random
 # operation sequences on tiny geometries, so sets fill up and evict, with
-# every return value, counter, occupancy and flush order compared after
-# each operation.
+# every return value, resident line, occupancy and flush order compared
+# after each operation.
 # ---------------------------------------------------------------------------
 
 #: few enough distinct lines that writes and lookups often hit
@@ -291,9 +305,26 @@ def test_sector_cache_matches_reference(sets, ways, sectors, ops):
         else:
             assert fast.write_resident(line, mask) == ref_write_resident(
                 ref, line, mask)
-        assert fast.stats == ref.stats
+        assert resident_lines(fast) == resident_lines(ref)
         assert fast.occupancy() == ref.occupancy()
     assert fast.flush() == ref.flush()
+
+
+def resident_lines(cache):
+    """Every line resident in one level, read from its sets, as ``(set
+    index, line address, valid mask, dirty mask)`` in ascending set index
+    and LRU order within a set: a :class:`SectorCache` packs the two
+    masks into one int, the reference keeps a ``ReferenceLineState``."""
+    lines = []
+    for index in sorted(cache._sets):
+        for line_addr, state in cache._sets[index].items():
+            if isinstance(state, int):
+                masks = (state & full_mask(cache.sectors),
+                         state >> cache.sectors)
+            else:
+                masks = (state.valid_mask, state.dirty_mask)
+            lines.append((index, line_addr, *masks))
+    return lines
 
 
 def ref_lookup(ref, line, mask):
@@ -365,7 +396,7 @@ def assert_same_levels(fast, ref):
     assert fast.occupancy() == ref.occupancy()
     for mine, theirs in zip((*fast.l1, fast.l2, fast.llc),
                             (*ref.l1, ref.l2, ref.llc)):
-        assert mine.stats == theirs.stats, mine.name
+        assert resident_lines(mine) == resident_lines(theirs), mine.name
 
 
 @given(geometry=hierarchy_geometry, sectors=st.sampled_from((4, 8)),
@@ -406,7 +437,8 @@ gather_ops = st.lists(
 def test_gather_fill_matches_reference(geometry, sectors, ops):
     """One ``fill_lines_from_memory`` call does what the reference's
     ``fill_from_memory`` does line by line: the same dirty victims in the
-    same order, and the same counters and occupancy at every level."""
+    same order, and the same resident lines and occupancy at every
+    level."""
     fast, ref = lockstep_hierarchies(geometry, sectors)
     for op, core, fills in ops:
         fills = [(idx * 64, mask & full_mask(sectors))
@@ -449,7 +481,7 @@ sector_fill_ops = st.lists(
 def test_batched_fill_matches_reference(sets, ways, sectors, ops):
     """``fill_lines`` does what the reference's ``fill`` does line by
     line: it returns the dirty victims, each with the index of the fill
-    that evicted it, and leaves the same counters and occupancy;
+    that evicted it, and leaves the same resident lines and occupancy;
     ``fill_clean`` returns the victim only when it is dirty."""
     fast = SectorCache(sets * ways * 64, ways, sectors=sectors)
     ref = ReferenceSectorCache(sets * ways * 64, ways, sectors=sectors)
@@ -475,6 +507,6 @@ def test_batched_fill_matches_reference(sets, ways, sectors, ops):
         else:
             line, mask = fills[0]
             assert fast.lookup(line, mask) == ref_lookup(ref, line, mask)
-        assert fast.stats == ref.stats
+        assert resident_lines(fast) == resident_lines(ref)
         assert fast.occupancy() == ref.occupancy()
     assert fast.flush() == ref.flush()

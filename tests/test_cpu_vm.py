@@ -1,16 +1,9 @@
-"""Tests for the ISA extension, memory ops, and the stride-mode VM mapping."""
+"""Tests for the ISA extension and the memory ops."""
 
 import pytest
 
 from repro.cpu import isa
 from repro.cpu.ops import Compute, GatherLoad, GatherStore, Load, Store
-from repro.vm import (
-    PAGE_SIZE,
-    PageTable,
-    StrideMapping,
-    sam_io_mapping,
-    sam_sub_mapping,
-)
 
 
 class TestISA:
@@ -62,68 +55,3 @@ class TestOps:
     def test_ops_hashable(self):
         assert hash(Compute(5)) == hash(Compute(5))
         assert Load(0, 8) == Load(0, 8)
-
-
-class TestStrideMapping:
-    def test_mapping_is_involution(self):
-        for mapping in (sam_sub_mapping(4), sam_sub_mapping(8),
-                        sam_io_mapping(4), sam_io_mapping(8)):
-            for addr in (0, 0x12345678, 0xFFFFFF, 1 << 35):
-                assert mapping.undo(mapping.apply(addr)) == addr
-
-    def test_segment_width_by_granularity(self):
-        assert sam_sub_mapping(4).segment_bits == 3  # Figure 10
-        assert sam_sub_mapping(8).segment_bits == 2
-        assert sam_io_mapping(4).segment_bits == 3
-
-    def test_swap_moves_bits(self):
-        mapping = StrideMapping("t", 2, 4, 12)
-        addr = 0b11 << 4  # segment bits set
-        mapped = mapping.apply(addr)
-        assert mapped == 0b11 << 12
-
-    def test_sixteen_byte_offset_preserved(self):
-        """The 4-bit strided-data offset is never remapped (Figure 10)."""
-        mapping = sam_io_mapping(4)
-        for addr in range(16):
-            assert mapping.apply(addr) == addr
-
-    def test_overlapping_segments_rejected(self):
-        with pytest.raises(ValueError):
-            StrideMapping("bad", 4, 4, 6)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            StrideMapping("bad", 0, 4, 12)
-
-
-class TestPageTable:
-    def test_translate(self):
-        pt = PageTable()
-        pt.map_page(5, 42)
-        assert pt.translate(5 * PAGE_SIZE + 123) == 42 * PAGE_SIZE + 123
-
-    def test_page_fault(self):
-        pt = PageTable()
-        with pytest.raises(KeyError):
-            pt.translate(0)
-
-    def test_translate_stride_applies_mapping(self):
-        mapping = sam_io_mapping(4)
-        pt = PageTable(mapping)
-        pt.map_page(0, 0)
-        vaddr = 0b101 << 4  # lands in the swapped segment
-        assert pt.translate_stride(vaddr) == mapping.apply(vaddr)
-
-    def test_translate_stride_without_mapping(self):
-        pt = PageTable()
-        pt.map_page(0, 0)
-        with pytest.raises(RuntimeError):
-            pt.translate_stride(0)
-
-    def test_stride_translation_is_bijective_within_frame(self):
-        """Remapped addresses must not collide (it is a permutation)."""
-        pt = PageTable(sam_sub_mapping(4))
-        pt.map_page(0, 0)
-        seen = {pt.translate_stride(a) for a in range(0, PAGE_SIZE, 16)}
-        assert len(seen) == PAGE_SIZE // 16

@@ -1,10 +1,9 @@
-"""Tests for SEC-DED, the chipkill codecs, layouts, and fault injection."""
+"""Tests for the chipkill codecs, layouts, and fault injection."""
 
 import random
 
 import pytest
 
-from repro.ecc import hamming
 from repro.ecc.chipkill import (
     SSCCodec,
     SSCDSDCodec,
@@ -25,48 +24,6 @@ from repro.ecc.layout import (
 )
 
 rng = random.Random(5)
-
-
-class TestHamming:
-    def test_no_error(self):
-        d = rng.randrange(1 << 64)
-        _, c = hamming.encode(d)
-        result = hamming.decode(d, c)
-        assert result.data == d and result.corrected_bit is None
-
-    def test_corrects_every_data_bit(self):
-        d = rng.randrange(1 << 64)
-        _, c = hamming.encode(d)
-        for bit in range(64):
-            assert hamming.decode(d ^ (1 << bit), c).data == d
-
-    def test_corrects_check_bit_errors(self):
-        d = rng.randrange(1 << 64)
-        _, c = hamming.encode(d)
-        for bit in range(8):
-            assert hamming.decode(d, c ^ (1 << bit)).data == d
-
-    def test_detects_double_errors(self):
-        d = rng.randrange(1 << 64)
-        _, c = hamming.encode(d)
-        for _ in range(50):
-            b1, b2 = rng.sample(range(64), 2)
-            with pytest.raises(hamming.DoubleError):
-                hamming.decode(d ^ (1 << b1) ^ (1 << b2), c)
-
-    def test_detects_data_plus_check_double(self):
-        d = rng.randrange(1 << 64)
-        _, c = hamming.encode(d)
-        with pytest.raises(hamming.DoubleError):
-            hamming.decode(d ^ 1, c ^ 1)
-
-    def test_columns_are_odd_weight(self):
-        for col in hamming._COLUMNS:
-            assert bin(col).count("1") % 2 == 1
-
-    def test_out_of_range_data(self):
-        with pytest.raises(ValueError):
-            hamming.encode(1 << 64)
 
 
 class TestChipkillCodecs:

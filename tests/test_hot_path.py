@@ -65,7 +65,7 @@ PER_EVENT = (
     (TimingProtocolChecker, ("on_command", "_check_shadow_sync", "_on_act",
                              "_on_pre", "_on_ref", "_on_cas", "_on_sa_sel",
                              "_on_mrs", "_check_data_bus", "on_data_burst",
-                             "_require", "_sub_id_of", "_sub_shadow")),
+                             "_sub_id_of", "_sub_shadow")),
     (PlanValidator, ("on_plan", "_check_fills")),
     (oracle, ("_request_sig",)),
 )

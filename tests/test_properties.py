@@ -16,12 +16,10 @@ from repro.dram.iobuffer import (
     unpack_line_default,
     unpack_line_transposed,
 )
-from repro.ecc import hamming
 from repro.ecc.chipkill import SSCCodec
 from repro.ecc.injection import FAULT_MODELS, run_campaign
 from repro.ecc.rs import ReedSolomon
 from repro.cache.sector import SectorCache, full_mask
-from repro.vm import PAGE_SIZE, sam_io_mapping, sam_sub_mapping
 
 lines = st.binary(min_size=64, max_size=64)
 blocks = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -92,32 +90,12 @@ def test_ssc_corrects_any_symbol_error(data, position, mask):
     assert report.data == data
 
 
-@given(st.integers(0, (1 << 64) - 1), st.integers(0, 63))
-def test_hamming_corrects_any_bit(data, bit):
-    _, check = hamming.encode(data)
-    assert hamming.decode(data ^ (1 << bit), check).data == data
-
-
 @given(
     st.lists(st.integers(0, 255), min_size=16, max_size=16),
 )
 def test_rs_systematic(data):
     rs = ReedSolomon(18, 16, 8)
     assert rs.encode(data)[:16] == data
-
-
-@given(addresses, st.sampled_from([4, 8]))
-def test_stride_mapping_involution(addr, granularity):
-    for make in (sam_sub_mapping, sam_io_mapping):
-        mapping = make(granularity)
-        assert mapping.apply(mapping.apply(addr)) == addr
-
-
-@given(addresses, st.sampled_from([4, 8]))
-def test_stride_mapping_preserves_strided_offset(addr, granularity):
-    """The 16B intra-codeword offset is never remapped."""
-    mapping = sam_io_mapping(granularity)
-    assert mapping.apply(addr) % 16 == addr % 16
 
 
 @given(
@@ -147,13 +125,6 @@ def test_sector_cache_invariants(operations):
                 dirty_mask = state >> cache.sectors
                 assert dirty_mask & ~valid_mask == 0
         assert cache.lookup(line_idx * 64, mask) == 0
-
-
-@given(st.integers(0, PAGE_SIZE - 1))
-def test_stride_translation_bijective(offset):
-    mapping = sam_sub_mapping(4)
-    mapped = mapping.apply(offset)
-    assert mapping.apply(mapped) == offset
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,6 @@ class SectorCache:
         last = (offset + size - 1) // self.sector_bytes
         return addr - offset, (2 << last) - (1 << first)
 
-    def sector_mask_for(self, addr: int, size: int) -> int:
-        """Mask of sectors covering ``[addr, addr + size)`` within a line."""
-        return self.locate(addr, size)[1]
-
     # -------------------------------------------------------------- access
 
     def lookup(self, line_addr: int, sector_mask: int) -> Optional[int]:

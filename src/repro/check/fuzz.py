@@ -213,8 +213,7 @@ def _pump(kernel: Kernel, mc: MemoryController,
             raise SimulationError("fuzz case wedged waiting for a slot")
 
 
-def run_case(case: FuzzCase, registry=None,
-             oracle_data: bool = True,
+def run_case(case: FuzzCase, oracle_data: bool = True,
              probes: Sequence[object] = ()) -> CaseResult:
     """Execute one case with checker + oracles attached (collect mode).
 
@@ -244,10 +243,9 @@ def run_case(case: FuzzCase, registry=None,
     for probe in probes:
         mc.attach(probe)
     checker = TimingProtocolChecker(
-        truth, geometry, registry=registry, strict=False,
-        salp=scheme.salp_mode,
+        truth, geometry, strict=False, salp=scheme.salp_mode,
     ).attach(mc)
-    validator = PlanValidator(scheme, registry=registry, strict=False)
+    validator = PlanValidator(scheme, strict=False)
 
     table = TablePlacement(
         base=0, record_bytes=case.record_bytes, n_records=case.n_records
@@ -464,14 +462,13 @@ def run_fuzz(
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     inject: Tuple[Tuple[str, int], ...] = (),
     artifacts_dir=None,
-    registry=None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FuzzReport:
     """Run ``cases`` seeded cases; shrink and persist the first failure."""
     report = FuzzReport(seed=seed)
     for index in range(cases):
         case = generate_case(seed, index, schemes, inject)
-        result = run_case(case, registry=registry)
+        result = run_case(case)
         report.cases += 1
         report.commands += result.commands
         if not result.failed:

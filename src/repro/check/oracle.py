@@ -122,8 +122,7 @@ class OracleError(Exception):
 
 
 class _MismatchCollector:
-    def __init__(self, registry=None, strict: bool = True) -> None:
-        self.registry = registry
+    def __init__(self, strict: bool = True) -> None:
         self.strict = strict
         self.mismatches: List[OracleMismatch] = []
 
@@ -132,8 +131,6 @@ class _MismatchCollector:
         m = OracleMismatch(kind=kind, scheme=scheme, message=message,
                            detail=detail)
         self.mismatches.append(m)
-        if self.registry is not None:
-            self.registry.counter("check.oracle_mismatches").inc()
         if self.strict:
             raise OracleError(m)
 
@@ -173,11 +170,16 @@ class PlanValidator(_MismatchCollector):
     _RC_NVM = {"RC-NVM-wd": 0, "RC-NVM-bit": 3}
     _RC_NVM_GROUP_ROWS = 64
 
-    def __init__(self, scheme: AccessScheme, registry=None,
-                 strict: bool = True) -> None:
-        super().__init__(registry, strict)
+    def __init__(self, scheme: AccessScheme, strict: bool = True) -> None:
+        super().__init__(strict)
         self.scheme = scheme
+        #: a checked run's ``check.plans``, ``check.lowered_gathers`` and
+        #: ``check.kernel_ops``: gather plans admitted, lowered gathers
+        #: diffed against the physical plan, and kernel ops the
+        #: :class:`KernelOracle` diffed (its workload adds them here)
         self.plans_seen = 0
+        self.lowered_gathers = 0
+        self.kernel_ops = 0
 
     # ------------------------------------------- plan-vs-lowering footprint
 
@@ -214,8 +216,7 @@ class PlanValidator(_MismatchCollector):
                     admitted, kind = admitted_reads, "read"
                 else:
                     continue
-                if self.registry is not None:
-                    self.registry.counter("check.lowered_gathers").inc()
+                self.lowered_gathers += 1
                 if tuple(op.element_addrs) not in admitted:
                     self._mismatch(
                         "plan-footprint", self.scheme.name,
@@ -233,8 +234,6 @@ class PlanValidator(_MismatchCollector):
                 plan: GatherPlan) -> None:
         """``kind`` is ``"read"`` or ``"write"``."""
         self.plans_seen += 1
-        if self.registry is not None:
-            self.registry.counter("check.plans").inc()
         scheme = self.scheme
         self._check_fills(kind, element_addrs, plan)
         expected = self._expected_requests(kind, element_addrs)
@@ -381,8 +380,8 @@ class KernelOracle(_MismatchCollector):
     before a single cycle is simulated.
     """
 
-    def __init__(self, registry=None, strict: bool = True) -> None:
-        super().__init__(registry, strict)
+    def __init__(self, strict: bool = True) -> None:
+        super().__init__(strict)
         self.ops_checked = 0
 
     def check_build(self, workload, scheme: AccessScheme, build,
@@ -395,8 +394,6 @@ class KernelOracle(_MismatchCollector):
         for ops in build.ops_per_core:
             for op in ops:
                 self.ops_checked += 1
-                if self.registry is not None:
-                    self.registry.counter("check.kernel_ops").inc()
                 if isinstance(op, (GatherLoad, GatherStore)):
                     kind = "read" if isinstance(op, GatherLoad) else "write"
                     if not scheme.supports_stride:
@@ -465,16 +462,10 @@ class DataOracle(_MismatchCollector):
     failure -- and SSC-DSD keeps its correct/detect contract.
     """
 
-    def __init__(self, geometry: Optional[Geometry] = None, registry=None,
+    def __init__(self, geometry: Optional[Geometry] = None,
                  strict: bool = True) -> None:
-        super().__init__(registry, strict)
+        super().__init__(strict)
         self.geometry = geometry or Geometry()
-        self.checks_run = 0
-
-    def _count(self) -> None:
-        self.checks_run += 1
-        if self.registry is not None:
-            self.registry.counter("check.oracle_checks").inc()
 
     def check_gather(
         self,
@@ -495,7 +486,6 @@ class DataOracle(_MismatchCollector):
         16 bytes.  ``layout='transposed'`` is SAM-IO's Figure 4(c)
         codeword; ``'default'`` is SAM-en's 2-D buffer path.
         """
-        self._count()
         scheme_name = f"datapath/{layout}"
         datapath = RankDatapath(self.geometry, layout)
         codec = ChipAlignedSSC(layout)
@@ -534,7 +524,6 @@ class DataOracle(_MismatchCollector):
     def check_line_roundtrip(self, layout: str, bank: int, row: int,
                              column: int, line: bytes) -> None:
         """A regular write + logical read must return the stored line."""
-        self._count()
         datapath = RankDatapath(self.geometry, layout)
         datapath.write_line(bank, row, column, line)
         got = datapath.read_line_logical(bank, row, column)
@@ -550,7 +539,6 @@ class DataOracle(_MismatchCollector):
         """SSC-DSD (RS(36,32) over grouped 4-bit-chip symbols): a single
         corrupted chip must be corrected bit-exactly, two must be
         detected (never silently miscorrected)."""
-        self._count()
         codec = SSCDSDCodec()
         if len(data) != codec.data_bytes or len(chip_masks) != codec.n:
             raise ValueError("check_dsd wants 32 data bytes and 36 masks")

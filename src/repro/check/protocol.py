@@ -165,23 +165,20 @@ class TimingProtocolChecker:
 
     ``strict=True`` raises :class:`ProtocolError` on the first violation
     (the mode ``--check`` runs use); ``strict=False`` collects violations
-    in :attr:`violations` (the fuzzer's mode).  When a ``registry`` is
-    given, ``check.commands``, ``check.violations`` and per-rule
-    ``check.violation.<rule>`` counters are maintained.
+    in :attr:`violations` (the fuzzer's mode).  :attr:`commands_seen`
+    counts every command checked (a checked run's ``check.commands``).
     """
 
     def __init__(
         self,
         timing: TimingParams,
         geometry: Optional[Geometry] = None,
-        registry=None,
         strict: bool = True,
         max_violations: int = 256,
         salp: str = "none",
     ) -> None:
         self.timing = timing
         self.geometry = geometry or Geometry()
-        self.registry = registry
         self.strict = strict
         #: subarray-level-parallelism mode; must match the checked
         #: controller's.  Under SALP the row rules apply per subarray and
@@ -229,9 +226,6 @@ class TimingProtocolChecker:
             window=tuple(r.as_tuple() for r in self.window),
         )
         self.violations.append(violation)
-        if self.registry is not None:
-            self.registry.counter("check.violations").inc()
-            self.registry.counter(f"check.violation.{rule}").inc()
         if self.strict or len(self.violations) >= self.max_violations:
             raise ProtocolError(violation)
 
@@ -307,8 +301,6 @@ class TimingProtocolChecker:
             io_mode = X4
 
         self.commands_seen += 1
-        if self.registry is not None:
-            self.registry.counter("check.commands").inc()
         self.window.append(CommandRecord(
             cycle=cycle,
             command=command._value_,

@@ -18,7 +18,7 @@ Commands mirror the paper's artefacts:
 
 Every figure/table command also speaks JSON (``--json``) and can drop
 its payload into an artifacts directory (``--artifacts DIR``); ``query``
-additionally offers ``--stats`` (metrics registry dump), ``--profile``
+additionally offers ``--stats`` (the run's metrics table), ``--profile``
 (phase-span flamegraph), ``--stalls`` (cycle-accounting stall
 attribution) and ``--timeline`` (command-level timeline report with
 per-bank utilization and row-hit rates; Chrome trace-event and JSONL
@@ -241,7 +241,7 @@ def _cmd_explain(args) -> int:
 def _cmd_query(args) -> int:
     from .workloads import make_tables
     from .imdb.sql import parse
-    from .obs import Observation
+    from .obs import Observation, render_metrics
     from .sim.runner import run_query
 
     query = parse(args.sql, name="cli")
@@ -269,12 +269,12 @@ def _cmd_query(args) -> int:
         )
         if args.check:
             print(
-                f"checked  : {observe.registry.value('check.commands')} "
+                f"checked  : {result.metrics.get('check.commands', 0)} "
                 f"commands, 0 violations"
             )
     if args.stats:
         print()
-        print(observe.registry.render())
+        print(render_metrics(result.metrics))
     if args.profile:
         print()
         print(result.spans.render())
@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="also run the baseline and print the speedup")
     p.add_argument("--stats", action="store_true",
-                   help="print the full metrics registry after the run")
+                   help="print the run's full metrics table")
     p.add_argument("--profile", action="store_true",
                    help="print the phase-span profile after the run")
     p.add_argument("--check", action="store_true",

@@ -291,8 +291,3 @@ class Placement(abc.ABC):
         return [
             self.addr_of(first_record + i, offset) for i in range(count)
         ]
-
-    @property
-    def footprint(self) -> int:
-        """Bytes of address space the table occupies."""
-        return self.table.record_bytes * self.table.n_records

@@ -1,11 +1,10 @@
-"""CPU front end: scan cores, memory-op streams, sload/sstore ISA hooks."""
+"""CPU front end: scan cores and their memory-op streams (a gather op
+carries the element addresses of one sload/sstore group)."""
 
-from . import isa
 from .core import Core, CoreConfig
 from .ops import Compute, GatherLoad, GatherStore, Load, MemOp, Store
 
 __all__ = [
-    "isa",
     "Core",
     "CoreConfig",
     "Compute",

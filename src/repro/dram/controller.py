@@ -146,9 +146,6 @@ class MemoryController:
         self._on_command: Tuple[Callable, ...] = ()
         self._on_wait: Tuple[Callable, ...] = ()
         self._on_read_latency: Tuple[Callable, ...] = ()
-        #: optional obs.metrics.MetricsRegistry for controller-side
-        #: counters (queue_full_rejects)
-        self.metrics = None
         self.read_queue: List[Request] = []
         self.write_queue: List[Request] = []
         self.stats = CommandStats()
@@ -181,8 +178,6 @@ class MemoryController:
             capacity = self.config.write_queue_capacity
         now = self.kernel.now
         if len(queue) >= capacity:
-            if self.metrics is not None:
-                self.metrics.counter("controller.queue_full_rejects").inc()
             raise QueueFullError("read" if request.is_read else "write",
                                  capacity, request.source_core, now)
         request.arrival = now

@@ -13,11 +13,11 @@ whose content digest (point + config + source tree) already has a stored
 payload, so an interrupted figure run resumes where it stopped and a
 warm rerun executes zero simulations.
 
-Every run is observed: the engine's metrics registry counts points,
-cache hits/misses and executed simulations, each executed point records
-its wall time (measured in the worker for parallel points), and
+Every run is observed: each :class:`SweepRun` counts its points, cache
+hits/misses and executed simulations, each executed point records its
+wall time (measured in the worker for parallel points), and
 :meth:`SweepEngine.manifest` rolls the whole history into one
-machine-readable sweep manifest.
+machine-readable sweep manifest whose ``totals`` sum those counts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache, point_digest, source_digest
 from .spec import ExperimentSpec, SweepPoint
 
@@ -177,8 +176,7 @@ class SweepEngine:
     """Executes experiment specs with caching and optional parallelism.
 
     One engine instance may run several specs; ``history`` keeps every
-    :class:`SweepRun` for roll-up into a single sweep manifest, and
-    ``registry`` counts across all of them.
+    :class:`SweepRun` for roll-up into a single sweep manifest.
 
     ``timeline`` records a cycle-level timeline for every workload point
     the engine simulates (exported into ``timeline_dir`` when set).  It
@@ -199,7 +197,6 @@ class SweepEngine:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = cache
-        self.registry = MetricsRegistry()
         self.check = check
         self.timeline = timeline
         self.timeline_dir = timeline_dir
@@ -260,7 +257,6 @@ class SweepEngine:
             jobs=self.jobs,
             wall_s=time.perf_counter() - started,
         )
-        self._publish(run)
         self.history.append(run)
         return run
 
@@ -295,15 +291,6 @@ class SweepEngine:
 
     # ----------------------------------------------------------- reporting
 
-    def _publish(self, run: SweepRun) -> None:
-        reg = self.registry
-        reg.counter("exp.points").inc(len(run.spec))
-        reg.counter("exp.cache.hits").inc(run.cache_hits)
-        reg.counter("exp.cache.misses").inc(run.cache_misses)
-        reg.counter("exp.executed").inc(run.executed)
-        reg.gauge("exp.jobs").set(run.jobs)
-        reg.gauge("exp.last_wall_s").set(run.wall_s)
-
     @property
     def cache_hits(self) -> int:
         return sum(r.cache_hits for r in self.history)
@@ -329,7 +316,6 @@ class SweepEngine:
                 "executed": self.executed,
                 "wall_s": sum(r.wall_s for r in self.history),
             },
-            "metrics": self.registry.as_dict(),
         }
 
     def summary(self) -> str:

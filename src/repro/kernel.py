@@ -17,7 +17,7 @@ ordering being stable, so it is part of the kernel's contract, not an
 implementation detail.  :meth:`Kernel.peek` reports the next deadline.
 
 :attr:`Kernel.events` counts executed callbacks; together with the final
-``now`` it yields the run's events-per-simulated-cycle gauge.
+``now`` it yields the run's ``sim.events_per_cycle`` metric.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 One :class:`Observation` bundles everything a run can record:
 
-* a :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  fixed-bucket histograms) -- cheap enough to stay on by default and the
-  single source the power model and harnesses read from,
+* an always-on :class:`~repro.obs.metrics.Histogram` of DRAM read
+  latencies, which lands in the run's metrics dict beside the counts the
+  runner gathers where the run ends,
 * an always-on ring buffer of the last issued DRAM commands (stall
   forensics),
 * an always-on :class:`~repro.obs.stalls.StallAttributor` that overlays
@@ -22,7 +22,7 @@ methods *are* the ring append, the stall ledger's ``note`` and the
 read-latency histogram's ``observe``, so the default run adds no
 wrapper call per event.  ``run_query(..., observe=Observation(...))``
 threads the bundle through the stack; calling ``run_query`` with no
-observation still gets default metrics and the stall ring.  The runner
+observation still gets the full metrics dict and the stall ring.  The runner
 wires every recorder onto the run it builds and returns the run's phase
 :class:`~repro.obs.spans.Span` tree on the result (``result.spans``).
 """
@@ -46,7 +46,7 @@ from .diagnostics import (
     StallReport,
     build_stall_report,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, render_metrics
 from .spans import Span
 from .stalls import (
     STALL_REASONS,
@@ -62,11 +62,8 @@ from .timeline import (
 
 __all__ = [
     "ArtifactWriter",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MANIFEST_SCHEMA_VERSION",
-    "MetricsRegistry",
     "Observation",
     "RECENT_EVENTS",
     "STALL_REASONS",
@@ -80,6 +77,7 @@ __all__ = [
     "build_stall_report",
     "git_describe",
     "merge_breakdown",
+    "render_metrics",
     "render_stall_report",
     "to_jsonable",
     "validate_chrome_trace",
@@ -100,7 +98,6 @@ class Observation:
         ring_size: int = RECENT_EVENTS,
         timeline: bool = False,
     ) -> None:
-        self.registry = MetricsRegistry()
         #: request a TimelineRecorder (the runner attaches it as a second
         #: probe); off by default
         self.timeline = timeline
@@ -115,11 +112,13 @@ class Observation:
         )
         #: manifest path once artifacts were written
         self.manifest_path: Optional[Path] = None
+        #: every served read's latency, published as
+        #: ``dram.read_latency_cycles``
+        self.read_latency = Histogram("dram.read_latency_cycles",
+                                      _LATENCY_BUCKETS)
         # probe methods bound straight to their sinks (no wrapper call)
         self.on_wait = self.stalls.ledger.note
-        self.on_read_latency = self.registry.histogram(
-            "dram.read_latency_cycles", _LATENCY_BUCKETS
-        ).observe
+        self.on_read_latency = self.read_latency.observe
         self._claimed = False
 
     def claim(self) -> None:

@@ -28,8 +28,8 @@ class RunResult:
     selected_records: int = 0
     core_stats: Dict[str, int] = field(default_factory=dict)
     bus_utilization: float = 0.0
-    #: registry snapshot (flat name -> value/histogram dict); the
-    #: machine-readable face of every number above
+    #: every number of the run, name-sorted (flat name -> value or
+    #: histogram dict); the machine-readable face of the fields above
     metrics: Dict[str, object] = field(default_factory=dict)
     #: root of the phase-span tree recorded during the run
     spans: "Optional[Span]" = None

@@ -15,16 +15,19 @@ core's.
 Every run is observed, and the runner wires each observer onto the run
 it builds.  It stamps the phase spans itself (``result.spans``).  A
 :class:`repro.obs.Observation` (created on demand when the caller does
-not pass one) rides the memory controller as a probe: it publishes all
-statistics into a metrics registry, the source of the run manifest,
-``query --stats`` and perfbench's counters, and keeps a ring of recently
-issued DRAM commands for stall forensics.
+not pass one) rides the memory controller as a probe: it keeps the
+read-latency histogram and a ring of recently issued DRAM commands for
+stall forensics.
 Each core keeps its own stall log, and with ``check`` a plan validator
-rides the memory system.  With an artifacts directory the run writes a
-JSON manifest plus a JSONL command trace.  A wedged simulation raises
-:class:`repro.obs.SimulationStallError` carrying per-bank state, queue
-occupancies and the last commands instead of a bare string; a livelocked
-one does so once it exhausts an event budget scaled to its op count.
+rides the memory system.  Where the run ends, the runner gathers every
+number from the structs, counters and probes that hold it into one
+name-sorted dict (``result.metrics``), the source of the run manifest,
+``query --stats`` and perfbench's counters.  With an artifacts
+directory the run writes a JSON manifest plus a JSONL command trace.  A
+wedged simulation raises :class:`repro.obs.SimulationStallError`
+carrying per-bank state, queue occupancies and the last commands instead
+of a bare string; a livelocked one does so once it exhausts an event
+budget scaled to its op count.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from ..obs import (
     merge_breakdown,
 )
 from ..obs.artifacts import ArtifactWriter
+from ..obs.metrics import struct_metrics
 from ..power.model import PowerModel
 
 # typing-only imports of the imdb/workloads layers (they import
@@ -124,7 +128,6 @@ def _attach_observers(system: MemorySystem, obs: Observation) -> None:
     """Attach the observation (and its timeline) as controller probes."""
     controller = system.controller
     controller.attach(obs)
-    controller.metrics = obs.registry
     if obs.timeline:
         from ..obs.timeline import TimelineRecorder
 
@@ -181,6 +184,7 @@ def _add_activity_spans(
 
 
 def _publish_metrics(
+    metrics: Dict[str, object],
     obs: Observation,
     system: MemorySystem,
     cores: List[Core],
@@ -189,43 +193,39 @@ def _publish_metrics(
     max_events: int,
     scheme: AccessScheme,
     occupancy: Dict[str, Dict[str, int]],
-    kernel: Optional[Kernel] = None,
+    kernel: Kernel,
 ) -> None:
-    """Publish every collected statistic into the metrics registry;
-    ``occupancy`` is the cache residency snapshot taken before the
-    end-of-run flush empties every level."""
-    reg = obs.registry
-    reg.publish_struct("dram", system.controller.stats)
-    reg.gauge("dram.avg_read_latency").set(
-        system.controller.stats.avg_read_latency
-    )
-    reg.publish_struct("sys", system.stats)
+    """Gather every collected statistic into ``metrics``; ``occupancy``
+    is the cache residency snapshot taken before the end-of-run flush
+    empties every level."""
+    stats = system.controller.stats
+    metrics.update(struct_metrics("dram", stats))
+    metrics["dram.avg_read_latency"] = stats.avg_read_latency
+    metrics[obs.read_latency.name] = obs.read_latency.as_dict()
+    metrics.update(struct_metrics("sys", system.stats))
     for name in ("loads", "stores", "gathers", "hits", "misses",
                  "retries"):
-        reg.counter(f"core.{name}").inc(
-            sum(getattr(c, name) for c in cores)
-        )
+        metrics[f"core.{name}"] = sum(getattr(c, name) for c in cores)
     for level, occ in occupancy.items():
         for key, value in occ.items():
-            reg.gauge(f"cache.{level}.{key}").set(value)
-    reg.gauge("sim.cycles").set(cycles)
-    reg.gauge("sim.ns").set(scheme.timing.ns(cycles))
+            metrics[f"cache.{level}.{key}"] = value
+    metrics["sim.cycles"] = cycles
+    metrics["sim.ns"] = scheme.timing.ns(cycles)
     # Event count against the safety valve: near-runaway runs become
     # visible long before they exhaust the budget.
-    reg.gauge("sim.events").set(events)
-    reg.gauge("sim.max_events").set(max_events)
-    # Event-wheel efficiency gauges: executed kernel events per simulated
-    # cycle (the wake-up efficiency), FR-FCFS scans resumed from the wait
-    # memo, and writeback polls fired.
-    reg.set_ratio("sim.events_per_cycle", events, cycles)
-    if kernel is not None:
-        reg.gauge("kernel.events").set(kernel.events)
-    reg.gauge("dram.peek_hits").set(system.controller.scheduler.peek_hits)
-    reg.gauge("sys.wb_polls").set(system.wb_polls)
+    metrics["sim.events"] = events
+    metrics["sim.max_events"] = max_events
+    # Event-wheel efficiency: executed kernel events per simulated cycle
+    # (the wake-up efficiency), FR-FCFS scans resumed from the wait memo,
+    # and writeback polls fired.
+    metrics["sim.events_per_cycle"] = events / cycles if cycles else 0.0
+    metrics["kernel.events"] = kernel.events
+    metrics["dram.peek_hits"] = system.controller.scheduler.peek_hits
+    metrics["sys.wb_polls"] = system.wb_polls
     frac = events / max_events if max_events else 0.0
-    reg.gauge("sim.event_budget_used").set(frac)
+    metrics["sim.event_budget_used"] = frac
     if frac > _EVENT_WARN_FRACTION:
-        reg.counter("sim.events_near_limit").inc()
+        metrics["sim.events_near_limit"] = 1
         warnings.warn(
             f"simulation used {frac:.0%} of its event budget "
             f"({events}/{max_events}); raise max_events or shrink the "
@@ -235,17 +235,18 @@ def _publish_metrics(
         )
 
 
-def _attribute_stalls(obs: Observation, cores: List[Core]) -> Dict:
+def _attribute_stalls(metrics: Dict[str, object], obs: Observation,
+                      cores: List[Core]) -> Dict:
     """Run the stall attributor and publish the breakdown as metrics."""
     per_core = obs.stalls.attribute(cores)
     merged = merge_breakdown(per_core)
-    for reason, cyc in sorted(merged.items()):
-        obs.registry.gauge(f"stalls.{reason}").set(cyc)
+    for reason, cyc in merged.items():
+        metrics[f"stalls.{reason}"] = cyc
     return {"per_core": per_core, "merged": merged}
 
 
-def _finish_timeline(obs: Observation, cycles: int,
-                     cores: List[Core]) -> None:
+def _finish_timeline(metrics: Dict[str, object], obs: Observation,
+                     cycles: int, cores: List[Core]) -> None:
     """Close the timeline, add the core lanes, publish its digest."""
     timeline = obs.timeline_recorder
     if timeline is None:
@@ -259,10 +260,23 @@ def _finish_timeline(obs: Observation, cycles: int,
             timeline.add_core_span(core.core_id, start, end,
                                    f"stall:{reason}")
     for key, value in timeline.digest().items():
-        obs.registry.gauge(f"timeline.{key}").set(value)
+        metrics[f"timeline.{key}"] = value
 
 
-def _bus_utilization(obs: Observation, busy: int, cycles: int,
+def _check_counts(metrics: Dict[str, object], checker, validator) -> None:
+    """Publish the checked pass's counts; a count that stayed 0 (a
+    design without gathers plans none) is left out."""
+    for name, count in (
+        ("check.commands", checker.commands_seen),
+        ("check.plans", validator.plans_seen),
+        ("check.lowered_gathers", validator.lowered_gathers),
+        ("check.kernel_ops", validator.kernel_ops),
+    ):
+        if count:
+            metrics[name] = count
+
+
+def _bus_utilization(metrics: Dict[str, object], busy: int, cycles: int,
                      scheme: AccessScheme, workload_name: str) -> float:
     """Busy fraction of the data bus, *without* clamping: a value above
     1.0 is a bookkeeping bug, so it is surfaced as a warning metric
@@ -271,15 +285,15 @@ def _bus_utilization(obs: Observation, busy: int, cycles: int,
         return 0.0
     utilization = busy / cycles
     if utilization > 1.0:
-        obs.registry.counter("sim.bus_utilization_overflow").inc()
-        obs.registry.gauge("sim.bus_utilization_raw").set(utilization)
+        metrics["sim.bus_utilization_overflow"] = 1
+        metrics["sim.bus_utilization_raw"] = utilization
         warnings.warn(
             f"data-bus utilization {utilization:.3f} > 1.0 "
             f"({scheme.name}/{workload_name}): busy-cycle bookkeeping bug",
             RuntimeWarning,
             stacklevel=3,
         )
-    obs.registry.gauge("sim.bus_utilization").set(utilization)
+    metrics["sim.bus_utilization"] = utilization
     return utilization
 
 
@@ -309,7 +323,7 @@ def run_workload(
     footprint diff for queries, the :class:`~repro.check.KernelOracle`
     access/expected-bytes diff for kernels).  Any protocol violation or
     oracle mismatch aborts the run with a structured exception;
-    ``check.*`` counters land in the run's metrics.
+    the pass's ``check.*`` counts land in the run's metrics.
 
     A ``scheme`` name builds a fresh design for this run, which is what
     every harness, CLI path and perfbench point passes.  A caller-owned
@@ -320,10 +334,10 @@ def run_workload(
     ``observe`` threads a caller-owned :class:`repro.obs.Observation`
     through the run (enable tracing, choose an artifacts directory); it
     records one run, so one handed to a second run raises ``ValueError``
-    before anything is simulated.  Without one, default-on metrics,
-    spans and the stall ring are still recorded.  ``max_events``
-    overrides the runaway-simulation safety valve, an event budget
-    scaled to the build's op count.
+    before anything is simulated.  Without one, the metrics, spans and
+    the stall ring are still recorded.  ``max_events`` overrides the
+    runaway-simulation safety valve, an event budget scaled to the
+    build's op count.
     ``timing`` forces a base-timing preset by name (substrate swap) via
     :meth:`~repro.core.scheme.AccessScheme.with_timing`; together with a
     string ``scheme`` this keeps the whole entry point picklable, which
@@ -338,11 +352,11 @@ def run_workload(
     config = config or SystemConfig()
     if tables is None:
         tables = workload.materialize()
-    validator = None
+    validator = checker = None
     if check:
         from ..check import PlanValidator, TimingProtocolChecker
 
-        validator = PlanValidator(scheme, registry=obs.registry, strict=True)
+        validator = PlanValidator(scheme, strict=True)
 
     kernel = Kernel()
     events = 0
@@ -353,9 +367,8 @@ def run_workload(
             system = MemorySystem(kernel, scheme, config)
             if validator is not None:
                 system.plan_observer = validator.on_plan
-                TimingProtocolChecker(
-                    scheme.timing, scheme.geometry,
-                    registry=obs.registry, strict=True,
+                checker = TimingProtocolChecker(
+                    scheme.timing, scheme.geometry, strict=True,
                     salp=scheme.salp_mode,
                 ).attach(system.controller)
             placements = allocate_placements(scheme, tables)
@@ -410,18 +423,19 @@ def run_workload(
         _add_activity_spans(execute_span, cores, system)
 
     cycles = kernel.now
-    _publish_metrics(obs, system, cores, cycles, events, limit, scheme,
-                     occupancy, kernel=kernel)
-    stalls = _attribute_stalls(obs, cores)
-    _finish_timeline(obs, cycles, cores)
+    metrics: Dict[str, object] = {}
+    _publish_metrics(metrics, obs, system, cores, cycles, events, limit,
+                     scheme, occupancy, kernel)
+    stalls = _attribute_stalls(metrics, obs, cores)
+    _finish_timeline(metrics, obs, cycles, cores)
+    if validator is not None:
+        _check_counts(metrics, checker, validator)
     power = PowerModel(
         scheme.power_config, scheme.timing, scheme.geometry
     ).evaluate(system.controller.stats, cycles)
-    obs.registry.gauge("power.background_nj").set(power.background_nj)
-    obs.registry.gauge("power.act_nj").set(power.act_nj)
-    obs.registry.gauge("power.rdwr_nj").set(power.rdwr_nj)
-    obs.registry.gauge("power.total_nj").set(power.total_nj)
-    obs.registry.gauge("power.total_mw").set(power.total_mw)
+    for name in ("background_nj", "act_nj", "rdwr_nj", "total_nj",
+                 "total_mw"):
+        metrics[f"power.{name}"] = getattr(power, name)
     core_stats = {
         "loads": sum(c.loads for c in cores),
         "stores": sum(c.stores for c in cores),
@@ -429,7 +443,10 @@ def run_workload(
         "hits": sum(c.hits for c in cores),
         "misses": sum(c.misses for c in cores),
     }
-    busy = system.controller.channel.data_busy_cycles
+    utilization = _bus_utilization(
+        metrics, system.controller.channel.data_busy_cycles, cycles,
+        scheme, workload.name,
+    )
     result = RunResult(
         scheme=scheme.name,
         query=workload.name,
@@ -440,9 +457,8 @@ def run_workload(
         result=build.result,
         selected_records=build.selected_records,
         core_stats=core_stats,
-        bus_utilization=_bus_utilization(obs, busy, cycles, scheme,
-                                         workload.name),
-        metrics=obs.registry.as_dict(),
+        bus_utilization=utilization,
+        metrics=dict(sorted(metrics.items())),
         spans=root,
         stalls=stalls,
         config=config,

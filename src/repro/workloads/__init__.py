@@ -22,7 +22,6 @@ from .kernels import (
     KernelProgram,
     KernelWorkload,
     available_kernels,
-    encode_stream,
 )
 from .query import QueryWorkload
 from .tables import (
@@ -48,7 +47,6 @@ __all__ = [
     "WorkloadBuild",
     "available_kernels",
     "build_tables",
-    "encode_stream",
     "geomean",
     "make_tables",
     "standard_tables",

@@ -53,7 +53,6 @@ from typing import (
     Tuple,
 )
 
-from ..cpu.isa import encode
 from ..cpu.ops import GatherLoad, GatherStore, Load, MemOp, Store
 from .base import Workload, WorkloadBuild
 from .tables import TableSpec
@@ -464,34 +463,10 @@ class KernelWorkload(Workload):
 
     def check_build(self, validator, build: WorkloadBuild,
                     placements: "Dict[str, Placement]") -> None:
-        """Route the ``--check`` pass to the kernel oracle."""
+        """Route the ``--check`` pass to the kernel oracle; the validator
+        keeps its op count for the run's ``check.kernel_ops``."""
         from ..check.oracle import KernelOracle
 
-        KernelOracle(
-            registry=getattr(validator, "registry", None),
-            strict=getattr(validator, "strict", True),
-        ).check_build(self, validator.scheme, build, placements)
-
-
-def encode_stream(ops: "List[MemOp]") -> List[int]:
-    """Encode a core's gather ops as 64-bit sload/sstore words.
-
-    The register field carries the gather-group size (how many elements
-    the stride burst covers); the address field carries the group's
-    leading element.  Plain loads/stores have no stride-ISA form and are
-    skipped.  Round-tripping through :func:`repro.cpu.isa.decode` is the
-    decode path a real frontend would exercise.
-    """
-    words = []
-    for op in ops:
-        if isinstance(op, GatherLoad):
-            words.append(
-                encode("sload", len(op.element_addrs),
-                       op.element_addrs[0])
-            )
-        elif isinstance(op, GatherStore):
-            words.append(
-                encode("sstore", len(op.element_addrs),
-                       op.element_addrs[0])
-            )
-    return words
+        oracle = KernelOracle(strict=validator.strict)
+        oracle.check_build(self, validator.scheme, build, placements)
+        validator.kernel_ops += oracle.ops_checked

@@ -98,21 +98,21 @@ class TestSectorCache:
 
     def test_sector_mask_for(self):
         c = small_cache(sectors=4)
-        assert c.sector_mask_for(0, 8) == 0b0001
-        assert c.sector_mask_for(16, 16) == 0b0010
-        assert c.sector_mask_for(8, 16) == 0b0011
-        assert c.sector_mask_for(64 + 48, 16) == 0b1000
+        assert c.locate(0, 8)[1] == 0b0001
+        assert c.locate(16, 16)[1] == 0b0010
+        assert c.locate(8, 16)[1] == 0b0011
+        assert c.locate(64 + 48, 16)[1] == 0b1000
 
     def test_mask_rejects_line_crossing(self):
         c = small_cache()
         with pytest.raises(ValueError):
-            c.sector_mask_for(60, 8)
+            c.locate(60, 8)
 
     def test_eight_sector_configuration(self):
         """SSC-DSD granularity: 8 sectors of 8B."""
         c = small_cache(sectors=8)
         assert c.sector_bytes == 8
-        assert c.sector_mask_for(24, 8) == 1 << 3
+        assert c.locate(24, 8)[1] == 1 << 3
 
     def test_flush(self):
         c = small_cache()

@@ -23,7 +23,12 @@ from repro.ecc.layout import (
     sam_gather_check,
 )
 
-rng = random.Random(5)
+
+@pytest.fixture
+def rng():
+    """A fresh seeded generator for each test, so a test's data does not
+    depend on which tests ran before it."""
+    return random.Random(5)
 
 
 class TestChipkillCodecs:
@@ -37,7 +42,7 @@ class TestChipkillCodecs:
         assert codec.n == 36
         assert codec.data_bytes == 32 and codec.parity_bytes == 4
 
-    def test_ssc_corrects_chip_failure(self):
+    def test_ssc_corrects_chip_failure(self, rng):
         codec = SSCCodec()
         data = bytes(rng.randrange(256) for _ in range(16))
         parity = codec.encode(data)
@@ -48,7 +53,7 @@ class TestChipkillCodecs:
             assert report.data == data
             assert report.corrected_chips == (chip,)
 
-    def test_ssc_corrects_parity_chip_failure(self):
+    def test_ssc_corrects_parity_chip_failure(self, rng):
         codec = SSCCodec()
         data = bytes(rng.randrange(256) for _ in range(16))
         parity = bytearray(codec.encode(data))
@@ -56,7 +61,7 @@ class TestChipkillCodecs:
         report = codec.decode(data, bytes(parity))
         assert report.data == data
 
-    def test_ssc_dsd_detects_double_chip(self):
+    def test_ssc_dsd_detects_double_chip(self, rng):
         codec = SSCDSDCodec()
         data = bytes(rng.randrange(256) for _ in range(32))
         parity = codec.encode(data)
@@ -74,7 +79,7 @@ class TestChipkillCodecs:
         assert codec.check(data, parity)
         assert not codec.check(bytes(16), parity)
 
-    def test_line_encode_decode(self):
+    def test_line_encode_decode(self, rng):
         line = bytes(rng.randrange(256) for _ in range(64))
         parity = encode_line(line)
         assert len(parity) == 8
@@ -82,7 +87,7 @@ class TestChipkillCodecs:
         assert decoded == line
         assert len(reports) == 4
 
-    def test_line_decode_fixes_chip_in_every_codeword(self):
+    def test_line_decode_fixes_chip_in_every_codeword(self, rng):
         line = bytes(rng.randrange(256) for _ in range(64))
         parity = encode_line(line)
         bad = bytearray(line)
@@ -154,7 +159,7 @@ class TestChipAlignedSSC:
     granularity -- a chip failure is a single-symbol error only under the
     chip-aligned mapping."""
 
-    def _roundtrip(self, layout):
+    def _roundtrip(self, layout, rng):
         from repro.ecc.chipkill import (
             ChipAlignedSSC,
             sector_chip_symbols,
@@ -168,20 +173,20 @@ class TestChipAlignedSSC:
         assert sector_from_chip_symbols(symbols, layout) == (data, parity)
         return codec, data, parity, symbols
 
-    def test_symbol_mapping_roundtrip_default(self):
-        self._roundtrip("default")
+    def test_symbol_mapping_roundtrip_default(self, rng):
+        self._roundtrip("default", rng)
 
-    def test_symbol_mapping_roundtrip_transposed(self):
-        self._roundtrip("transposed")
+    def test_symbol_mapping_roundtrip_transposed(self, rng):
+        self._roundtrip("transposed", rng)
 
-    def test_chip_failure_is_single_symbol(self):
+    def test_chip_failure_is_single_symbol(self, rng):
         from repro.ecc.chipkill import (
             ChipAlignedSSC,
             sector_from_chip_symbols,
         )
 
         for layout in ("default", "transposed"):
-            codec, data, parity, symbols = self._roundtrip(layout)
+            codec, data, parity, symbols = self._roundtrip(layout, rng)
             for chip in range(18):
                 bad = list(symbols)
                 bad[chip] ^= 0xFF
@@ -190,7 +195,7 @@ class TestChipAlignedSSC:
                 assert report.data == data
                 assert report.corrected_chips == (chip,)
 
-    def test_byte_codec_cannot_fix_spread_chip_failure(self):
+    def test_byte_codec_cannot_fix_spread_chip_failure(self, rng):
         """Contrast: under the default layout a chip failure spans two
         byte-symbols, which the plain byte-wise SSC cannot correct."""
         from repro.ecc.chipkill import (
@@ -212,13 +217,13 @@ class TestChipAlignedSSC:
         # cannot reliably restore the data
         assert report.detected_uncorrectable or report.data != data
 
-    def test_double_chip_detected(self):
+    def test_double_chip_detected(self, rng):
         from repro.ecc.chipkill import (
             ChipAlignedSSC,
             sector_from_chip_symbols,
         )
 
-        codec, data, parity, symbols = self._roundtrip("default")
+        codec, data, parity, symbols = self._roundtrip("default", rng)
         bad = list(symbols)
         bad[2] ^= 0x11
         bad[9] ^= 0x22

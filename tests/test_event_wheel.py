@@ -326,7 +326,7 @@ def test_idle_gap_workload_events_scale_with_commands():
 
 
 def test_event_efficiency_gauges_published(tables):
-    """The wakeup-efficiency gauges land in the metrics registry (and
+    """The wakeup-efficiency numbers land in the run's metrics (and
     therefore in run manifests)."""
     result, _ = _run("SAM-en", "Qs1", tables)
     m = result.metrics

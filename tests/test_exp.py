@@ -272,7 +272,6 @@ class TestEngine:
         assert manifest["totals"]["points"] == 4
         assert manifest["totals"]["cache_hits"] == 2
         assert manifest["totals"]["executed"] == 2
-        assert manifest["metrics"]["exp.cache.hits"] == 2
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):

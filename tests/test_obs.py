@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics registry, phase spans,
+"""Tests for the observability layer: a run's metrics, phase spans,
 run artifacts and stall diagnostics."""
 
 import json
@@ -19,7 +19,7 @@ from repro.obs import (
     to_jsonable,
 )
 from repro.obs.artifacts import ArtifactWriter
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, render_metrics, struct_metrics
 from repro.obs.spans import Span
 from repro.sim.runner import run_query
 
@@ -32,23 +32,8 @@ def _small_query():
 
 
 class TestMetricsRegistry:
-    def test_counter_inc(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.counter("a").inc(4)
-        assert reg.value("a") == 5
-
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(3.0)
-        reg.gauge("g").set(7.5)
-        assert reg.value("g") == 7.5
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
+    """``repro.obs.metrics``: the read-latency histogram, a stats
+    struct's numeric fields, and the ``--stats`` table."""
 
     def test_histogram_buckets(self):
         h = Histogram("h", (10, 20, 30))
@@ -62,14 +47,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             Histogram("h", (3, 2, 1))
 
-    def test_histogram_quantile(self):
-        h = Histogram("h", (10, 20, 40))
-        for _ in range(9):
-            h.observe(5)
-        h.observe(35)
-        assert h.quantile(0.5) == 10
-        assert h.quantile(1.0) == 40
-
     def test_publish_struct(self):
         @dataclass
         class S:
@@ -77,67 +54,39 @@ class TestMetricsRegistry:
             label: str = "no"  # non-numeric fields are skipped
             flag: bool = True  # bools are skipped too
 
-        reg = MetricsRegistry()
-        reg.publish_struct("dram", S())
-        assert reg.value("dram.reads") == 7
-        assert "dram.label" not in reg
-        assert "dram.flag" not in reg
+        assert struct_metrics("dram", S()) == {"dram.reads": 7}
 
     def test_as_dict_and_render(self):
-        reg = MetricsRegistry()
-        reg.counter("n").inc(2)
-        reg.histogram("h", (1, 2)).observe(1)
-        snap = reg.as_dict()
-        assert snap["n"] == 2
+        h = Histogram("h", (1, 2))
+        h.observe(1)
+        snap = {"n": 2, "h": h.as_dict()}
         assert snap["h"]["type"] == "histogram"
-        text = reg.render()
-        assert "n" in text and "h" in text
+        assert snap["h"]["buckets"] == {"le_1": 1, "le_2": 0, "overflow": 0}
+        text = render_metrics(snap)
+        assert "n" in text and "h  n=1 mean=1.0" in text
 
     def test_render_empty(self):
-        assert MetricsRegistry().render() == "(no metrics)"
+        assert render_metrics({}) == "(no metrics)"
 
     # ---- histogram edge cases
 
     def test_empty_histogram_mean_and_quantile(self):
         h = Histogram("h", (10, 20))
         assert h.mean == 0.0
-        assert h.quantile(0.5) == 0.0
         assert h.total == 0
-
-    def test_quantile_out_of_range_raises(self):
-        h = Histogram("h", (10,))
-        h.observe(5)
-        with pytest.raises(ValueError):
-            h.quantile(-0.1)
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_quantile_extremes(self):
-        h = Histogram("h", (10, 20))
-        h.observe(5)
-        h.observe(99)  # overflow bucket maps to last finite bound
-        assert h.quantile(0.0) == 10
-        assert h.quantile(1.0) == 20
 
     def test_histogram_empty_bounds_rejected(self):
         with pytest.raises(ValueError):
             Histogram("h", ())
 
     def test_as_dict_sorted_by_name(self):
-        reg = MetricsRegistry()
-        reg.counter("zeta").inc()
-        reg.counter("alpha").inc()
-        reg.gauge("mid").set(1)
-        assert list(reg.as_dict()) == ["alpha", "mid", "zeta"]
-        assert reg.names() == ["alpha", "mid", "zeta"]
+        result = run_query("SAM-en", _small_query(), make_tables(64, 64))
+        assert list(result.metrics) == sorted(result.metrics)
+        assert "dram.read_latency_cycles" in result.metrics
 
     def test_render_rows_follow_sorted_order(self):
-        reg = MetricsRegistry()
-        reg.counter("b.second").inc()
-        reg.counter("a.first").inc()
-        lines = reg.render().splitlines()
-        assert lines[0].startswith("a.first")
-        assert lines[1].startswith("b.second")
+        lines = render_metrics({"b.second": 1, "a.first": 2.5}).splitlines()
+        assert lines == ["a.first   2.5", "b.second  1"]
 
 
 def _linear_bucket(bounds, value):
@@ -343,14 +292,17 @@ class TestOneObservationPerRun:
 
         obs = Observation()
         tables = make_tables(64, 64)
-        run_query("SAM-en", by_name()["Q3"], tables, observe=obs)
-        reads = obs.registry.value("dram.reads")
-        latency = obs.registry.as_dict()["dram.read_latency_cycles"]
+        result = run_query("SAM-en", by_name()["Q3"], tables, observe=obs)
+        latency = obs.read_latency.as_dict()
+        ring = list(obs.ring)
+        assert result.metrics["dram.read_latency_cycles"] == latency
+        assert latency["total"] == \
+            result.memory_stats.read_count_for_latency
         with pytest.raises(ValueError, match="one run"):
             run_query("SAM-en", by_name()["Q3"], tables, observe=obs)
         # the refused run added nothing to the first run's numbers
-        assert obs.registry.value("dram.reads") == reads
-        assert obs.registry.as_dict()["dram.read_latency_cycles"] == latency
+        assert obs.read_latency.as_dict() == latency
+        assert list(obs.ring) == ring
 
     def test_a_run_that_raised_used_its_observation(self):
         obs = Observation()
@@ -500,26 +452,25 @@ class TestRunnerHealthMetrics:
 
         from repro.sim.runner import _bus_utilization
 
-        obs = Observation()
+        metrics = {}
         scheme = SimpleNamespace(name="s")
         with pytest.warns(RuntimeWarning, match="utilization"):
-            value = _bus_utilization(obs, busy=150, cycles=100,
+            value = _bus_utilization(metrics, busy=150, cycles=100,
                                      scheme=scheme, workload_name="q")
         assert value == pytest.approx(1.5)
-        assert obs.registry.value("sim.bus_utilization_overflow") == 1
-        assert obs.registry.value("sim.bus_utilization_raw") == \
-            pytest.approx(1.5)
+        assert metrics["sim.bus_utilization_overflow"] == 1
+        assert metrics["sim.bus_utilization_raw"] == pytest.approx(1.5)
 
     def test_bus_utilization_normal_path(self):
         from types import SimpleNamespace
 
         from repro.sim.runner import _bus_utilization
 
-        obs = Observation()
+        metrics = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = _bus_utilization(obs, busy=50, cycles=100,
+            value = _bus_utilization(metrics, busy=50, cycles=100,
                                      scheme=SimpleNamespace(name="s"),
                                      workload_name="q")
         assert value == 0.5
-        assert "sim.bus_utilization_overflow" not in obs.registry
+        assert metrics == {"sim.bus_utilization": 0.5}

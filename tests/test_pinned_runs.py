@@ -1,5 +1,6 @@
 """Pinned simulated work: the exact cycles and kernel events of eight runs,
-and the exact op streams the relational path lowers.
+the exact metrics dict of two checked runs, and the exact op streams the
+relational path lowers.
 
 The rows run on 512 x 1024 tables: SQL queries by name and one generated
 strided kernel, across the row store, the column store, SAM, SAM-sub and
@@ -8,6 +9,10 @@ deterministic, so any drift in either is a behaviour change of the
 scheduler, the bank model or the event wheel, never host noise.  A change
 that alters simulated behaviour on purpose updates this table and says
 why.
+
+The metrics pins digest the whole ``result.metrics`` dict of a checked
+SAM-en query and a checked SAM-en kernel, so a number the end of a run
+publishes cannot move, change type or drop out unseen.
 
 The op-stream pins hold one digest per query shape, taken over every
 registered design: each op, the ground-truth answer, the selected-record
@@ -48,20 +53,48 @@ PINNED = {
 }
 
 
+#: (scheme, workload) -> sha256 of ``json.dumps(result.metrics,
+#: sort_keys=True)`` for the checked run: every published number, its
+#: type (``1`` and ``1.0`` dump apart) and which keys appear, including
+#: the ``check.*`` counts (``check.plans`` and ``check.lowered_gathers``
+#: for the query, ``check.kernel_ops`` for the kernel)
+PINNED_METRICS = {
+    ("SAM-en", "Q3"):
+        "9135777d1cbb2b8f032f8aa63d48c2ee66676bd677c48975f8c4c768330712d3",
+    ("SAM-en", "strided_read[stride=256]"):
+        "97976ad66ace49ed1db8c751e4e5c4c50c3d92af6244decf1e654b1b5b75e6c1",
+}
+
+
 @pytest.fixture(scope="module")
 def tables():
     return make_tables(512, 1024)
 
 
-@pytest.mark.parametrize("scheme,workload", list(PINNED))
-def test_pinned_run(scheme, workload, tables):
+def _run(scheme, workload, tables, check=False):
     queries = by_name()
     if workload in queries:
-        result = run_query(scheme, queries[workload], tables)
-    else:
-        result = run_workload(KernelWorkload.from_spec(workload), scheme)
+        return run_query(scheme, queries[workload], tables, check=check)
+    return run_workload(KernelWorkload.from_spec(workload), scheme,
+                        check=check)
+
+
+@pytest.mark.parametrize("scheme,workload", list(PINNED))
+def test_pinned_run(scheme, workload, tables):
+    result = _run(scheme, workload, tables)
     work = (result.cycles, int(result.metrics["sim.events"]))
     assert work == PINNED[(scheme, workload)]
+    # perfbench reads both with a default of 0, so a dropped key would
+    # read 0 there with nothing failing
+    assert {"sim.events", "dram.peek_hits"} <= result.metrics.keys()
+
+
+@pytest.mark.parametrize("scheme,workload", list(PINNED_METRICS))
+def test_pinned_metrics(scheme, workload, tables):
+    metrics = _run(scheme, workload, tables, check=True).metrics
+    assert list(metrics) == sorted(metrics)
+    digest = hashlib.sha256(json.dumps(metrics, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_METRICS[(scheme, workload)]
 
 
 def test_pinned_totals():

@@ -14,7 +14,6 @@ from repro.workloads import make_tables
 from repro.imdb import by_name
 from repro.imdb.plan import PhysicalPlan
 from repro.imdb.planner import plan_for
-from repro.obs import Observation
 from repro.sim.runner import run_query
 
 STRIDED = (
@@ -201,12 +200,8 @@ class TestPlanInManifest:
         assert manifest["plan"]["root"]["op"] == "project"
 
     def test_lowered_footprint_checker_sees_gathers(self, tables):
-        observe = Observation()
-        run_query(
-            "SAM-en", by_name()["Q1"], tables,
-            observe=observe, check=True,
-        )
-        assert observe.registry.value("check.lowered_gathers") > 0
+        result = run_query("SAM-en", by_name()["Q1"], tables, check=True)
+        assert result.metrics["check.lowered_gathers"] > 0
 
 
 class TestSchemeGatherValidation:

@@ -23,6 +23,8 @@ from repro.sim import (
 from repro.sim.runner import run_workload
 from repro.workloads import KernelWorkload, QueryWorkload, standard_tables
 
+from .cache_oracle import ReferenceSectorCache
+
 
 def make_system(scheme_name="baseline", **kw):
     kernel = Kernel()
@@ -191,12 +193,13 @@ class _ProbeLog(CacheHierarchy):
 @pytest.mark.parametrize("sectors", (4, 8))
 def test_core_locates_accesses_as_sector_mask_for(sectors):
     """A core's load or store probes the line and the sector mask that
-    :meth:`SectorCache.sector_mask_for` gives, for every offset and size
-    within a line (a full-line store names the line), and raises the same
-    error wherever ``sector_mask_for`` raises: a non-positive size or an
-    access that crosses a line."""
+    the reference cache's ``sector_mask_for`` (``tests/cache_oracle.py``,
+    written independently of ``SectorCache.locate``) gives, for every
+    offset and size within a line (a full-line store names the line), and
+    raises the same error wherever ``sector_mask_for`` raises: a
+    non-positive size or an access that crosses a line."""
     hierarchy = _ProbeLog(sectors)
-    cache = hierarchy.llc
+    cache = ReferenceSectorCache(4096, 4, sectors=sectors)
     full = (1 << sectors) - 1
 
     def streaming_store(core, line):

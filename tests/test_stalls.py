@@ -16,7 +16,6 @@ from repro.workloads import make_tables
 from repro.imdb.sql import parse
 from repro.kernel import Kernel
 from repro.obs import Observation
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.stalls import (
     BUSY,
     DRAM_SERVICE,
@@ -194,14 +193,13 @@ class TestReporting:
 
 
 class TestQueueFullError:
-    def _fill(self, metrics=None):
+    def _fill(self):
         kernel = Kernel()
         mc = MemoryController(
             kernel, DDR4_2400,
             config=ControllerConfig(read_queue_capacity=2,
                                     refresh_enabled=False),
         )
-        mc.metrics = metrics
         mapper = AddressMapper(mc.geometry)
         done = []
         for i in range(2):
@@ -233,11 +231,6 @@ class TestQueueFullError:
     def test_is_runtime_error(self):
         # callers catching the old RuntimeError keep working
         assert issubclass(QueueFullError, RuntimeError)
-
-    def test_reject_counter(self):
-        reg = MetricsRegistry()
-        self._fill(metrics=reg)
-        assert reg.value("controller.queue_full_rejects") == 1
 
 
 # ---------------------------------------------------------- unit overlay

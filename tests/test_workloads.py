@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.registry import available_schemes, make_scheme
-from repro.cpu.isa import decode, encode
 from repro.cpu.ops import GatherLoad, Load, Store
 from repro.exp import ExperimentSpec, SweepEngine, SweepPoint, point_digest
 from repro.imdb.queries import by_name
@@ -18,42 +17,8 @@ from repro.workloads import (
     QueryWorkload,
     available_kernels,
     build_tables,
-    encode_stream,
     standard_tables,
 )
-
-mnemonics = st.sampled_from(["sload", "sstore"])
-registers = st.integers(min_value=0, max_value=255)
-addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
-
-
-# ------------------------------------------------------------------ ISA
-
-@given(mnemonics, registers, addresses)
-def test_isa_encode_decode_roundtrip(mnemonic, register, address):
-    inst = decode(encode(mnemonic, register, address))
-    assert inst.mnemonic == mnemonic
-    assert inst.register == register
-    assert inst.address == address
-
-
-@given(registers, addresses)
-def test_isa_word_roundtrip_through_reencode(register, address):
-    word = encode("sload", register, address)
-    inst = decode(word)
-    assert encode(inst.mnemonic, inst.register, inst.address) == word
-
-
-def test_isa_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        encode("smove", 0, 0)
-    with pytest.raises(ValueError):
-        encode("sload", 256, 0)
-    with pytest.raises(ValueError):
-        encode("sload", 0, 1 << 48)
-    with pytest.raises(ValueError):
-        decode(0x11 << 56)
-
 
 # ---------------------------------------------------------- determinism
 
@@ -152,17 +117,6 @@ def test_stream_kernel_never_gathers():
     ops = [op for ops in _build_streams(w, "SAM-en").ops_per_core
            for op in ops]
     assert all(isinstance(op, Load) for op in ops)
-
-
-def test_encode_stream_words_roundtrip():
-    w = KernelWorkload.from_spec("strided_read[stride=256,n=64]")
-    build = _build_streams(w, "SAM-en")
-    words = encode_stream(
-        op for ops in build.ops_per_core for op in ops
-    )
-    assert words, "strided kernel should emit sload words"
-    for word in words:
-        assert decode(word).mnemonic == "sload"
 
 
 # -------------------------------------------------------------- oracle
